@@ -10,7 +10,7 @@ globally smooth and are integrated directly for the dynamical checks.
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import pi
 
 import numpy as np
@@ -60,18 +60,29 @@ class RadialSystem:
             adot = np.sinh(2 * s)
         return a, adot
 
+    @cached_property
+    def _m_terms(self):
+        """M1 and M0 flattened to (flat index, a power, adot power, float
+        coefficient) terms, in the entries' dict order."""
+        n = self.n
+        return tuple(
+            [(i * n + j, ia, jd, float(v))
+             for i in range(n) for j in range(n)
+             for (ia, jd), v in mat[i][j].items()]
+            for mat in (self.m1, self.m0))
+
     def m_num(self, s):
         a, adot = self._ab(s)
+        # Python floats: the same IEEE operations as numpy scalars, cheaper
+        a, adot = float(a), float(adot)
         n = self.n
-        m1 = np.zeros((n, n))
-        m0 = np.zeros((n, n))
-        for i in range(n):
-            for j in range(n):
-                for (ia, jd), v in self.m1[i][j].items():
-                    m1[i, j] += float(v) * a ** ia * (adot if jd else 1.0)
-                for (ia, jd), v in self.m0[i][j].items():
-                    m0[i, j] += float(v) * a ** ia * (adot if jd else 1.0)
-        return m1, m0
+        out = []
+        for terms in self._m_terms:
+            acc = [0.0] * (n * n)
+            for idx, ia, jd, v in terms:
+                acc[idx] += v * a ** ia * (adot if jd else 1.0)
+            out.append(np.array(acc).reshape(n, n))
+        return out[0], out[1]
 
     def rhs(self, s, y):
         """First-order form for a stacked matrix of solutions."""
@@ -486,9 +497,10 @@ def _kappa_data(system):
 
 # -- Lorentzian evolution -----------------------------------------------------
 
-def evolve_raw(system, u0, du0, t_grid):
+def evolve_raw(system, u0, du0, t_grid, tol=INTEGRATOR_TOL):
     """Evolve raw components (u, u-dot) of the Lorentzian system; complex
-    data handled by linearity.  Returns arrays (nt, n) for u and u-dot."""
+    data handled by linearity (a part with all-zero data evolves to zero and
+    is not integrated).  Returns arrays (nt, n) for u and u-dot."""
     if system.signature != LORENTZIAN:
         raise ValueError("evolution is for Lorentzian systems")
     n = system.n
@@ -503,6 +515,8 @@ def evolve_raw(system, u0, du0, t_grid):
     # two real solves (real and imaginary parts), each split by time sign
     for part_is_real, pu, pdu in ((True, u0.real, du0.real),
                                   (False, u0.imag, du0.imag)):
+        if not (pu.any() or pdu.any()):
+            continue
         for sign in (+1, -1):
             mask = (t_grid > 0) if sign > 0 else (t_grid < 0)
             ts = t_grid[mask]
@@ -511,8 +525,8 @@ def evolve_raw(system, u0, du0, t_grid):
             ts_sorted = np.sort(ts) if sign > 0 else np.sort(ts)[::-1]
             y0 = np.concatenate([pu, pdu])
             sol = solve_ivp(system.rhs, (0.0, ts_sorted[-1]), y0,
-                            method="DOP853", rtol=INTEGRATOR_TOL,
-                            atol=INTEGRATOR_TOL, t_eval=ts_sorted)
+                            method="DOP853", rtol=tol, atol=tol,
+                            t_eval=ts_sorted)
             if not sol.success:
                 raise RuntimeError(sol.message)
             fac = 1.0 if part_is_real else 1j

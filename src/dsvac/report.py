@@ -81,6 +81,8 @@ class RunConfig:
     fmt: str = "json"
 
     def validate(self):
+        if self.k_max < 0:
+            raise ValueError("k_max must be >= 0")
         gravity = set(self.suites) - {"maxwell", "oracle"}
         if gravity and self.k_max < 2:
             raise ValueError("k_max >= 2 required when gravity suites are enabled")
@@ -216,10 +218,10 @@ def _suite_oracle(art, col, cfg):
     candidates = [(s, "D2", False) for s in art.sectors]
     candidates += [(s, "D1", True) for s in maxwell_sectors(cfg.k_max)
                    if cy.DataLayout(s, 1).size]
-    picks = rng.sample(candidates, 5)
+    picks = rng.sample(candidates, min(5, len(candidates)))
     for sec, op, mx in picks:
         system = build_system(op, sec, EUCLIDEAN, maxwell=mx)
-        frob = regular_basis(system).data_matrix
+        frob = regular_basis(system, tol=cfg.tol_ode).data_matrix
         coll, gap = collocation_regular_basis(system)
         ang = principal_angle(frob, coll)
         col.add("oracle", f"method-independence-{op}{'M' if mx else ''}",
@@ -271,7 +273,7 @@ def _suite_identities(art, col, cfg):
                 continue
             u0 = rng.normal(size=system.n)
             du0 = rng.normal(size=system.n)
-            us, dus = evolve_raw(system, u0, du0, t_grid)
+            us, dus = evolve_raw(system, u0, du0, t_grid, tol=cfg.tol_ode)
             q0 = charge_raw(system, u0 + 0j, du0 + 0j, u0 + 0j, du0 + 0j, 0.0)
             scale = max(float(np.max(np.abs(us)) ** 2 + np.max(np.abs(dus)) ** 2), 1.0)
             drift = max(abs(charge_raw(system, us[i], dus[i], us[i], dus[i], t)
@@ -282,16 +284,17 @@ def _suite_identities(art, col, cfg):
     worst_i = 0.0
     for sec in (SectorLabel(Family.SCALAR, 2), SectorLabel(Family.SCALAR, 1),
                 SectorLabel(Family.VECTOR, 2)):
-        worst_i = max(worst_i, _intertwining_residual(sec, rng, t_grid))
+        worst_i = max(worst_i, _intertwining_residual(sec, rng, t_grid,
+                                                      cfg.tol_ode))
     col.add("identities", "gauge-evolution-intertwining", "gauge-evolution-compatibility",
             "-", worst_i, worst_i <= 1e-8)
     worst_i = _adjoint_intertwining_residual(SectorLabel(Family.SCALAR, 2),
-                                             rng, t_grid)
+                                             rng, t_grid, cfg.tol_ode)
     col.add("identities", "adjoint-evolution-intertwining", "adjoint-evolution-compatibility",
             "-", worst_i, worst_i <= 1e-8)
 
 
-def _intertwining_residual(sector, rng, t_grid):
+def _intertwining_residual(sector, rng, t_grid, tol):
     sys1 = build_system("D1", sector, LORENTZIAN)
     sys2 = build_system("D2", sector, LORENTZIAN)
     ws = WarpedSector(sector, LORENTZIAN)
@@ -304,9 +307,9 @@ def _intertwining_residual(sector, rng, t_grid):
 
     w0 = rng.normal(size=sys1.n)
     dw0 = rng.normal(size=sys1.n)
-    u1, du1 = evolve_raw(sys1, w0, dw0, t_grid)
+    u1, du1 = evolve_raw(sys1, w0, dw0, t_grid, tol=tol)
     raw2 = k21_raw(0.0) @ np.concatenate([w0, dw0])
-    u2, du2 = evolve_raw(sys2, raw2[:sys2.n], raw2[sys2.n:], t_grid)
+    u2, du2 = evolve_raw(sys2, raw2[:sys2.n], raw2[sys2.n:], t_grid, tol=tol)
     worst = 0.0
     for i, t in enumerate(t_grid):
         lhs = k21_raw(t) @ np.concatenate([u1[i].real, du1[i].real])
@@ -315,7 +318,7 @@ def _intertwining_residual(sector, rng, t_grid):
     return worst
 
 
-def _adjoint_intertwining_residual(sector, rng, t_grid):
+def _adjoint_intertwining_residual(sector, rng, t_grid, tol):
     sys2 = build_system("D2", sector, LORENTZIAN)
     sys1 = build_system("D1", sector, LORENTZIAN)
     ws = WarpedSector(sector, LORENTZIAN)
@@ -327,9 +330,9 @@ def _adjoint_intertwining_residual(sector, rng, t_grid):
 
     g0 = rng.normal(size=sys2.n)
     dg0 = rng.normal(size=sys2.n)
-    u2, du2 = evolve_raw(sys2, g0, dg0, t_grid)
+    u2, du2 = evolve_raw(sys2, g0, dg0, t_grid, tol=tol)
     raw1 = kdag_raw(0.0) @ np.concatenate([g0, dg0])
-    u1, du1 = evolve_raw(sys1, raw1[:sys1.n], raw1[sys1.n:], t_grid)
+    u1, du1 = evolve_raw(sys1, raw1[:sys1.n], raw1[sys1.n:], t_grid, tol=tol)
     worst = 0.0
     for i, t in enumerate(t_grid):
         lhs = kdag_raw(t) @ np.concatenate([u2[i].real, du2[i].real])
@@ -461,7 +464,7 @@ def _suite_states(art, col, cfg):
             max(vp, vm) / nrm, vp <= tol and vm <= tol
             and (vp + vm) / nrm <= -cfg.margin,
             {"lambda_plus": vp / nrm, "lambda_minus": vm / nrm})
-    energy, boundary, lam_val = tt_energy_quadrature(2)
+    energy, boundary, lam_val = tt_energy_quadrature(2, ode_tol=cfg.tol_ode)
     resid = abs(energy - boundary) / abs(boundary)
     ok = resid <= 1e-8 and abs(lam_val - boundary) <= 1e-9 * abs(boundary)
     col.add("states", "energy-quadrature", "gauge-sector-positivity", SectorLabel(Family.TENSOR, 2),
@@ -572,7 +575,7 @@ def _suite_maxwell(art, col, cfg):
             0.0, spectra_disjoint(max(cfg.k_max, 20)))
     total_zero = 0
     for sec in msecs:
-        pair = lorentzify(maxwell_projector_pair(sec))
+        pair = lorentzify(maxwell_projector_pair(sec, tol=cfg.tol_ode))
         n = pair.c_plus.shape[0]
         r_sum = float(np.max(np.abs(pair.c_plus + pair.c_minus - np.eye(n))))
         r_idem = float(np.max(np.abs(pair.c_plus @ pair.c_plus - pair.c_plus)))
@@ -604,14 +607,15 @@ def _suite_maxwell(art, col, cfg):
     col.add("maxwell", "zero-mode-total", "maxwell-zero-mode", "-", abs(total_zero - 1),
             total_zero == 1, {"total_with_multiplicity": total_zero})
     # quotient bookkeeping at level zero
-    pair0 = maxwell_rank0_pair(SCALAR0)
+    pair0 = maxwell_rank0_pair(SCALAR0, tol=cfg.tol_ode)
     qi = pair0.quotient_info
     col.add("maxwell", "rank0-quotient", "kernel-quotient", SCALAR0,
             0.0, qi.kernel.shape[1] == 1 and qi.quotient_dim == 0,
             {"kernel_dim": qi.kernel.shape[1], "quotient_dim": qi.quotient_dim})
     # negativity on the zero mode
     ps0 = maxwell_phase_space(SCALAR0)
-    cov0 = maxwell_covariances(SCALAR0)
+    cov0 = maxwell_covariances(SCALAR0, projector_pair=lorentzify(
+        maxwell_projector_pair(SCALAR0, tol=cfg.tol_ode)))
     f = ps0.e_zero[:, 0]
     g = rl.to_numpy(cy.data_gram(SCALAR0, 1))
     nrm = float(np.real(f.conj() @ g @ f))
@@ -623,7 +627,8 @@ def _suite_maxwell(art, col, cfg):
     # the level-zero Lorentzian profile
     system = build_system("D1", SCALAR0, LORENTZIAN, maxwell=True)
     t_grid = np.linspace(-2, 2, 17)
-    us, _ = evolve_raw(system, np.array([1.0]), np.array([0.0]), t_grid)
+    us, _ = evolve_raw(system, np.array([1.0]), np.array([0.0]), t_grid,
+                       tol=cfg.tol_ode)
     prof_resid = float(np.max(np.abs(us[:, 0].real - 1 / np.cosh(t_grid) ** 3)))
     col.add("maxwell", "zero-mode-profile", "zero-mode-profile", SCALAR0,
             prof_resid, prof_resid <= 1e-8)

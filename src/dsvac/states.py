@@ -26,7 +26,7 @@ from .cauchy import (
 )
 from .calderon import calderon_invertible, lorentzify
 from .phase_space import pi_projection
-from .radial import build_system, regular_basis, solution_profile
+from .radial import INTEGRATOR_TOL, build_system, regular_basis, solution_profile
 from .sectors import Family, SectorLabel
 from .warped import EUCLIDEAN
 
@@ -195,7 +195,7 @@ def wigner_involution_residual(sector):
 
 # -- independent energy oracle -------------------------------------------------
 
-def tt_energy_quadrature(k=2, tol=1e-10):
+def tt_energy_quadrature(k=2, tol=1e-10, ode_tol=INTEGRATOR_TOL):
     """Hemisphere energy of the regular TT mode versus its boundary charge.
 
     For a transverse-traceless mode u = phi(s) T the quadratic form of the
@@ -206,11 +206,12 @@ def tt_energy_quadrature(k=2, tol=1e-10):
 
     psi1 = phi' - (adot/a) phi, and the boundary identity gives
     2 Q(u,u) = -2 phi(0) phi'(0), which is the covariance value of the
-    regular datum.  Returns (quadrature, boundary, covariance) values.
+    regular datum.  Returns (quadrature, boundary, covariance) values;
+    ``tol`` is the quadrature tolerance, ``ode_tol`` the integrator's.
     """
     sector = SectorLabel(Family.TENSOR, k)
     system = build_system("D2", sector, EUCLIDEAN)
-    basis = regular_basis(system, keep_dense=True)
+    basis = regular_basis(system, tol=ode_tol, keep_dense=True)
     prof = solution_profile(basis)
     lam = float(sector.eigenvalue)
 
@@ -226,6 +227,7 @@ def tt_energy_quadrature(k=2, tol=1e-10):
                      epsabs=tol, epsrel=tol, limit=200)
     f = basis.raw_data[:, 0]  # (phi(0), -phi'(0)) of the integrated profile
     boundary = 2.0 * f[0] * f[1]
-    cov = euclidean_vacuum_pair(sector)
+    cov = euclidean_vacuum_pair(sector, lorentzify(
+        calderon_invertible(sector, "D2", tol=ode_tol)))
     lam_val = float(np.real(f.astype(complex).conj() @ cov.lambda_plus @ f))
     return 2.0 * energy, float(boundary), lam_val

@@ -104,33 +104,33 @@ def cf_eval(t, a_val, adot_val):
 
 def cf_series_pole(t, order):
     """Laurent x-series at the north pole s = pi/2 - x (Euclidean):
-    a = sin^2 x, adot = -sin 2x."""
-    a_ser = _pole_a(order)
-    adot_ser = _pole_adot(order)
+    a = sin^2 x, adot = -sin 2x.
+
+    The series of each monomial a^i adot^j is computed once per order and
+    memoised in ``_POLE_CACHE``; a call only sums the scaled monomials."""
     out = LSeries(0, [])
     for (i, j), v in t.items():
-        term = a_ser.power(i)
-        if j:
-            term = term * adot_ser
-        out = out + v * term
+        out = out + v * _pole_monomial(order, i, j)
     return out
 
 
 _POLE_CACHE = {}
 
 
-def _pole_a(order):
-    key = ("a", order)
+def _pole_monomial(order, i, j):
+    """Series of a^i adot^j at the north pole (shared: do not mutate)."""
+    key = (order, i, j)
     if key not in _POLE_CACHE:
-        s = sin_series(order + 4)
-        _POLE_CACHE[key] = s * s
-    return _POLE_CACHE[key]
-
-
-def _pole_adot(order):
-    key = ("adot", order)
-    if key not in _POLE_CACHE:
-        _POLE_CACHE[key] = -1 * scaled_arg(sin_series, 2, order + 4)
+        if (i, j) == (1, 0):
+            s = sin_series(order + 4)
+            ser = s * s
+        elif (i, j) == (0, 1):
+            ser = -1 * scaled_arg(sin_series, 2, order + 4)
+        else:
+            ser = _pole_monomial(order, 1, 0).power(i)
+            if j:
+                ser = ser * _pole_monomial(order, 0, 1)
+        _POLE_CACHE[key] = ser
     return _POLE_CACHE[key]
 
 

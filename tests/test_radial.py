@@ -9,7 +9,9 @@ import pytest
 
 from dsvac.collocation import collocation_regular_basis
 from dsvac.calderon import principal_angle
+import dsvac.radial as radial
 from dsvac.radial import (
+    INTEGRATOR_TOL,
     build_system,
     charge_raw,
     evolve_lorentzian,
@@ -89,10 +91,115 @@ def test_charge_conservation(spec):
         assert abs(qt - q0) / scale < 1e-8, (spec, t)
 
 
-def test_zero_data_evolves_to_zero():
+def _m_num_reference(system, s):
+    """M1(s), M0(s) by the nested loop over the exact coefficient dicts."""
+    a, adot = system._ab(s)
+    n = system.n
+    m1 = np.zeros((n, n))
+    m0 = np.zeros((n, n))
+    for i in range(n):
+        for j in range(n):
+            for (ia, jd), v in system.m1[i][j].items():
+                m1[i, j] += float(v) * a ** ia * (adot if jd else 1.0)
+            for (ia, jd), v in system.m0[i][j].items():
+                m0[i, j] += float(v) * a ** ia * (adot if jd else 1.0)
+    return m1, m0
+
+
+@pytest.mark.parametrize("signature", [EUCLIDEAN, LORENTZIAN])
+@pytest.mark.parametrize("spec", [
+    (Family.SCALAR, 2, "D2", False), (Family.VECTOR, 2, "D2", False),
+    (Family.TENSOR, 3, "D2", False), (Family.SCALAR, 3, "D1", False),
+    (Family.VECTOR, 2, "D1", True), (Family.SCALAR, 1, "D0", True),
+], ids=str)
+def test_m_num_matches_nested_loop(spec, signature):
+    fam, k, op, mx = spec
+    sysm = build_system(op, SectorLabel(fam, k), signature, maxwell=mx)
+    if spec[:3] == (Family.SCALAR, 2, "D2"):
+        assert sysm.n == 4
+    for s in np.linspace(-1.5, 1.5, 41):
+        for arg in (s, float(s)):
+            got = sysm.m_num(arg)
+            ref = _m_num_reference(sysm, arg)
+            assert np.array_equal(got[0], ref[0]), (spec, s)
+            assert np.array_equal(got[1], ref[1]), (spec, s)
+
+
+def _evolve_raw_reference(system, u0, du0, t_grid):
+    """evolve_raw integrating both parts of the data, zero or not."""
+    n = system.n
+    u0 = np.asarray(u0, dtype=complex)
+    du0 = np.asarray(du0, dtype=complex)
+    t_grid = np.asarray(t_grid, dtype=float)
+    out_u = np.zeros((len(t_grid), n), dtype=complex)
+    out_du = np.zeros((len(t_grid), n), dtype=complex)
+    for p in np.nonzero(t_grid == 0.0)[0]:
+        out_u[p] = u0
+        out_du[p] = du0
+    for part_is_real, pu, pdu in ((True, u0.real, du0.real),
+                                  (False, u0.imag, du0.imag)):
+        for sign in (+1, -1):
+            mask = (t_grid > 0) if sign > 0 else (t_grid < 0)
+            ts = t_grid[mask]
+            if ts.size == 0:
+                continue
+            ts_sorted = np.sort(ts) if sign > 0 else np.sort(ts)[::-1]
+            y0 = np.concatenate([pu, pdu])
+            sol = radial.solve_ivp(system.rhs, (0.0, ts_sorted[-1]), y0,
+                                   method="DOP853", rtol=INTEGRATOR_TOL,
+                                   atol=INTEGRATOR_TOL, t_eval=ts_sorted)
+            fac = 1.0 if part_is_real else 1j
+            for idx_t, tv in enumerate(ts_sorted):
+                for p in np.nonzero(t_grid == tv)[0]:
+                    out_u[p] += fac * sol.y[:n, idx_t]
+                    out_du[p] += fac * sol.y[n:, idx_t]
+    return out_u, out_du
+
+
+def _count_solves(monkeypatch):
+    calls = []
+    real_solve = radial.solve_ivp
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs["rtol"])
+        return real_solve(*args, **kwargs)
+
+    monkeypatch.setattr(radial, "solve_ivp", counting)
+    return calls
+
+
+def test_zero_data_evolves_to_zero(monkeypatch):
     sysm = build_system("D2", SectorLabel(Family.TENSOR, 2), LORENTZIAN)
+    calls = _count_solves(monkeypatch)
     traj = evolve_lorentzian(sysm, np.zeros(2, complex), [-1.0, 0.5])
     assert np.max(np.abs(traj)) == 0
+    assert calls == []
+
+
+@pytest.mark.parametrize("part", ["real", "imag"])
+def test_single_part_data_matches_reference(part, monkeypatch):
+    # a part with all-zero data is not integrated; the trajectory is the
+    # one obtained by integrating both parts
+    sysm = build_system("D2", SectorLabel(Family.SCALAR, 2), LORENTZIAN)
+    rng = np.random.default_rng(11)
+    fac = 1.0 if part == "real" else 1j
+    u0 = fac * rng.normal(size=sysm.n)
+    du0 = fac * rng.normal(size=sysm.n)
+    t_grid = np.array([-1.5, -0.2, 0.0, 0.7, 2.0])
+    ref_u, ref_du = _evolve_raw_reference(sysm, u0, du0, t_grid)
+    calls = _count_solves(monkeypatch)
+    us, dus = evolve_raw(sysm, u0, du0, t_grid)
+    assert len(calls) == 2  # one part, both time directions
+    assert np.array_equal(us, ref_u) and np.array_equal(dus, ref_du)
+
+
+def test_evolve_raw_tolerance(monkeypatch):
+    sysm = build_system("D1", SectorLabel(Family.SCALAR, 0), LORENTZIAN,
+                        maxwell=True)
+    calls = _count_solves(monkeypatch)
+    evolve_raw(sysm, np.array([1.0 + 1j]), np.array([0.0]), [-1.0, 1.0],
+               tol=1e-10)
+    assert calls == [1e-10] * 4
 
 
 @pytest.mark.parametrize("sector", [SectorLabel(Family.SCALAR, 2),

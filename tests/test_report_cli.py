@@ -20,6 +20,8 @@ def test_config_validation():
         RunConfig(suites=("nonsense",)).validate()
     with pytest.raises(ValueError):
         RunConfig(fmt="xml").validate()
+    with pytest.raises(ValueError):
+        RunConfig(k_max=-1, suites=("maxwell",)).validate()
 
 
 def test_report_structure(small_report):
@@ -134,6 +136,36 @@ def test_cli_run_and_diff(tmp_path, capsys):
 def test_cli_config_rejection(tmp_path):
     # gravity suites at k_max=1 are rejected with exit code 2
     assert main(["run", "--k-max", "1", "--out", str(tmp_path / "x.json")]) == 2
+    # so is a negative k_max, also for suites without the gravity bound
+    assert main(["run", "--k-max", "-1", "--suites", "maxwell",
+                 "--out", str(tmp_path / "y.json")]) == 2
+
+
+def test_oracle_at_k_max_zero(tmp_path):
+    # fewer than five method-independence candidates: all of them are checked
+    out = tmp_path / "r.json"
+    assert main(["run", "--k-max", "0", "--suites", "oracle",
+                 "--out", str(out)]) == 0
+    rep = json.loads(out.read_text())
+    sampled = [r for r in rep["records"]
+               if r["check_id"].startswith("method-independence")]
+    assert [r["sector"] for r in sampled] == ["Scalar(0)", "Scalar(0)"]
+    assert not has_failures(rep)
+
+
+def test_tol_ode_reaches_every_integrator(monkeypatch):
+    import dsvac.radial as radial
+    seen = []
+    real_solve = radial.solve_ivp
+
+    def recording(*args, **kwargs):
+        seen.append((kwargs["rtol"], kwargs["atol"]))
+        return real_solve(*args, **kwargs)
+
+    monkeypatch.setattr(radial, "solve_ivp", recording)
+    rep = run(RunConfig(k_max=2, k_dynamics=2, tol_ode=1e-11))
+    assert rep["records"]
+    assert seen and set(seen) == {(1e-11, 1e-11)}
 
 
 def test_cli_config_file(tmp_path):

@@ -12,6 +12,8 @@ from fractions import Fraction
 import pytest
 
 from dsvac import rational as rl
+from dsvac.qseries import LSeries, scaled_arg, sin_series
+from dsvac.radial import SERIES_ORDER, build_system
 from dsvac.sectors import Family, SectorLabel, space
 from dsvac.warped import (
     EUCLIDEAN,
@@ -23,6 +25,7 @@ from dsvac.warped import (
     cf_eval,
     cf_mul,
     cf_scale,
+    cf_series_pole,
     cfm_add,
     cfm_diff,
     cfm_from_rational,
@@ -303,3 +306,36 @@ def test_wick_rotation_rule():
                         assert abs(coef.imag) < 1e-12
                         got = m0l[i][j].get((ia, jd), Q(0))
                         assert abs(float(got) - coef.real) < 1e-12, (sec, rank, i, j)
+
+
+def _cf_series_pole_reference(t, order):
+    """The pole series with every monomial recomputed from a and adot."""
+    s = sin_series(order + 4)
+    a_ser = s * s
+    adot_ser = -1 * scaled_arg(sin_series, 2, order + 4)
+    out = LSeries(0, [])
+    for (i, j), v in t.items():
+        term = a_ser.power(i)
+        if j:
+            term = term * adot_ser
+        out = out + v * term
+    return out
+
+
+@pytest.mark.parametrize("spec", [
+    (Family.SCALAR, 2, "D2", False), (Family.VECTOR, 2, "D2", False),
+    (Family.TENSOR, 3, "D2", False), (Family.SCALAR, 0, "D0", True),
+    (Family.SCALAR, 1, "D1", True), (Family.VECTOR, 1, "D1", True),
+], ids=str)
+def test_cf_series_pole_matches_direct_sum(spec):
+    # the memoised monomials give exactly the series of the direct sum for
+    # every coefficient entry the indicial analysis expands
+    fam, k, op, mx = spec
+    system = build_system(op, SectorLabel(fam, k), EUCLIDEAN, maxwell=mx)
+    order = SERIES_ORDER + 6
+    for mat in (system.m1, system.m0):
+        for row in mat:
+            for entry in row:
+                got = cf_series_pole(entry, order)
+                ref = _cf_series_pole_reference(entry, order)
+                assert (got.off, got.c) == (ref.off, ref.c), (spec, entry)
