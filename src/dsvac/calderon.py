@@ -7,7 +7,8 @@ hold to machine precision and only one one-sided construction is ever
 integrated.  When the operator has a kernel (rank-1 gravity in the two
 Killing sectors, Maxwell scalars at level zero) the projectors only exist on
 the charge-orthogonal complement of the kernel data and descend to the
-quotient.
+quotient; ``projector_pair`` picks the construction from the theory's
+``quotient_sectors``.
 """
 
 from dataclasses import dataclass
@@ -17,8 +18,8 @@ import numpy as np
 
 from . import rational as rl
 from .cauchy import euclid_symplectic_form, kappa_block, wick_phases
-from .radial import build_system, regular_basis
-from .sectors import Family, SectorLabel
+from .radial import _kappa_data, build_system, regular_basis
+from .sectors import SectorLabel
 from .warped import EUCLIDEAN
 
 
@@ -50,18 +51,28 @@ def _orth(m, tol=1e-10):
     return u[:, :rank]
 
 
-def _reflected(system, data):
-    from .radial import _kappa_data
-    return _kappa_data(system)[:, None] * data
+def _regular_data(sector, operator_id, maxwell, params):
+    """The system with the north regular data and their south reflection."""
+    system = build_system(operator_id, sector, EUCLIDEAN, maxwell=maxwell)
+    vp = regular_basis(system, "north", **params).data_matrix
+    return system, vp, _kappa_data(system)[:, None] * vp
+
+
+def projector_pair(theory, sector, operator_id, **params):
+    """Euclidean projector pair of one operator of ``theory``: the quotient
+    construction in the sectors where the operator has a kernel, the
+    invertible one elsewhere."""
+    if sector in theory.quotient_sectors.get(operator_id, ()):
+        build = calderon_quotient
+    else:
+        build = calderon_invertible
+    return build(sector, operator_id, maxwell=theory.maxwell, **params)
 
 
 def calderon_invertible(sector, operator_id="D2", maxwell=False, **params):
     """Euclidean projector pair for an invertible operator (transversal
     regular subspaces)."""
-    system = build_system(operator_id, sector, EUCLIDEAN, maxwell=maxwell)
-    north = regular_basis(system, "north", **params)
-    vp = north.data_matrix
-    vm = _reflected(system, vp)
+    system, vp, vm = _regular_data(sector, operator_id, maxwell, params)
     n = system.n
     both = np.hstack([vp, vm])
     sv = np.linalg.svd(both, compute_uv=False)
@@ -85,10 +96,7 @@ def calderon_quotient(sector, operator_id="D1", maxwell=False, **params):
     the action on the subspace basis (columns of ``quotient_info.subspace``)
     with the kernel ambiguity projected out on the quotient.
     """
-    system = build_system(operator_id, sector, EUCLIDEAN, maxwell=maxwell)
-    north = regular_basis(system, "north", **params)
-    vp = north.data_matrix
-    vm = _reflected(system, vp)
+    system, vp, vm = _regular_data(sector, operator_id, maxwell, params)
     n = system.n
     # kernel data: intersection of the two regular subspaces
     u, s, vt = np.linalg.svd(vp.T @ vm)
@@ -104,7 +112,7 @@ def calderon_quotient(sector, operator_id="D1", maxwell=False, **params):
     assert np.max(np.abs(kernel.T @ q @ kernel)) < 1e-9
     span = _orth(np.hstack([vp, vm]))
     # the domain must coincide with span(vp, vm)
-    if w.shape[1] != span.shape[1] or _angle(w, span) > 1e-8:
+    if w.shape[1] != span.shape[1] or principal_angle(w, span) > 1e-8:
         raise RuntimeError("q-orthogonal domain does not match V+ + V-")
     # decompose f = f_plus + f_minus (ambiguous along the kernel); the
     # kernel makes [vp vm] genuinely rank-deficient, so cut the pseudo
@@ -139,7 +147,7 @@ def _complement(w, kernel):
     return _orth(proj)
 
 
-def _angle(a, b):
+def principal_angle(a, b):
     """sin of the largest principal angle between equal-dim column spaces.
 
     Computed from the residual projection, which stays accurate for tiny
@@ -157,16 +165,11 @@ def _angle(a, b):
     return float(max(sa[0] if sa.size else 0.0, sb[0] if sb.size else 0.0))
 
 
-def principal_angle(a, b):
-    return _angle(a, b)
-
-
 def quotient_matrices(pair):
     """[c+], [c-] on the quotient subspace/kernel, in the complement basis."""
     qi = pair.quotient_info
     comp = qi.complement
     if comp.shape[1] == 0:
-        d = 0
         return np.zeros((0, 0)), np.zeros((0, 0))
     k = _orth(qi.kernel)
 
@@ -228,26 +231,3 @@ def apply_pair(pair, f, sign=+1, tol=1e-8):
     if np.linalg.norm(w @ coords - f) > tol * max(1.0, np.linalg.norm(f)):
         raise ValueError("data not in the projector domain")
     return c @ coords
-
-
-KILLING_SECTORS = (SectorLabel(Family.SCALAR, 1), SectorLabel(Family.VECTOR, 1))
-
-
-def gravity_rank2_pair(sector, **params):
-    return calderon_invertible(sector, "D2", **params)
-
-
-def gravity_rank1_pair(sector, **params):
-    if sector in KILLING_SECTORS:
-        return calderon_quotient(sector, "D1", **params)
-    return calderon_invertible(sector, "D1", **params)
-
-
-def maxwell_rank1_pair(sector, **params):
-    return calderon_invertible(sector, "D1", maxwell=True, **params)
-
-
-def maxwell_rank0_pair(sector, **params):
-    if sector == SectorLabel(Family.SCALAR, 0):
-        return calderon_quotient(sector, "D0", maxwell=True, **params)
-    return calderon_invertible(sector, "D0", maxwell=True, **params)

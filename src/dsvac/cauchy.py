@@ -14,6 +14,7 @@ is cross-validated by the composition identities div o grad = 2*Lambda = 6
 and trace* o symgrad = -2 grad*.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -40,12 +41,6 @@ class DataLayout:
         for d in self.slot_dims:
             self.offsets.append(o)
             o += d
-
-    def slot_ranks_flat(self):
-        out = []
-        for r, d in enumerate(self.slot_dims):
-            out.extend([r] * d)
-        return out
 
 
 def _blockmap(layout_out, layout_in):
@@ -228,20 +223,26 @@ def data_gram(sector, rank):
     return rl.block_diag([w, w])
 
 
+def normalized_columns(sector, basis, rank):
+    """Columns scaled to unit Riemannian data norm (zero columns dropped)."""
+    if basis.shape[1] == 0:
+        return basis
+    g = rl.to_numpy(data_gram(sector, rank))
+    out = []
+    for j in range(basis.shape[1]):
+        col = basis[:, j]
+        nrm = np.sqrt(np.real(col.conj() @ g @ col))
+        if nrm > 1e-14:
+            out.append(col / nrm)
+    return np.column_stack(out) if out else basis[:, :0]
+
+
 def charge_form(sector, rank):
     """Lorentzian conserved charge q_k as a Hermitian form matrix."""
     d = _weight_diag(sector, rank, lorentz_signs=True)
     n = len(d)
     z = rl.zeros(n, n)
     return rl.vstack([rl.hstack([z, d]), rl.hstack([d, z])])
-
-
-def euclid_charge_form(sector, rank):
-    """Euclidean counterpart (Riemannian fiber weights, no signs)."""
-    w = _weight_diag(sector, rank, lorentz_signs=False)
-    n = len(w)
-    z = rl.zeros(n, n)
-    return rl.vstack([rl.hstack([z, w]), rl.hstack([w, z])])
 
 
 def euclid_symplectic_form(sector, rank):
@@ -304,6 +305,14 @@ def wick_phases(sector, rank):
     return ph
 
 
+def lorentz_columns(cols, sector, rank):
+    """Lorentzian data columns (complex) of exact Euclidean data vectors."""
+    if not cols:
+        return np.zeros((DataLayout(sector, rank).size, 0), dtype=complex)
+    arr = np.array([[complex(x) for x in col] for col in cols]).T
+    return arr / wick_phases(sector, rank)[:, None]
+
+
 def lorentz_block(block_eu, sector, rank_out, rank_in):
     """Conjugate a Euclidean data block by the Wick phases."""
     size_out = DataLayout(sector, rank_out).size
@@ -339,6 +348,9 @@ def trace_fix_block(sector):
 
 # -- Killing data --------------------------------------------------------------
 
+KILLING_SECTORS = (SectorLabel(Family.SCALAR, 1), SectorLabel(Family.VECTOR, 1))
+
+
 def killing_data_euclid(sector):
     """Euclidean traces of the Killing 1-forms living in this sector."""
     lay = DataLayout(sector, 1)
@@ -357,12 +369,7 @@ def killing_data_euclid(sector):
 
 def killing_data(sector):
     """Lorentzian Killing Cauchy data (complex columns)."""
-    eu = killing_data_euclid(sector)
-    if not eu:
-        return np.zeros((DataLayout(sector, 1).size, 0), dtype=complex)
-    f = wick_phases(sector, 1)
-    cols = [rl.to_numpy([ [x] for x in v ], complex)[:, 0] / f for v in eu]
-    return np.column_stack(cols)
+    return lorentz_columns(killing_data_euclid(sector), sector, 1)
 
 
 def gauge_orthogonal_residual(f, sector):
@@ -373,3 +380,40 @@ def gauge_orthogonal_residual(f, sector):
         return 0.0
     q1 = rl.to_numpy(charge_form(sector, 1))
     return float(np.max(np.abs(kd.conj().T @ q1 @ np.asarray(f, complex))))
+
+
+# -- the two theories ----------------------------------------------------------
+
+@dataclass(frozen=True, eq=False)
+class Theory:
+    """One field theory of the construction: linearized gravity is a rank-2
+    field with rank-1 gauge parameters, Maxwell the same one rank lower.
+
+    ``quotient_sectors`` maps an operator to the sectors where its Euclidean
+    kernel is nontrivial, so that its projectors exist only on the quotient;
+    ``bad_levels`` are the harmonic levels (eigenvalues) that the modified
+    state projects out.
+    """
+
+    name: str
+    rank: int
+    maxwell: bool
+    quotient_sectors: dict
+    bad_levels: tuple
+
+    def charge(self, sector):
+        """The conserved charge on field data (exact): q_{I,2} resp. q_1."""
+        if self.maxwell:
+            return charge_form(sector, 1)
+        return physical_charge_form(sector)
+
+    def gauge_block(self, sector):
+        """Lorentzian gauge operator on data, gauge parameters -> field."""
+        if self.maxwell:
+            return lorentz_block(grad_block(sector, maxwell=True), sector, 1, 0)
+        return lorentz_gauge_blocks(sector)["sym_grad"]
+
+
+GRAVITY = Theory("gravity", 2, False, {"D1": KILLING_SECTORS}, (3, 4))
+MAXWELL = Theory("maxwell", 1, True, {"D0": (SectorLabel(Family.SCALAR, 0),)},
+                 (0,))

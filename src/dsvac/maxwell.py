@@ -1,5 +1,8 @@
-"""Maxwell fields on de Sitter: the rank-(1,0) analogue, end to end.
+"""Maxwell fields on de Sitter: the rank-(1,0) analogue.
 
+Projector pairs, covariances and their checks are the shared ones of
+``calderon`` and ``states`` applied to ``cauchy.MAXWELL``; this module keeps
+what is particular to Maxwell, its phase space, and thin entry points.
 The gauge complex is grad: functions -> 1-forms with the Hodge operators
 (no curvature shift); the level-zero scalar sector plays the role of the
 problematic subspace: the wave-equation solution 1/cosh^3(t) dt spans a
@@ -13,22 +16,10 @@ from fractions import Fraction
 import numpy as np
 
 from . import rational as rl
-from .cauchy import (
-    DataLayout,
-    charge_form,
-    data_gram,
-    div_block,
-    grad_block,
-    lorentz_block,
-    wick_phases,
-)
-from .calderon import (
-    calderon_invertible,
-    calderon_quotient,
-    lorentzify,
-    principal_angle,
-)
+from .cauchy import MAXWELL, DataLayout, div_block, lorentz_columns
+from .calderon import projector_pair
 from .sectors import Family, SectorLabel, enumerate_sectors
+from .states import build_covariances
 
 Q = Fraction
 
@@ -47,14 +38,6 @@ def spectra_disjoint(k_max):
     return grad_side.isdisjoint(coexact)
 
 
-def grad_block_lorentz(sector):
-    return lorentz_block(grad_block(sector, maxwell=True), sector, 1, 0)
-
-
-def div_block_lorentz(sector):
-    return lorentz_block(div_block(sector, maxwell=True), sector, 0, 1)
-
-
 @dataclass
 class MaxwellPhaseSpace:
     sector: SectorLabel
@@ -62,6 +45,8 @@ class MaxwellPhaseSpace:
     e_gauge: np.ndarray
     f_space: np.ndarray
     e_zero: np.ndarray
+
+    theory = MAXWELL
 
     @property
     def f_gauge(self):
@@ -83,13 +68,6 @@ def maxwell_phase_space(sector):
     null = rl.nullspace(dv) if dv else [
         [Q(1) if i == j else Q(0) for i in range(lay.size)]
         for j in range(lay.size)]
-    f = wick_phases(sector, 1)
-
-    def to_l(cols):
-        if not cols:
-            return np.zeros((lay.size, 0), dtype=complex)
-        arr = np.array([[complex(x) for x in c] for c in cols]).T
-        return arr / f[:, None]
 
     # parametrization: Scalar(0): beta_s line (inside the gauge image, like
     # the level-four space on the gravity side); Scalar(k>=1): (f0, f1)
@@ -119,86 +97,14 @@ def maxwell_phase_space(sector):
     for c in cols:
         if dv and any(x != 0 for x in rl.matvec(dv, c)):
             raise RuntimeError(f"Maxwell parametrization column leaves E in {sector}")
-    return MaxwellPhaseSpace(sector, to_l(cols), to_l(e_gauge), to_l(f_cols),
-                             to_l(e_zero))
+    return MaxwellPhaseSpace(sector, *(lorentz_columns(c, sector, 1) for c in
+                                       (cols, e_gauge, f_cols, e_zero)))
 
 
-def maxwell_projector_pair(sector, **params):
-    return calderon_invertible(sector, "D1", maxwell=True, **params)
+def maxwell_projector_pair(sector, operator_id="D1", **params):
+    return projector_pair(MAXWELL, sector, operator_id, **params)
 
 
-def maxwell_rank0_pair(sector, **params):
-    if sector == SCALAR0:
-        return calderon_quotient(sector, "D0", maxwell=True, **params)
-    return calderon_invertible(sector, "D0", maxwell=True, **params)
-
-
-@dataclass
-class MaxwellCovariances:
-    sector: SectorLabel
-    lambda_plus: np.ndarray
-    lambda_minus: np.ndarray
-    variant: str
-
-
-def maxwell_covariances(sector, variant="euclidean_vacuum", projector_pair=None):
-    if projector_pair is None:
-        projector_pair = lorentzify(maxwell_projector_pair(sector))
-    q1 = rl.to_numpy(charge_form(sector, 1)).astype(complex)
-    lam_p = q1 @ projector_pair.c_plus
-    lam_m = -q1 @ projector_pair.c_minus
-    if variant == "modified":
-        lay = DataLayout(sector, 1)
-        pim = np.zeros((lay.size, lay.size)) if sector == SCALAR0 \
-            else np.eye(lay.size)
-        lam_p = pim.T @ lam_p @ pim
-        lam_m = pim.T @ lam_m @ pim
-    return MaxwellCovariances(sector, lam_p, lam_m, variant)
-
-
-def maxwell_sum_rule_residual(cov, on=None):
-    q1 = rl.to_numpy(charge_form(cov.sector, 1)).astype(complex)
-    diff = cov.lambda_plus - cov.lambda_minus - q1
-    if on is None:
-        return float(np.max(np.abs(diff))) if diff.size else 0.0
-    if on.shape[1] == 0:
-        return 0.0
-    return float(np.max(np.abs(on.conj().T @ diff @ on)))
-
-
-def maxwell_compressed_extrema(cov, basis, sign=+1):
-    if basis.shape[1] == 0:
-        return None
-    lam = cov.lambda_plus if sign > 0 else cov.lambda_minus
-    a = basis.conj().T @ lam @ basis
-    g = basis.conj().T @ rl.to_numpy(data_gram(cov.sector, 1)) @ basis
-    gi = np.linalg.inv(np.linalg.cholesky(g))
-    ev = np.linalg.eigvalsh(gi @ ((a + a.conj().T) / 2) @ gi.conj().T)
-    return float(ev[0]), float(ev[-1])
-
-
-def maxwell_charge_kernel(ps, tol=1e-10):
-    """Ker q1 restricted to E equals F."""
-    q1 = rl.to_numpy(charge_form(ps.sector, 1)).astype(complex)
-    if ps.e_space.shape[1] == 0:
-        return 0.0
-    comp = ps.e_space.conj().T @ q1 @ ps.e_space
-    u, s, vt = np.linalg.svd(comp)
-    rank = int(np.sum(s > tol * max(s[0] if s.size else 0, 1)))
-    ker = ps.e_space @ vt[rank:].conj().T
-    if ker.shape[1] != ps.f_space.shape[1]:
-        return 1.0
-    if ker.shape[1] == 0:
-        return 0.0
-    return principal_angle(ker, ps.f_space)
-
-
-def maxwell_full_gauge_residual(cov, ps):
-    """lambda_mod(f, grad g) over f in E and all rank-0 data g."""
-    k10 = grad_block_lorentz(cov.sector)
-    if k10.size == 0 or ps.e_space.shape[1] == 0:
-        return 0.0
-    vals = []
-    for lam in (cov.lambda_plus, cov.lambda_minus):
-        vals.append(np.max(np.abs(ps.e_space.conj().T @ lam @ k10)))
-    return float(max(vals))
+def maxwell_covariances(sector, variant="euclidean_vacuum", alpha=0.0,
+                        projector_pair=None):
+    return build_covariances(sector, variant, alpha, projector_pair, MAXWELL)

@@ -13,14 +13,17 @@ from fractions import Fraction
 import numpy as np
 
 from . import rational as rl
+from .calderon import principal_angle
 from .cauchy import (
+    GRAVITY,
     DataLayout,
     charge_form,
+    killing_data,
+    lorentz_columns,
     lorentz_gauge_blocks,
     neg_trace_block,
-    physical_charge_form,
+    normalized_columns,
     sym_div_block,
-    wick_phases,
 )
 from .sectors import Family, SectorLabel, space
 
@@ -141,6 +144,18 @@ class PhaseSpaceSector:
     param_labels: list
     param_matrix_euclid: list  # exact rational columns, labelled
 
+    theory = GRAVITY
+
+    @property
+    def e_space(self):
+        """E_TT, under the name the theory-generic checks read."""
+        return self.ett
+
+    @property
+    def f_space(self):
+        """F_TT, under the name the theory-generic checks read."""
+        return self.ftt
+
     @property
     def ftt_gauge_strict(self):
         if self.sector == SCALAR1:
@@ -151,15 +166,6 @@ class PhaseSpaceSector:
     def dims(self):
         return (self.ett.shape[1], self.ett_gauge.shape[1], self.ftt.shape[1],
                 self.ftt_gauge.shape[1], self.ett4.shape[1])
-
-
-def _to_lorentz(cols, sector):
-    lay = DataLayout(sector, 2)
-    if not cols:
-        return np.zeros((lay.size, 0), dtype=complex)
-    f = wick_phases(sector, 2)
-    arr = np.array([[complex(x) for x in col] for col in cols]).T
-    return arr / f[:, None]
 
 
 def phase_space_sector(sector):
@@ -194,12 +200,12 @@ def phase_space_sector(sector):
     e3_cols = [col for name, col in params if name == "bs"]
     return PhaseSpaceSector(
         sector=sector,
-        ett=_to_lorentz([c for _, c in params], sector),
-        ett_gauge=_to_lorentz(gauge_cols, sector),
-        ftt=_to_lorentz(f_cols, sector),
-        ftt_gauge=_to_lorentz(fg_cols, sector),
-        ett4=_to_lorentz(e4_cols, sector),
-        ett3=_to_lorentz(e3_cols, sector),
+        ett=lorentz_columns([c for _, c in params], sector, 2),
+        ett_gauge=lorentz_columns(gauge_cols, sector, 2),
+        ftt=lorentz_columns(f_cols, sector, 2),
+        ftt_gauge=lorentz_columns(fg_cols, sector, 2),
+        ett4=lorentz_columns(e4_cols, sector, 2),
+        ett3=lorentz_columns(e3_cols, sector, 2),
         param_labels=[n for n, _ in params],
         param_matrix_euclid=params,
     )
@@ -224,81 +230,54 @@ def decompose(ps, data, tol=1e-10):
     return named, flags
 
 
-def pi_projection(sector, levels=(3, 4)):
-    """Spectral projection removing the problematic low levels.
+def pi_projection(sector, levels=(3, 4), rank=2):
+    """Spectral projection on rank-``rank`` data removing the harmonic
+    levels (eigenvalues) ``levels``.
 
     ``levels=(4,)`` removes only the Vector(1) sector (the level-four
     subspace); the default ``(3, 4)`` also removes Scalar(1), which is what
     full gauge invariance of the modified vacuum actually requires: the
     level-three trace modes pair nontrivially with the covariances (see
     ``ftt_gauge_strict``), so leaving them in breaks invariance along the
-    boost-type gauge directions.
+    boost-type gauge directions.  On rank-1 data (gauge parameters) the
+    same levels give the matching projection; Maxwell removes level zero.
     """
-    lay = DataLayout(sector, 2)
-    if sector == VECTOR1 and 4 in levels:
-        return np.zeros((lay.size, lay.size))
-    if sector == SCALAR1 and 3 in levels:
-        return np.zeros((lay.size, lay.size))
-    return np.eye(lay.size)
-
-
-def pi_projection_rank1(sector, levels=(3, 4)):
-    """The matching spectral projection on rank-1 data (gauge parameters)."""
-    lay = DataLayout(sector, 1)
-    if sector == VECTOR1 and 4 in levels:
-        return np.zeros((lay.size, lay.size))
-    if sector == SCALAR1 and 3 in levels:
-        return np.zeros((lay.size, lay.size))
-    return np.eye(lay.size)
+    size = DataLayout(sector, rank).size
+    if sector.eigenvalue in levels:
+        return np.zeros((size, size))
+    return np.eye(size)
 
 
 def ftt_image_route(sector, tol=1e-10):
     """F_TT via the independent route: gauge image intersected with the
     trace kernel (Lorentzian, numerical)."""
-    blocks = lorentz_gauge_blocks(sector)
-    k21 = blocks["sym_grad"]
-    k20d = blocks["neg_trace"]
-    if k21.size == 0:
-        return np.zeros((DataLayout(sector, 2).size, 0), dtype=complex)
-    u, s, vt = np.linalg.svd(k21, full_matrices=False)
-    rank = int(np.sum(s > tol * max(s[0], 1)))
-    image = u[:, :rank]
-    if k20d.shape[0] == 0:
-        return image
-    m = k20d @ image
-    u2, s2, vt2 = np.linalg.svd(m, full_matrices=True)
-    r2 = int(np.sum(s2 > tol * max(s2[0] if s2.size else 0, 1)))
-    return image @ vt2[r2:].conj().T
+    return _traceless_image(sector, None, tol)
 
 
 def ftt_gauge_image_route(sector, tol=1e-10):
     """F_TT_gauge via the image of the Killing-orthogonal subspace."""
+    kd = killing_data(sector)
+    dom = None
+    if kd.shape[1]:
+        dom = _nullcols(kd.conj().T @ rl.to_numpy(charge_form(sector, 1)), tol)
+    return _traceless_image(sector, dom, tol)
+
+
+def _traceless_image(sector, dom, tol):
+    """Image of the gauge block (on the columns ``dom``, if given)
+    intersected with the trace kernel."""
     blocks = lorentz_gauge_blocks(sector)
     k21 = blocks["sym_grad"]
     if k21.size == 0:
         return np.zeros((DataLayout(sector, 2).size, 0), dtype=complex)
-    kd = _killing_lorentz(sector)
-    q1 = rl.to_numpy(charge_form(sector, 1))
-    if kd.shape[1]:
-        dom = _nullcols(kd.conj().T @ q1, tol)
-    else:
-        dom = np.eye(k21.shape[1], dtype=complex)
-    img = k21 @ dom
-    k20d = blocks["neg_trace"]
-    u, s, vt = np.linalg.svd(img, full_matrices=False)
+    u, s, _ = np.linalg.svd(k21 if dom is None else k21 @ dom,
+                            full_matrices=False)
     rank = int(np.sum(s > tol * max(s[0] if s.size else 0, 1)))
     image = u[:, :rank]
+    k20d = blocks["neg_trace"]
     if k20d.shape[0] == 0 or rank == 0:
         return image
-    m = k20d @ image
-    u2, s2, vt2 = np.linalg.svd(m, full_matrices=True)
-    r2 = int(np.sum(s2 > tol * max(s2[0] if s2.size else 0, 1)))
-    return image @ vt2[r2:].conj().T
-
-
-def _killing_lorentz(sector):
-    from .cauchy import killing_data
-    return killing_data(sector)
+    return image @ _nullcols(k20d @ image, tol)
 
 
 def _nullcols(m, tol=1e-10):
@@ -310,18 +289,20 @@ def _nullcols(m, tol=1e-10):
 
 
 def charge_kernel_check(ps, tol=1e-10):
-    """Kernel of q_{I,2} restricted to E_TT versus F_TT (principal angle),
-    and the smallest singular value of the charge on E_TT / F_TT."""
-    sector = ps.sector
-    if ps.ett.shape[1] == 0:
+    """Kernel of the theory's charge restricted to E versus F (principal
+    angle), and the smallest nonzero singular value of the charge on E / F.
+
+    The charge is compressed on unit-data-norm columns of E, so the rank cut
+    is relative to the form's scale.
+    """
+    if ps.e_space.shape[1] == 0:
         return {"kernel_angle": 0.0, "quotient_sv": None}
-    qi2 = rl.to_numpy(physical_charge_form(sector))
-    compressed = ps.ett.conj().T @ qi2 @ ps.ett
-    u, s, vt = np.linalg.svd(compressed)
+    q = rl.to_numpy(ps.theory.charge(ps.sector))
+    e = normalized_columns(ps.sector, ps.e_space, ps.theory.rank)
+    u, s, vt = np.linalg.svd(e.conj().T @ q @ e)
     rank = int(np.sum(s > tol * max(s[0] if s.size else 0, 1)))
-    ker = ps.ett @ vt[rank:].conj().T
-    from .calderon import principal_angle
-    angle = principal_angle(ker, ps.ftt) if (ker.size or ps.ftt.size) else 0.0
+    ker = e @ vt[rank:].conj().T
     quo_sv = float(s[rank - 1]) if rank else None
-    return {"kernel_angle": float(angle), "quotient_sv": quo_sv,
-            "kernel_dim": ker.shape[1], "ftt_dim": ps.ftt.shape[1]}
+    return {"kernel_angle": principal_angle(ker, ps.f_space),
+            "quotient_sv": quo_sv, "kernel_dim": ker.shape[1],
+            "ftt_dim": ps.f_space.shape[1]}

@@ -12,6 +12,7 @@ import random
 import sys
 import time
 from dataclasses import dataclass, field, asdict
+from functools import partial
 
 import numpy as np
 
@@ -19,25 +20,20 @@ from . import __version__
 from . import rational as rl
 from . import cauchy as cy
 from .calderon import (
-    calderon_invertible,
-    calderon_quotient,
     lorentzify,
     principal_angle,
+    projector_pair,
     quotient_matrices,
 )
+from .cauchy import GRAVITY, MAXWELL
 from .collocation import collocation_regular_basis
 from .harmonics import harmonic_oracle
 from .maxwell import (
     SCALAR0,
-    maxwell_charge_kernel,
-    maxwell_compressed_extrema,
     maxwell_covariances,
-    maxwell_full_gauge_residual,
     maxwell_phase_space,
     maxwell_projector_pair,
-    maxwell_rank0_pair,
     maxwell_sectors,
-    maxwell_sum_rule_residual,
     spectra_disjoint,
 )
 from .phase_space import charge_kernel_check, phase_space_sector
@@ -62,7 +58,6 @@ from .warped import EUCLIDEAN, LORENTZIAN, WarpedSector
 SCHEMA_VERSION = 1
 ALL_SUITES = ("identities", "calderon", "phase_space", "states", "gauge",
               "symmetry", "maxwell", "oracle")
-KILLING_SECTORS = (SectorLabel(Family.SCALAR, 1), SectorLabel(Family.VECTOR, 1))
 
 
 @dataclass
@@ -130,58 +125,62 @@ def _f(x):
 
 def _build_pair_task(args):
     """Worker entry for the sector pool (module level for pickling)."""
-    kind, sec, tol = args
-    if kind == "pair2":
-        return kind, sec, calderon_invertible(sec, "D2", tol=tol)
-    if sec in KILLING_SECTORS:
-        return kind, sec, calderon_quotient(sec, "D1", tol=tol)
-    return kind, sec, calderon_invertible(sec, "D1", tol=tol)
+    operator_id, sec, tol = args
+    return operator_id, sec, projector_pair(GRAVITY, sec, operator_id, tol=tol)
 
 
 class _Artifacts:
-    """Shared per-sector constructions, built lazily and cached.
+    """Shared per-sector constructions of both theories, built lazily and
+    cached, each at most once per run.
 
-    With ``jobs > 1`` the projector constructions (the dominant cost) are
-    dispatched up front to a process pool, one task per (operator, sector);
-    the library objects are immutable, so results are simply collected.
+    With ``jobs > 1`` the gravity projector constructions (the dominant
+    cost) are dispatched up front to a process pool, one task per
+    (operator, sector); the library objects are immutable, so results are
+    simply collected.
     """
 
     def __init__(self, config):
         self.config = config
         self.sectors = enumerate_sectors(config.k_max)
         self._cache = {}
+        # per theory: Euclidean pair (sector, operator_id), phase space,
+        # covariances; Maxwell goes through its own public entry points
+        self._builders = {
+            GRAVITY.name: (partial(projector_pair, GRAVITY),
+                           phase_space_sector, build_covariances),
+            MAXWELL.name: (maxwell_projector_pair, maxwell_phase_space,
+                           maxwell_covariances),
+        }
         if config.jobs > 1:
             self._prewarm(config.jobs)
 
     def _prewarm(self, jobs):
         from concurrent.futures import ProcessPoolExecutor
-        tasks = [("pair2", sec, self.config.tol_ode) for sec in self.sectors]
-        tasks += [("pair1", sec, self.config.tol_ode) for sec in self.sectors
+        tasks = [("D2", sec, self.config.tol_ode) for sec in self.sectors]
+        tasks += [("D1", sec, self.config.tol_ode) for sec in self.sectors
                   if cy.DataLayout(sec, 1).size]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for kind, sec, pair in pool.map(_build_pair_task, tasks):
-                self._cache[("pair2e" if kind == "pair2" else "pair1", sec)] = pair
+            for op, sec, pair in pool.map(_build_pair_task, tasks):
+                self._cache[("pair", GRAVITY.name, op, sec)] = pair
 
-    def pair2(self, sec):
-        return self._get(("pair2", sec), lambda: lorentzify(self.pair2_euclid(sec)))
+    def pair_euclid(self, sec, operator_id="D2", theory=GRAVITY):
+        build = self._builders[theory.name][0]
+        return self._get(("pair", theory.name, operator_id, sec), lambda: build(
+            sec, operator_id, tol=self.config.tol_ode))
 
-    def pair2_euclid(self, sec):
-        return self._get(("pair2e", sec), lambda: calderon_invertible(
-            sec, "D2", tol=self.config.tol_ode))
+    def pair(self, sec, theory=GRAVITY):
+        """The Lorentzian pair of the theory's field operator."""
+        return self._get(("pairL", theory.name, sec), lambda: lorentzify(
+            self.pair_euclid(sec, f"D{theory.rank}", theory)))
 
-    def pair1(self, sec):
-        def make():
-            if sec in KILLING_SECTORS:
-                return calderon_quotient(sec, "D1", tol=self.config.tol_ode)
-            return calderon_invertible(sec, "D1", tol=self.config.tol_ode)
-        return self._get(("pair1", sec), make)
+    def space(self, sec, theory=GRAVITY):
+        build = self._builders[theory.name][1]
+        return self._get(("ps", theory.name, sec), lambda: build(sec))
 
-    def space(self, sec):
-        return self._get(("ps", sec), lambda: phase_space_sector(sec))
-
-    def cov(self, sec, variant="euclidean_vacuum", alpha=0.0):
-        return self._get(("cov", sec, variant, alpha), lambda: build_covariances(
-            sec, variant, alpha=alpha, projector_pair=self.pair2(sec)))
+    def cov(self, sec, variant="euclidean_vacuum", alpha=0.0, theory=GRAVITY):
+        build = self._builders[theory.name][2]
+        return self._get(("cov", theory.name, sec, variant, alpha), lambda: build(
+            sec, variant, alpha=alpha, projector_pair=self.pair(sec, theory)))
 
     def _get(self, key, fn):
         if key not in self._cache:
@@ -344,7 +343,7 @@ def _adjoint_intertwining_residual(sector, rng, t_grid, tol):
 def _suite_calderon(art, col, cfg):
     tol = cfg.tol_verdict
     for sec in art.sectors:
-        pair = art.pair2_euclid(sec)
+        pair = art.pair_euclid(sec)
         n2 = pair.c_plus.shape[0]
         r_sum = float(np.max(np.abs(pair.c_plus + pair.c_minus - np.eye(n2))))
         r_idem = float(max(np.max(np.abs(pair.c_plus @ pair.c_plus - pair.c_plus)),
@@ -359,8 +358,8 @@ def _suite_calderon(art, col, cfg):
                 {"conditioning": pair.conditioning})
     # kernel bookkeeping for the rank-1 operator
     total = 0
-    for sec in KILLING_SECTORS:
-        pair = art.pair1(sec)
+    for sec in GRAVITY.quotient_sectors["D1"]:
+        pair = art.pair_euclid(sec, "D1")
         qi = pair.quotient_info
         total += qi.kernel.shape[1] * sec.multiplicity
         w = qi.subspace
@@ -383,9 +382,9 @@ def _suite_calderon(art, col, cfg):
     for sec in art.sectors:
         if cy.DataLayout(sec, 1).size == 0:
             continue
-        pair2 = art.pair2(sec)
-        pair1 = lorentzify(art.pair1(sec))
-        k21 = cy.lorentz_gauge_blocks(sec)["sym_grad"]
+        pair2 = art.pair(sec)
+        pair1 = lorentzify(art.pair_euclid(sec, "D1"))
+        k21 = GRAVITY.gauge_block(sec)
         if pair1.quotient_info is None:
             resid = float(np.max(np.abs(pair2.c_plus @ k21 - k21 @ pair1.c_plus)))
         else:
@@ -396,9 +395,9 @@ def _suite_calderon(art, col, cfg):
     col.add("calderon", "projector-gauge-intertwining", "gauge-intertwining", "-",
             worst, worst <= tol)
     # large-k envelope: the Dirichlet-to-Neumann entry of the TT projector
-    for k in range(max(8, 2), cfg.k_max + 1):
+    for k in range(8, cfg.k_max + 1):
         sec = SectorLabel(Family.TENSOR, k)
-        pair = art.pair2_euclid(sec)
+        pair = art.pair_euclid(sec)
         dtn = abs(pair.c_plus[1, 0])
         root = float(np.sqrt(float(sec.eigenvalue)))
         ratio = 2 * dtn / root  # c+ = [[1, ...],[nu/2...]] structure
@@ -570,36 +569,35 @@ def _suite_symmetry(art, col, cfg):
 
 def _suite_maxwell(art, col, cfg):
     tol = cfg.tol_verdict
-    msecs = maxwell_sectors(cfg.k_max)
     col.add("maxwell", "spectra-disjoint", "hodge-spectra", "-",
             0.0, spectra_disjoint(max(cfg.k_max, 20)))
     total_zero = 0
-    for sec in msecs:
-        pair = lorentzify(maxwell_projector_pair(sec, tol=cfg.tol_ode))
+    for sec in maxwell_sectors(cfg.k_max):
+        pair = art.pair(sec, MAXWELL)
         n = pair.c_plus.shape[0]
         r_sum = float(np.max(np.abs(pair.c_plus + pair.c_minus - np.eye(n))))
         r_idem = float(np.max(np.abs(pair.c_plus @ pair.c_plus - pair.c_plus)))
         col.add("maxwell", "projector-identities", "projector-algebra", sec,
                 max(r_sum, r_idem), r_sum <= 1e-10 and r_idem <= tol)
-        ps = maxwell_phase_space(sec)
+        ps = art.space(sec, MAXWELL)
         total_zero += ps.e_zero.shape[1] * sec.multiplicity
-        cov = maxwell_covariances(sec, projector_pair=pair)
-        sr = maxwell_sum_rule_residual(cov)
+        cov = art.cov(sec, theory=MAXWELL)
+        sr = sum_rule_residual(cov)
         col.add("maxwell", "sum-rule", "maxwell-state-signs", sec, sr, sr <= 1e-10)
-        ck = maxwell_charge_kernel(ps)
+        ck = charge_kernel_check(ps)["kernel_angle"]
         col.add("maxwell", "charge-kernel", "maxwell-charge-kernel", sec, ck, ck <= 1e-10)
         if sec.family is Family.VECTOR:
-            ext = maxwell_compressed_extrema(cov, ps.e_gauge, +1)
+            ext = compressed_extrema(cov, ps.e_gauge, +1)
             col.add("maxwell", "positivity-gauge", "maxwell-state-signs", sec,
                     max(0.0, -ext[0]), ext[0] >= -tol)
-        covm = maxwell_covariances(sec, "modified", projector_pair=pair)
-        fg = maxwell_full_gauge_residual(covm, ps)
-        srm = maxwell_sum_rule_residual(covm, on=ps.e_space)
+        covm = art.cov(sec, "modified", theory=MAXWELL)
+        fg = full_gauge_residual(covm, ps)
+        srm = sum_rule_residual(covm, on=ps.e_space)
         pos_ok = True
         worst_neg = 0.0
         if ps.e_space.shape[1]:
             for sign in (+1, -1):
-                ext = maxwell_compressed_extrema(covm, ps.e_space, sign)
+                ext = compressed_extrema(covm, ps.e_space, sign)
                 worst_neg = max(worst_neg, -ext[0])
                 pos_ok = pos_ok and ext[0] >= -tol
         col.add("maxwell", "modified-state", "maxwell-modified-state", sec,
@@ -607,18 +605,14 @@ def _suite_maxwell(art, col, cfg):
     col.add("maxwell", "zero-mode-total", "maxwell-zero-mode", "-", abs(total_zero - 1),
             total_zero == 1, {"total_with_multiplicity": total_zero})
     # quotient bookkeeping at level zero
-    pair0 = maxwell_rank0_pair(SCALAR0, tol=cfg.tol_ode)
-    qi = pair0.quotient_info
+    qi = art.pair_euclid(SCALAR0, "D0", MAXWELL).quotient_info
     col.add("maxwell", "rank0-quotient", "kernel-quotient", SCALAR0,
             0.0, qi.kernel.shape[1] == 1 and qi.quotient_dim == 0,
             {"kernel_dim": qi.kernel.shape[1], "quotient_dim": qi.quotient_dim})
     # negativity on the zero mode
-    ps0 = maxwell_phase_space(SCALAR0)
-    cov0 = maxwell_covariances(SCALAR0, projector_pair=lorentzify(
-        maxwell_projector_pair(SCALAR0, tol=cfg.tol_ode)))
-    f = ps0.e_zero[:, 0]
-    g = rl.to_numpy(cy.data_gram(SCALAR0, 1))
-    nrm = float(np.real(f.conj() @ g @ f))
+    cov0 = art.cov(SCALAR0, theory=MAXWELL)
+    f = art.space(SCALAR0, MAXWELL).e_zero[:, 0]
+    nrm = norm_squared(SCALAR0, f, MAXWELL.rank)
     vp = float(np.real(f.conj() @ cov0.lambda_plus @ f)) / nrm
     vm = float(np.real(f.conj() @ cov0.lambda_minus @ f)) / nrm
     col.add("maxwell", "negativity-zero-mode", "maxwell-state-signs", SCALAR0,

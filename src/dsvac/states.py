@@ -1,12 +1,15 @@
 """Cauchy-surface covariances of the Euclidean vacuum and its variants.
 
-The covariances are lambda_pm = +-q_{I,2} c_pm with c_pm the Lorentzian
-conjugates of the Calderon projectors.  Variants: the modified vacuum
-composes with a spectral projection removing the problematic low levels
-(both of them by default; removing only the level-four part reproduces the
-weaker variant whose residual gauge pairing along the boost-type directions
-is reported rather than hidden), and the Bogoliubov family conjugates with
-exp(alpha * S) for the linear time reversal S.
+The covariances are lambda_pm = +-q c_pm with c_pm the Lorentzian
+conjugates of the Calderon projectors and q the theory's charge (q_{I,2} for
+gravity, q_1 for Maxwell); the functions here serve both theories, and their
+residuals are taken on unit-data-norm columns or relative to the charge's
+scale.  Variants: the modified vacuum composes with a spectral projection
+removing the problematic low levels (for gravity both of them by default;
+removing only the level-four part reproduces the weaker variant whose
+residual gauge pairing along the boost-type directions is reported rather
+than hidden), and the Bogoliubov family conjugates with exp(alpha * S) for
+the linear time reversal S.
 """
 
 from dataclasses import dataclass
@@ -17,14 +20,16 @@ from scipy.integrate import quad
 
 from . import rational as rl
 from .cauchy import (
-    charge_form,
+    GRAVITY,
+    Theory,
     data_gram,
-    lorentz_gauge_blocks,
+    normalized_columns,
     physical_charge_form,
     racah_block,
     wigner_matrix,
 )
 from .calderon import calderon_invertible, lorentzify
+from .calderon import projector_pair as euclidean_projector_pair
 from .phase_space import pi_projection
 from .radial import INTEGRATOR_TOL, build_system, regular_basis, solution_profile
 from .sectors import Family, SectorLabel
@@ -38,33 +43,38 @@ class CovariancePair:
     lambda_minus: np.ndarray
     variant: str  # 'euclidean_vacuum' | 'modified' | 'modified4' | 'alpha'
     alpha: float = 0.0
+    theory: Theory = GRAVITY
 
 
-def euclidean_vacuum_pair(sector, projector_pair=None):
+def euclidean_vacuum_pair(sector, projector_pair=None, theory=GRAVITY):
     """lambda_pm for the (pseudo) vacuum from the Euclidean Green's function."""
     if projector_pair is None:
-        projector_pair = lorentzify(calderon_invertible(sector, "D2"))
-    qi2 = rl.to_numpy(physical_charge_form(sector)).astype(complex)
-    lam_p = qi2 @ projector_pair.c_plus
-    lam_m = -qi2 @ projector_pair.c_minus
-    return CovariancePair(sector, lam_p, lam_m, "euclidean_vacuum")
+        projector_pair = lorentzify(euclidean_projector_pair(
+            theory, sector, f"D{theory.rank}"))
+    q = rl.to_numpy(theory.charge(sector)).astype(complex)
+    lam_p = q @ projector_pair.c_plus
+    lam_m = -q @ projector_pair.c_minus
+    return CovariancePair(sector, lam_p, lam_m, "euclidean_vacuum",
+                          theory=theory)
 
 
 def build_covariances(sector, variant="euclidean_vacuum", alpha=0.0,
-                      projector_pair=None):
-    base = euclidean_vacuum_pair(sector, projector_pair)
+                      projector_pair=None, theory=GRAVITY):
+    base = euclidean_vacuum_pair(sector, projector_pair, theory)
     if variant == "euclidean_vacuum":
         return base
     if variant in ("modified", "modified4"):
-        levels = (3, 4) if variant == "modified" else (4,)
-        pim = pi_projection(sector, levels=levels).astype(complex)
+        levels = theory.bad_levels if variant == "modified" else (4,)
+        pim = pi_projection(sector, levels, theory.rank).astype(complex)
         return CovariancePair(sector, pim.conj().T @ base.lambda_plus @ pim,
-                              pim.conj().T @ base.lambda_minus @ pim, variant)
+                              pim.conj().T @ base.lambda_minus @ pim, variant,
+                              theory=theory)
     if variant == "alpha":
-        s_mat = rl.to_numpy(racah_block(sector)).astype(complex)
+        s_mat = rl.to_numpy(racah_block(sector, theory.rank)).astype(complex)
         u = cosh(alpha) * np.eye(len(s_mat)) + sinh(alpha) * s_mat
         return CovariancePair(sector, u.conj().T @ base.lambda_plus @ u,
-                              u.conj().T @ base.lambda_minus @ u, variant, alpha)
+                              u.conj().T @ base.lambda_minus @ u, variant, alpha,
+                              theory)
     raise ValueError(f"unknown variant {variant!r}")
 
 
@@ -80,11 +90,11 @@ def hermiticity_residual(cov):
 
 
 def sum_rule_residual(cov, on=None):
-    """lambda+ - lambda- = q_{I,2}, relative to the charge-form scale;
-    restricted to a subspace basis if given."""
-    qi2 = rl.to_numpy(physical_charge_form(cov.sector)).astype(complex)
-    diff = cov.lambda_plus - cov.lambda_minus - qi2
-    scale = max(float(np.max(np.abs(qi2))) if qi2.size else 0.0, 1.0)
+    """lambda+ - lambda- = q, relative to the charge-form scale; restricted
+    to a subspace basis if given."""
+    q = rl.to_numpy(cov.theory.charge(cov.sector)).astype(complex)
+    diff = cov.lambda_plus - cov.lambda_minus - q
+    scale = max(float(np.max(np.abs(q))) if q.size else 0.0, 1.0)
     if on is None:
         return float(np.max(np.abs(diff))) / scale if diff.size else 0.0
     if on.shape[1] == 0:
@@ -99,31 +109,19 @@ def compressed_extrema(cov, basis, sign=+1):
         return None
     lam = cov.lambda_plus if sign > 0 else cov.lambda_minus
     a = basis.conj().T @ lam @ basis
-    g = basis.conj().T @ rl.to_numpy(data_gram(cov.sector, 2)) @ basis
+    g = rl.to_numpy(data_gram(cov.sector, cov.theory.rank))
+    g = basis.conj().T @ g @ basis
     gi = np.linalg.inv(np.linalg.cholesky(g))
     sym = gi @ ((a + a.conj().T) / 2) @ gi.conj().T
     ev = np.linalg.eigvalsh(sym)
     return float(ev[0]), float(ev[-1])
 
 
-def normalized_columns(sector, basis, rank=2):
-    """Columns scaled to unit Riemannian data norm (zero columns dropped)."""
-    if basis.shape[1] == 0:
-        return basis
-    g = rl.to_numpy(data_gram(sector, rank))
-    out = []
-    for j in range(basis.shape[1]):
-        col = basis[:, j]
-        nrm = np.sqrt(np.real(col.conj() @ g @ col))
-        if nrm > 1e-14:
-            out.append(col / nrm)
-    return np.column_stack(out) if out else basis[:, :0]
-
-
-def gauge_pairing_residual(cov, left_basis, right_basis, right_rank=2):
+def gauge_pairing_residual(cov, left_basis, right_basis):
     """max |lambda_pm(f, g)| over unit-norm vectors of the two subspaces."""
-    left = normalized_columns(cov.sector, left_basis, 2)
-    right = normalized_columns(cov.sector, right_basis, right_rank)
+    rank = cov.theory.rank
+    left = normalized_columns(cov.sector, left_basis, rank)
+    right = normalized_columns(cov.sector, right_basis, rank)
     if left.shape[1] == 0 or right.shape[1] == 0:
         return 0.0
     vals = []
@@ -132,21 +130,20 @@ def gauge_pairing_residual(cov, left_basis, right_basis, right_rank=2):
     return float(max(vals))
 
 
-def full_gauge_residual(cov, ps, pi_levels=None):
-    """max |lambda(f, K21 g)| over unit-norm f in E_TT and unit-norm gauge
-    images K21 g, g ranging over all rank-1 data.
+def full_gauge_residual(cov, ps):
+    """max |lambda(f, K g)| over unit-norm f in the constrained space E and
+    unit-norm gauge images K g, g ranging over all gauge-parameter data.
 
     For modified variants the projection is already inside the covariance.
     """
-    sector = cov.sector
-    k21 = lorentz_gauge_blocks(sector)["sym_grad"]
-    if k21.size == 0 or ps.ett.shape[1] == 0:
+    k = cov.theory.gauge_block(cov.sector)
+    if k.size == 0 or ps.e_space.shape[1] == 0:
         return 0.0
-    return gauge_pairing_residual(cov, ps.ett, k21)
+    return gauge_pairing_residual(cov, ps.e_space, k)
 
 
-def norm_squared(sector, f):
-    g = rl.to_numpy(data_gram(sector, 2))
+def norm_squared(sector, f, rank=2):
+    g = rl.to_numpy(data_gram(sector, rank))
     return float(np.real(np.conj(f) @ g @ f))
 
 

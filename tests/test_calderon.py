@@ -9,11 +9,13 @@ from dsvac.calderon import (
     apply_pair,
     calderon_invertible,
     calderon_quotient,
-    gravity_rank1_pair,
     lorentzify,
     principal_angle,
+    projector_pair,
     quotient_matrices,
 )
+from dsvac.cauchy import GRAVITY, MAXWELL
+from dsvac.maxwell import maxwell_sectors
 from dsvac.radial import build_system, regular_basis
 from dsvac.sectors import Family, SectorLabel, enumerate_sectors
 from dsvac.warped import EUCLIDEAN
@@ -99,16 +101,21 @@ def test_quotient_bookkeeping():
 
 
 def test_killing_kernel_total_dimension():
-    total = 0
-    for sec in enumerate_sectors(3):
-        if cy.DataLayout(sec, 1).size == 0:
-            continue
-        if sec in (SectorLabel(Family.SCALAR, 1), SectorLabel(Family.VECTOR, 1)):
-            pair = calderon_quotient(sec, "D1")
-            total += pair.quotient_info.kernel.shape[1] * sec.multiplicity
-        else:
-            pair = calderon_invertible(sec, "D1")  # must not raise
-    assert total == 10
+    # gravity: the ten Killing 1-forms; Maxwell: the constants
+    for theory, operator_id, sectors, expected in (
+            (GRAVITY, "D1", enumerate_sectors(3), 10),
+            (MAXWELL, "D0", maxwell_sectors(3), 1)):
+        total = 0
+        for sec in sectors:
+            if cy.DataLayout(sec, theory.rank - 1).size == 0:
+                continue
+            # the invertible construction must not raise outside the kernel
+            pair = projector_pair(theory, sec, operator_id)
+            if sec in theory.quotient_sectors[operator_id]:
+                total += pair.quotient_info.kernel.shape[1] * sec.multiplicity
+            else:
+                assert pair.quotient_info is None
+        assert total == expected, theory.name
 
 
 def test_quotient_charge_nondegenerate():
@@ -132,7 +139,7 @@ def test_gauge_intertwining(sector, d2_pairs):
     if sector.k > K_CHECK:
         return
     pair2 = lorentzify(d2_pairs[sector])
-    pair1 = lorentzify(gravity_rank1_pair(sector))
+    pair1 = lorentzify(projector_pair(GRAVITY, sector, "D1"))
     k21 = cy.lorentz_gauge_blocks(sector)["sym_grad"]
     if pair1.quotient_info is None:
         lhs = pair2.c_plus @ k21

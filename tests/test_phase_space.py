@@ -108,15 +108,13 @@ def test_pi_projection(spaces):
 def test_pi_intertwines_gauge_block(spaces):
     # the rank-2 and rank-1 spectral projections intertwine with the gauge
     # block: pi2 K21 = K21 pi1 (both kill exactly the same sectors)
-    from dsvac import cauchy as cy
-    from dsvac.phase_space import pi_projection_rank1
     for sec in spaces:
         k21 = cy.lorentz_gauge_blocks(sec)["sym_grad"]
         if k21.size == 0:
             continue
         for levels in ((4,), (3, 4)):
             lhs = pi_projection(sec, levels) @ k21
-            rhs = k21 @ pi_projection_rank1(sec, levels)
+            rhs = k21 @ pi_projection(sec, levels, rank=1)
             assert np.max(np.abs(lhs - rhs)) == 0.0, (sec, levels)
 
 
@@ -141,3 +139,12 @@ def test_charge_kernel(spaces):
         assert rep["kernel_angle"] < 1e-10, sec
         if sec.family is Family.TENSOR:
             assert rep["quotient_sv"] is not None and rep["quotient_sv"] > 1e-6
+
+
+def test_charge_kernel_at_large_k():
+    # all of E_TT is charge-null here; on the raw columns the compressed
+    # form's singular values (~1e-10) passed the absolute rank cut as noise
+    ps = phase_space_sector(SectorLabel(Family.SCALAR, 19))
+    rep = charge_kernel_check(ps)
+    assert rep["kernel_dim"] == ps.ftt.shape[1] == ps.ett.shape[1]
+    assert rep["kernel_angle"] < 1e-10

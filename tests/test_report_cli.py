@@ -168,6 +168,32 @@ def test_tol_ode_reaches_every_integrator(monkeypatch):
     assert seen and set(seen) == {(1e-11, 1e-11)}
 
 
+def test_maxwell_constructions_built_once(monkeypatch):
+    # every Maxwell check of a sector shares one projector pair and one
+    # phase space, the level-zero ones included
+    import dsvac.calderon as calderon
+    import dsvac.report as report
+    from dsvac.maxwell import maxwell_sectors
+    pairs, spaces = [], []
+    real_pair = calderon.calderon_invertible
+    real_space = report.maxwell_phase_space
+
+    def counting_pair(sector, operator_id="D2", maxwell=False, **params):
+        if maxwell:
+            pairs.append(sector)
+        return real_pair(sector, operator_id, maxwell, **params)
+
+    def counting_space(sector):
+        spaces.append(sector)
+        return real_space(sector)
+
+    monkeypatch.setattr(calderon, "calderon_invertible", counting_pair)
+    monkeypatch.setattr(report, "maxwell_phase_space", counting_space)
+    run(RunConfig(k_max=3, suites=("maxwell",)))
+    assert len(pairs) == len(spaces) == 7
+    assert sorted(pairs) == sorted(spaces) == sorted(maxwell_sectors(3))
+
+
 def test_cli_config_file(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"k_max": 2, "suites": ["maxwell"],
