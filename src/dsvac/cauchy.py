@@ -328,21 +328,30 @@ def lorentz_block(block_eu, sector, rank_out, rank_in):
     return (1.0 / f_out)[:, None] * b * f_in[None, :]
 
 
-def lorentz_gauge_blocks(sector):
-    """Lorentzian sym_grad, sym_div, metric_mult, neg_trace blocks."""
-    return {
-        "sym_grad": lorentz_block(sym_grad_block(sector), sector, 2, 1),
-        "sym_div": lorentz_block(sym_div_block(sector), sector, 1, 2),
-        "metric_mult": lorentz_block(metric_mult_block(sector), sector, 2, 0),
-        "neg_trace": lorentz_block(neg_trace_block(sector), sector, 0, 2),
-        "grad": lorentz_block(grad_block(sector), sector, 1, 0),
-        "div": lorentz_block(div_block(sector), sector, 0, 1),
-    }
+# name -> (exact Euclidean block, rank out, rank in)
+_GAUGE_BLOCKS = {
+    "sym_grad": (sym_grad_block, 2, 1),
+    "sym_div": (sym_div_block, 1, 2),
+    "metric_mult": (metric_mult_block, 2, 0),
+    "neg_trace": (neg_trace_block, 0, 2),
+    "grad": (grad_block, 1, 0),
+    "div": (div_block, 0, 1),
+}
+
+
+def lorentz_gauge_blocks(sector, *names):
+    """The named Lorentzian gauge blocks (any of sym_grad, sym_div,
+    metric_mult, neg_trace, grad, div), built only when asked for."""
+    out = {}
+    for name in names:
+        block, rank_out, rank_in = _GAUGE_BLOCKS[name]
+        out[name] = lorentz_block(block(sector), sector, rank_out, rank_in)
+    return out
 
 
 def trace_fix_block(sector):
     """S0 on data: -(1/12) grad o neg_trace, rank-2 -> rank-1 (Lorentzian)."""
-    blocks = lorentz_gauge_blocks(sector)
+    blocks = lorentz_gauge_blocks(sector, "grad", "neg_trace")
     return (-1.0 / 12.0) * (blocks["grad"] @ blocks["neg_trace"])
 
 
@@ -411,7 +420,7 @@ class Theory:
         """Lorentzian gauge operator on data, gauge parameters -> field."""
         if self.maxwell:
             return lorentz_block(grad_block(sector, maxwell=True), sector, 1, 0)
-        return lorentz_gauge_blocks(sector)["sym_grad"]
+        return lorentz_gauge_blocks(sector, "sym_grad")["sym_grad"]
 
 
 GRAVITY = Theory("gravity", 2, False, {"D1": KILLING_SECTORS}, (3, 4))

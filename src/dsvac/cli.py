@@ -2,12 +2,14 @@
 
 ``dsvac run`` executes the verification suites and writes a JSON (or CSV)
 report; ``dsvac diff`` compares two reports.  Exit codes: 0 all checks pass,
-1 at least one failing check, 2 configuration error.
+1 at least one failing check, 2 configuration error, 3 internal error (an
+exception raised while running the suites; its traceback goes to stderr).
 """
 
 import argparse
 import json
 import sys
+import traceback
 
 from .report import (
     ALL_SUITES,
@@ -91,7 +93,12 @@ def main(argv=None):
         except ValueError as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return 2
-        report = run(cfg)
+        try:
+            report = run(cfg)
+        except Exception as exc:
+            traceback.print_exc()
+            print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+            return 3
         text = to_json(report) if cfg.fmt == "json" else to_csv(report)
         if cfg.output:
             try:

@@ -1,11 +1,14 @@
 """Polynomial harmonic oracle on the 3-sphere (desk scale, k <= 3).
 
-Scalar harmonics are restrictions of harmonic homogeneous polynomials on R^4;
-transverse vector and TT tensor harmonics are restrictions of polynomial
-(co)tensors subject to harmonicity, divergence-free, tangentiality and trace
-constraints, solved exactly on a monomial basis.  Eigenvalues are measured by
-exact quadrature of the relevant quadratic forms (tangential derivatives via
-the ambient projector Pi = 1 - x x^T), never assumed.
+Scalar, transverse vector and TT tensor harmonics of level k are one
+construction at tensor rank r = 0, 1, 2: restrictions of symmetric
+polynomial r-tensors on R^4, homogeneous of degree k, that are harmonic,
+divergence-free, tangential (x . u = 0) and, at r = 2, trace-free.  The
+constraints are solved exactly on a monomial basis.  A polynomial tensor is a
+dict from index tuples to polynomials, and tangential derivatives use the
+ambient projector Pi = 1 - x x^T on every slot.  Eigenvalues are measured,
+never assumed, as the exact quadrature of delta d - d delta on the element
+plus the rank's curvature shift.
 
 All arithmetic is exact rational; sphere integrals of monomials use the
 classical Gamma-function formula (the common 2*pi^2 factor cancels in every
@@ -17,7 +20,7 @@ from fractions import Fraction
 from math import factorial
 
 from . import rational as rl
-from .sectors import Family
+from .sectors import Family, SectorLabel
 
 Q = Fraction
 
@@ -98,20 +101,9 @@ def sphere_integral(p):
     return total
 
 
-def _coeffs_to_polys(vec, mons, ncomp):
-    out = []
-    for c in range(ncomp):
-        p = {}
-        for j, a in enumerate(mons):
-            v = vec[c * len(mons) + j]
-            if v != 0:
-                p[a] = v
-        out.append(p)
-    return out
-
-
 class HarmonicRealization:
-    """Explicit polynomial realization of one harmonic level."""
+    """Explicit polynomial realization of one harmonic level; each element is
+    a polynomial tensor, a dict from index tuples to polynomials."""
 
     def __init__(self, family, k, elements, eigen_measured, transversality):
         self.family = family
@@ -122,320 +114,155 @@ class HarmonicRealization:
         self.transversality = transversality
 
 
-def _proj_matrix():
-    """Pi_ij = delta_ij - x_i x_j as polynomial entries."""
-    pi = [[{} for _ in range(NVAR)] for _ in range(NVAR)]
-    for i in range(NVAR):
-        for j in range(NVAR):
-            if i == j:
-                pi[i][j] = {tuple([0] * NVAR): Q(1)}
-            pi[i][j] = p_add(pi[i][j], p_scale(p_mul(x_mono(i), x_mono(j)), -1))
-    return pi
+# Pi_ij = delta_ij - x_i x_j as polynomial entries
+_PI = [[p_add({(0,) * NVAR: Q(1)} if i == j else {},
+              p_scale(p_mul(x_mono(i), x_mono(j)), -1)) for j in range(NVAR)]
+       for i in range(NVAR)]
+
+_RANK = {Family.SCALAR: 0, Family.VECTOR: 1, Family.TENSOR: 2}
+
+_SHIFT = {
+    0: 0,   # scalar Laplacian = delta d
+    1: 4,   # D1L = delta d - d delta + 4 on the round 3-sphere
+    2: 12,  # D2L = delta d - d delta + 12 - 2|h)(h| ; trace-free here
+}
 
 
-_PI = _proj_matrix()
+def _indices(rank):
+    return list(itertools.product(range(NVAR), repeat=rank))
 
 
-def _sandwich_1form(pcomps):
-    """B = Pi (dP) Pi for a polynomial 1-form; B_ij = Pi_ia dP_ab Pi_bj."""
-    a_mat = [[p_diff(pcomps[j], i) for j in range(NVAR)] for i in range(NVAR)]
-    return _pi_sandwich(a_mat)
-
-
-def _pi_sandwich(mat):
-    tmp = [[{} for _ in range(NVAR)] for _ in range(NVAR)]
-    for i in range(NVAR):
-        for j in range(NVAR):
+def _project(t, rank):
+    """Apply Pi to every slot of a rank-``rank`` polynomial tensor."""
+    for s in range(rank):
+        out = {}
+        for idx in _indices(rank):
             acc = {}
             for a in range(NVAR):
-                if mat[a][j]:
-                    acc = p_add(acc, p_mul(_PI[i][a], mat[a][j]))
-            tmp[i][j] = acc
-    out = [[{} for _ in range(NVAR)] for _ in range(NVAR)]
-    for i in range(NVAR):
-        for j in range(NVAR):
-            acc = {}
-            for b in range(NVAR):
-                if tmp[i][b]:
-                    acc = p_add(acc, p_mul(tmp[i][b], _PI[b][j]))
-            out[i][j] = acc
-    return out
+                src = t.get(idx[:s] + (a,) + idx[s + 1:])
+                if src:
+                    acc = p_add(acc, p_mul(_PI[idx[s]][a], src))
+            out[idx] = acc
+        t = out
+    return t
 
 
-def scalar_realization(k):
-    """Harmonic degree-k polynomials; measured eigenvalue of the Laplacian."""
+def _sym_grad(u, rank):
+    """Tangential gradient of a rank-``rank`` polynomial tensor: returns the
+    symmetrization and the unsymmetrized projection d, whose slot 0 carries
+    the derivative, d[(i,) + idx] = (Pi...Pi) d_i u[idx]."""
+    d = _project({(i,) + idx: p_diff(p, i) for idx, p in u.items()
+                  for i in range(NVAR)}, rank + 1)
+    perms = list(itertools.permutations(range(rank + 1)))
+    sym = {}
+    for idx in d:
+        acc = {}
+        for perm in perms:
+            acc = p_add(acc, d[tuple(idx[p] for p in perm)])
+        sym[idx] = p_scale(acc, Q(1, len(perms)))
+    return sym, d
+
+
+def _norm2(t, rank):
+    """Integral of the fiber norm r! sum t^2 of a symmetric rank-r tensor."""
+    acc = {}
+    for p in t.values():
+        if p:
+            acc = p_add(acc, p_mul(p, p))
+    return factorial(rank) * sphere_integral(acc)
+
+
+def _constraint_rows(rank, comps, mons):
+    """Exact constraint matrix on the coefficients of symmetric rank-``rank``
+    polynomial tensors of degree k: harmonic per component, divergence-free
+    and tangential per rank-(r-1) index, trace-free at rank 2.  Columns are
+    component-major in the order of ``comps``, monomials in ``mons`` order."""
+    rows = {}
+
+    def put(key, col, image):
+        for oa, c in image.items():
+            row = rows.setdefault((key, oa), {})
+            row[col] = row.get(col, Q(0)) + c
+
+    for m, a in enumerate(mons):
+        unit = {a: Q(1)}
+        lap = p_laplace(unit)
+        grad = [p_diff(unit, i) for i in range(NVAR)]
+        xmul = [p_mul(x_mono(i), unit) for i in range(NVAR)]
+        for n, comp in enumerate(comps):
+            col = n * len(mons) + m
+            put(("harmonic", comp), col, lap)
+            for i in sorted(set(comp)):
+                rest = list(comp)
+                rest.remove(i)
+                put(("div", tuple(rest)), col, grad[i])
+                put(("tangential", tuple(rest)), col, xmul[i])
+            if rank == 2 and comp[0] == comp[1]:
+                put(("trace",), col, unit)
+    ncol = len(comps) * len(mons)
+    dense = [[row.get(c, Q(0)) for c in range(ncol)] for row in rows.values()]
+    return dense or [[Q(0)] * ncol]
+
+
+def _realize(family, k):
+    """Harmonic, divergence-free, tangential (trace-free at rank 2) symmetric
+    polynomial tensors of degree k; eigenvalue measured as the quadrature of
+    delta d - d delta plus the curvature shift, transversality as the largest
+    relative divergence norm."""
+    rank = _RANK[family]
+    comps = list(itertools.combinations_with_replacement(range(NVAR), rank))
     mons = monomials(k)
-    out_mons = monomials(k - 2)
-    rows = []
-    for oa in out_mons:
-        row = [Q(0)] * len(mons)
-        for j, a in enumerate(mons):
-            lap = p_laplace({a: Q(1)})
-            row[j] = lap.get(oa, Q(0))
-        rows.append(row)
-    if not rows:
-        rows = [[Q(0)] * len(mons)]
-    null = rl.nullspace(rows)
-    if not null:
-        raise RuntimeError("scalar harmonic ansatz is rank deficient")
     elements = []
-    for v in null:
-        elements.append({a: c for a, c in zip(mons, v) if c != 0})
-    # measured eigenvalue via exact quadrature of the tangential gradient
-    eigs = set()
-    for p in elements:
-        grad2 = {}
-        for i in range(NVAR):
-            di = p_diff(p, i)
-            grad2 = p_add(grad2, p_mul(di, di))
-        p2 = p_mul(p, p)
-        # |tangential grad|^2 = |grad P|^2 - k^2 P^2 on the sphere
-        num = sphere_integral(p_add(grad2, p_scale(p2, -Q(k * k))))
-        den = sphere_integral(p2)
-        eigs.add(num / den)
-    if len(eigs) != 1:
-        raise RuntimeError(f"scalar level {k} not an eigenspace: {sorted(eigs)}")
-    return HarmonicRealization(Family.SCALAR, k, elements, eigs.pop(), Q(0))
-
-
-def _v1_norm2(w):
-    """Integral of the V1 fiber norm of a tangential polynomial 1-form."""
-    acc = {}
-    for i in range(NVAR):
-        acc = p_add(acc, p_mul(w[i], w[i]))
-    return sphere_integral(acc)
-
-
-def _v2_norm2(u):
-    acc = {}
-    for i in range(NVAR):
-        for j in range(NVAR):
-            if u[i][j]:
-                acc = p_add(acc, p_mul(u[i][j], u[i][j]))
-    return 2 * sphere_integral(acc)
-
-
-def _v3_norm2(z):
-    acc = {}
-    for i in range(NVAR):
-        for j in range(NVAR):
-            for l in range(NVAR):
-                if z[i][j][l]:
-                    acc = p_add(acc, p_mul(z[i][j][l], z[i][j][l]))
-    return 6 * sphere_integral(acc)
-
-
-def vector_realization(k):
-    """Transverse vector harmonics: harmonic, divergence-free, tangential
-    polynomial 1-forms of degree k."""
-    mons = monomials(k)
-    nm = len(mons)
-    rows = []
-    # componentwise harmonic
-    for oa in monomials(k - 2):
-        for c in range(NVAR):
-            row = [Q(0)] * (NVAR * nm)
-            for j, a in enumerate(mons):
-                row[c * nm + j] = p_laplace({a: Q(1)}).get(oa, Q(0))
-            rows.append(row)
-    # divergence free
-    for oa in monomials(k - 1):
-        row = [Q(0)] * (NVAR * nm)
-        for c in range(NVAR):
-            for j, a in enumerate(mons):
-                row[c * nm + j] += p_diff({a: Q(1)}, c).get(oa, Q(0))
-        rows.append(row)
-    # tangential: sum_i x_i P_i = 0 identically
-    for oa in monomials(k + 1):
-        row = [Q(0)] * (NVAR * nm)
-        for c in range(NVAR):
-            for j, a in enumerate(mons):
-                row[c * nm + j] += p_mul(x_mono(c), {a: Q(1)}).get(oa, Q(0))
-        rows.append(row)
-    null = rl.nullspace(rows)
-    if not null:
-        raise RuntimeError("vector harmonic ansatz is rank deficient")
-    elements = [_coeffs_to_polys(v, mons, NVAR) for v in null]
-    eigs = set()
-    max_div = Q(0)
-    for w in elements:
-        b = _sandwich_1form(w)
-        sym = [[p_scale(p_add(b[i][j], b[j][i]), Q(1, 2)) for j in range(NVAR)]
-               for i in range(NVAR)]
-        div = {}
-        for i in range(NVAR):
-            div = p_add(div, p_scale(b[i][i], -1))
-        norm_w = _v1_norm2(w)
-        norm_d = _v2_norm2(sym)
-        norm_div = sphere_integral(p_mul(div, div))
-        max_div = max(max_div, norm_div / norm_w)
-        # D1L = delta d - d delta + 4 on the round 3-sphere
-        eigs.add((norm_d - norm_div) / norm_w + 4)
-    if len(eigs) != 1:
-        raise RuntimeError(f"vector level {k} not an eigenspace: {sorted(eigs)}")
-    return HarmonicRealization(Family.VECTOR, k, elements, eigs.pop(), max_div)
-
-
-def tensor_realization(k):
-    """TT tensor harmonics: harmonic, divergence-free, tangential, trace-free
-    symmetric polynomial 2-tensors of degree k."""
-    mons = monomials(k)
-    nm = len(mons)
-    pairs = [(i, j) for i in range(NVAR) for j in range(i, NVAR)]
-    npair = len(pairs)
-    pidx = {p: n for n, p in enumerate(pairs)}
-
-    def comp(i, j):
-        return pidx[(min(i, j), max(i, j))]
-
-    rows = []
-    for oa in monomials(k - 2):
-        for (i, j) in pairs:
-            row = [Q(0)] * (npair * nm)
-            for m, a in enumerate(mons):
-                row[comp(i, j) * nm + m] = p_laplace({a: Q(1)}).get(oa, Q(0))
-            rows.append(row)
-    for oa in monomials(k - 1):
-        for i in range(NVAR):
-            row = [Q(0)] * (npair * nm)
-            for j in range(NVAR):
-                for m, a in enumerate(mons):
-                    row[comp(i, j) * nm + m] += p_diff({a: Q(1)}, j).get(oa, Q(0))
-            rows.append(row)
-    for oa in monomials(k + 1):
-        for i in range(NVAR):
-            row = [Q(0)] * (npair * nm)
-            for j in range(NVAR):
-                for m, a in enumerate(mons):
-                    row[comp(i, j) * nm + m] += p_mul(x_mono(j), {a: Q(1)}).get(oa, Q(0))
-            rows.append(row)
-    for oa in mons:
-        row = [Q(0)] * (npair * nm)
-        for i in range(NVAR):
-            for m, a in enumerate(mons):
-                if a == oa:
-                    row[comp(i, i) * nm + m] += Q(1)
-        rows.append(row)
-    null = rl.nullspace(rows)
-    if not null:
-        raise RuntimeError("tensor harmonic ansatz is rank deficient")
-    elements = []
-    for v in null:
-        u = [[{} for _ in range(NVAR)] for _ in range(NVAR)]
-        for (i, j) in pairs:
-            p = {}
-            for m, a in enumerate(mons):
-                c = v[comp(i, j) * nm + m]
-                if c != 0:
-                    p[a] = c
-            u[i][j] = p
-            u[j][i] = p
+    for v in rl.nullspace(_constraint_rows(rank, comps, mons)):
+        u = {}
+        for n, comp in enumerate(comps):
+            p = {a: c for a, c in zip(mons, v[n * len(mons):]) if c != 0}
+            for idx in set(itertools.permutations(comp)):
+                u[idx] = p
         elements.append(u)
     eigs = set()
     max_div = Q(0)
     for u in elements:
-        # grad: C_{i,jk} = d_i u_jk, projected on all slots, symmetrized
-        c3 = [[[p_diff(u[j][l], i) for l in range(NVAR)] for j in range(NVAR)]
-              for i in range(NVAR)]
-        d3 = _pi3_sandwich(c3)
-        sym3 = [[[_sym3(d3, i, j, l) for l in range(NVAR)] for j in range(NVAR)]
-                for i in range(NVAR)]
-        div = [dict() for _ in range(NVAR)]
-        for l in range(NVAR):
-            acc = {}
-            for i in range(NVAR):
-                acc = p_add(acc, d3[i][i][l])
-            div[l] = p_scale(acc, -2)
-        norm_u = _v2_norm2(u)
-        norm_d = _v3_norm2(sym3)
-        norm_div = _v1_norm2(div)
+        norm_u = _norm2(u, rank)
+        sym, d = _sym_grad(u, rank)
+        norm_div = Q(0)
+        if rank:
+            div = {}
+            for rest in _indices(rank - 1):
+                acc = {}
+                for i in range(NVAR):
+                    acc = p_add(acc, d[(i, i) + rest])
+                div[rest] = p_scale(acc, -rank)
+            norm_div = _norm2(div, rank - 1)
         max_div = max(max_div, norm_div / norm_u)
-        # D2L = delta d - d delta + 12 - 2|h)(h| ; trace-free here
-        eigs.add((norm_d - norm_div) / norm_u + 12)
+        eigs.add((_norm2(sym, rank + 1) - norm_div) / norm_u + _SHIFT[rank])
     if len(eigs) != 1:
-        raise RuntimeError(f"tensor level {k} not an eigenspace: {sorted(eigs)}")
-    return HarmonicRealization(Family.TENSOR, k, elements, eigs.pop(), max_div)
-
-
-def _sym3(z, i, j, l):
-    acc = {}
-    for (a, b, c) in ((i, j, l), (j, i, l), (l, j, i), (i, l, j), (j, l, i), (l, i, j)):
-        acc = p_add(acc, z[a][b][c])
-    return p_scale(acc, Q(1, 6))
-
-
-def _pi3_sandwich(z):
-    """Project all three slots of a rank-3 polynomial tensor."""
-    # slot 0
-    t0 = [[[None] * NVAR for _ in range(NVAR)] for _ in range(NVAR)]
-    for j in range(NVAR):
-        for l in range(NVAR):
-            for i in range(NVAR):
-                acc = {}
-                for a in range(NVAR):
-                    if z[a][j][l]:
-                        acc = p_add(acc, p_mul(_PI[i][a], z[a][j][l]))
-                t0[i][j][l] = acc
-    t1 = [[[None] * NVAR for _ in range(NVAR)] for _ in range(NVAR)]
-    for i in range(NVAR):
-        for l in range(NVAR):
-            for j in range(NVAR):
-                acc = {}
-                for a in range(NVAR):
-                    if t0[i][a][l]:
-                        acc = p_add(acc, p_mul(_PI[j][a], t0[i][a][l]))
-                t1[i][j][l] = acc
-    t2 = [[[None] * NVAR for _ in range(NVAR)] for _ in range(NVAR)]
-    for i in range(NVAR):
-        for j in range(NVAR):
-            for l in range(NVAR):
-                acc = {}
-                for a in range(NVAR):
-                    if t1[i][j][a]:
-                        acc = p_add(acc, p_mul(_PI[l][a], t1[i][j][a]))
-                t2[i][j][l] = acc
-    return t2
-
-
-_REALIZERS = {
-    Family.SCALAR: scalar_realization,
-    Family.VECTOR: vector_realization,
-    Family.TENSOR: tensor_realization,
-}
+        raise RuntimeError(f"{family.value} level {k} not an eigenspace: {sorted(eigs)}")
+    return HarmonicRealization(family, k, elements, eigs.pop(), max_div)
 
 
 def harmonic_oracle(k, family):
     """Construct the harmonic level and measure eigenvalue + multiplicity.
 
-    Desk scale only (k <= 3).
+    Desk scale only (k <= 3); levels below the family minimum raise
+    ``ValueError``.
     """
+    SectorLabel(family, k)
     if k > 3:
         raise ValueError("harmonic oracle is desk-scale: k <= 3")
-    return _REALIZERS[family](k)
+    return _realize(family, k)
 
 
 def gram_quadrature_scalar(k):
     """Quadrature Gram data for the scalar sector: returns
     ((dY|dY), (ddY|ddY), (ddY|Yh), (Yh|Yh)) relative to (Y|Y) = 1."""
-    real = scalar_realization(k)
-    p = real.elements[0]
+    p = _realize(Family.SCALAR, k).elements[0][()]
     norm = sphere_integral(p_mul(p, p))
-    # tangential gradient w_i = (Pi grad P)_i
-    grad = [p_diff(p, i) for i in range(NVAR)]
-    w = []
-    for i in range(NVAR):
-        acc = {}
-        for a in range(NVAR):
-            acc = p_add(acc, p_mul(_PI[i][a], grad[a]))
-        w.append(acc)
-    g_dd = _v1_norm2(w) / norm
-    b = _sandwich_1form(w)
-    hess = [[p_scale(p_add(b[i][j], b[j][i]), Q(1, 2)) for j in range(NVAR)]
-            for i in range(NVAR)]
-    g_hh = _v2_norm2(hess) / norm
+    w, _ = _sym_grad({(): p}, 0)  # tangential gradient Pi grad P
+    hess, _ = _sym_grad(w, 1)
     tr = {}
     for i in range(NVAR):
-        tr = p_add(tr, hess[i][i])
+        tr = p_add(tr, hess[(i, i)])
     # (ddY | Yh) = integral 2 * tr_h(ddY) * Y
     g_cross = 2 * sphere_integral(p_mul(tr, p)) / norm
-    return g_dd, g_hh, g_cross, Q(6)
+    return _norm2(w, 1) / norm, _norm2(hess, 2) / norm, g_cross, Q(6)

@@ -13,7 +13,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import rational as rl
-from .calderon import principal_angle
+from .calderon import _null, principal_angle
 from .cauchy import (
     GRAVITY,
     DataLayout,
@@ -259,14 +259,14 @@ def ftt_gauge_image_route(sector, tol=1e-10):
     kd = killing_data(sector)
     dom = None
     if kd.shape[1]:
-        dom = _nullcols(kd.conj().T @ rl.to_numpy(charge_form(sector, 1)), tol)
+        dom = _null(kd.conj().T @ rl.to_numpy(charge_form(sector, 1)), tol)
     return _traceless_image(sector, dom, tol)
 
 
 def _traceless_image(sector, dom, tol):
     """Image of the gauge block (on the columns ``dom``, if given)
     intersected with the trace kernel."""
-    blocks = lorentz_gauge_blocks(sector)
+    blocks = lorentz_gauge_blocks(sector, "sym_grad", "neg_trace")
     k21 = blocks["sym_grad"]
     if k21.size == 0:
         return np.zeros((DataLayout(sector, 2).size, 0), dtype=complex)
@@ -277,15 +277,7 @@ def _traceless_image(sector, dom, tol):
     k20d = blocks["neg_trace"]
     if k20d.shape[0] == 0 or rank == 0:
         return image
-    return image @ _nullcols(k20d @ image, tol)
-
-
-def _nullcols(m, tol=1e-10):
-    if m.size == 0:
-        return np.eye(m.shape[1], dtype=complex)
-    u, s, vt = np.linalg.svd(m, full_matrices=True)
-    rank = int(np.sum(s > tol * max(s[0], 1)))
-    return vt[rank:].conj().T
+    return image @ _null(k20d @ image, tol)
 
 
 def charge_kernel_check(ps, tol=1e-10):

@@ -30,10 +30,6 @@ class LSeries:
     def const(cls, value, order):
         return cls(0, [Q(value)] + [Q(0)] * (order - 1))
 
-    def order(self):
-        """Number of retained coefficients."""
-        return len(self.c)
-
     def __add__(self, other):
         if not self.c:
             return LSeries(other.off, other.c)

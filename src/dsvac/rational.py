@@ -130,11 +130,6 @@ def _echelon(a, b=None):
     return piv_cols
 
 
-def rank(a):
-    work = [list(r) for r in a]
-    return len(_echelon(work))
-
-
 def nullspace(a):
     """Basis (list of column vectors) of the exact null space of ``a``."""
     m, n = shape(a)
@@ -171,11 +166,6 @@ def solve(a, b):
     for r, pc in enumerate(piv):
         x[pc] = bm[r]
     return [row[0] for row in x] if vec else x
-
-
-def inverse(a):
-    n = len(a)
-    return solve(a, eye(n))
 
 
 def to_numpy(a, dtype=float):

@@ -253,7 +253,7 @@ def _suite_identities(art, col, cfg):
     for sec in art.sectors:
         if cy.DataLayout(sec, 0).size == 0:
             continue
-        blocks = cy.lorentz_gauge_blocks(sec)
+        blocks = cy.lorentz_gauge_blocks(sec, "sym_grad", "neg_trace")
         s0 = cy.trace_fix_block(sec)
         resid = blocks["neg_trace"] @ blocks["sym_grad"] @ s0 - blocks["neg_trace"]
         worst = max(worst, float(np.max(np.abs(resid))))
@@ -283,59 +283,40 @@ def _suite_identities(art, col, cfg):
     worst_i = 0.0
     for sec in (SectorLabel(Family.SCALAR, 2), SectorLabel(Family.SCALAR, 1),
                 SectorLabel(Family.VECTOR, 2)):
-        worst_i = max(worst_i, _intertwining_residual(sec, rng, t_grid,
-                                                      cfg.tol_ode))
+        worst_i = max(worst_i, _intertwining_residual(
+            sec, "D1", "D2", lambda ws, z: ws.trace_reversal(ws.d(z, 1)),
+            rng, t_grid, cfg.tol_ode))
     col.add("identities", "gauge-evolution-intertwining", "gauge-evolution-compatibility",
             "-", worst_i, worst_i <= 1e-8)
-    worst_i = _adjoint_intertwining_residual(SectorLabel(Family.SCALAR, 2),
-                                             rng, t_grid, cfg.tol_ode)
+    worst_i = _intertwining_residual(SectorLabel(Family.SCALAR, 2), "D2", "D1",
+                                     lambda ws, z: ws.delta(z, 2),
+                                     rng, t_grid, cfg.tol_ode)
     col.add("identities", "adjoint-evolution-intertwining", "adjoint-evolution-compatibility",
             "-", worst_i, worst_i <= 1e-8)
 
 
-def _intertwining_residual(sector, rng, t_grid, tol):
-    sys1 = build_system("D1", sector, LORENTZIAN)
-    sys2 = build_system("D2", sector, LORENTZIAN)
+def _intertwining_residual(sector, source, target, jet, rng, t_grid, tol):
+    """Largest mismatch between evolving random ``source`` data and then
+    applying the Cauchy block of ``jet(ws, z)``, and applying it first and
+    evolving the image as ``target`` data."""
+    sys_s = build_system(source, sector, LORENTZIAN)
+    sys_t = build_system(target, sector, LORENTZIAN)
     ws = WarpedSector(sector, LORENTZIAN)
 
-    def k21_raw(t):
+    def block_raw(t):
         a, adot = np.cosh(t) ** 2, np.sinh(2 * t)
-        return np.array(ws.cauchy_block(
-            lambda z: ws.trace_reversal(ws.d(z, 1)), 1, 2, at=(a, adot)),
-            dtype=float)
+        return np.array(ws.cauchy_block(lambda z: jet(ws, z), sys_s.rank,
+                                        sys_t.rank, at=(a, adot)), dtype=float)
 
-    w0 = rng.normal(size=sys1.n)
-    dw0 = rng.normal(size=sys1.n)
-    u1, du1 = evolve_raw(sys1, w0, dw0, t_grid, tol=tol)
-    raw2 = k21_raw(0.0) @ np.concatenate([w0, dw0])
-    u2, du2 = evolve_raw(sys2, raw2[:sys2.n], raw2[sys2.n:], t_grid, tol=tol)
+    w0 = rng.normal(size=sys_s.n)
+    dw0 = rng.normal(size=sys_s.n)
+    us, dus = evolve_raw(sys_s, w0, dw0, t_grid, tol=tol)
+    raw = block_raw(0.0) @ np.concatenate([w0, dw0])
+    ut, dut = evolve_raw(sys_t, raw[:sys_t.n], raw[sys_t.n:], t_grid, tol=tol)
     worst = 0.0
     for i, t in enumerate(t_grid):
-        lhs = k21_raw(t) @ np.concatenate([u1[i].real, du1[i].real])
-        rhs = np.concatenate([u2[i].real, du2[i].real])
-        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-    return worst
-
-
-def _adjoint_intertwining_residual(sector, rng, t_grid, tol):
-    sys2 = build_system("D2", sector, LORENTZIAN)
-    sys1 = build_system("D1", sector, LORENTZIAN)
-    ws = WarpedSector(sector, LORENTZIAN)
-
-    def kdag_raw(t):
-        a, adot = np.cosh(t) ** 2, np.sinh(2 * t)
-        return np.array(ws.cauchy_block(
-            lambda z: ws.delta(z, 2), 2, 1, at=(a, adot)), dtype=float)
-
-    g0 = rng.normal(size=sys2.n)
-    dg0 = rng.normal(size=sys2.n)
-    u2, du2 = evolve_raw(sys2, g0, dg0, t_grid, tol=tol)
-    raw1 = kdag_raw(0.0) @ np.concatenate([g0, dg0])
-    u1, du1 = evolve_raw(sys1, raw1[:sys1.n], raw1[sys1.n:], t_grid, tol=tol)
-    worst = 0.0
-    for i, t in enumerate(t_grid):
-        lhs = kdag_raw(t) @ np.concatenate([u2[i].real, du2[i].real])
-        rhs = np.concatenate([u1[i].real, du1[i].real])
+        lhs = block_raw(t) @ np.concatenate([us[i].real, dus[i].real])
+        rhs = np.concatenate([ut[i].real, dut[i].real])
         worst = max(worst, float(np.max(np.abs(lhs - rhs))))
     return worst
 

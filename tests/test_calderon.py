@@ -140,7 +140,7 @@ def test_gauge_intertwining(sector, d2_pairs):
         return
     pair2 = lorentzify(d2_pairs[sector])
     pair1 = lorentzify(projector_pair(GRAVITY, sector, "D1"))
-    k21 = cy.lorentz_gauge_blocks(sector)["sym_grad"]
+    k21 = cy.lorentz_gauge_blocks(sector, "sym_grad")["sym_grad"]
     if pair1.quotient_info is None:
         lhs = pair2.c_plus @ k21
         rhs = k21 @ pair1.c_plus

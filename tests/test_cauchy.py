@@ -153,7 +153,8 @@ def test_charge_vs_symplectic(sector):
 @pytest.mark.parametrize("sector", SECTORS, ids=str)
 def test_lorentz_adjointness(sector):
     # (sym_div)^H q_1 = q_{I,2} sym_grad as complex matrices
-    blocks = cy.lorentz_gauge_blocks(sector)
+    blocks = cy.lorentz_gauge_blocks(sector, "sym_grad", "sym_div", "neg_trace",
+                                     "metric_mult")
     q1 = rl.to_numpy(cy.charge_form(sector, 1))
     qi2 = rl.to_numpy(cy.physical_charge_form(sector))
     lhs = blocks["sym_div"].conj().T @ q1
@@ -176,7 +177,7 @@ def test_trace_fixing_identity(sector):
     lay0 = cy.DataLayout(sector, 0)
     if lay0.size == 0:
         return
-    blocks = cy.lorentz_gauge_blocks(sector)
+    blocks = cy.lorentz_gauge_blocks(sector, "sym_grad", "sym_div", "neg_trace")
     s0 = cy.trace_fix_block(sector)
     lhs = blocks["neg_trace"] @ blocks["sym_grad"] @ s0
     rhs = blocks["neg_trace"]

@@ -58,6 +58,14 @@ def test_multiplicity_formula_matches_oracle():
             assert harmonic_oracle(k, fam).multiplicity == SectorLabel(fam, k).multiplicity
 
 
+@pytest.mark.parametrize("fam,k", [(Family.TENSOR, 1), (Family.VECTOR, 0),
+                                   (Family.SCALAR, -1), (Family.SCALAR, 4)])
+def test_oracle_rejects_levels_out_of_range(fam, k):
+    # below the family minimum there is no harmonic; above 3 is off desk scale
+    with pytest.raises(ValueError):
+        harmonic_oracle(k, fam)
+
+
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_gram_cross_check(k):
     g_dd, g_hh, g_cross, g_trtr = gram_quadrature_scalar(k)

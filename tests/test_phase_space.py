@@ -109,7 +109,7 @@ def test_pi_intertwines_gauge_block(spaces):
     # the rank-2 and rank-1 spectral projections intertwine with the gauge
     # block: pi2 K21 = K21 pi1 (both kill exactly the same sectors)
     for sec in spaces:
-        k21 = cy.lorentz_gauge_blocks(sec)["sym_grad"]
+        k21 = cy.lorentz_gauge_blocks(sec, "sym_grad")["sym_grad"]
         if k21.size == 0:
             continue
         for levels in ((4,), (3, 4)):

@@ -141,6 +141,21 @@ def test_cli_config_rejection(tmp_path):
                  "--out", str(tmp_path / "y.json")]) == 2
 
 
+def test_internal_error_exit_code(tmp_path, monkeypatch, capsys):
+    # an exception inside a suite is exit 3, not a failed check (exit 1)
+    import dsvac.report as report
+
+    def broken(art, col, cfg):
+        raise ZeroDivisionError("boom")
+
+    monkeypatch.setitem(report._SUITE_FNS, "oracle", broken)
+    out = tmp_path / "r.json"
+    assert main(["run", "--k-max", "0", "--suites", "oracle",
+                 "--out", str(out)]) == 3
+    assert "internal error: ZeroDivisionError: boom" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_oracle_at_k_max_zero(tmp_path):
     # fewer than five method-independence candidates: all of them are checked
     out = tmp_path / "r.json"
