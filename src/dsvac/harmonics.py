@@ -12,11 +12,17 @@ plus the rank's curvature shift.
 
 All arithmetic is exact rational; sphere integrals of monomials use the
 classical Gamma-function formula (the common 2*pi^2 factor cancels in every
-ratio used here).
+ratio used here).  The work is kept sparse: Pi is applied in factored form,
+so multiplying by a coordinate only shifts monomial keys; quadratures pair
+only monomials of equal per-coordinate parity (every other pair integrates
+to zero), with monomial integrals memoised on first use; symmetric tensors
+are summed over sorted indices; and the constraint solve uses the sparse
+elimination of :mod:`dsvac.rational`.
 """
 
 import itertools
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 
 from . import rational as rl
@@ -81,23 +87,54 @@ def p_laplace(p):
     return out
 
 
-def x_mono(i):
-    a = [0] * NVAR
-    a[i] = 1
-    return {tuple(a): Q(1)}
+def _shift_add(acc, p, i):
+    """acc += x_i * p in place; multiplying by x_i only shifts keys."""
+    for a, c in p.items():
+        key = a[:i] + (a[i] + 1,) + a[i + 1:]
+        v = acc.get(key)
+        if v is None:
+            acc[key] = c
+        else:
+            v += c
+            if v:
+                acc[key] = v
+            else:
+                del acc[key]
+    return acc
+
+
+@lru_cache(maxsize=None)
+def _mono_integral(a):
+    """Sphere integral of the monomial x^a, in units of 2*pi^2; memoised
+    on first use."""
+    if any(e % 2 for e in a):
+        return Q(0)
+    m = [e // 2 for e in a]
+    num = Q(1)
+    for mi in m:
+        num *= Q(factorial(2 * mi), 4 ** mi * factorial(mi))
+    return num / factorial(sum(m) + 1)
 
 
 def sphere_integral(p):
     """Exact integral over the unit 3-sphere, in units of 2*pi^2."""
+    return sum((c * _mono_integral(a) for a, c in p.items()), Q(0))
+
+
+def _parity(a):
+    return tuple(e & 1 for e in a)
+
+
+def _sphere_inner(p, q):
+    """Integral of p * q over the unit 3-sphere without forming the product:
+    only monomial pairs of equal per-coordinate parity integrate to nonzero."""
+    blocks = {}
+    for b, d in q.items():
+        blocks.setdefault(_parity(b), []).append((b, d))
     total = Q(0)
     for a, c in p.items():
-        if any(e % 2 for e in a):
-            continue
-        m = [e // 2 for e in a]
-        num = Q(1)
-        for mi in m:
-            num *= Q(factorial(2 * mi), 4 ** mi * factorial(mi))
-        total += c * num / factorial(sum(m) + 1)
+        for b, d in blocks.get(_parity(a), ()):
+            total += c * d * _mono_integral(tuple(x + y for x, y in zip(a, b)))
     return total
 
 
@@ -114,11 +151,6 @@ class HarmonicRealization:
         self.transversality = transversality
 
 
-# Pi_ij = delta_ij - x_i x_j as polynomial entries
-_PI = [[p_add({(0,) * NVAR: Q(1)} if i == j else {},
-              p_scale(p_mul(x_mono(i), x_mono(j)), -1)) for j in range(NVAR)]
-       for i in range(NVAR)]
-
 _RANK = {Family.SCALAR: 0, Family.VECTOR: 1, Family.TENSOR: 2}
 
 _SHIFT = {
@@ -133,16 +165,21 @@ def _indices(rank):
 
 
 def _project(t, rank):
-    """Apply Pi to every slot of a rank-``rank`` polynomial tensor."""
+    """Apply Pi = 1 - x x^T to every slot of a rank-``rank`` polynomial
+    tensor, factored as (Pi t)[..i..] = t[..i..] - x_i sum_a x_a t[..a..]
+    with the contraction built once per slot and remaining index."""
     for s in range(rank):
         out = {}
-        for idx in _indices(rank):
-            acc = {}
+        for rest in _indices(rank - 1):
+            contraction = {}
             for a in range(NVAR):
-                src = t.get(idx[:s] + (a,) + idx[s + 1:])
+                src = t.get(rest[:s] + (a,) + rest[s:])
                 if src:
-                    acc = p_add(acc, p_mul(_PI[idx[s]][a], src))
-            out[idx] = acc
+                    _shift_add(contraction, src, a)
+            minus = p_scale(contraction, -1)
+            for i in range(NVAR):
+                idx = rest[:s] + (i,) + rest[s:]
+                out[idx] = _shift_add(dict(t.get(idx, {})), minus, i)
         t = out
     return t
 
@@ -150,26 +187,34 @@ def _project(t, rank):
 def _sym_grad(u, rank):
     """Tangential gradient of a rank-``rank`` polynomial tensor: returns the
     symmetrization and the unsymmetrized projection d, whose slot 0 carries
-    the derivative, d[(i,) + idx] = (Pi...Pi) d_i u[idx]."""
+    the derivative, d[(i,) + idx] = (Pi...Pi) d_i u[idx].  Each symmetrized
+    entry is built once per sorted index and shared by its orderings."""
     d = _project({(i,) + idx: p_diff(p, i) for idx, p in u.items()
                   for i in range(NVAR)}, rank + 1)
     perms = list(itertools.permutations(range(rank + 1)))
+    orbit = {}
     sym = {}
     for idx in d:
-        acc = {}
-        for perm in perms:
-            acc = p_add(acc, d[tuple(idx[p] for p in perm)])
-        sym[idx] = p_scale(acc, Q(1, len(perms)))
+        key = tuple(sorted(idx))
+        if key not in orbit:
+            acc = {}
+            for perm in perms:
+                acc = p_add(acc, d[tuple(key[p] for p in perm)])
+            orbit[key] = p_scale(acc, Q(1, len(perms)))
+        sym[idx] = orbit[key]
     return sym, d
 
 
 def _norm2(t, rank):
-    """Integral of the fiber norm r! sum t^2 of a symmetric rank-r tensor."""
-    acc = {}
-    for p in t.values():
+    """Integral of the fiber norm r! sum t^2 of a symmetric rank-r tensor,
+    summed over sorted index tuples weighted by their number of orderings."""
+    total = Q(0)
+    for idx in itertools.combinations_with_replacement(range(NVAR), rank):
+        p = t.get(idx)
         if p:
-            acc = p_add(acc, p_mul(p, p))
-    return factorial(rank) * sphere_integral(acc)
+            orderings = len(set(itertools.permutations(idx)))
+            total += orderings * _sphere_inner(p, p)
+    return factorial(rank) * total
 
 
 def _constraint_rows(rank, comps, mons):
@@ -188,7 +233,7 @@ def _constraint_rows(rank, comps, mons):
         unit = {a: Q(1)}
         lap = p_laplace(unit)
         grad = [p_diff(unit, i) for i in range(NVAR)]
-        xmul = [p_mul(x_mono(i), unit) for i in range(NVAR)]
+        xmul = [_shift_add({}, unit, i) for i in range(NVAR)]
         for n, comp in enumerate(comps):
             col = n * len(mons) + m
             put(("harmonic", comp), col, lap)
@@ -200,8 +245,9 @@ def _constraint_rows(rank, comps, mons):
             if rank == 2 and comp[0] == comp[1]:
                 put(("trace",), col, unit)
     ncol = len(comps) * len(mons)
-    dense = [[row.get(c, Q(0)) for c in range(ncol)] for row in rows.values()]
-    return dense or [[Q(0)] * ncol]
+    zero = Q(0)
+    dense = [[row.get(c, zero) for c in range(ncol)] for row in rows.values()]
+    return dense or [[zero] * ncol]
 
 
 def _realize(family, k):
@@ -257,12 +303,12 @@ def gram_quadrature_scalar(k):
     """Quadrature Gram data for the scalar sector: returns
     ((dY|dY), (ddY|ddY), (ddY|Yh), (Yh|Yh)) relative to (Y|Y) = 1."""
     p = _realize(Family.SCALAR, k).elements[0][()]
-    norm = sphere_integral(p_mul(p, p))
+    norm = _norm2({(): p}, 0)
     w, _ = _sym_grad({(): p}, 0)  # tangential gradient Pi grad P
     hess, _ = _sym_grad(w, 1)
     tr = {}
     for i in range(NVAR):
         tr = p_add(tr, hess[(i, i)])
     # (ddY | Yh) = integral 2 * tr_h(ddY) * Y
-    g_cross = 2 * sphere_integral(p_mul(tr, p)) / norm
+    g_cross = 2 * _sphere_inner(tr, p) / norm
     return _norm2(w, 1) / norm, _norm2(hess, 2) / norm, g_cross, Q(6)

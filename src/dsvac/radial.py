@@ -11,7 +11,7 @@ globally smooth and are integrated directly for the dynamical checks.
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import pi
+from math import lcm, pi
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -179,12 +179,13 @@ def _rational_roots(p):
         roots.append(Q(0))
         p = p[1:]
     while len(p) > 1:
-        den = np.lcm.reduce([c.denominator for c in p])
+        den = lcm(*(c.denominator for c in p))
         ip = [int(c * den) for c in p]
         a0, an = abs(ip[0]), abs(ip[-1])
         found = None
-        for q in sorted(_divisors(an)):
-            for pnum in sorted(_divisors(a0)):
+        nums = _divisors(a0)
+        for q in _divisors(an):
+            for pnum in nums:
                 for cand in (Q(pnum, q), Q(-pnum, q)):
                     if _poly_eval(p, cand) == 0:
                         found = cand

@@ -1,9 +1,13 @@
-"""Small dense linear algebra over exact rationals.
+"""Small linear algebra over exact rationals.
 
-Matrices are plain lists of lists of ``fractions.Fraction``.  Everything here
-is exact; convert with :func:`to_numpy` only at the float boundary.
+Matrices are plain lists of lists of ``fractions.Fraction`` at the API.
+Inside, elimination works on sparse rows: :func:`nullspace` and
+:func:`solve` share one reduced row echelon routine that touches only
+nonzero entries, and :func:`matmul` skips zero terms.  Everything here is
+exact; convert with :func:`to_numpy` only at the float boundary.
 """
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -50,7 +54,11 @@ def matmul(a, b):
     if na != mb:
         raise ValueError(f"shape mismatch {ma}x{na} @ {mb}x{nb}")
     bt = list(zip(*b)) if mb else []
-    return [[sum((ra[k] * col[k] for k in range(na)), Q(0)) for col in bt] for ra in a]
+    out = []
+    for ra in a:
+        nz = [(k, x) for k, x in enumerate(ra) if x]
+        out.append([sum((x * col[k] for k, x in nz if col[k]), Q(0)) for col in bt])
+    return out
 
 
 def matvec(a, v):
@@ -97,51 +105,64 @@ def block_diag(blocks):
     return out
 
 
-def _echelon(a, b=None):
-    """In-place row echelon reduction; returns pivot column list."""
-    m, n = shape(a)
-    piv_cols = []
-    r = 0
-    for c in range(n):
-        pivot = None
-        for i in range(r, m):
-            if a[i][c] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        a[r], a[pivot] = a[pivot], a[r]
-        if b is not None:
-            b[r], b[pivot] = b[pivot], b[r]
-        inv = 1 / a[r][c]
-        a[r] = [x * inv for x in a[r]]
-        if b is not None:
-            b[r] = [x * inv for x in b[r]]
-        for i in range(m):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-                if b is not None:
-                    b[i] = [x - f * y for x, y in zip(b[i], b[r])]
-        piv_cols.append(c)
-        r += 1
-        if r == m:
+def _rref(rows, ncol):
+    """Reduced row echelon form of sparse rows (dicts ``{col: Fraction}`` of
+    nonzero entries), reduced in place.
+
+    Walks the columns left to right; each pivot is taken from the un-pivoted
+    row with the fewest nonzeros, normalised, and its column eliminated from
+    every other row, touching only nonzero entries.  Returns the pivot
+    columns and their rows in column order.  The reduced form is unique, so
+    the result does not depend on the pivot choice.
+    """
+    pending = [r for r in rows if r]
+    pivoted = []
+    for c in range(ncol):
+        if not pending:
             break
-    return piv_cols
+        holding = [i for i, r in enumerate(pending) if c in r]
+        if not holding:
+            continue
+        prow = pending.pop(min(holding, key=lambda i: len(pending[i])))
+        inv = 1 / prow[c]
+        for j in prow:
+            prow[j] *= inv
+        for row in itertools.chain(pending, (r for _, r in pivoted)):
+            f = row.get(c)
+            if f is None:
+                continue
+            for j, y in prow.items():
+                x = row.get(j)
+                if x is None:
+                    row[j] = -f * y
+                else:
+                    x -= f * y
+                    if x:
+                        row[j] = x
+                    else:
+                        del row[j]
+        pivoted.append((c, prow))
+    return pivoted
+
+
+def _sparse_rows(a):
+    return [{j: x for j, x in enumerate(row) if x} for row in a]
 
 
 def nullspace(a):
-    """Basis (list of column vectors) of the exact null space of ``a``."""
-    m, n = shape(a)
-    work = [list(r) for r in a]
-    piv = _echelon(work)
-    free = [c for c in range(n) if c not in piv]
+    """Basis (list of column vectors) of the exact null space of ``a``, read
+    off the reduced row echelon form: one vector per free column."""
+    _, n = shape(a)
+    pivoted = _rref(_sparse_rows(a), n)
+    pivot_cols = {c for c, _ in pivoted}
     basis = []
-    for fc in free:
+    for fc in range(n):
+        if fc in pivot_cols:
+            continue
         v = [Q(0)] * n
         v[fc] = Q(1)
-        for r, pc in enumerate(piv):
-            v[pc] = -work[r][fc]
+        for pc, row in pivoted:
+            v[pc] = -row.get(fc, Q(0))
         basis.append(v)
     return basis
 
@@ -149,23 +170,22 @@ def nullspace(a):
 def solve(a, b):
     """Solve a @ x = b for exact x; raises if singular/inconsistent.
 
-    ``b`` may be a vector or a matrix of right-hand sides.
+    ``b`` may be a vector or a matrix of right-hand sides; it is reduced as
+    extra columns of ``a``.
     """
     vec = not isinstance(b[0], list)
-    bm = [[x] for x in b] if vec else [list(r) for r in b]
-    m, n = shape(a)
-    work = [list(r) for r in a]
-    piv = _echelon(work, bm)
-    if len(piv) < n:
+    bm = [[x] for x in b] if vec else b
+    _, n = shape(a)
+    rows = _sparse_rows(a)
+    for row, rhs in zip(rows, bm):
+        row.update((n + j, x) for j, x in enumerate(rhs) if x)
+    pivoted = _rref(rows, n + len(bm[0]))
+    if sum(c < n for c, _ in pivoted) < n:
         raise ValueError("singular system")
-    for i in range(len(piv), m):
-        if any(x != 0 for x in bm[i]):
-            raise ValueError("inconsistent system")
-    nrhs = len(bm[0])
-    x = [[Q(0)] * nrhs for _ in range(n)]
-    for r, pc in enumerate(piv):
-        x[pc] = bm[r]
-    return [row[0] for row in x] if vec else x
+    if len(pivoted) > n:
+        raise ValueError("inconsistent system")
+    x = [[row.get(n + j, Q(0)) for j in range(len(bm[0]))] for _, row in pivoted]
+    return [r[0] for r in x] if vec else x
 
 
 def to_numpy(a, dtype=float):

@@ -1,12 +1,18 @@
+import itertools
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
+from dsvac import harmonics
 from dsvac.harmonics import (
     gram_quadrature_scalar,
     harmonic_oracle,
     monomials,
+    p_add,
+    p_diff,
     p_mul,
+    p_scale,
     sphere_integral,
 )
 from dsvac.sectors import Family, SectorLabel, gram_matrix
@@ -77,3 +83,77 @@ def test_gram_cross_check(k):
         assert g_hh == g2[0][0] == 2 * lam * (lam - 2)
         assert g_cross == g2[0][1] == -2 * lam
         assert g_trtr == g2[1][1] == 6
+
+
+# -- reference copies of the unfactored projector and the product quadrature --
+
+_PI_REFERENCE = [[p_add({(0, 0, 0, 0): Q(1)} if i == j else {},
+                        {tuple(int(n == i) + int(n == j) for n in range(4)): Q(-1)})
+                  for j in range(4)] for i in range(4)]
+
+
+def _sphere_integral_reference(p):
+    total = Q(0)
+    for a, c in p.items():
+        if any(e % 2 for e in a):
+            continue
+        m = [e // 2 for e in a]
+        num = Q(1)
+        for mi in m:
+            num *= Q(factorial(2 * mi), 4 ** mi * factorial(mi))
+        total += c * num / factorial(sum(m) + 1)
+    return total
+
+
+def _project_reference(t, rank):
+    for s in range(rank):
+        out = {}
+        for idx in itertools.product(range(4), repeat=rank):
+            acc = {}
+            for a in range(4):
+                src = t.get(idx[:s] + (a,) + idx[s + 1:])
+                if src:
+                    acc = p_add(acc, p_mul(_PI_REFERENCE[idx[s]][a], src))
+            out[idx] = acc
+        t = out
+    return t
+
+
+def _sym_grad_reference(u, rank):
+    d = _project_reference({(i,) + idx: p_diff(p, i) for idx, p in u.items()
+                            for i in range(4)}, rank + 1)
+    perms = list(itertools.permutations(range(rank + 1)))
+    sym = {}
+    for idx in d:
+        acc = {}
+        for perm in perms:
+            acc = p_add(acc, d[tuple(idx[p] for p in perm)])
+        sym[idx] = p_scale(acc, Q(1, len(perms)))
+    return sym, d
+
+
+def _norm2_reference(t, rank):
+    acc = {}
+    for p in t.values():
+        if p:
+            acc = p_add(acc, p_mul(p, p))
+    return factorial(rank) * _sphere_integral_reference(acc)
+
+
+@pytest.mark.parametrize("fam,k,rank", [(Family.VECTOR, 3, 1), (Family.TENSOR, 2, 2)])
+def test_realization_equals_reference(fam, k, rank, monkeypatch):
+    real = harmonic_oracle(k, fam)
+    for u in real.elements:
+        sym, d = harmonics._sym_grad(u, rank)
+        ref_sym, ref_d = _sym_grad_reference(u, rank)
+        assert sym == ref_sym
+        assert d == ref_d
+        assert harmonics._norm2(u, rank) == _norm2_reference(u, rank)
+        assert harmonics._norm2(sym, rank + 1) == _norm2_reference(sym, rank + 1)
+    monkeypatch.setattr(harmonics, "_sym_grad", _sym_grad_reference)
+    monkeypatch.setattr(harmonics, "_norm2", _norm2_reference)
+    ref = harmonic_oracle(k, fam)
+    assert real.elements == ref.elements
+    assert (type(real.eigenvalue), real.eigenvalue) == (type(ref.eigenvalue), ref.eigenvalue)
+    assert (type(real.transversality), real.transversality) == (
+        type(ref.transversality), ref.transversality)

@@ -42,6 +42,14 @@ def test_indicial_exponents_examples():
     assert sorted(e + f for e, f in zip(exps, reversed(exps)))[0] == -2
 
 
+def test_rational_roots_with_large_coprime_denominators():
+    # the lcm of the denominators, (2**33 + 1) * (2**33 - 1), does not fit in
+    # 64 bits; a wrapped lcm would give a wrong integer polynomial
+    d1, d2 = 2**33 + 1, 2**33 - 1
+    assert radial._rational_roots([Q(-1, d1), Q(1, d2)]) == [Q(d2, d1)]
+    assert radial._rational_roots([Q(0), Q(-1, d1), Q(1, d2)]) == [Q(0), Q(d2, d1)]
+
+
 def test_vector1_regular_datum():
     sysm = build_system("D1", SectorLabel(Family.VECTOR, 1), EUCLIDEAN)
     b = regular_basis(sysm)
