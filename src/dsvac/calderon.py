@@ -17,8 +17,8 @@ from typing import Optional
 import numpy as np
 
 from . import rational as rl
-from .cauchy import euclid_symplectic_form, kappa_block, wick_phases
-from .radial import _kappa_data, build_system, regular_basis
+from .cauchy import euclid_symplectic_form, kappa_block, kappa_diagonal, wick_phases
+from .radial import build_system, regular_basis
 from .sectors import SectorLabel
 from .warped import EUCLIDEAN
 
@@ -43,19 +43,25 @@ class ProjectorPair:
     conditioning: float = 0.0
 
 
+def _rank(s, tol):
+    """Number of singular values ``s`` (descending) above ``tol`` relative
+    to the largest, or above ``tol`` itself when the largest is below 1."""
+    return int(np.sum(s > tol * max(s[0], 1))) if s.size else 0
+
+
 def _orth(m, tol=1e-10):
     if m.size == 0:
         return np.zeros((m.shape[0], 0))
     u, s, _ = np.linalg.svd(m, full_matrices=False)
-    rank = int(np.sum(s > tol * max(s[0], 1.0))) if s.size else 0
-    return u[:, :rank]
+    return u[:, :_rank(s, tol)]
 
 
 def _regular_data(sector, operator_id, maxwell, params):
     """The system with the north regular data and their south reflection."""
     system = build_system(operator_id, sector, EUCLIDEAN, maxwell=maxwell)
-    vp = regular_basis(system, "north", **params).data_matrix
-    return system, vp, _kappa_data(system)[:, None] * vp
+    vp = regular_basis(system, **params).data_matrix
+    kap = np.array([float(v) for v in kappa_diagonal(sector, system.rank)])
+    return system, vp, kap[:, None] * vp
 
 
 def projector_pair(theory, sector, operator_id, **params):
@@ -134,8 +140,7 @@ def _null(m, tol=1e-10):
     if m.size == 0:
         return np.eye(m.shape[1])
     u, s, vt = np.linalg.svd(m, full_matrices=True)
-    rank = int(np.sum(s > tol * max(s[0], 1)))
-    return vt[rank:].conj().T
+    return vt[_rank(s, tol):].conj().T
 
 
 def _complement(w, kernel):
@@ -214,20 +219,3 @@ def lorentzify(pair):
     return ProjectorPair(pair.sector, pair.operator_id, "lorentzian",
                          c_plus, c_minus, maxwell=pair.maxwell,
                          quotient_info=qinfo, conditioning=pair.conditioning)
-
-
-def apply_pair(pair, f, sign=+1, tol=1e-8):
-    """Apply c+ (sign=+1) or c- to a data vector.
-
-    Quotient pairs require f in the stored subspace (up to ``tol``); the
-    result carries the usual kernel ambiguity.
-    """
-    c = pair.c_plus if sign > 0 else pair.c_minus
-    f = np.asarray(f, dtype=complex)
-    if pair.quotient_info is None:
-        return c @ f
-    w = pair.quotient_info.subspace
-    coords, *_ = np.linalg.lstsq(w, f, rcond=None)
-    if np.linalg.norm(w @ coords - f) > tol * max(1.0, np.linalg.norm(f)):
-        raise ValueError("data not in the projector domain")
-    return c @ coords

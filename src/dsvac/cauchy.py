@@ -260,37 +260,24 @@ def physical_charge_form(sector):
     return rl.matmul(q2, i_mat)
 
 
-def kappa_block(sector, rank):
-    """diag(kappa, -kappa) data reflection matrix."""
-    lay = DataLayout(sector, rank)
+def kappa_diagonal(sector, rank, second=-1):
+    """Reflection signs on doubled data: kappa on the values and
+    ``second * kappa`` on the normal derivatives."""
     kap = kappa_signs(rank)
-    diag = []
-    for r, dim in enumerate(lay.slot_dims):
-        diag.extend([kap[r]] * dim)
-    out = rl.zeros(lay.size, lay.size)
-    for i, v in enumerate(diag):
-        out[i][i] = v
-        out[lay.half + i][lay.half + i] = -v
-    return out
+    half = [kap[r] for r, dim in enumerate(DataLayout(sector, rank).slot_dims)
+            for _ in range(dim)]
+    return half + [second * v for v in half]
 
 
-def racah_block(sector, rank=2):
-    """Linear time reversal on Cauchy data: diag(kappa, -kappa)."""
-    return kappa_block(sector, rank)
+def kappa_block(sector, rank):
+    """diag(kappa, -kappa): the data reflection, which is also the linear
+    time reversal S on Cauchy data."""
+    return rl.block_diag([[[v]] for v in kappa_diagonal(sector, rank)])
 
 
 def wigner_matrix(sector, rank=2):
     """Matrix part of the antilinear time reversal: Z f = M conj(f)."""
-    lay = DataLayout(sector, rank)
-    kap = kappa_signs(rank)
-    diag = []
-    for r, dim in enumerate(lay.slot_dims):
-        diag.extend([kap[r]] * dim)
-    out = rl.zeros(lay.size, lay.size)
-    for i, v in enumerate(diag):
-        out[i][i] = v
-        out[lay.half + i][lay.half + i] = v
-    return out
+    return rl.block_diag([[[v]] for v in kappa_diagonal(sector, rank, +1)])
 
 
 # -- Wick phases and Lorentzian blocks ----------------------------------------
@@ -355,43 +342,10 @@ def trace_fix_block(sector):
     return (-1.0 / 12.0) * (blocks["grad"] @ blocks["neg_trace"])
 
 
-# -- Killing data --------------------------------------------------------------
+# -- the Killing sectors and the two theories ---------------------------------
 
 KILLING_SECTORS = (SectorLabel(Family.SCALAR, 1), SectorLabel(Family.VECTOR, 1))
 
-
-def killing_data_euclid(sector):
-    """Euclidean traces of the Killing 1-forms living in this sector."""
-    lay = DataLayout(sector, 1)
-    out = []
-    if sector == SectorLabel(Family.SCALAR, 1):
-        v = [Q(0)] * lay.size
-        v[lay.offsets[0]] = Q(1)          # f0s = psi
-        v[lay.half + lay.offsets[1]] = Q(1)  # f1S = d psi
-        out.append(v)
-    if sector == SectorLabel(Family.VECTOR, 1):
-        v = [Q(0)] * lay.size
-        v[lay.offsets[1]] = Q(1)          # f0S = psi_jk
-        out.append(v)
-    return out
-
-
-def killing_data(sector):
-    """Lorentzian Killing Cauchy data (complex columns)."""
-    return lorentz_columns(killing_data_euclid(sector), sector, 1)
-
-
-def gauge_orthogonal_residual(f, sector):
-    """Charge pairing of rank-1 data against the sector's Killing data;
-    zero means membership in the gauge-compatible subspace."""
-    kd = killing_data(sector)
-    if kd.shape[1] == 0:
-        return 0.0
-    q1 = rl.to_numpy(charge_form(sector, 1))
-    return float(np.max(np.abs(kd.conj().T @ q1 @ np.asarray(f, complex))))
-
-
-# -- the two theories ----------------------------------------------------------
 
 @dataclass(frozen=True, eq=False)
 class Theory:

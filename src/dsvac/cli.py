@@ -65,6 +65,8 @@ def _config_from_args(args):
                 base = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise ValueError(f"cannot read config file: {exc}")
+        if not isinstance(base, dict):
+            raise ValueError("config file must hold a JSON object")
     cfg = RunConfig()
     for key, value in base.items():
         if not hasattr(cfg, key):

@@ -61,15 +61,6 @@ def p_scale(p, c):
     return {a: c * v for a, v in p.items()}
 
 
-def p_mul(p, q):
-    out = {}
-    for a, ca in p.items():
-        for b, cb in q.items():
-            key = tuple(x + y for x, y in zip(a, b))
-            out[key] = out.get(key, Q(0)) + ca * cb
-    return {a: c for a, c in out.items() if c != 0}
-
-
 def p_diff(p, i):
     out = {}
     for a, c in p.items():
@@ -114,11 +105,6 @@ def _mono_integral(a):
     for mi in m:
         num *= Q(factorial(2 * mi), 4 ** mi * factorial(mi))
     return num / factorial(sum(m) + 1)
-
-
-def sphere_integral(p):
-    """Exact integral over the unit 3-sphere, in units of 2*pi^2."""
-    return sum((c * _mono_integral(a) for a, c in p.items()), Q(0))
 
 
 def _parity(a):
@@ -297,18 +283,3 @@ def harmonic_oracle(k, family):
     if k > 3:
         raise ValueError("harmonic oracle is desk-scale: k <= 3")
     return _realize(family, k)
-
-
-def gram_quadrature_scalar(k):
-    """Quadrature Gram data for the scalar sector: returns
-    ((dY|dY), (ddY|ddY), (ddY|Yh), (Yh|Yh)) relative to (Y|Y) = 1."""
-    p = _realize(Family.SCALAR, k).elements[0][()]
-    norm = _norm2({(): p}, 0)
-    w, _ = _sym_grad({(): p}, 0)  # tangential gradient Pi grad P
-    hess, _ = _sym_grad(w, 1)
-    tr = {}
-    for i in range(NVAR):
-        tr = p_add(tr, hess[(i, i)])
-    # (ddY | Yh) = integral 2 * tr_h(ddY) * Y
-    g_cross = 2 * _sphere_inner(tr, p) / norm
-    return _norm2(w, 1) / norm, _norm2(hess, 2) / norm, g_cross, Q(6)

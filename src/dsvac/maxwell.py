@@ -49,13 +49,6 @@ class MaxwellPhaseSpace:
     theory = MAXWELL
 
     @property
-    def f_gauge(self):
-        """The invariantly-gauge part of F (excludes the level-zero line)."""
-        if self.sector == SCALAR0:
-            return self.f_space[:, :0]
-        return self.f_space
-
-    @property
     def dims(self):
         return (self.e_space.shape[1], self.e_gauge.shape[1],
                 self.f_space.shape[1], self.e_zero.shape[1])

@@ -13,14 +13,11 @@ from fractions import Fraction
 import numpy as np
 
 from . import rational as rl
-from .calderon import _null, principal_angle
+from .calderon import _rank, principal_angle
 from .cauchy import (
     GRAVITY,
     DataLayout,
-    charge_form,
-    killing_data,
     lorentz_columns,
-    lorentz_gauge_blocks,
     neg_trace_block,
     normalized_columns,
     sym_div_block,
@@ -184,9 +181,6 @@ def phase_space_sector(sector):
             resid = rl.matvec(stacked, col)
             if any(x != 0 for x in resid):
                 raise RuntimeError(f"parametrization column leaves E_TT in {sector}")
-    by_label = {}
-    for name, col in params:
-        by_label.setdefault(name, []).append(col)
     gauge_cols, f_cols, fg_cols, e4_cols = [], [], [], []
     for name, col in params:
         if name in ("u0", "u1"):
@@ -211,25 +205,6 @@ def phase_space_sector(sector):
     )
 
 
-def decompose(ps, data, tol=1e-10):
-    """Unique (u, f, beta) coordinates of a Lorentzian E_TT datum, with
-    membership flags."""
-    if ps.ett.shape[1] == 0:
-        raise ValueError("sector has trivial physical space")
-    coords, *_ = np.linalg.lstsq(ps.ett, np.asarray(data, complex), rcond=None)
-    resid = np.linalg.norm(ps.ett @ coords - data)
-    if resid > tol * max(1.0, np.linalg.norm(data)):
-        raise ValueError(f"datum not in E_TT (residual {resid:.2e})")
-    named = dict(zip(ps.param_labels, coords))
-    flags = {
-        "ett_gauge": all(abs(named.get(k, 0)) < tol for k in ("f0", "f1", "bs", "bS")),
-        "ftt": all(abs(named.get(k, 0)) < tol for k in ("u0", "u1")),
-        "ftt_gauge": all(abs(named.get(k, 0)) < tol for k in ("u0", "u1", "bS")),
-        "ett4": all(abs(named.get(k, 0)) < tol for k in ("u0", "u1", "f0", "f1", "bs")),
-    }
-    return named, flags
-
-
 def pi_projection(sector, levels=(3, 4), rank=2):
     """Spectral projection on rank-``rank`` data removing the harmonic
     levels (eigenvalues) ``levels``.
@@ -248,38 +223,6 @@ def pi_projection(sector, levels=(3, 4), rank=2):
     return np.eye(size)
 
 
-def ftt_image_route(sector, tol=1e-10):
-    """F_TT via the independent route: gauge image intersected with the
-    trace kernel (Lorentzian, numerical)."""
-    return _traceless_image(sector, None, tol)
-
-
-def ftt_gauge_image_route(sector, tol=1e-10):
-    """F_TT_gauge via the image of the Killing-orthogonal subspace."""
-    kd = killing_data(sector)
-    dom = None
-    if kd.shape[1]:
-        dom = _null(kd.conj().T @ rl.to_numpy(charge_form(sector, 1)), tol)
-    return _traceless_image(sector, dom, tol)
-
-
-def _traceless_image(sector, dom, tol):
-    """Image of the gauge block (on the columns ``dom``, if given)
-    intersected with the trace kernel."""
-    blocks = lorentz_gauge_blocks(sector, "sym_grad", "neg_trace")
-    k21 = blocks["sym_grad"]
-    if k21.size == 0:
-        return np.zeros((DataLayout(sector, 2).size, 0), dtype=complex)
-    u, s, _ = np.linalg.svd(k21 if dom is None else k21 @ dom,
-                            full_matrices=False)
-    rank = int(np.sum(s > tol * max(s[0] if s.size else 0, 1)))
-    image = u[:, :rank]
-    k20d = blocks["neg_trace"]
-    if k20d.shape[0] == 0 or rank == 0:
-        return image
-    return image @ _null(k20d @ image, tol)
-
-
 def charge_kernel_check(ps, tol=1e-10):
     """Kernel of the theory's charge restricted to E versus F (principal
     angle), and the smallest nonzero singular value of the charge on E / F.
@@ -292,7 +235,7 @@ def charge_kernel_check(ps, tol=1e-10):
     q = rl.to_numpy(ps.theory.charge(ps.sector))
     e = normalized_columns(ps.sector, ps.e_space, ps.theory.rank)
     u, s, vt = np.linalg.svd(e.conj().T @ q @ e)
-    rank = int(np.sum(s > tol * max(s[0] if s.size else 0, 1)))
+    rank = _rank(s, tol)
     ker = e @ vt[rank:].conj().T
     quo_sv = float(s[rank - 1]) if rank else None
     return {"kernel_angle": principal_angle(ker, ps.f_space),

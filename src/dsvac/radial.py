@@ -17,16 +17,10 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from . import rational as rl
+from .cauchy import _weight_diag
 from .qseries import LSeries
-from .sectors import SectorLabel, space
-from .warped import (
-    EUCLIDEAN,
-    LORENTZIAN,
-    WarpedSector,
-    cf_series_pole,
-    fiber_weights,
-    kappa_signs,
-)
+from .sectors import SectorLabel
+from .warped import EUCLIDEAN, LORENTZIAN, WarpedSector, cf_series_pole
 
 Q = Fraction
 
@@ -306,25 +300,6 @@ def indicial_data(system, order=SERIES_ORDER):
     return out, (p_mats, q_mats), lmat
 
 
-def indicial_exponents(system, graded=True):
-    """All indicial exponents at the pole, exact rationals with multiplicity.
-
-    ``graded=False`` reports the leading order of the physical components
-    (graded exponent plus the smallest slot rank in the seed support).
-    """
-    data, _, _ = indicial_data(system)
-    out = []
-    for rho, mult, seeds in data:
-        if graded or not seeds:
-            out.extend([rho] * mult)
-        else:
-            for v in seeds:
-                shift = min(system.slot_ranks[i] for i, x in enumerate(v) if x != 0)
-                out.append(rho + shift)
-            out.extend([rho] * (mult - len(seeds)))
-    return sorted(out)
-
-
 def regular_exponents(system):
     """Exponents/seeds of the solutions square-integrable (hence smooth) at
     the pole.  In the graded variables the L2 cutoff is uniform: a branch is
@@ -364,26 +339,34 @@ def frobenius_solutions(system, order=SERIES_ORDER, x0=MATCH_RADIUS):
             coeffs = _frobenius_series(rho, seed, lmat, p_f, q_f, n, order, others)
             # physical components carry the grading x^(slot rank)
             shifts = np.array([float(r) for r in system.slot_ranks])
-            val = np.zeros(n)
-            der = np.zeros(n)
-            tail = 0.0
-            peak = 0.0
-            for m, c in enumerate(coeffs):
-                w = x0 ** (rho_f + m + shifts)
-                val += c * w
-                der += (rho_f + m + shifts) * c * x0 ** (rho_f + m + shifts - 1)
-                mag = np.max(np.abs(c) * w)
-                peak = max(peak, mag)
-                if m >= order - 2:
-                    tail = max(tail, mag)
+            series = (rho_f, shifts, coeffs)
+            val, der, terms = _series_at(series, x0)
+            mags = [np.max(np.abs(t)) for t in terms]
+            peak = max([0.0] + mags)
+            tail = max([0.0] + mags[order - 2:])
             if peak > 0 and tail / peak > TAIL_TOL:
                 raise RuntimeError(
                     f"Frobenius tail not converged at x0={x0}: {tail/peak:.2e}")
             cols_val.append(val)
             cols_der.append(-der)  # d/ds = -d/dx
             exponents.append(rho)
-            series_out.append((rho_f, shifts, coeffs))
+            series_out.append(series)
     return np.array(cols_val).T, np.array(cols_der).T, exponents, series_out
+
+
+def _series_at(series, x):
+    """Value and x-derivative at x of a graded Frobenius series (rho,
+    slot shifts, coefficients), with its terms."""
+    rho, shifts, coeffs = series
+    val = np.zeros(len(shifts))
+    der = np.zeros(len(shifts))
+    terms = []
+    for m, c in enumerate(coeffs):
+        power = rho + m + shifts
+        terms.append(c * x ** power)
+        val += terms[-1]
+        der += power * c * x ** (power - 1)
+    return val, der, terms
 
 
 def _series_float(mats, n, order):
@@ -425,7 +408,6 @@ def _frobenius_series(rho, seed, lmat, p_f, q_f, n, order, resonances):
 class SolutionBasisAtEquator:
     sector: SectorLabel
     operator_id: str
-    hemisphere: str
     data_matrix: np.ndarray  # (2n, n) columns = (value, -d/ds value) at s=0
     conditioning: float
     exponents: list
@@ -435,10 +417,11 @@ class SolutionBasisAtEquator:
     raw_data: object = field(default=None, repr=False)
 
 
-def regular_basis(system, hemisphere="north", series_order=SERIES_ORDER,
+def regular_basis(system, series_order=SERIES_ORDER,
                   match_radius=MATCH_RADIUS, tol=INTEGRATOR_TOL,
                   keep_dense=False):
-    """Cauchy data at s=0 of the basis of solutions regular at one pole."""
+    """Cauchy data at s=0 of the basis of solutions regular at the north
+    pole (the south basis is its reflection, see ``calderon``)."""
     if system.signature != EUCLIDEAN:
         raise ValueError("regular bases are defined for the Euclidean systems")
     val, der, exponents, series = frobenius_solutions(
@@ -452,14 +435,10 @@ def regular_basis(system, hemisphere="north", series_order=SERIES_ORDER,
         raise RuntimeError(f"integration failed: {sol.message}")
     y = sol.y[:, -1].reshape(2 * n, n)
     data = np.vstack([y[:n], -y[n:]])
-    if hemisphere == "south":
-        kap = _kappa_data(system)
-        data = kap[:, None] * data
     qmat, _ = np.linalg.qr(data)
     sv = np.linalg.svd(data, compute_uv=False)
     cond = sv[-1] / sv[0]
-    return SolutionBasisAtEquator(system.sector, system.operator_id, hemisphere,
-                                  qmat, cond, exponents,
+    return SolutionBasisAtEquator(system.sector, system.operator_id, qmat, cond, exponents,
                                   dense=sol if keep_dense else None,
                                   series=series if keep_dense else None,
                                   match_radius=match_radius,
@@ -473,27 +452,15 @@ def solution_profile(basis, column=0):
         raise ValueError("regular_basis must be called with keep_dense=True")
     n = basis.raw_data.shape[0] // 2
     s_switch = pi / 2 - basis.match_radius
-    rho, shifts, coeffs = basis.series[column]
 
     def phi(s):
         if s <= s_switch:
             y = basis.dense.sol(s)
             return y[:n], y[n:]
-        x = pi / 2 - s
-        val = np.zeros(n)
-        der = np.zeros(n)
-        for m, c in enumerate(coeffs):
-            val += c * x ** (rho + m + shifts)
-            der += (rho + m + shifts) * c * x ** (rho + m + shifts - 1)
+        val, der, _ = _series_at(basis.series[column], pi / 2 - s)
         return val, -der
 
     return phi
-
-
-def _kappa_data(system):
-    kap = kappa_signs(system.rank)
-    diag = [float(kap[r]) for r in system.slot_ranks]
-    return np.array(diag + [-d for d in diag])
 
 
 # -- Lorentzian evolution -----------------------------------------------------
@@ -538,34 +505,11 @@ def evolve_raw(system, u0, du0, t_grid, tol=INTEGRATOR_TOL):
     return out_u, out_du
 
 
-def evolve_lorentzian(system, data, t_grid):
-    """Evolve Cauchy data f = (f0, f1) with f1 = (1/i) du/dt; returns the
-    data trajectory at the grid times (raw conversion u-dot = i f1)."""
-    n = system.n
-    f = np.asarray(data, dtype=complex)
-    u0, f1 = f[:n], f[n:]
-    out_u, out_du = evolve_raw(system, u0, 1j * f1, t_grid)
-    return np.hstack([out_u, -1j * out_du])
-
-
 def charge_weight(system, t):
-    """Time-dependent charge weight blocks W(t) (flat diagonal-block matrix)."""
-    sp = space(system.sector)
-    wts = fiber_weights(system.rank)
-    kap = kappa_signs(system.rank)
-    blocks = []
-    for r in range(system.rank + 1):
-        g = rl.to_numpy(sp.gram(r)) if sp.dim(r) else np.zeros((0, 0))
-        w = float(wts[r] * kap[r]) * np.cosh(t) ** (3 - 2 * r)
-        blocks.append(w * g)
-    n = system.n
-    out = np.zeros((n, n))
-    o = 0
-    for b in blocks:
-        m = b.shape[0]
-        out[o:o + m, o:o + m] = b
-        o += m
-    return out
+    """Time-dependent charge weight W(t): the slot-r block of the charge's
+    weight (as in ``cauchy.charge_form``) scaled by cosh(t)^(3 - 2r)."""
+    w = rl.to_numpy(_weight_diag(system.sector, system.rank, lorentz_signs=True))
+    return w * np.array([np.cosh(t) ** (3 - 2 * r) for r in system.slot_ranks])[:, None]
 
 
 def charge_raw(system, u, du, v, dv, t):

@@ -15,10 +15,6 @@ import numpy as np
 Q = Fraction
 
 
-def qmat(rows):
-    return [[Q(x) for x in row] for row in rows]
-
-
 def zeros(m, n):
     return [[Q(0)] * n for _ in range(m)]
 
@@ -29,10 +25,6 @@ def eye(n):
 
 def shape(a):
     return len(a), len(a[0]) if a else 0
-
-
-def add(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
 def sub(a, b):
@@ -63,13 +55,6 @@ def matmul(a, b):
 
 def matvec(a, v):
     return [sum((row[k] * v[k] for k in range(len(v))), Q(0)) for row in a]
-
-
-def transpose(a):
-    m, n = shape(a)
-    if m == 0:
-        return []
-    return [list(col) for col in zip(*a)]
 
 
 def vstack(blocks):

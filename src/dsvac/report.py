@@ -7,12 +7,13 @@ runtime fields are the only volatile entries and are ignored by the diff.
 """
 
 import json
+import math
 import platform
 import random
 import sys
 import time
 from dataclasses import dataclass, field, asdict
-from functools import partial
+from functools import partial, reduce
 
 import numpy as np
 
@@ -76,8 +77,24 @@ class RunConfig:
     fmt: str = "json"
 
     def validate(self):
-        if self.k_max < 0:
-            raise ValueError("k_max must be >= 0")
+        """Raise ValueError for a configuration no run can honour: a field of
+        the wrong type, a tolerance or margin that is not finite and
+        positive, a negative level or seed, an unknown suite or format."""
+        for name in ("k_max", "k_dynamics", "seed", "jobs"):
+            if not (_is_number(getattr(self, name), int) and getattr(self, name) >= 0):
+                raise ValueError(f"{name} must be an integer >= 0")
+        for name in ("tol_verdict", "tol_linear_algebra", "tol_ode", "margin"):
+            value = getattr(self, name)
+            if not (_is_number(value) and math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be a finite positive number")
+        if not (isinstance(self.alpha_values, tuple) and all(
+                _is_number(a) and math.isfinite(a) for a in self.alpha_values)):
+            raise ValueError("alpha_values must be a list of finite numbers")
+        if not (isinstance(self.suites, tuple)
+                and all(isinstance(s, str) for s in self.suites)):
+            raise ValueError("suites must be a list of suite names")
+        if not isinstance(self.output, str):
+            raise ValueError("output must be a path")
         gravity = set(self.suites) - {"maxwell", "oracle"}
         if gravity and self.k_max < 2:
             raise ValueError("k_max >= 2 required when gravity suites are enabled")
@@ -88,6 +105,11 @@ class RunConfig:
             raise ValueError(f"unknown format {self.fmt!r}")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
+
+
+def _is_number(value, kind=(int, float)):
+    """A JSON number of the given kind; ``True`` and ``False`` are not."""
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 @dataclass
@@ -188,6 +210,58 @@ class _Artifacts:
         return self._cache[key]
 
 
+# -- residual vocabulary ------------------------------------------------------
+
+# Fixed bounds of the suites; the configurable ones are the tol_* fields and
+# margin of RunConfig.
+ROUNDOFF_BOUND = 1e-10      # float round-off of exact identities, of sum rules
+                            # relative to the charge, and of principal angles
+                            # between subspaces built exactly
+INTEGRATION_BOUND = 1e-8    # residuals that carry integration or quadrature error
+TRACE_FIXING_BOUND = 1e-8   # an absolute product of three float data blocks
+PAIRING_FLOOR = 1e-3        # a pairing per unit data norm this large is nonzero
+DTN_RATIO = (0.5, 2.0)      # envelope of the TT Dirichlet-to-Neumann entry
+
+
+def _max_abs(m):
+    """Largest absolute entry of a float or exact matrix, 0.0 if it is empty."""
+    m = np.abs(np.asarray(m))
+    return float(np.max(m)) if m.size else 0.0
+
+
+def _worst(residuals):
+    """Largest residual, 0.0 for none; NaN if any is NaN (``max`` would drop
+    it, and a NaN must fail the check)."""
+    residuals = list(residuals)
+    if any(math.isnan(r) for r in residuals):
+        return math.nan
+    return reduce(max, residuals, 0.0)
+
+
+def _lowest(cov, basis):
+    """Smallest eigenvalue of lambda+ and lambda- compressed to ``basis``,
+    0.0 on an empty basis."""
+    if basis.shape[1] == 0:
+        return 0.0
+    return min(compressed_extrema(cov, basis, sign)[0] for sign in (+1, -1))
+
+
+def _pairing(cov, f):
+    """lambda+(f, f) and lambda-(f, f) of one datum, per unit data norm."""
+    nrm = norm_squared(cov.sector, f, cov.theory.rank)
+    return tuple(float(np.real(f.conj() @ lam @ f)) / nrm
+                 for lam in (cov.lambda_plus, cov.lambda_minus))
+
+
+def _add_negativity(col, suite, check_id, claim, cov, f, cfg):
+    """Record that both covariances are strictly negative on the datum f."""
+    vp, vm = _pairing(cov, f)
+    tol = cfg.tol_verdict
+    col.add(suite, check_id, claim, cov.sector, max(vp, vm),
+            vp <= tol and vm <= tol and vp + vm <= -cfg.margin,
+            {"lambda_plus": vp, "lambda_minus": vm})
+
+
 # -- suites -------------------------------------------------------------------
 
 def _suite_oracle(art, col, cfg):
@@ -198,10 +272,10 @@ def _suite_oracle(art, col, cfg):
         (Family.VECTOR, 3): (16, 30),
         (Family.TENSOR, 2): (12, 10), (Family.TENSOR, 3): (19, 24),
     }
-    for (fam, k), (eig, mult) in sorted(expected.items(), key=lambda x: (x[0][0], x[0][1])):
+    for (fam, k), (eig, mult) in sorted(expected.items()):
         real = harmonic_oracle(k, fam)
         rel = abs(float(real.eigenvalue) - eig) / max(eig, 1)
-        ok = rel <= 1e-10 and real.multiplicity == mult
+        ok = rel <= ROUNDOFF_BOUND and real.multiplicity == mult
         col.add("oracle", "harmonic-eigenvalue", "harmonic-spectra",
                 SectorLabel(fam, k), rel, ok,
                 {"eigenvalue": float(real.eigenvalue),
@@ -224,75 +298,67 @@ def _suite_oracle(art, col, cfg):
         coll, gap = collocation_regular_basis(system)
         ang = principal_angle(frob, coll)
         col.add("oracle", f"method-independence-{op}{'M' if mx else ''}",
-                "method-independence", sec, ang, ang <= 1e-9,
+                "method-independence", sec, ang, ang <= cfg.tol_verdict,
                 {"spectral_gap": float(gap)})
 
 
 def _suite_identities(art, col, cfg):
     # exact operator identities (already rational-exact; assert and record)
-    worst = 0.0
-    for sec in art.sectors:
-        k21 = cy.sym_grad_block(sec)
-        kdag = cy.sym_div_block(sec)
-        z = rl.matmul(kdag, k21)
-        worst = max(worst, max((abs(float(v)) for row in z for v in row),
-                               default=0.0))
+    worst = _worst(_max_abs(rl.matmul(cy.sym_div_block(sec), cy.sym_grad_block(sec)))
+                   for sec in art.sectors)
     col.add("identities", "gauge-complex", "gauge-complex-exactness", "-", worst,
             worst == 0.0)
-    worst = 0.0
-    for sec in art.sectors:
-        lhs = rl.matmul(cy.neg_trace_block(sec), cy.sym_grad_block(sec))
-        rhs = rl.scale(cy.div_block(sec), -2)
-        diff = rl.sub(lhs, rhs) if lhs else []
-        worst = max(worst, max((abs(float(v)) for row in diff for v in row),
-                               default=0.0))
+    worst = _worst(_max_abs(rl.sub(rl.matmul(cy.neg_trace_block(sec), cy.sym_grad_block(sec)),
+                                   rl.scale(cy.div_block(sec), -2)))
+                   for sec in art.sectors)
     col.add("identities", "trace-gauge-composition", "trace-gauge-relation", "-", worst,
             worst == 0.0)
     # trace-fixing identity on harmonic-gauge data (Lorentzian floats)
-    worst = 0.0
-    for sec in art.sectors:
-        if cy.DataLayout(sec, 0).size == 0:
-            continue
-        blocks = cy.lorentz_gauge_blocks(sec, "sym_grad", "neg_trace")
-        s0 = cy.trace_fix_block(sec)
-        resid = blocks["neg_trace"] @ blocks["sym_grad"] @ s0 - blocks["neg_trace"]
-        worst = max(worst, float(np.max(np.abs(resid))))
-    col.add("identities", "trace-fixing", "trace-fixing-identity", "-", worst, worst <= 1e-8)
+    worst = _worst(_trace_fixing_residual(sec) for sec in art.sectors
+                   if cy.DataLayout(sec, 0).size)
+    col.add("identities", "trace-fixing", "trace-fixing-identity", "-", worst,
+            worst <= TRACE_FIXING_BOUND)
     # charge conservation and evolution intertwining
     rng = np.random.default_rng(cfg.seed)
     t_grid = np.linspace(-2.0, 2.0, 5)
-    worst_q = 0.0
-    for sec in enumerate_sectors(min(cfg.k_dynamics, cfg.k_max)):
-        for op, mx in (("D2", False), ("D1", False), ("D0", False),
-                       ("D1", True), ("D0", True)):
-            if op == "D2" and sec.family is Family.TENSOR and sec.k < 2:
-                continue
-            system = build_system(op, sec, LORENTZIAN, maxwell=mx)
-            if system.n == 0:
-                continue
-            u0 = rng.normal(size=system.n)
-            du0 = rng.normal(size=system.n)
-            us, dus = evolve_raw(system, u0, du0, t_grid, tol=cfg.tol_ode)
-            q0 = charge_raw(system, u0 + 0j, du0 + 0j, u0 + 0j, du0 + 0j, 0.0)
-            scale = max(float(np.max(np.abs(us)) ** 2 + np.max(np.abs(dus)) ** 2), 1.0)
-            drift = max(abs(charge_raw(system, us[i], dus[i], us[i], dus[i], t)
-                            - q0) / scale for i, t in enumerate(t_grid))
-            worst_q = max(worst_q, drift)
+    systems = [build_system(op, sec, LORENTZIAN, maxwell=mx)
+               for sec in enumerate_sectors(min(cfg.k_dynamics, cfg.k_max))
+               for op, mx in (("D2", False), ("D1", False), ("D0", False),
+                              ("D1", True), ("D0", True))]
+    worst = _worst(_charge_drift(system, rng, t_grid, cfg.tol_ode)
+                   for system in systems if system.n)
     col.add("identities", "charge-conservation", "charge-conservation", "-",
-            worst_q, worst_q <= 1e-8, {"t_max": 2.0, "k_max": cfg.k_dynamics})
-    worst_i = 0.0
-    for sec in (SectorLabel(Family.SCALAR, 2), SectorLabel(Family.SCALAR, 1),
-                SectorLabel(Family.VECTOR, 2)):
-        worst_i = max(worst_i, _intertwining_residual(
-            sec, "D1", "D2", lambda ws, z: ws.trace_reversal(ws.d(z, 1)),
-            rng, t_grid, cfg.tol_ode))
+            worst, worst <= INTEGRATION_BOUND, {"t_max": 2.0, "k_max": cfg.k_dynamics})
+    worst = _worst(_intertwining_residual(
+        sec, "D1", "D2", lambda ws, z: ws.trace_reversal(ws.d(z, 1)),
+        rng, t_grid, cfg.tol_ode)
+        for sec in (SectorLabel(Family.SCALAR, 2), SectorLabel(Family.SCALAR, 1),
+                    SectorLabel(Family.VECTOR, 2)))
     col.add("identities", "gauge-evolution-intertwining", "gauge-evolution-compatibility",
-            "-", worst_i, worst_i <= 1e-8)
-    worst_i = _intertwining_residual(SectorLabel(Family.SCALAR, 2), "D2", "D1",
-                                     lambda ws, z: ws.delta(z, 2),
-                                     rng, t_grid, cfg.tol_ode)
+            "-", worst, worst <= INTEGRATION_BOUND)
+    worst = _intertwining_residual(SectorLabel(Family.SCALAR, 2), "D2", "D1",
+                                   lambda ws, z: ws.delta(z, 2),
+                                   rng, t_grid, cfg.tol_ode)
     col.add("identities", "adjoint-evolution-intertwining", "adjoint-evolution-compatibility",
-            "-", worst_i, worst_i <= 1e-8)
+            "-", worst, worst <= INTEGRATION_BOUND)
+
+
+def _trace_fixing_residual(sector):
+    blocks = cy.lorentz_gauge_blocks(sector, "sym_grad", "neg_trace")
+    return _max_abs(blocks["neg_trace"] @ blocks["sym_grad"] @ cy.trace_fix_block(sector)
+                    - blocks["neg_trace"])
+
+
+def _charge_drift(system, rng, t_grid, tol):
+    """Largest change of the charge of random real data along the Lorentzian
+    evolution, relative to the size of the trajectory."""
+    u0 = rng.normal(size=system.n)
+    du0 = rng.normal(size=system.n)
+    us, dus = evolve_raw(system, u0, du0, t_grid, tol=tol)
+    q0 = charge_raw(system, u0 + 0j, du0 + 0j, u0 + 0j, du0 + 0j, 0.0)
+    scale = max(float(np.max(np.abs(us)) ** 2 + np.max(np.abs(dus)) ** 2), 1.0)
+    return _worst(abs(charge_raw(system, us[i], dus[i], us[i], dus[i], t) - q0) / scale
+                  for i, t in enumerate(t_grid))
 
 
 def _intertwining_residual(sector, source, target, jet, rng, t_grid, tol):
@@ -313,66 +379,47 @@ def _intertwining_residual(sector, source, target, jet, rng, t_grid, tol):
     us, dus = evolve_raw(sys_s, w0, dw0, t_grid, tol=tol)
     raw = block_raw(0.0) @ np.concatenate([w0, dw0])
     ut, dut = evolve_raw(sys_t, raw[:sys_t.n], raw[sys_t.n:], t_grid, tol=tol)
-    worst = 0.0
-    for i, t in enumerate(t_grid):
-        lhs = block_raw(t) @ np.concatenate([us[i].real, dus[i].real])
-        rhs = np.concatenate([ut[i].real, dut[i].real])
-        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-    return worst
+    return _worst(_max_abs(block_raw(t) @ np.concatenate([us[i].real, dus[i].real])
+                           - np.concatenate([ut[i].real, dut[i].real]))
+                  for i, t in enumerate(t_grid))
 
 
 def _suite_calderon(art, col, cfg):
     tol = cfg.tol_verdict
     for sec in art.sectors:
         pair = art.pair_euclid(sec)
-        n2 = pair.c_plus.shape[0]
-        r_sum = float(np.max(np.abs(pair.c_plus + pair.c_minus - np.eye(n2))))
-        r_idem = float(max(np.max(np.abs(pair.c_plus @ pair.c_plus - pair.c_plus)),
-                           np.max(np.abs(pair.c_minus @ pair.c_minus - pair.c_minus))))
+        cp, cm = pair.c_plus, pair.c_minus
+        r_sum = _max_abs(cp + cm - np.eye(len(cp)))
+        r_idem = _worst((_max_abs(cp @ cp - cp), _max_abs(cm @ cm - cm)))
         col.add("calderon", "projector-sum", "projector-algebra", sec, r_sum,
-                r_sum <= 1e-10)
+                r_sum <= ROUNDOFF_BOUND)
         col.add("calderon", "projector-idempotent", "projector-algebra", sec, r_idem,
                 r_idem <= tol)
+        # the form's entries grow like k^4: measure relative to its scale
         q = rl.to_numpy(cy.charge_form(sec, 2))
-        r_adj = float(np.max(np.abs(pair.c_plus.T @ q - q @ pair.c_plus)))
+        r_abs = _max_abs(cp.T @ q - q @ cp)
+        r_adj = r_abs / (np.linalg.norm(q, 2) * np.linalg.norm(cp, 2))
         col.add("calderon", "q-adjointness", "charge-adjointness", sec, r_adj, r_adj <= tol,
-                {"conditioning": pair.conditioning})
+                {"conditioning": pair.conditioning, "absolute": r_abs})
     # kernel bookkeeping for the rank-1 operator
     total = 0
     for sec in GRAVITY.quotient_sectors["D1"]:
         pair = art.pair_euclid(sec, "D1")
         qi = pair.quotient_info
         total += qi.kernel.shape[1] * sec.multiplicity
-        w = qi.subspace
-        r_sum = float(np.max(np.abs(pair.c_plus + pair.c_minus - w)))
         cp, cm = quotient_matrices(pair)
-        r_q = 0.0
-        if cp.shape[0]:
-            r_q = float(max(np.max(np.abs(cp + cm - np.eye(cp.shape[0]))),
-                            np.max(np.abs(cp @ cp - cp))))
-        ok = r_sum <= tol and r_q <= tol
+        resid = _worst((_max_abs(pair.c_plus + pair.c_minus - qi.subspace),
+                        _max_abs(cp + cm - np.eye(len(cp))), _max_abs(cp @ cp - cp)))
         col.add("calderon", "quotient-identities", "kernel-quotient", sec,
-                max(r_sum, r_q), ok,
+                resid, resid <= tol,
                 {"kernel_dim": qi.kernel.shape[1],
                  "domain_dim": qi.subspace.shape[1],
                  "quotient_dim": qi.quotient_dim})
     col.add("calderon", "two-sided-regular-count", "kernel-quotient", "-",
             abs(total - 10), total == 10, {"total_with_multiplicity": total})
     # gauge intertwining of the projector pairs
-    worst = 0.0
-    for sec in art.sectors:
-        if cy.DataLayout(sec, 1).size == 0:
-            continue
-        pair2 = art.pair(sec)
-        pair1 = lorentzify(art.pair_euclid(sec, "D1"))
-        k21 = GRAVITY.gauge_block(sec)
-        if pair1.quotient_info is None:
-            resid = float(np.max(np.abs(pair2.c_plus @ k21 - k21 @ pair1.c_plus)))
-        else:
-            w = pair1.quotient_info.subspace
-            resid = float(np.max(np.abs(pair2.c_plus @ (k21 @ w)
-                                        - k21 @ pair1.c_plus)))
-        worst = max(worst, resid)
+    worst = _worst(_gauge_intertwining_residual(art, sec) for sec in art.sectors
+                   if cy.DataLayout(sec, 1).size)
     col.add("calderon", "projector-gauge-intertwining", "gauge-intertwining", "-",
             worst, worst <= tol)
     # large-k envelope: the Dirichlet-to-Neumann entry of the TT projector
@@ -382,13 +429,22 @@ def _suite_calderon(art, col, cfg):
         dtn = abs(pair.c_plus[1, 0])
         root = float(np.sqrt(float(sec.eigenvalue)))
         ratio = 2 * dtn / root  # c+ = [[1, ...],[nu/2...]] structure
-        ok = 0.5 <= ratio <= 2.0
         col.add("calderon", "dtn-envelope", "sanity-envelope", sec,
-                abs(np.log(ratio)), ok, {"ratio": ratio})
+                abs(np.log(ratio)), DTN_RATIO[0] <= ratio <= DTN_RATIO[1],
+                {"ratio": ratio})
+
+
+def _gauge_intertwining_residual(art, sector):
+    """c2+ K = K c1+ for the gauge block K, on the charge-orthogonal domain
+    of the rank-1 pair where that pair is a quotient one."""
+    pair2 = art.pair(sector)
+    pair1 = lorentzify(art.pair_euclid(sector, "D1"))
+    k21 = GRAVITY.gauge_block(sector)
+    dom = k21 if pair1.quotient_info is None else k21 @ pair1.quotient_info.subspace
+    return _max_abs(pair2.c_plus @ dom - k21 @ pair1.c_plus)
 
 
 def _suite_phase_space(art, col, cfg):
-    tol = cfg.tol_verdict
     total4 = 0
     for sec in art.sectors:
         ps = art.space(sec)
@@ -402,12 +458,12 @@ def _suite_phase_space(art, col, cfg):
         ang = principal_angle(stacked, ps.ett)
         sv = np.linalg.svd(stacked, compute_uv=False)
         margin = float(sv[-1] / sv[0])
-        ok = (stacked.shape[1] == ps.ett.shape[1] and ang <= 1e-10
+        ok = (stacked.shape[1] == ps.ett.shape[1] and ang <= ROUNDOFF_BOUND
               and margin >= cfg.margin)
         col.add("phase_space", "direct-sums", "phase-space-splitting", sec, ang, ok,
                 {"dims": ps.dims, "transversality": margin})
         rep = charge_kernel_check(ps)
-        ok = (rep["kernel_angle"] <= 1e-10
+        ok = (rep["kernel_angle"] <= ROUNDOFF_BOUND
               and rep["kernel_dim"] == ps.ftt.shape[1])
         col.add("phase_space", "charge-kernel", "charge-kernel-theorem", sec,
                 rep["kernel_angle"], ok,
@@ -425,120 +481,86 @@ def _suite_states(art, col, cfg):
         sr = sum_rule_residual(cov)
         col.add("states", "hermiticity", "vacuum-sum-rule", sec, herm,
                 herm <= cfg.tol_linear_algebra)
-        col.add("states", "sum-rule", "vacuum-sum-rule", sec, sr, sr <= 1e-10)
-        ps = art.space(sec)
+        col.add("states", "sum-rule", "vacuum-sum-rule", sec, sr, sr <= ROUNDOFF_BOUND)
         if sec.family is Family.TENSOR:
-            ext_p = compressed_extrema(cov, ps.ett_gauge, +1)
-            ext_m = compressed_extrema(cov, ps.ett_gauge, -1)
-            low = min(ext_p[0], ext_m[0])
+            gauge = art.space(sec).ett_gauge
+            low = _lowest(cov, gauge)
+            high = max(compressed_extrema(cov, gauge, sign)[1] for sign in (+1, -1))
             col.add("states", "positivity-gauge-sector", "gauge-sector-positivity", sec,
-                    max(0.0, -low), low >= -tol,
-                    {"min_eig": low, "max_eig": max(ext_p[1], ext_m[1])})
+                    max(0.0, -low), low >= -tol, {"min_eig": low, "max_eig": high})
     sec = SectorLabel(Family.VECTOR, 1)
-    ps, cov = art.space(sec), art.cov(sec)
-    f = ps.ett4[:, 0]
-    nrm = norm_squared(sec, f)
-    vp = float(np.real(f.conj() @ cov.lambda_plus @ f))
-    vm = float(np.real(f.conj() @ cov.lambda_minus @ f))
-    col.add("states", "negativity-level-four", "level-four-negativity", sec,
-            max(vp, vm) / nrm, vp <= tol and vm <= tol
-            and (vp + vm) / nrm <= -cfg.margin,
-            {"lambda_plus": vp / nrm, "lambda_minus": vm / nrm})
+    _add_negativity(col, "states", "negativity-level-four", "level-four-negativity",
+                    art.cov(sec), art.space(sec).ett4[:, 0], cfg)
     energy, boundary, lam_val = tt_energy_quadrature(2, ode_tol=cfg.tol_ode)
     resid = abs(energy - boundary) / abs(boundary)
-    ok = resid <= 1e-8 and abs(lam_val - boundary) <= 1e-9 * abs(boundary)
+    ok = (resid <= INTEGRATION_BOUND
+          and abs(lam_val - boundary) <= cfg.tol_verdict * abs(boundary))
     col.add("states", "energy-quadrature", "gauge-sector-positivity", SectorLabel(Family.TENSOR, 2),
             resid, ok, {"energy": energy, "boundary": boundary})
 
 
 def _suite_gauge(art, col, cfg):
     tol = cfg.tol_verdict
-    worst = 0.0
-    for sec in art.sectors:
-        ps = art.space(sec)
-        resid = gauge_pairing_residual(art.cov(sec), ps.ett, ps.ftt_gauge_strict)
-        worst = max(worst, resid)
+    worst = _worst(gauge_pairing_residual(art.cov(sec), art.space(sec).ett,
+                                          art.space(sec).ftt_gauge_strict)
+                   for sec in art.sectors)
     col.add("gauge", "weak-invariance", "weak-gauge-invariance", "-", worst, worst <= tol)
-    # strong invariance fails: level-four witness...
-    sec = SectorLabel(Family.VECTOR, 1)
-    f = art.space(sec).ett4[:, 0]
-    val = abs(np.real(f.conj() @ art.cov(sec).lambda_plus @ f))
-    nrm = norm_squared(sec, f)
-    col.add("gauge", "strong-invariance-failure", "strong-invariance-failure", sec, val / nrm,
-            val >= 1e-3 * nrm, {"pairing": val / nrm})
-    # ... and the level-three anomaly: the Scalar(1) trace line also pairs
-    sec3 = SectorLabel(Family.SCALAR, 1)
-    f3 = art.space(sec3).ett3[:, 0]
-    val3 = abs(np.real(f3.conj() @ art.cov(sec3).lambda_plus @ f3))
-    nrm3 = norm_squared(sec3, f3)
-    col.add("gauge", "level-three-anomaly", "strong-invariance-anomaly", sec3,
-            val3 / nrm3, val3 >= 1e-3 * nrm3, {"pairing": val3 / nrm3})
+    # strong invariance fails: the level-four witness, and the level-three
+    # anomaly (the Scalar(1) trace line also pairs)
+    sec4, sec3 = SectorLabel(Family.VECTOR, 1), SectorLabel(Family.SCALAR, 1)
+    for check_id, claim, sec, f in (
+            ("strong-invariance-failure", "strong-invariance-failure", sec4,
+             art.space(sec4).ett4[:, 0]),
+            ("level-three-anomaly", "strong-invariance-anomaly", sec3,
+             art.space(sec3).ett3[:, 0])):
+        val = abs(_pairing(art.cov(sec), f)[0])
+        col.add("gauge", check_id, claim, sec, val, val >= PAIRING_FLOOR, {"pairing": val})
     # modified vacuum: sum rule on E_TT, positivity on E_TT, full invariance
-    worst_sr = worst_pos = worst_full = 0.0
-    for sec in art.sectors:
-        ps = art.space(sec)
-        cov = art.cov(sec, "modified")
-        worst_sr = max(worst_sr, sum_rule_residual(cov, on=ps.ett))
-        if ps.ett.shape[1]:
-            for sign in (+1, -1):
-                ext = compressed_extrema(cov, ps.ett, sign)
-                worst_pos = max(worst_pos, -ext[0])
-        worst_full = max(worst_full, full_gauge_residual(cov, ps))
+    modified = [(art.space(sec), art.cov(sec, "modified")) for sec in art.sectors]
+    worst_sr = _worst(sum_rule_residual(cov, on=ps.ett) for ps, cov in modified)
+    worst_pos = _worst(-_lowest(cov, ps.ett) for ps, cov in modified)
+    worst_full = _worst(full_gauge_residual(cov, ps) for ps, cov in modified)
     col.add("gauge", "modified-sum-rule", "modified-sum-rule", "-", worst_sr,
-            worst_sr <= 1e-10)
+            worst_sr <= ROUNDOFF_BOUND)
     col.add("gauge", "modified-positivity", "modified-positivity", "-",
-            max(0.0, worst_pos), worst_pos <= tol)
+            worst_pos, worst_pos <= tol)
     col.add("gauge", "modified-full-invariance", "modified-full-invariance", "-", worst_full,
             worst_full <= tol)
     # the single-level variant keeps the level-three pairing: report it
-    cov4 = art.cov(sec3, "modified4")
-    resid4 = full_gauge_residual(cov4, art.space(sec3))
+    resid4 = full_gauge_residual(art.cov(sec3, "modified4"), art.space(sec3))
     col.add("gauge", "modified4-residual-invariance", "single-level-projection-gap",
-            sec3, resid4, resid4 > 1e-3,
+            sec3, resid4, resid4 > PAIRING_FLOOR,
             {"note": "projection off level four alone is not fully gauge "
                      "invariant; the level-three trace modes must also be "
                      "removed"})
 
 
 def _suite_symmetry(art, col, cfg):
-    tol = cfg.tol_verdict
-    worst_s = worst_z = worst_t = 0.0
-    for sec in art.sectors:
-        worst_s = max(worst_s, racah_antiunitarity_residual(sec))
-        worst_z = max(worst_z, wigner_involution_residual(sec))
-    for sec in (SectorLabel(Family.TENSOR, 2), SectorLabel(Family.SCALAR, 2),
-                SectorLabel(Family.VECTOR, 1)):
-        worst_t = max(worst_t, time_reversal_residual(art.cov(sec)))
+    worst_s = _worst(racah_antiunitarity_residual(sec) for sec in art.sectors)
+    worst_z = _worst(wigner_involution_residual(sec) for sec in art.sectors)
+    worst_t = _worst(time_reversal_residual(art.cov(sec)) for sec in (
+        SectorLabel(Family.TENSOR, 2), SectorLabel(Family.SCALAR, 2),
+        SectorLabel(Family.VECTOR, 1)))
     col.add("symmetry", "racah-antiunitarity", "racah-reversal", "-", worst_s,
             worst_s <= cfg.tol_linear_algebra)
     col.add("symmetry", "wigner-involution", "time-reversal", "-", worst_z,
             worst_z == 0.0)
     col.add("symmetry", "time-reversal-invariance", "time-reversal", "-",
-            worst_t, worst_t <= 1e-10)
+            worst_t, worst_t <= ROUNDOFF_BOUND)
     for alpha in art.config.alpha_values:
-        worst_u = worst_sr = worst_pos = 0.0
-        neg_ok = True
-        for sec in art.sectors:
-            worst_u = max(worst_u, alpha_unitarity_residual(sec, alpha))
-            cov = art.cov(sec, "alpha", alpha)
-            worst_sr = max(worst_sr, sum_rule_residual(cov))
-            ps = art.space(sec)
-            if sec.family is Family.TENSOR:
-                for sign in (+1, -1):
-                    ext = compressed_extrema(cov, ps.ett_gauge, sign)
-                    worst_pos = max(worst_pos, -ext[0])
-            if ps.ett4.shape[1]:
-                f = ps.ett4[:, 0]
-                nrm = norm_squared(sec, f)
-                tot = float(np.real(f.conj() @ (cov.lambda_plus
-                                                + cov.lambda_minus) @ f))
-                neg_ok = neg_ok and tot / nrm <= -cfg.margin
+        covs = [(sec, art.space(sec), art.cov(sec, "alpha", alpha)) for sec in art.sectors]
+        worst_u = _worst(alpha_unitarity_residual(sec, alpha) for sec in art.sectors)
+        worst_sr = _worst(sum_rule_residual(cov) for _, _, cov in covs)
+        worst_pos = _worst(-_lowest(cov, ps.ett_gauge) for sec, ps, cov in covs
+                           if sec.family is Family.TENSOR)
+        neg_ok = all(sum(_pairing(cov, ps.ett4[:, 0])) <= -cfg.margin
+                     for _, ps, cov in covs if ps.ett4.shape[1])
         col.add("symmetry", f"alpha-unitarity[{alpha}]", "bogoliubov-family", "-",
                 worst_u, worst_u <= cfg.tol_linear_algebra)
         col.add("symmetry", f"alpha-sum-rule[{alpha}]", "bogoliubov-family", "-",
-                worst_sr, worst_sr <= 1e-10)
+                worst_sr, worst_sr <= ROUNDOFF_BOUND)
         col.add("symmetry", f"alpha-sign-dichotomy[{alpha}]",
-                "bogoliubov-family", "-", max(0.0, worst_pos),
+                "bogoliubov-family", "-", worst_pos,
                 worst_pos <= cfg.tol_verdict and neg_ok)
     col.structural("symmetry", "o4-invariance", "O(4)", "-",
                    "block-diagonal per sector with level-independent "
@@ -555,34 +577,30 @@ def _suite_maxwell(art, col, cfg):
     total_zero = 0
     for sec in maxwell_sectors(cfg.k_max):
         pair = art.pair(sec, MAXWELL)
-        n = pair.c_plus.shape[0]
-        r_sum = float(np.max(np.abs(pair.c_plus + pair.c_minus - np.eye(n))))
-        r_idem = float(np.max(np.abs(pair.c_plus @ pair.c_plus - pair.c_plus)))
+        cp = pair.c_plus
+        r_sum = _max_abs(cp + pair.c_minus - np.eye(len(cp)))
+        r_idem = _max_abs(cp @ cp - cp)
         col.add("maxwell", "projector-identities", "projector-algebra", sec,
-                max(r_sum, r_idem), r_sum <= 1e-10 and r_idem <= tol)
+                _worst((r_sum, r_idem)), r_sum <= ROUNDOFF_BOUND and r_idem <= tol)
         ps = art.space(sec, MAXWELL)
         total_zero += ps.e_zero.shape[1] * sec.multiplicity
         cov = art.cov(sec, theory=MAXWELL)
         sr = sum_rule_residual(cov)
-        col.add("maxwell", "sum-rule", "maxwell-state-signs", sec, sr, sr <= 1e-10)
+        col.add("maxwell", "sum-rule", "maxwell-state-signs", sec, sr, sr <= ROUNDOFF_BOUND)
         ck = charge_kernel_check(ps)["kernel_angle"]
-        col.add("maxwell", "charge-kernel", "maxwell-charge-kernel", sec, ck, ck <= 1e-10)
+        col.add("maxwell", "charge-kernel", "maxwell-charge-kernel", sec, ck,
+                ck <= ROUNDOFF_BOUND)
         if sec.family is Family.VECTOR:
-            ext = compressed_extrema(cov, ps.e_gauge, +1)
+            low = compressed_extrema(cov, ps.e_gauge, +1)[0]
             col.add("maxwell", "positivity-gauge", "maxwell-state-signs", sec,
-                    max(0.0, -ext[0]), ext[0] >= -tol)
+                    max(0.0, -low), low >= -tol)
         covm = art.cov(sec, "modified", theory=MAXWELL)
         fg = full_gauge_residual(covm, ps)
         srm = sum_rule_residual(covm, on=ps.e_space)
-        pos_ok = True
-        worst_neg = 0.0
-        if ps.e_space.shape[1]:
-            for sign in (+1, -1):
-                ext = compressed_extrema(covm, ps.e_space, sign)
-                worst_neg = max(worst_neg, -ext[0])
-                pos_ok = pos_ok and ext[0] >= -tol
+        low = _lowest(covm, ps.e_space)
         col.add("maxwell", "modified-state", "maxwell-modified-state", sec,
-                max(fg, srm, worst_neg), fg <= tol and srm <= 1e-10 and pos_ok)
+                _worst((fg, srm, -low)),
+                fg <= tol and srm <= ROUNDOFF_BOUND and low >= -tol)
     col.add("maxwell", "zero-mode-total", "maxwell-zero-mode", "-", abs(total_zero - 1),
             total_zero == 1, {"total_with_multiplicity": total_zero})
     # quotient bookkeeping at level zero
@@ -590,23 +608,17 @@ def _suite_maxwell(art, col, cfg):
     col.add("maxwell", "rank0-quotient", "kernel-quotient", SCALAR0,
             0.0, qi.kernel.shape[1] == 1 and qi.quotient_dim == 0,
             {"kernel_dim": qi.kernel.shape[1], "quotient_dim": qi.quotient_dim})
-    # negativity on the zero mode
-    cov0 = art.cov(SCALAR0, theory=MAXWELL)
-    f = art.space(SCALAR0, MAXWELL).e_zero[:, 0]
-    nrm = norm_squared(SCALAR0, f, MAXWELL.rank)
-    vp = float(np.real(f.conj() @ cov0.lambda_plus @ f)) / nrm
-    vm = float(np.real(f.conj() @ cov0.lambda_minus @ f)) / nrm
-    col.add("maxwell", "negativity-zero-mode", "maxwell-state-signs", SCALAR0,
-            max(vp, vm), vp <= tol and vm <= tol and vp + vm <= -cfg.margin,
-            {"lambda_plus": vp, "lambda_minus": vm})
+    _add_negativity(col, "maxwell", "negativity-zero-mode", "maxwell-state-signs",
+                    art.cov(SCALAR0, theory=MAXWELL),
+                    art.space(SCALAR0, MAXWELL).e_zero[:, 0], cfg)
     # the level-zero Lorentzian profile
     system = build_system("D1", SCALAR0, LORENTZIAN, maxwell=True)
     t_grid = np.linspace(-2, 2, 17)
     us, _ = evolve_raw(system, np.array([1.0]), np.array([0.0]), t_grid,
                        tol=cfg.tol_ode)
-    prof_resid = float(np.max(np.abs(us[:, 0].real - 1 / np.cosh(t_grid) ** 3)))
+    prof_resid = _max_abs(us[:, 0].real - 1 / np.cosh(t_grid) ** 3)
     col.add("maxwell", "zero-mode-profile", "zero-mode-profile", SCALAR0,
-            prof_resid, prof_resid <= 1e-8)
+            prof_resid, prof_resid <= INTEGRATION_BOUND)
 
 
 _SUITE_FNS = {

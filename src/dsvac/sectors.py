@@ -255,15 +255,9 @@ class SectorSpace:
 
         Supported: 'd' (rank+1), 'delta' (rank-1), 'trace' (h-trace,
         rank-2), 'htrace' ((h| = 2*trace), 'hmul' (|h), 0->2),
-        'hsym' (symmetrized h tensor attachment, 1->3), 'lich'
-        (Lichnerowicz, diagonal), 'id'.
+        'hsym' (symmetrized h tensor attachment, 1->3).
         Returns (matrix, target_rank).
         """
-        lam = self.sector.eigenvalue
-        if name == "id":
-            return rl.eye(self.dim(rank)), rank
-        if name == "lich":
-            return rl.scale(rl.eye(self.dim(rank)), lam), rank
         targets = {"d": rank + 1, "delta": rank - 1, "trace": rank - 2,
                    "htrace": rank - 2, "hmul": rank + 2, "hsym": rank + 2}
         if name not in targets:
@@ -297,47 +291,3 @@ _APPLICABLE = {
 @lru_cache(maxsize=None)
 def space(sector):
     return SectorSpace(sector)
-
-
-@dataclass(frozen=True)
-class SectorOperator:
-    """Exact rational matrix of a spatial operator between sector bases."""
-
-    source: tuple  # (sector, rank)
-    target: tuple
-    matrix: tuple  # tuple of row tuples of Fraction
-
-    def __matmul__(self, other):
-        if other.target != self.source:
-            raise ValueError("domain/codomain mismatch in composition")
-        rows = space(self.target[0]).dim(self.target[1])
-        cols = space(other.source[0]).dim(other.source[1])
-        mid = space(self.source[0]).dim(self.source[1])
-        if mid == 0 or rows == 0 or cols == 0:
-            m = rl.zeros(rows, cols)
-        else:
-            m = rl.matmul([list(r) for r in self.matrix], [list(r) for r in other.matrix])
-        return SectorOperator(other.source, self.target, tuple(tuple(r) for r in m))
-
-    def rows(self):
-        return [list(r) for r in self.matrix]
-
-
-def spatial_op(op_symbol, sector, rank):
-    """Public constructor for spatial operator matrices.
-
-    op_symbol in {'d', 'delta', 'htrace', 'hmul', 'lich', 'id'}; 'htrace'
-    is the (h| pairing, 'hmul' the |h) attachment.
-    """
-    sp = space(sector)
-    mat, tr = sp.op(op_symbol, rank)
-    return SectorOperator((sector, rank), (sector, tr), tuple(tuple(r) for r in mat))
-
-
-def gram_matrix(sector, rank):
-    """Exact Gram matrix of the sector basis at the given rank."""
-    return space(sector).gram(rank)
-
-
-def basis_names(sector, rank):
-    return space(sector).basis[rank]

@@ -23,9 +23,9 @@ from .cauchy import (
     GRAVITY,
     Theory,
     data_gram,
+    kappa_block,
     normalized_columns,
     physical_charge_form,
-    racah_block,
     wigner_matrix,
 )
 from .calderon import calderon_invertible, lorentzify
@@ -70,7 +70,7 @@ def build_covariances(sector, variant="euclidean_vacuum", alpha=0.0,
                               pim.conj().T @ base.lambda_minus @ pim, variant,
                               theory=theory)
     if variant == "alpha":
-        s_mat = rl.to_numpy(racah_block(sector, theory.rank)).astype(complex)
+        s_mat = rl.to_numpy(kappa_block(sector, theory.rank)).astype(complex)
         u = cosh(alpha) * np.eye(len(s_mat)) + sinh(alpha) * s_mat
         return CovariancePair(sector, u.conj().T @ base.lambda_plus @ u,
                               u.conj().T @ base.lambda_minus @ u, variant, alpha,
@@ -151,13 +151,13 @@ def norm_squared(sector, f, rank=2):
 
 def racah_antiunitarity_residual(sector):
     """S* q_{I,2} S = -q_{I,2}."""
-    s = rl.to_numpy(racah_block(sector))
+    s = rl.to_numpy(kappa_block(sector, 2))
     qi2 = rl.to_numpy(physical_charge_form(sector))
     return float(np.max(np.abs(s.T @ qi2 @ s + qi2))) if s.size else 0.0
 
 
 def alpha_unitarity_residual(sector, alpha):
-    s = rl.to_numpy(racah_block(sector)).astype(complex)
+    s = rl.to_numpy(kappa_block(sector, 2)).astype(complex)
     if not s.size:
         return 0.0
     qi2 = rl.to_numpy(physical_charge_form(sector)).astype(complex)

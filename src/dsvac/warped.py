@@ -191,51 +191,6 @@ def kappa_signs(rank):
     return [Q((-1) ** (rank - r)) for r in range(rank + 1)]
 
 
-# coefficient-matrix helpers ------------------------------------------------
-
-def cfm_add(*mats):
-    out = mats[0]
-    for b in mats[1:]:
-        out = [[cf_add(x, y) for x, y in zip(ra, rb)] for ra, rb in zip(out, b)]
-    return out
-
-
-def cfm_scale(a, c):
-    return [[cf_scale(x, c) for x in ra] for ra in a]
-
-
-def cfm_scale_cf(a, t, sig):
-    return [[cf_mul(x, t, sig) for x in ra] for ra in a]
-
-
-def cfm_mul(a, b, sig):
-    n = len(b)
-    m = len(a)
-    p = len(b[0]) if b else 0
-    out = [[CF_ZERO] * p for _ in range(m)]
-    for i in range(m):
-        for j in range(p):
-            acc = {}
-            for k in range(n):
-                acc = cf_add(acc, cf_mul(a[i][k], b[k][j], sig))
-            out[i][j] = acc
-    return out
-
-
-def cfm_diff(a, sig):
-    return [[cf_diff(x, sig) for x in ra] for ra in a]
-
-
-def cfm_transpose(a):
-    if not a:
-        return []
-    return [list(col) for col in zip(*a)]
-
-
-def cfm_from_rational(m):
-    return [[cf(0, 0, x) if x != 0 else {} for x in row] for row in m]
-
-
 class WarpedSector:
     """Warped calculus for one sector and one signature."""
 
@@ -443,29 +398,6 @@ class WarpedSector:
                 else:
                     raise AssertionError("order > 2 in radial reduction")
         return self.slot_info(rank), m1, m0
-
-    def apply_radial(self, rank, maxwell=False):
-        """Callable giving the exact action of the gauge-fixed operator on
-        concrete profiles; used by solution-based validation tests.
-
-        With the normalization of :meth:`radial_matrices`, the operator is
-        D u = eps * (-X'' + M1 X' + M0 X).
-        """
-        slot_ranks, m1, m0 = self.radial_matrices(rank, maxwell=maxwell)
-        eps = self.eps
-        n = len(slot_ranks)
-
-        def act(x, dx, ddx, a_val, adot_val):
-            out = []
-            for i in range(n):
-                tot = -ddx[i]
-                for j in range(n):
-                    tot += cf_eval(m1[i][j], a_val, adot_val) * dx[j]
-                    tot += cf_eval(m0[i][j], a_val, adot_val) * x[j]
-                out.append(eps * tot)
-            return out
-
-        return act
 
     # -- Cauchy data blocks ---------------------------------------------------
 

@@ -1,0 +1,282 @@
+"""Reference routes and small conveniences that only the tests use.
+
+The library keeps what ``dsvac run`` executes.  The second routes that the
+tests hold the program against, and that no report check runs, live here:
+the F_TT image routes of the phase space, the sphere quadrature of the
+scalar Gram matrices, the Killing data of the rank-1 kernel, the exact
+action of the radial operators on concrete profiles, exact matrices of the
+coefficient field and composable spatial operators.
+"""
+
+from dataclasses import dataclass
+from fractions import Fraction
+
+import numpy as np
+
+from dsvac import harmonics
+from dsvac import rational as rl
+from dsvac.calderon import _null, _rank
+from dsvac.cauchy import (
+    DataLayout,
+    charge_form,
+    lorentz_columns,
+    lorentz_gauge_blocks,
+)
+from dsvac.harmonics import NVAR, _mono_integral, _norm2, _sphere_inner, _sym_grad
+from dsvac.maxwell import SCALAR0
+from dsvac.phase_space import SCALAR1, VECTOR1
+from dsvac.radial import evolve_raw, indicial_data
+from dsvac.sectors import Family, space
+from dsvac.warped import cf_add, cf_diff, cf_eval, cf_mul, cf_scale
+
+Q = Fraction
+
+
+def transpose(a):
+    return [list(col) for col in zip(*a)]
+
+
+# -- matrices over the coefficient field of dsvac.warped ----------------------
+
+def cfm_add(*mats):
+    out = mats[0]
+    for b in mats[1:]:
+        out = [[cf_add(x, y) for x, y in zip(ra, rb)] for ra, rb in zip(out, b)]
+    return out
+
+
+def cfm_scale(a, c):
+    return [[cf_scale(x, c) for x in ra] for ra in a]
+
+
+def cfm_scale_cf(a, t, sig):
+    return [[cf_mul(x, t, sig) for x in ra] for ra in a]
+
+
+def cfm_mul(a, b, sig):
+    p = len(b[0]) if b else 0
+    out = [[{} for _ in range(p)] for _ in range(len(a))]
+    for i in range(len(a)):
+        for j in range(p):
+            acc = {}
+            for k in range(len(b)):
+                acc = cf_add(acc, cf_mul(a[i][k], b[k][j], sig))
+            out[i][j] = acc
+    return out
+
+
+def cfm_diff(a, sig):
+    return [[cf_diff(x, sig) for x in ra] for ra in a]
+
+
+def apply_radial(ws, rank, maxwell=False):
+    """Exact action of the gauge-fixed operator of ``ws`` on concrete
+    profiles, ``act(x, dx, ddx, a, adot)``.  With the normalization of
+    ``WarpedSector.radial_matrices`` the operator is
+    D u = eps * (-X'' + M1 X' + M0 X)."""
+    slot_ranks, m1, m0 = ws.radial_matrices(rank, maxwell=maxwell)
+    n = len(slot_ranks)
+
+    def act(x, dx, ddx, a_val, adot_val):
+        out = []
+        for i in range(n):
+            tot = -ddx[i]
+            for j in range(n):
+                tot += cf_eval(m1[i][j], a_val, adot_val) * dx[j]
+                tot += cf_eval(m0[i][j], a_val, adot_val) * x[j]
+            out.append(ws.eps * tot)
+        return out
+
+    return act
+
+
+# -- composable spatial operators ---------------------------------------------
+
+@dataclass(frozen=True)
+class SectorOperator:
+    """Exact rational matrix of a spatial operator between sector bases."""
+
+    source: tuple  # (sector, rank)
+    target: tuple
+    matrix: tuple  # tuple of row tuples of Fraction
+
+    def __matmul__(self, other):
+        if other.target != self.source:
+            raise ValueError("domain/codomain mismatch in composition")
+        rows = space(self.target[0]).dim(self.target[1])
+        cols = space(other.source[0]).dim(other.source[1])
+        mid = space(self.source[0]).dim(self.source[1])
+        if mid == 0 or rows == 0 or cols == 0:
+            m = rl.zeros(rows, cols)
+        else:
+            m = rl.matmul([list(r) for r in self.matrix], [list(r) for r in other.matrix])
+        return SectorOperator(other.source, self.target, tuple(tuple(r) for r in m))
+
+    def rows(self):
+        return [list(r) for r in self.matrix]
+
+
+def spatial_op(op_symbol, sector, rank):
+    """A sector operator: any name of ``SectorSpace.op``, or 'id' and 'lich'
+    (the Lichnerowicz operator, the eigenvalue times the identity)."""
+    sp = space(sector)
+    if op_symbol in ("id", "lich"):
+        mat, tr = rl.eye(sp.dim(rank)), rank
+        if op_symbol == "lich":
+            mat = rl.scale(mat, sector.eigenvalue)
+    else:
+        mat, tr = sp.op(op_symbol, rank)
+    return SectorOperator((sector, rank), (sector, tr), tuple(tuple(r) for r in mat))
+
+
+# -- radial layer -------------------------------------------------------------
+
+def indicial_exponents(system, graded=True):
+    """All indicial exponents at the pole, exact rationals with multiplicity.
+
+    ``graded=False`` reports the leading order of the physical components
+    (graded exponent plus the smallest slot rank in the seed support).
+    """
+    data, _, _ = indicial_data(system)
+    out = []
+    for rho, mult, seeds in data:
+        if graded or not seeds:
+            out.extend([rho] * mult)
+        else:
+            for v in seeds:
+                shift = min(system.slot_ranks[i] for i, x in enumerate(v) if x != 0)
+                out.append(rho + shift)
+            out.extend([rho] * (mult - len(seeds)))
+    return sorted(out)
+
+
+def evolve_lorentzian(system, data, t_grid):
+    """Evolve Cauchy data f = (f0, f1) with f1 = (1/i) du/dt; returns the
+    data trajectory at the grid times (raw conversion u-dot = i f1)."""
+    n = system.n
+    f = np.asarray(data, dtype=complex)
+    out_u, out_du = evolve_raw(system, f[:n], 1j * f[n:], t_grid)
+    return np.hstack([out_u, -1j * out_du])
+
+
+# -- Killing data and the F_TT image routes -----------------------------------
+
+def killing_data_euclid(sector):
+    """Euclidean traces of the Killing 1-forms living in this sector."""
+    lay = DataLayout(sector, 1)
+    out = []
+    if sector == SCALAR1:
+        v = [Q(0)] * lay.size
+        v[lay.offsets[0]] = Q(1)             # f0s = psi
+        v[lay.half + lay.offsets[1]] = Q(1)  # f1S = d psi
+        out.append(v)
+    if sector == VECTOR1:
+        v = [Q(0)] * lay.size
+        v[lay.offsets[1]] = Q(1)             # f0S = psi_jk
+        out.append(v)
+    return out
+
+
+def killing_data(sector):
+    """Lorentzian Killing Cauchy data (complex columns)."""
+    return lorentz_columns(killing_data_euclid(sector), sector, 1)
+
+
+def gauge_orthogonal_residual(f, sector):
+    """Charge pairing of rank-1 data against the sector's Killing data;
+    zero means membership in the gauge-compatible subspace."""
+    kd = killing_data(sector)
+    if kd.shape[1] == 0:
+        return 0.0
+    q1 = rl.to_numpy(charge_form(sector, 1))
+    return float(np.max(np.abs(kd.conj().T @ q1 @ np.asarray(f, complex))))
+
+
+def ftt_image_route(sector, tol=1e-10):
+    """F_TT via the independent route: gauge image intersected with the
+    trace kernel (Lorentzian, numerical)."""
+    return _traceless_image(sector, None, tol)
+
+
+def ftt_gauge_image_route(sector, tol=1e-10):
+    """F_TT_gauge via the image of the Killing-orthogonal subspace."""
+    kd = killing_data(sector)
+    dom = None
+    if kd.shape[1]:
+        dom = _null(kd.conj().T @ rl.to_numpy(charge_form(sector, 1)), tol)
+    return _traceless_image(sector, dom, tol)
+
+
+def _traceless_image(sector, dom, tol):
+    """Image of the gauge block (on the columns ``dom``, if given)
+    intersected with the trace kernel."""
+    blocks = lorentz_gauge_blocks(sector, "sym_grad", "neg_trace")
+    k21 = blocks["sym_grad"]
+    if k21.size == 0:
+        return np.zeros((DataLayout(sector, 2).size, 0), dtype=complex)
+    u, s, _ = np.linalg.svd(k21 if dom is None else k21 @ dom,
+                            full_matrices=False)
+    rank = _rank(s, tol)
+    image = u[:, :rank]
+    k20d = blocks["neg_trace"]
+    if k20d.shape[0] == 0 or rank == 0:
+        return image
+    return image @ _null(k20d @ image, tol)
+
+
+def decompose(ps, data, tol=1e-10):
+    """Unique (u, f, beta) coordinates of a Lorentzian E_TT datum, with
+    membership flags."""
+    if ps.ett.shape[1] == 0:
+        raise ValueError("sector has trivial physical space")
+    coords, *_ = np.linalg.lstsq(ps.ett, np.asarray(data, complex), rcond=None)
+    resid = np.linalg.norm(ps.ett @ coords - data)
+    if resid > tol * max(1.0, np.linalg.norm(data)):
+        raise ValueError(f"datum not in E_TT (residual {resid:.2e})")
+    named = dict(zip(ps.param_labels, coords))
+    flags = {
+        "ett_gauge": all(abs(named.get(k, 0)) < tol for k in ("f0", "f1", "bs", "bS")),
+        "ftt": all(abs(named.get(k, 0)) < tol for k in ("u0", "u1")),
+        "ftt_gauge": all(abs(named.get(k, 0)) < tol for k in ("u0", "u1", "bS")),
+        "ett4": all(abs(named.get(k, 0)) < tol for k in ("u0", "u1", "f0", "f1", "bs")),
+    }
+    return named, flags
+
+
+def maxwell_f_gauge(ps):
+    """The invariantly-gauge part of Maxwell's F (excludes the level-zero
+    line)."""
+    if ps.sector == SCALAR0:
+        return ps.f_space[:, :0]
+    return ps.f_space
+
+
+# -- sphere quadrature of the harmonic oracle ---------------------------------
+
+def p_mul(p, q):
+    out = {}
+    for a, ca in p.items():
+        for b, cb in q.items():
+            key = tuple(x + y for x, y in zip(a, b))
+            out[key] = out.get(key, Q(0)) + ca * cb
+    return {a: c for a, c in out.items() if c != 0}
+
+
+def sphere_integral(p):
+    """Exact integral over the unit 3-sphere, in units of 2*pi^2."""
+    return sum((c * _mono_integral(a) for a, c in p.items()), Q(0))
+
+
+def gram_quadrature_scalar(k):
+    """Quadrature Gram data for the scalar sector: returns
+    ((dY|dY), (ddY|ddY), (ddY|Yh), (Yh|Yh)) relative to (Y|Y) = 1."""
+    p = harmonics.harmonic_oracle(k, Family.SCALAR).elements[0][()]
+    norm = _norm2({(): p}, 0)
+    w, _ = _sym_grad({(): p}, 0)  # tangential gradient Pi grad P
+    hess, _ = _sym_grad(w, 1)
+    tr = {}
+    for i in range(NVAR):
+        tr = harmonics.p_add(tr, hess[(i, i)])
+    # (ddY | Yh) = integral 2 * tr_h(ddY) * Y
+    g_cross = 2 * _sphere_inner(tr, p) / norm
+    return _norm2(w, 1) / norm, _norm2(hess, 2) / norm, g_cross, Q(6)

@@ -14,8 +14,9 @@ import pytest
 
 from dsvac import rational as rl
 from dsvac import cauchy as cy
-from dsvac.sectors import Family, SectorLabel, enumerate_sectors, space
-from dsvac.warped import EUCLIDEAN, LORENTZIAN, WarpedSector
+from dsvac.sectors import Family, SectorLabel, enumerate_sectors
+from dsvac.warped import EUCLIDEAN, WarpedSector
+from routes import gauge_orthogonal_residual, killing_data, killing_data_euclid
 
 Q = Fraction
 
@@ -93,7 +94,7 @@ def test_sym_div_examples():
 def test_sym_grad_kills_killing_data():
     for sec in (SectorLabel(Family.SCALAR, 1), SectorLabel(Family.VECTOR, 1)):
         m = cy.sym_grad_block(sec)
-        for v in cy.killing_data_euclid(sec):
+        for v in killing_data_euclid(sec):
             assert rl.matvec(m, v) == [Q(0)] * cy.DataLayout(sec, 2).size
 
 
@@ -193,7 +194,7 @@ def test_trace_fixing_identity(sector):
 def test_racah_and_wigner():
     for sector in (SectorLabel(Family.SCALAR, 2), SectorLabel(Family.VECTOR, 1),
                    SectorLabel(Family.TENSOR, 2)):
-        s = rl.to_numpy(cy.racah_block(sector))
+        s = rl.to_numpy(cy.kappa_block(sector, 2))
         qi2 = rl.to_numpy(cy.physical_charge_form(sector))
         # S* q_{I,2} S = -q_{I,2}
         assert np.allclose(s.T @ qi2 @ s, -qi2)
@@ -207,7 +208,7 @@ def test_racah_and_wigner():
 def test_killing_count():
     total = 0
     for sec in enumerate_sectors(3):
-        kd = cy.killing_data(sec)
+        kd = killing_data(sec)
         total += kd.shape[1] * sec.multiplicity
     assert total == 10  # 4 boosts-type + 6 rotations-type
 
@@ -217,15 +218,15 @@ def test_gauge_orthogonality_predicate():
     # orthogonal), and the orthogonality condition in the boost sector is
     # f_1s = delta f_0S (on Lorentzian data, phases included)
     sec = SectorLabel(Family.SCALAR, 1)
-    kd = cy.killing_data(sec)[:, 0]
-    assert cy.gauge_orthogonal_residual(kd, sec) < 1e-14
+    kd = killing_data(sec)[:, 0]
+    assert gauge_orthogonal_residual(kd, sec) < 1e-14
     lay = cy.DataLayout(sec, 1)
     f = np.zeros(lay.size, complex)
     f[lay.offsets[1]] = 1.0                      # f_0S = 1
     f[lay.half + lay.offsets[0]] = -3.0j         # f_1s picks the Wick phase
-    assert cy.gauge_orthogonal_residual(f, sec) < 1e-14
+    assert gauge_orthogonal_residual(f, sec) < 1e-14
     f[lay.half + lay.offsets[0]] = 3.0j
-    assert cy.gauge_orthogonal_residual(f, sec) > 1.0
+    assert gauge_orthogonal_residual(f, sec) > 1.0
     # sectors without Killing content are unconstrained
     f2 = np.ones(cy.DataLayout(SectorLabel(Family.SCALAR, 2), 1).size)
-    assert cy.gauge_orthogonal_residual(f2, SectorLabel(Family.SCALAR, 2)) == 0.0
+    assert gauge_orthogonal_residual(f2, SectorLabel(Family.SCALAR, 2)) == 0.0

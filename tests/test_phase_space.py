@@ -3,15 +3,9 @@ import pytest
 
 from dsvac import cauchy as cy
 from dsvac.calderon import principal_angle
-from dsvac.phase_space import (
-    charge_kernel_check,
-    decompose,
-    ftt_gauge_image_route,
-    ftt_image_route,
-    phase_space_sector,
-    pi_projection,
-)
+from dsvac.phase_space import charge_kernel_check, phase_space_sector, pi_projection
 from dsvac.sectors import Family, SectorLabel, enumerate_sectors
+from routes import decompose, ftt_gauge_image_route, ftt_image_route
 
 SECTORS = enumerate_sectors(5)
 

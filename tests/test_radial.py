@@ -10,17 +10,10 @@ import pytest
 from dsvac.collocation import collocation_regular_basis
 from dsvac.calderon import principal_angle
 import dsvac.radial as radial
-from dsvac.radial import (
-    INTEGRATOR_TOL,
-    build_system,
-    charge_raw,
-    evolve_lorentzian,
-    evolve_raw,
-    indicial_exponents,
-    regular_basis,
-)
-from dsvac.sectors import Family, SectorLabel, enumerate_sectors
+from dsvac.radial import INTEGRATOR_TOL, build_system, charge_raw, evolve_raw, regular_basis
+from dsvac.sectors import Family, SectorLabel
 from dsvac.warped import EUCLIDEAN, LORENTZIAN, WarpedSector
+from routes import evolve_lorentzian, indicial_exponents
 
 Q = Fraction
 

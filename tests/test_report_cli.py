@@ -1,9 +1,13 @@
 import json
+import math
 
 import pytest
 
+import dsvac.cli as cli
+import dsvac.report as report
 from dsvac.cli import main
 from dsvac.report import RunConfig, diff_reports, has_failures, run, to_csv, to_json
+from dsvac.sectors import Family, SectorLabel
 
 
 @pytest.fixture(scope="module")
@@ -141,10 +145,59 @@ def test_cli_config_rejection(tmp_path):
                  "--out", str(tmp_path / "y.json")]) == 2
 
 
+@pytest.mark.parametrize("flags,config", [
+    ([], {"k_max": "3"}),
+    ([], [2]),
+    (["--tol-ode", "-1"], None),
+    (["--tol-ode", "0"], None),
+    (["--k-dynamics", "-1"], None),
+    (["--margin", "nan"], None),
+    (["--tol-verdict", "inf"], None),
+], ids=["k_max-string", "config-not-object", "tol_ode-negative", "tol_ode-zero",
+        "k_dynamics-negative", "margin-nan", "tol_verdict-inf"])
+def test_bad_config_exits_2(flags, config, tmp_path, monkeypatch):
+    # validation alone must reject these (a zero tolerance never returns), so
+    # starting a run fails the test
+    def no_run(cfg):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(cli, "run", no_run)
+    if config is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        flags = flags + ["--config", str(path)]
+    assert main(["run", "--suites", "maxwell", *flags,
+                 "--out", str(tmp_path / "r.json")]) == 2
+
+
+def test_nan_residual_fails_an_aggregated_check(monkeypatch):
+    # max(0.0, nan) is 0.0, so a NaN in one sector must be kept explicitly
+    real = report.racah_antiunitarity_residual
+    bad = SectorLabel(Family.SCALAR, 1)
+    monkeypatch.setattr(report, "racah_antiunitarity_residual",
+                        lambda sec: math.nan if sec == bad else real(sec))
+    rep = run(RunConfig(k_max=2, suites=("symmetry",), k_dynamics=2))
+    rec = next(r for r in rep["records"] if r["check_id"] == "racah-antiunitarity")
+    assert rec["verdict"] == "fail"
+    assert math.isnan(rec["residual"])
+
+
+def test_q_adjointness_is_relative_to_the_form_scale():
+    # the charge form's entries grow like k^4; at Scalar(23) the absolute
+    # residual exceeds the verdict tolerance while the relative one is ~1e-15
+    cfg = RunConfig(k_max=2, suites=("calderon",))
+    art = report._Artifacts(cfg)
+    art.sectors = [SectorLabel(Family.SCALAR, 23)]
+    col = report._Collector()
+    report._suite_calderon(art, col, cfg)
+    rec = next(r for r in col.records if r.check_id == "q-adjointness")
+    assert rec.verdict == "pass"
+    assert rec.residual <= 1e-14
+    assert "absolute" in rec.extra
+
+
 def test_internal_error_exit_code(tmp_path, monkeypatch, capsys):
     # an exception inside a suite is exit 3, not a failed check (exit 1)
-    import dsvac.report as report
-
     def broken(art, col, cfg):
         raise ZeroDivisionError("boom")
 
@@ -187,7 +240,6 @@ def test_maxwell_constructions_built_once(monkeypatch):
     # every Maxwell check of a sector shares one projector pair and one
     # phase space, the level-zero ones included
     import dsvac.calderon as calderon
-    import dsvac.report as report
     from dsvac.maxwell import maxwell_sectors
     pairs, spaces = [], []
     real_pair = calderon.calderon_invertible

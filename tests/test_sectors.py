@@ -3,15 +3,8 @@ from fractions import Fraction
 import pytest
 
 from dsvac import rational as rl
-from dsvac.sectors import (
-    Family,
-    SectorLabel,
-    basis_names,
-    enumerate_sectors,
-    gram_matrix,
-    spatial_op,
-    space,
-)
+from dsvac.sectors import Family, SectorLabel, enumerate_sectors, space
+from routes import spatial_op, transpose
 
 Q = Fraction
 
@@ -44,12 +37,12 @@ def test_eigenvalues():
 
 def test_degenerate_bases():
     # k=0 scalar loses dY and ddY, k=1 scalar loses ddY, k=1 vector loses dV
-    assert basis_names(SectorLabel(Family.SCALAR, 0), 1) == ()
-    assert basis_names(SectorLabel(Family.SCALAR, 0), 2) == ("hY",)
-    assert basis_names(SectorLabel(Family.SCALAR, 1), 2) == ("hY",)
-    assert basis_names(SectorLabel(Family.SCALAR, 2), 2) == ("ddY", "hY")
-    assert basis_names(SectorLabel(Family.VECTOR, 1), 2) == ()
-    assert basis_names(SectorLabel(Family.VECTOR, 2), 2) == ("dV",)
+    assert space(SectorLabel(Family.SCALAR, 0)).basis[1] == ()
+    assert space(SectorLabel(Family.SCALAR, 0)).basis[2] == ("hY",)
+    assert space(SectorLabel(Family.SCALAR, 1)).basis[2] == ("hY",)
+    assert space(SectorLabel(Family.SCALAR, 2)).basis[2] == ("ddY", "hY")
+    assert space(SectorLabel(Family.VECTOR, 1)).basis[2] == ()
+    assert space(SectorLabel(Family.VECTOR, 2)).basis[2] == ("dV",)
 
 
 def test_rank3_degeneracies():
@@ -84,7 +77,7 @@ def test_htrace_of_hY():
     for k in (0, 1, 2, 5):
         sec = SectorLabel(Family.SCALAR, k)
         ht = spatial_op("htrace", sec, 2)
-        names = basis_names(sec, 2)
+        names = space(sec).basis[2]
         col = names.index("hY")
         assert ht.rows()[0][col] == 6
 
@@ -157,11 +150,11 @@ def test_gram_properties():
     for sec in enumerate_sectors(6):
         sp = space(sec)
         for rank in range(3):
-            g = gram_matrix(sec, rank)
+            g = space(sec).gram(rank)
             n = sp.dim(rank)
             if n == 0:
                 continue
-            assert g == rl.transpose(g)
+            assert g == transpose(g)
             # positive definite via leading principal minors
             for m in range(1, n + 1):
                 sub = [row[:m] for row in g[:m]]
@@ -199,8 +192,8 @@ def test_gram_adjunction():
                 continue
             d = spatial_op("d", sec, rank).rows()
             delta = spatial_op("delta", sec, rank + 1).rows()
-            lhs = rl.matmul(rl.transpose(d), gram_matrix(sec, rank + 1))
-            rhs = rl.matmul(gram_matrix(sec, rank), delta)
+            lhs = rl.matmul(transpose(d), space(sec).gram(rank + 1))
+            rhs = rl.matmul(space(sec).gram(rank), delta)
             assert lhs == rhs
 
 
