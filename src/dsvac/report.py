@@ -181,7 +181,8 @@ class _Artifacts:
         tasks = [("D2", sec, self.config.tol_ode) for sec in self.sectors]
         tasks += [("D1", sec, self.config.tol_ode) for sec in self.sectors
                   if cy.DataLayout(sec, 1).size]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # with the fork start method every worker is launched up front
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             for op, sec, pair in pool.map(_build_pair_task, tasks):
                 self._cache[("pair", GRAVITY.name, op, sec)] = pair
 
@@ -321,14 +322,15 @@ def _suite_identities(art, col, cfg):
     # charge conservation and evolution intertwining
     rng = np.random.default_rng(cfg.seed)
     t_grid = np.linspace(-2.0, 2.0, 5)
+    k_dyn = min(cfg.k_dynamics, cfg.k_max)
     systems = [build_system(op, sec, LORENTZIAN, maxwell=mx)
-               for sec in enumerate_sectors(min(cfg.k_dynamics, cfg.k_max))
+               for sec in enumerate_sectors(k_dyn)
                for op, mx in (("D2", False), ("D1", False), ("D0", False),
                               ("D1", True), ("D0", True))]
     worst = _worst(_charge_drift(system, rng, t_grid, cfg.tol_ode)
                    for system in systems if system.n)
     col.add("identities", "charge-conservation", "charge-conservation", "-",
-            worst, worst <= INTEGRATION_BOUND, {"t_max": 2.0, "k_max": cfg.k_dynamics})
+            worst, worst <= INTEGRATION_BOUND, {"t_max": 2.0, "k_max": k_dyn})
     worst = _worst(_intertwining_residual(
         sec, "D1", "D2", lambda ws, z: ws.trace_reversal(ws.d(z, 1)),
         rng, t_grid, cfg.tol_ode)
@@ -371,8 +373,9 @@ def _intertwining_residual(sector, source, target, jet, rng, t_grid, tol):
 
     def block_raw(t):
         a, adot = np.cosh(t) ** 2, np.sinh(2 * t)
-        return np.array(ws.cauchy_block(lambda z: jet(ws, z), sys_s.rank,
-                                        sys_t.rank, at=(a, adot)), dtype=float)
+        return np.array(ws.cauchy_block(lambda z: jet(ws, z), sys_s.rank, sys_t.rank,
+                                        elim=(sys_s.slot_ranks, sys_s.m1, sys_s.m0),
+                                        at=(a, adot)), dtype=float)
 
     w0 = rng.normal(size=sys_s.n)
     dw0 = rng.normal(size=sys_s.n)
@@ -591,7 +594,7 @@ def _suite_maxwell(art, col, cfg):
         col.add("maxwell", "charge-kernel", "maxwell-charge-kernel", sec, ck,
                 ck <= ROUNDOFF_BOUND)
         if sec.family is Family.VECTOR:
-            low = compressed_extrema(cov, ps.e_gauge, +1)[0]
+            low = _lowest(cov, ps.e_gauge)
             col.add("maxwell", "positivity-gauge", "maxwell-state-signs", sec,
                     max(0.0, -low), low >= -tol)
         covm = art.cov(sec, "modified", theory=MAXWELL)

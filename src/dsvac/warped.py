@@ -1,4 +1,4 @@
-"""Exact warped-product tensor calculus over the equator.
+"""Exact warped-product tensor calculus over the equator, rank-generic.
 
 Both geometries of interest are warped products over the round 3-sphere:
 Euclidean  g = ds^2 + a(s) h with a = cos^2(s), and Lorentzian
@@ -11,13 +11,16 @@ polynomials in {a^i, a^i * adot}.  The profile function enters only through
 
 with sig = -1 (cos^2) or +1 (cosh^2); the metric sign eps = g00 = -sig.
 
-From the symmetric differential/codifferential acting slot-wise one builds
-the gauge-fixed Lichnerowicz operators, reduces them to radial ODE systems,
-and extracts Cauchy-surface operator blocks by jet evaluation, all without
-floating point.
+The symmetric differential and the codifferential are one slot formula each,
+for every rank.  The field operators of both theories come from them at every
+rank: the Lichnerowicz operator delta d - d delta, the zeroth-order terms of
+one per-rank table and, for linearized gravity, the mass term.  They are
+reduced to radial ODE systems and evaluated on Cauchy data by jets, all
+without floating point.
 """
 
 from fractions import Fraction
+from math import comb
 
 from .qseries import LSeries, scaled_arg, sin_series
 from .sectors import space
@@ -40,16 +43,6 @@ def cf(i=0, j=0, c=1):
 
 CF_ZERO = {}
 CF_ONE = cf()
-
-
-def cf_add(*terms):
-    out = {}
-    for t in terms:
-        for k, v in t.items():
-            out[k] = out.get(k, Q(0)) + v
-            if out[k] == 0:
-                del out[k]
-    return out
 
 
 def cf_scale(t, c):
@@ -138,47 +131,56 @@ def _pole_monomial(order, i, j):
 # LinExpr = dict[(unknown_index, derivative_order)] -> coefficient dict
 
 def le_scale(e, c, sig):
-    if isinstance(c, (int, Fraction)):
-        return {k: cf_scale(v, c) for k, v in e.items() if cf_scale(v, c)}
-    return {k: cf_mul(v, c, sig) for k, v in e.items() if cf_mul(v, c, sig)}
-
-
-def le_add(*exprs):
     out = {}
-    for e in exprs:
-        for k, v in e.items():
-            out[k] = cf_add(out.get(k, {}), v)
-            if not out[k]:
-                del out[k]
+    for k, v in e.items():
+        v = cf_scale(v, c) if isinstance(c, (int, Fraction)) else cf_mul(v, c, sig)
+        if v:
+            out[k] = v
     return out
+
+
+def _cf_add_to(t, u):
+    """t += u in place; a term that cancels is dropped."""
+    for k, v in u.items():
+        if k in t:
+            v = t[k] + v
+        if v:
+            t[k] = v
+        else:
+            del t[k]
+
+
+def _le_add_to(acc, e, c, sig):
+    """acc += c * e in place (c rational or a coefficient); an entry that
+    cancels is dropped, so a later term of it is appended anew."""
+    for k, v in (e if c == 1 else le_scale(e, c, sig)).items():
+        if k in acc:
+            _cf_add_to(acc[k], v)
+            if not acc[k]:
+                del acc[k]
+        else:
+            acc[k] = dict(v)
 
 
 def le_diff(e, sig):
     out = {}
     for (u, m), v in e.items():
-        out[(u, m + 1)] = cf_add(out.get((u, m + 1), {}), v)
+        _cf_add_to(out.setdefault((u, m + 1), {}), v)
         dv = cf_diff(v, sig)
         if dv:
-            out[(u, m)] = cf_add(out.get((u, m), {}), dv)
-    out = {k: v for k, v in out.items() if v}
-    return out
-
-
-def _vec_apply(mat, vec, sig):
-    """Rational matrix times a vector of LinExpr."""
-    out = []
-    for row in mat:
-        acc = {}
-        for c, e in zip(row, vec):
-            if c != 0:
-                acc = le_add(acc, le_scale(e, c, sig))
-        out.append(acc)
-    return out
+            _cf_add_to(out.setdefault((u, m), {}), dv)
+    return {k: v for k, v in out.items() if v}
 
 
 # -- warped operators --------------------------------------------------------
 
 _FIBER_RIEM = {0: [Q(1)], 1: [Q(1), Q(1)], 2: [Q(2), Q(4), Q(1)]}
+
+LAMBDA = 3  # cosmological constant of unit de Sitter space
+
+# zeroth-order terms of the field operator per rank: (curvature, coefficient
+# of |g)(g|)
+_ZEROTH = {0: (0, 0), 1: (6, 0), 2: (16, -2)}
 
 
 def fiber_weights(rank):
@@ -214,190 +216,130 @@ class WarpedSector:
 
     def slot_info(self, rank):
         """Flat coordinate layout: list of slot ranks per coordinate."""
-        out = []
-        for r in range(rank + 1):
-            out.extend([r] * self.sp.dim(r))
-        return out
+        return [r for r in range(rank + 1) for _ in range(self.sp.dim(r))]
 
     def flat(self, section, rank):
-        out = []
-        for r in range(rank + 1):
-            out.extend(section[r])
-        return out
-
-    def _mat(self, name, rank):
-        m, _ = self.sp.op(name, rank)
-        return m
+        return [e for r in range(rank + 1) for e in section[r]]
 
     def _zero_slot(self, r):
         return [{} for _ in range(self.sp.dim(r))]
 
+    def _add(self, slot, c, exprs, op=None, rank=None):
+        """slot[i] += c * exprs[i], or c * (op exprs)[i] for the sector
+        operator ``op`` at ``rank``; c is a rational or a coefficient."""
+        rational = isinstance(c, (int, Fraction))
+        if rational and c == 0:
+            return
+        if op is None:
+            for acc, e in zip(slot, exprs):
+                _le_add_to(acc, e, c, self.sig)
+            return
+        for acc, row in zip(slot, self.sp.op(op, rank)[0]):
+            for m, e in zip(row, exprs):
+                if m:
+                    _le_add_to(acc, e, c * m if rational else cf_scale(c, m), self.sig)
+
     def d(self, z, rank):
-        """Symmetric differential, rank -> rank+1."""
-        sig, eps = self.sig, self.eps
-        C = cf(-1, 1)  # adot/a
-        adot = cf(0, 1)
-        if rank == 0:
-            u = z[0]
-            return {
-                0: [le_diff(e, sig) for e in u],
-                1: _vec_apply(self._mat("d", 0), u, sig),
-            }
-        if rank == 1:
-            w0, w1 = z[0], z[1]
-            out1 = [
-                le_scale(
-                    le_add(le_diff(e, sig), le_scale(e, cf_scale(C, -1), sig), g),
-                    Q(1, 2), sig)
-                for e, g in zip(w1, _vec_apply(self._mat("d", 0), w0, sig))
-            ]
-            out2_a = _vec_apply(self._mat("d", 1), w1, sig)
-            out2_b = _vec_apply(self._mat("hmul", 0), w0, sig)
-            out2 = [le_add(x, le_scale(y, cf_scale(adot, Q(eps, 2)), sig))
-                    for x, y in zip(out2_a, out2_b)]
-            return {0: [le_diff(e, sig) for e in w0], 1: out1, 2: out2}
-        if rank == 2:
-            p, q, r2 = z[0], z[1], z[2]
-            out0 = [le_diff(e, sig) for e in p]
-            dp = _vec_apply(self._mat("d", 0), p, sig)
-            out1 = [
-                le_scale(le_add(le_scale(le_diff(e, sig), 2, sig),
-                                g,
-                                le_scale(e, cf_scale(C, -2), sig)), Q(1, 3), sig)
-                for e, g in zip(q, dp)
-            ]
-            dq = _vec_apply(self._mat("d", 1), q, sig)
-            hp = _vec_apply(self._mat("hmul", 0), p, sig)
-            out2 = [
-                le_scale(le_add(le_diff(e, sig),
-                                le_scale(e, cf_scale(C, -2), sig),
-                                le_scale(g, 2, sig),
-                                le_scale(hh, cf_scale(adot, eps), sig)),
-                         Q(1, 3), sig)
-                for e, g, hh in zip(r2, dq, hp)
-            ]
-            dr = _vec_apply(self._mat("d", 2), r2, sig)
-            hq = _vec_apply(self._mat("hsym", 1), q, sig)
-            out3 = [le_add(x, le_scale(y, cf_scale(adot, eps), sig))
-                    for x, y in zip(dr, hq)]
-            return {0: out0, 1: out1, 2: out2, 3: out3}
-        raise ValueError(f"d not implemented at rank {rank}")
+        """Symmetric differential, rank R -> R+1.  With n = R+1, slot r of
+        the image is
+
+            (n-r)/n (z_r' - r (adot/a) z_r) + r/n d z_{r-1}
+                + C(r,2)/n eps adot h.z_{r-2},
+
+        where h. attaches h: ``hmul`` on functions, ``hsym`` on 1-forms."""
+        n, sig = rank + 1, self.sig
+        out = {}
+        for r in range(n + 1):
+            acc = out[r] = self._zero_slot(r)
+            if r < n:
+                self._add(acc, Q(n - r, n), [le_diff(e, sig) for e in z[r]])
+                if r:
+                    self._add(acc, cf(-1, 1, Q(-r * (n - r), n)), z[r])
+            if r >= 1:
+                self._add(acc, Q(r, n), z[r - 1], "d", r - 1)
+            if r >= 2:
+                self._add(acc, cf(0, 1, Q(comb(r, 2) * self.eps, n)), z[r - 2],
+                          ("hmul", "hsym")[r - 2], r - 2)
+        return out
 
     def delta(self, z, rank):
-        """Codifferential, rank -> rank-1 (generic slot formula)."""
+        """Codifferential, rank R -> R-1.  Slot r of the image is
+
+            -R [eps (z_r' + (3/2)(adot/a) z_r) - 1/(r+1) a^-1 delta z_{r+1}
+                - (R-1-r)/2 a^-2 adot tr z_{r+2}]."""
         sig, eps = self.sig, self.eps
-        C = cf(-1, 1)
-        adot = cf(0, 1)
-        ainv = cf(-1)
         out = {}
         for r in range(rank):
-            sigma = rank - 1 - r
-            acc = [dict() for _ in range(self.sp.dim(r))]
-            # eps*(d/ds - (r/2) C) z[r]
-            for i, e in enumerate(z[r]):
-                t = le_add(le_diff(e, sig), le_scale(e, cf_scale(C, Q(-r, 2)), sig))
-                acc[i] = le_add(acc[i], le_scale(t, eps, sig))
-            # a^{-1} * [- 1/(r+1) delta z[r+1]]
-            dz = _vec_apply(self._mat("delta", r + 1), z[r + 1], sig)
-            for i, e in enumerate(dz):
-                acc[i] = le_add(acc[i], le_scale(e, cf_scale(ainv, Q(-1, r + 1)), sig))
-            # a^{-1} * eps*(3+r)/2 * adot * z[r]
-            for i, e in enumerate(z[r]):
-                acc[i] = le_add(acc[i], le_scale(
-                    e, cf_scale(cf(-1, 1), Q(eps * (3 + r), 2)), sig))
-            # a^{-2} * (-sigma/2) * adot * trace z[r+2]
-            if sigma >= 1 and r + 2 <= rank:
-                tz = _vec_apply(self._mat("trace", r + 2), z[r + 2], sig)
-                for i, e in enumerate(tz):
-                    acc[i] = le_add(acc[i], le_scale(
-                        e, cf_scale(cf(-2, 1), Q(-sigma, 2)), sig))
-            out[r] = [le_scale(e, -rank, sig) for e in acc]
+            acc = out[r] = self._zero_slot(r)
+            self._add(acc, -rank * eps, [le_diff(e, sig) for e in z[r]])
+            self._add(acc, cf(-1, 1, Q(-3 * rank * eps, 2)), z[r])
+            self._add(acc, cf(-1, 0, Q(rank, r + 1)), z[r + 1], "delta", r + 1)
+            if r + 2 <= rank:
+                self._add(acc, cf(-2, 1, Q(rank * (rank - 1 - r), 2)), z[r + 2],
+                          "trace", r + 2)
         return out
 
     def metric_pair(self, z):
         """(g| z for a rank-2 section: rank-0 section 2*(eps z_00 + a^-1 tr z_SS)."""
-        sig, eps = self.sig, self.eps
-        tz = _vec_apply(self._mat("trace", 2), z[2], sig)
-        out = []
-        for e0, et in zip(z[0], tz):
-            out.append(le_add(le_scale(e0, 2 * eps, sig),
-                              le_scale(et, cf(-1, 0, 2), sig)))
-        return {0: out}
+        acc = self._zero_slot(0)
+        self._add(acc, 2 * self.eps, z[0])
+        self._add(acc, cf(-1, 0, 2), z[2], "trace", 2)
+        return {0: acc}
 
-    def metric_mult(self, z0):
-        """|g) u0 for a rank-0 section: (eps*u, 0, a*u*h)."""
-        sig, eps = self.sig, self.eps
-        u = z0[0]
-        hu = _vec_apply(self._mat("hmul", 0), u, sig)
-        return {
-            0: [le_scale(e, eps, sig) for e in u],
-            1: self._zero_slot(1),
-            2: [le_scale(e, cf(1), sig) for e in hu],
-        }
+    def metric_mult(self, z0, c=1, out=None):
+        """Add c |g) u0 = (c eps u0, 0, c a u0 h) for a rank-0 section u0
+        into the rank-2 section ``out`` (a new zero section by default)."""
+        if out is None:
+            out = {r: self._zero_slot(r) for r in range(3)}
+        self._add(out[0], c * self.eps, z0[0])
+        self._add(out[2], cf(1, 0, c), z0[0], "hmul", 0)
+        return out
 
     def trace_reversal(self, z):
         """I u = u - (1/4)(g|u) g on rank-2 sections."""
-        tr = self.metric_pair(z)
-        att = self.metric_mult({0: [le_scale(e, Q(-1, 4), self.sig) for e in tr[0]]})
-        return {r: [le_add(a, b) for a, b in zip(z[r], att[r])] for r in range(3)}
+        out = {r: self._zero_slot(r) for r in range(3)}
+        for r in out:
+            self._add(out[r], 1, z[r])
+        return self.metric_mult(self.metric_pair(z), Q(-1, 4), out)
 
-    # -- operators of the theory --------------------------------------------
+    # -- the field operators -------------------------------------------------
 
-    def lichnerowicz(self, z, rank):
-        """D_{k,L} = delta d - d delta (+ curvature terms), radial form."""
-        dd = self.delta(self.d(z, rank), rank + 1)
-        out = dd
-        if rank >= 1:
-            ddg = self.d(self.delta(z, rank), rank - 1)
-            out = {r: [le_add(a, le_scale(b, -1, self.sig))
-                       for a, b in zip(out[r], ddg[r])] for r in range(rank + 1)}
-        if rank == 1:
-            out = {r: [le_add(a, le_scale(b, 6, self.sig))
-                       for a, b in zip(out[r], z[r])] for r in range(2)}
-        if rank == 2:
-            gg = self.metric_mult({0: [le_scale(e, -2, self.sig)
-                                       for e in self.metric_pair(z)[0]]})
-            out = {r: [le_add(a, le_scale(b, 16, self.sig), g)
-                       for a, b, g in zip(out[r], z[r], gg[r])] for r in range(3)}
-        return out
-
-    def gauge_fixed(self, z, rank, maxwell=False):
-        """The hyperbolic/elliptic operators of the theory: Lichnerowicz
-        minus 2*Lambda = 6 for linearized gravity; plain Lichnerowicz
-        (Hodge on 1-forms, Laplacian on functions) for Maxwell."""
-        out = self.lichnerowicz(z, rank)
-        if not maxwell:
-            out = {r: [le_add(a, le_scale(b, -6, self.sig))
-                       for a, b in zip(out[r], z[r])] for r in out}
+    def field_operator(self, z, rank, maxwell=False):
+        """The theory's hyperbolic/elliptic operator, radial form: the
+        Lichnerowicz operator delta d - d delta plus the zeroth-order terms
+        of ``_ZEROTH``, and for linearized gravity the mass term -2*Lambda.
+        On functions and 1-forms Maxwell's are the Laplacian and Hodge."""
+        out = self.delta(self.d(z, rank), rank + 1)
+        dd = self.d(self.delta(z, rank), rank - 1)  # zero at rank 0
+        curvature, metric = _ZEROTH[rank]
+        for r in out:
+            self._add(out[r], -1, dd[r])
+            self._add(out[r], curvature, z[r])
+        if metric:
+            self.metric_mult(self.metric_pair(z), metric, out)
+        for r in out:
+            self._add(out[r], 0 if maxwell else -2 * LAMBDA, z[r])
         return out
 
     # -- reductions ----------------------------------------------------------
 
     def radial_matrices(self, rank, maxwell=False):
-        """Reduce the gauge-fixed operator to -X'' + M1 X' + M0 X = 0.
+        """Reduce the field operator to -X'' + M1 X' + M0 X = 0.
 
         Returns (slot_ranks, M1, M0) with exact coefficient-dict matrices.
         """
         z, n = self.unknown_section(rank)
-        out = self.flat(self.gauge_fixed(z, rank, maxwell=maxwell), rank)
+        out = self.flat(self.field_operator(z, rank, maxwell=maxwell), rank)
         assert len(out) == n
-        m1 = [[CF_ZERO] * n for _ in range(n)]
-        m0 = [[CF_ZERO] * n for _ in range(n)]
-        eps = self.eps
+        mats = {order: [[CF_ZERO] * n for _ in range(n)] for order in (1, 0)}
         for i, e in enumerate(out):
             for (j, order), coeff in e.items():
-                if order == 2:
-                    expect = {(0, 0): Q(-eps)} if i == j else {}
-                    if coeff != expect:
-                        raise AssertionError(
-                            f"unexpected second-order structure at ({i},{j}): {coeff}")
-                elif order == 1:
-                    m1[i][j] = cf_scale(coeff, eps)
-                elif order == 0:
-                    m0[i][j] = cf_scale(coeff, eps)
-                else:
-                    raise AssertionError("order > 2 in radial reduction")
-        return self.slot_info(rank), m1, m0
+                if order in mats:
+                    mats[order][i][j] = cf_scale(coeff, self.eps)
+                elif order != 2 or coeff != ({(0, 0): Q(-self.eps)} if i == j else {}):
+                    raise AssertionError(
+                        f"unexpected order-{order} structure at ({i},{j}): {coeff}")
+        return self.slot_info(rank), mats[1], mats[0]
 
     # -- Cauchy data blocks ---------------------------------------------------
 
@@ -408,12 +350,11 @@ class WarpedSector:
         Returns the raw block mapping (u(pt), u'(pt)) -> (Op u (pt),
         d/ds Op u (pt)) as an exact rational matrix when ``at`` is rational.
         Second derivatives are eliminated with the radial system of the
-        relevant gauge-fixed operator (pass ``elim``=(slot_ranks, M1, M0)).
+        input's field operator (pass ``elim``=(slot_ranks, M1, M0)).
         """
         sig = self.sig
         z, n = self.unknown_section(in_rank)
         out = self.flat(op(z), out_rank)
-        m = len(out)
         a_val, adot_val = at
         if elim is None:
             elim = self.radial_matrices(in_rank, maxwell=maxwell)

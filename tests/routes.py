@@ -27,7 +27,7 @@ from dsvac.maxwell import SCALAR0
 from dsvac.phase_space import SCALAR1, VECTOR1
 from dsvac.radial import evolve_raw, indicial_data
 from dsvac.sectors import Family, space
-from dsvac.warped import cf_add, cf_diff, cf_eval, cf_mul, cf_scale
+from dsvac.warped import cf_diff, cf_eval, cf_mul, cf_scale
 
 Q = Fraction
 
@@ -37,6 +37,16 @@ def transpose(a):
 
 
 # -- matrices over the coefficient field of dsvac.warped ----------------------
+
+def cf_add(*terms):
+    out = {}
+    for t in terms:
+        for k, v in t.items():
+            out[k] = out.get(k, Q(0)) + v
+            if out[k] == 0:
+                del out[k]
+    return out
+
 
 def cfm_add(*mats):
     out = mats[0]

@@ -281,3 +281,63 @@ def test_cli_csv_output(tmp_path):
                  "--k-dynamics", "2", "--format", "csv", "--out", str(out)])
     assert code == 0
     assert out.read_text().startswith("suite,")
+
+
+def test_maxwell_gauge_positivity_takes_both_signs(monkeypatch):
+    # lower lambda- by 1e-3 times the data Gram: its lowest eigenvalue on
+    # E_gauge becomes about -1e-3 while lambda+ is untouched
+    from dataclasses import replace
+
+    from dsvac.cauchy import MAXWELL, data_gram
+    from dsvac.rational import to_numpy
+
+    cfg = RunConfig(k_max=1, suites=("maxwell",))
+    art = report._Artifacts(cfg)
+    cov = art.cov
+
+    def shifted(sec, variant="euclidean_vacuum", alpha=0.0, theory=report.GRAVITY):
+        c = cov(sec, variant, alpha, theory)
+        if theory is not MAXWELL or variant != "euclidean_vacuum":
+            return c
+        return replace(c, lambda_minus=c.lambda_minus - 1e-3 * to_numpy(data_gram(sec, 1)))
+
+    monkeypatch.setattr(art, "cov", shifted)
+    col = report._Collector()
+    report._suite_maxwell(art, col, cfg)
+    recs = [r for r in col.records if r.check_id == "positivity-gauge"]
+    assert recs and all(r.verdict == "fail" for r in recs)
+    assert all(abs(r.residual - 1e-3) <= 1e-6 for r in recs)
+
+
+def test_charge_conservation_records_the_levels_it_evolved():
+    cfg = RunConfig(k_max=1, k_dynamics=8, suites=("identities",))
+    col = report._Collector()
+    report._suite_identities(report._Artifacts(cfg), col, cfg)
+    rec = next(r for r in col.records if r.check_id == "charge-conservation")
+    assert rec.extra["k_max"] == 1
+
+
+def test_pool_starts_no_more_workers_than_tasks(monkeypatch):
+    # with the fork start method every worker is launched up front; a fake
+    # executor records the request and builds nothing
+    import concurrent.futures
+
+    seen = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return [(op, sec, None) for op, sec, _ in tasks]
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+    art = report._Artifacts(RunConfig(k_max=1, jobs=64))
+    tasks = sum(1 for key in art._cache if key[0] == "pair")
+    assert seen == [tasks] and 0 < tasks < 64

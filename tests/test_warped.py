@@ -9,18 +9,18 @@ weight a^{3/2} pin the first-order coefficients independently.
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from dsvac import rational as rl
 from dsvac.qseries import LSeries, scaled_arg, sin_series
 from dsvac.radial import SERIES_ORDER, build_system
-from dsvac.sectors import Family, SectorLabel, space
+from dsvac.sectors import Family, SectorLabel, enumerate_sectors, space
 from dsvac.warped import (
     EUCLIDEAN,
     LORENTZIAN,
     WarpedSector,
     cf,
-    cf_add,
     cf_diff,
     cf_eval,
     cf_mul,
@@ -31,6 +31,7 @@ from dsvac.warped import (
 )
 from routes import (
     apply_radial,
+    cf_add,
     cfm_add,
     cfm_diff,
     cfm_mul,
@@ -341,3 +342,160 @@ def test_cf_series_pole_matches_direct_sum(spec):
                 got = cf_series_pole(entry, order)
                 ref = _cf_series_pole_reference(entry, order)
                 assert (got.off, got.c) == (ref.off, ref.c), (spec, entry)
+
+
+# -- the rank-by-rank calculus, kept as the reference of the slot formulas ----
+# Linear expressions are summed into fresh dicts, and d is written out for
+# each rank.  RadialSystem sums the terms of each matrix entry in dict order,
+# so the slot formulas must give the same entries in the same order.
+
+def _ref_le_scale(e, c, sig):
+    if isinstance(c, (int, Fraction)):
+        return {k: cf_scale(v, c) for k, v in e.items() if cf_scale(v, c)}
+    return {k: cf_mul(v, c, sig) for k, v in e.items() if cf_mul(v, c, sig)}
+
+
+def _ref_le_add(*exprs):
+    out = {}
+    for e in exprs:
+        for k, v in e.items():
+            out[k] = cf_add(out.get(k, {}), v)
+            if not out[k]:
+                del out[k]
+    return out
+
+
+def _ref_le_diff(e, sig):
+    out = {}
+    for (u, m), v in e.items():
+        out[(u, m + 1)] = cf_add(out.get((u, m + 1), {}), v)
+        dv = cf_diff(v, sig)
+        if dv:
+            out[(u, m)] = cf_add(out.get((u, m), {}), dv)
+    return {k: v for k, v in out.items() if v}
+
+
+def _ref_vec_apply(mat, vec, sig):
+    out = []
+    for row in mat:
+        acc = {}
+        for c, e in zip(row, vec):
+            if c != 0:
+                acc = _ref_le_add(acc, _ref_le_scale(e, c, sig))
+        out.append(acc)
+    return out
+
+
+class _RankByRank(WarpedSector):
+    """The warped calculus with d written once per rank."""
+
+    def _apply(self, name, rank, vec):
+        return _ref_vec_apply(self.sp.op(name, rank)[0], vec, self.sig)
+
+    def d(self, z, rank):
+        sig, eps = self.sig, self.eps
+        scale, add, diff = _ref_le_scale, _ref_le_add, _ref_le_diff
+        C, adot = cf(-1, 1), cf(0, 1)
+        if rank == 0:
+            return {0: [diff(e, sig) for e in z[0]], 1: self._apply("d", 0, z[0])}
+        if rank == 1:
+            w0, w1 = z[0], z[1]
+            out1 = [scale(add(diff(e, sig), scale(e, cf_scale(C, -1), sig), g), Q(1, 2), sig)
+                    for e, g in zip(w1, self._apply("d", 0, w0))]
+            out2 = [add(x, scale(y, cf_scale(adot, Q(eps, 2)), sig))
+                    for x, y in zip(self._apply("d", 1, w1), self._apply("hmul", 0, w0))]
+            return {0: [diff(e, sig) for e in w0], 1: out1, 2: out2}
+        p, q, r2 = z[0], z[1], z[2]
+        out1 = [scale(add(scale(diff(e, sig), 2, sig), g, scale(e, cf_scale(C, -2), sig)),
+                      Q(1, 3), sig)
+                for e, g in zip(q, self._apply("d", 0, p))]
+        out2 = [scale(add(diff(e, sig), scale(e, cf_scale(C, -2), sig), scale(g, 2, sig),
+                          scale(hh, cf_scale(adot, eps), sig)), Q(1, 3), sig)
+                for e, g, hh in zip(r2, self._apply("d", 1, q), self._apply("hmul", 0, p))]
+        out3 = [add(x, scale(y, cf_scale(adot, eps), sig))
+                for x, y in zip(self._apply("d", 2, r2), self._apply("hsym", 1, q))]
+        return {0: [diff(e, sig) for e in p], 1: out1, 2: out2, 3: out3}
+
+    def delta(self, z, rank):
+        sig, eps = self.sig, self.eps
+        scale, add = _ref_le_scale, _ref_le_add
+        out = {}
+        for r in range(rank):
+            sigma = rank - 1 - r
+            acc = [add(scale(_ref_le_diff(e, sig), eps, sig),
+                       scale(e, cf_scale(cf(-1, 1), Q(-r * eps, 2)), sig)) for e in z[r]]
+            acc = [add(a, scale(e, cf(-1, 0, Q(-1, r + 1)), sig))
+                   for a, e in zip(acc, self._apply("delta", r + 1, z[r + 1]))]
+            acc = [add(a, scale(e, cf(-1, 1, Q(eps * (3 + r), 2)), sig))
+                   for a, e in zip(acc, z[r])]
+            if sigma >= 1:
+                acc = [add(a, scale(e, cf(-2, 1, Q(-sigma, 2)), sig))
+                       for a, e in zip(acc, self._apply("trace", r + 2, z[r + 2]))]
+            out[r] = [scale(e, -rank, sig) for e in acc]
+        return out
+
+    def metric_pair(self, z):
+        sig, eps = self.sig, self.eps
+        return {0: [_ref_le_add(_ref_le_scale(e0, 2 * eps, sig), _ref_le_scale(et, cf(-1, 0, 2), sig))
+                    for e0, et in zip(z[0], self._apply("trace", 2, z[2]))]}
+
+    def metric_mult(self, z0):
+        return {0: [_ref_le_scale(e, self.eps, self.sig) for e in z0[0]],
+                1: self._zero_slot(1),
+                2: [_ref_le_scale(e, cf(1), self.sig) for e in self._apply("hmul", 0, z0[0])]}
+
+    def trace_reversal(self, z):
+        att = self.metric_mult({0: [_ref_le_scale(e, Q(-1, 4), self.sig)
+                                    for e in self.metric_pair(z)[0]]})
+        return {r: [_ref_le_add(a, b) for a, b in zip(z[r], att[r])] for r in range(3)}
+
+    def field_operator(self, z, rank, maxwell=False):
+        def plus(out, other, c):
+            return {r: [_ref_le_add(a, _ref_le_scale(b, c, self.sig))
+                        for a, b in zip(out[r], other[r])] for r in out}
+
+        out = self.delta(self.d(z, rank), rank + 1)
+        if rank >= 1:
+            out = plus(out, self.d(self.delta(z, rank), rank - 1), -1)
+        if rank == 1:
+            out = plus(out, z, 6)
+        if rank == 2:
+            gg = self.metric_mult({0: [_ref_le_scale(e, -2, self.sig)
+                                       for e in self.metric_pair(z)[0]]})
+            out = {r: [_ref_le_add(a, _ref_le_scale(b, 16, self.sig), g)
+                       for a, b, g in zip(out[r], z[r], gg[r])] for r in range(3)}
+        if not maxwell:
+            out = plus(out, z, -6)
+        return out
+
+
+def _in_order(matrices):
+    slot_ranks, m1, m0 = matrices
+    return slot_ranks, [[[list(c.items()) for c in row] for row in m] for m in (m1, m0)]
+
+
+@pytest.mark.parametrize("signature", [EUCLIDEAN, LORENTZIAN])
+def test_slot_formulas_match_the_rank_by_rank_calculus(signature):
+    # every radial system up to k = 12, in value and in the term order the
+    # float matrices are summed in
+    for sec in enumerate_sectors(12):
+        ws, ref = WarpedSector(sec, signature), _RankByRank(sec, signature)
+        for maxwell in (False, True):
+            for rank in (0, 1, 2):
+                assert (_in_order(ws.radial_matrices(rank, maxwell=maxwell))
+                        == _in_order(ref.radial_matrices(rank, maxwell=maxwell))), (
+                    sec, rank, maxwell)
+
+
+def test_intertwining_jets_match_the_rank_by_rank_calculus():
+    # the gauge and adjoint jets of the identities suite, at its float times
+    jets = [(SectorLabel(Family.SCALAR, 2), lambda w, z: w.trace_reversal(w.d(z, 1)), 1, 2),
+            (SectorLabel(Family.SCALAR, 1), lambda w, z: w.trace_reversal(w.d(z, 1)), 1, 2),
+            (SectorLabel(Family.VECTOR, 2), lambda w, z: w.trace_reversal(w.d(z, 1)), 1, 2),
+            (SectorLabel(Family.SCALAR, 2), lambda w, z: w.delta(z, 2), 2, 1)]
+    for t in np.linspace(-2.0, 2.0, 5):
+        at = (np.cosh(t) ** 2, np.sinh(2 * t))
+        for sec, jet, rin, rout in jets:
+            ws, ref = WarpedSector(sec, LORENTZIAN), _RankByRank(sec, LORENTZIAN)
+            assert (ws.cauchy_block(lambda z: jet(ws, z), rin, rout, at=at)
+                    == ref.cauchy_block(lambda z: jet(ref, z), rin, rout, at=at)), (sec, t)
