@@ -3,9 +3,12 @@
 Each (operator, sector, signature) triple reduces to a second-order system
 -X'' + M1(s) X' + M0(s) X = 0 over the sector slot basis.  Euclidean systems
 have regular singular points at s = +-pi/2; the basis of solutions regular
-at a pole is built by exact indicial analysis + Frobenius series seeding and
-high-order adaptive integration to the equator.  Lorentzian systems are
-globally smooth and are integrated directly for the dynamical checks.
+at a pole is built by exact indicial analysis + Frobenius series seeding
+(the indicial matrix evaluated exactly on Python integers) and high-order
+adaptive integration to the equator.  Lorentzian systems are globally
+smooth and are integrated directly for the dynamical checks; the metric's
+t -> -t symmetry maps backward evolution to forward evolution of reflected
+data, so one forward solve covers both time signs.
 """
 
 from dataclasses import dataclass, field
@@ -198,16 +201,23 @@ def _rational_roots(p):
 
 
 def _divisors(n):
+    """Positive divisors of |n| in increasing order ([1] for 0), expanded
+    from the prime factorisation of n by trial division."""
     n = abs(n)
     if n == 0:
         return [1]
-    out = set()
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.add(d)
-            out.add(n // d)
-        d += 1
+    out = [1]
+    p = 2
+    while p * p <= n:
+        e = 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        if e:
+            out = [d * p ** i for d in out for i in range(e + 1)]
+        p += 1 if p == 2 else 2
+    if n > 1:
+        out += [d * n for d in out]
     return sorted(out)
 
 
@@ -324,19 +334,22 @@ def frobenius_solutions(system, order=SERIES_ORDER, x0=MATCH_RADIUS):
     n = system.n
     p_f = _series_float(p_mats, n, order)
     q_f = _series_float(q_mats, n, order)
+    entries = _integer_entries(lmat)
     cols_val = []
     cols_der = []
     exponents = []
     series_out = []
     for rho, seeds in reg:
         rho_f = float(rho)
+        l_shift = _indicial_at_shifts(entries, rho, order)
         others = {}
         for rho2, seeds2 in reg:
             off = rho2 - rho
             if off.denominator == 1 and int(off) > 0:
                 others[int(off)] = seeds2
         for seed in seeds:
-            coeffs = _frobenius_series(rho, seed, lmat, p_f, q_f, n, order, others)
+            coeffs = _frobenius_series(rho, seed, l_shift, p_f, q_f, n, order,
+                                       others)
             # physical components carry the grading x^(slot rank)
             shifts = np.array([float(r) for r in system.slot_ranks])
             series = (rho_f, shifts, coeffs)
@@ -379,18 +392,46 @@ def _series_float(mats, n, order):
     return out
 
 
-def _frobenius_series(rho, seed, lmat, p_f, q_f, n, order, resonances):
-    """Float Frobenius recursion with exactly-handled resonances."""
-    c = [np.array([float(x) for x in seed])]
-    rho_f = float(rho)
+def _integer_entries(lmat):
+    """The entries of the indicial matrix as integer coefficient lists over
+    one common positive denominator."""
+    den = lcm(*(c.denominator for row in lmat for p in row for c in p))
+    return [[[int(c * den) for c in p] for p in row] for row in lmat], den
+
+
+def _indicial_at_shifts(entries, rho, order):
+    """L(rho + m) as floats, index m = 1..order, from ``_integer_entries``.
+
+    With rho = a/q an entry sum_k b_k x^k / den is, at x = (a + m q)/q,
+    sum_k b_k (a + m q)^k q^(deg - k) / (den q^deg): one int/int true
+    division, which is correctly rounded, so every float equals
+    float(_poly_eval(entry, rho + m)) bit for bit."""
+    ints, den = entries
+    a, q = rho.numerator, rho.denominator
+    n = len(ints)
+    out = np.zeros((order + 1, n, n))
     for m in range(1, order + 1):
-        rhs = np.zeros(n)
-        for j in range(m):
-            rhs += (p_f[m - j] * (rho_f + j)) @ c[j] + q_f[m - j] @ c[j]
-        lm = np.zeros((n, n))
+        x = a + m * q
         for i in range(n):
-            for jj in range(n):
-                lm[i, jj] = float(_poly_eval(lmat[i][jj], rho + m))
+            for j in range(n):
+                acc = 0
+                for k, b in enumerate(reversed(ints[i][j])):
+                    acc = acc * x + b * q ** k
+                out[m, i, j] = acc / (den * q ** (len(ints[i][j]) - 1))
+    return out
+
+
+def _frobenius_series(rho, seed, l_shift, p_f, q_f, n, order, resonances):
+    """Float Frobenius recursion with exactly-handled resonances; l_shift[m]
+    is L(rho + m)."""
+    c = np.zeros((order + 1, n))
+    c[0] = [float(x) for x in seed]
+    rho_j = float(rho) + np.arange(order)
+    for m in range(1, order + 1):
+        # sum over j < m of (P_(m-j) (rho + j) + Q_(m-j)) c_j
+        rhs = np.einsum("jab,jb->a", p_f[m:0:-1] * rho_j[:m, None, None]
+                        + q_f[m:0:-1], c[:m])
+        lm = l_shift[m]
         if m in resonances:
             sol, res, rank, sv = np.linalg.lstsq(lm, rhs, rcond=None)
             check = np.linalg.norm(lm @ sol - rhs)
@@ -398,9 +439,9 @@ def _frobenius_series(rho, seed, lmat, p_f, q_f, n, order, resonances):
             if check > 1e-9 * scale:
                 raise RuntimeError(
                     f"log terms required at resonance offset {m}")
-            c.append(sol)
+            c[m] = sol
         else:
-            c.append(np.linalg.solve(lm, rhs))
+            c[m] = np.linalg.solve(lm, rhs)
     return c
 
 
@@ -466,9 +507,16 @@ def solution_profile(basis, column=0):
 # -- Lorentzian evolution -----------------------------------------------------
 
 def evolve_raw(system, u0, du0, t_grid, tol=INTEGRATOR_TOL):
-    """Evolve raw components (u, u-dot) of the Lorentzian system; complex
-    data handled by linearity (a part with all-zero data evolves to zero and
-    is not integrated).  Returns arrays (nt, n) for u and u-dot."""
+    """Evolve raw components (u, u-dot) of the Lorentzian system.  Returns
+    arrays (nt, n) for u and u-dot.
+
+    The system is reflection symmetric (``_assert_reflection_parity``): with
+    kappa = diag((-1)^(rank - r)) over the slots, if v solves it with data
+    (kappa u0, -kappa du0) then u(-t) = kappa v(t), u-dot(-t) = -kappa
+    v-dot(t).  So one forward solve to max |t| serves both time signs:
+    complex data are handled by linearity, and the real and imaginary parts
+    and their reflections are its columns (a part with all-zero data, or a
+    time sign absent from the grid, gets none)."""
     if system.signature != LORENTZIAN:
         raise ValueError("evolution is for Lorentzian systems")
     n = system.n
@@ -480,28 +528,30 @@ def evolve_raw(system, u0, du0, t_grid, tol=INTEGRATOR_TOL):
     for p in np.nonzero(t_grid == 0.0)[0]:
         out_u[p] = u0
         out_du[p] = du0
-    # two real solves (real and imaginary parts), each split by time sign
-    for part_is_real, pu, pdu in ((True, u0.real, du0.real),
-                                  (False, u0.imag, du0.imag)):
-        if not (pu.any() or pdu.any()):
+    kappa = np.array([(-1.0) ** (system.rank - r) for r in system.slot_ranks])
+    reflect = np.concatenate([kappa, -kappa])  # its own inverse
+    cols, reads = [], []
+    for fac, part in ((1.0, np.concatenate([u0.real, du0.real])),
+                      (1j, np.concatenate([u0.imag, du0.imag]))):
+        if not part.any():
             continue
-        for sign in (+1, -1):
-            mask = (t_grid > 0) if sign > 0 else (t_grid < 0)
-            ts = t_grid[mask]
-            if ts.size == 0:
-                continue
-            ts_sorted = np.sort(ts) if sign > 0 else np.sort(ts)[::-1]
-            y0 = np.concatenate([pu, pdu])
-            sol = solve_ivp(system.rhs, (0.0, ts_sorted[-1]), y0,
-                            method="DOP853", rtol=tol, atol=tol,
-                            t_eval=ts_sorted)
-            if not sol.success:
-                raise RuntimeError(sol.message)
-            fac = 1.0 if part_is_real else 1j
-            for idx_t, tv in enumerate(ts_sorted):
-                for p in np.nonzero(t_grid == tv)[0]:
-                    out_u[p] += fac * sol.y[:n, idx_t]
-                    out_du[p] += fac * sol.y[n:, idx_t]
+        for mask, flip in ((t_grid > 0, 1.0), (t_grid < 0, reflect)):
+            if mask.any():
+                cols.append(flip * part)
+                reads.append((fac, mask, flip))
+    if not cols:
+        return out_u, out_du
+    t_abs = np.abs(t_grid)
+    ts = np.unique(t_abs[t_abs > 0])
+    sol = solve_ivp(system.rhs, (0.0, ts[-1]), np.stack(cols, axis=1).ravel(),
+                    method="DOP853", rtol=tol, atol=tol, t_eval=ts)
+    if not sol.success:
+        raise RuntimeError(sol.message)
+    ys = sol.y.reshape(2 * n, len(cols), len(ts))
+    for c, (fac, mask, flip) in enumerate(reads):
+        y = flip * ys[:, c, np.searchsorted(ts, t_abs[mask])].T
+        out_u[mask] += fac * y[:, :n]
+        out_du[mask] += fac * y[:, n:]
     return out_u, out_du
 
 

@@ -145,46 +145,67 @@ def _f(x):
     return float(x) if x is not None else 0.0
 
 
+def _builders():
+    """Per theory name: Euclidean pair (sector, operator_id), phase space,
+    covariances.  Maxwell goes through its own public entry points.  Read
+    from the module's names at call time, in the parent and in workers."""
+    return {
+        GRAVITY.name: (partial(projector_pair, GRAVITY),
+                       phase_space_sector, build_covariances),
+        MAXWELL.name: (maxwell_projector_pair, maxwell_phase_space,
+                       maxwell_covariances),
+    }
+
+
 def _build_pair_task(args):
-    """Worker entry for the sector pool (module level for pickling)."""
-    operator_id, sec, tol = args
-    return operator_id, sec, projector_pair(GRAVITY, sec, operator_id, tol=tol)
+    """Worker entry for the sector pool (module level for pickling).  The
+    theory travels by name: a pickled ``Theory`` is a copy, not the one of
+    ``cauchy``."""
+    theory, operator_id, sec, tol = args
+    build = _builders()[theory][0]
+    return theory, operator_id, sec, build(sec, operator_id, tol=tol)
 
 
 class _Artifacts:
     """Shared per-sector constructions of both theories, built lazily and
     cached, each at most once per run.
 
-    With ``jobs > 1`` the gravity projector constructions (the dominant
-    cost) are dispatched up front to a process pool, one task per
-    (operator, sector); the library objects are immutable, so results are
-    simply collected.
+    With ``jobs > 1`` the Euclidean projector constructions of both
+    theories that the enabled suites read (the dominant cost) are
+    dispatched up front to a process pool, one task per (theory, operator,
+    sector); the library objects are immutable, so results are simply
+    collected.
     """
 
     def __init__(self, config):
         self.config = config
         self.sectors = enumerate_sectors(config.k_max)
         self._cache = {}
-        # per theory: Euclidean pair (sector, operator_id), phase space,
-        # covariances; Maxwell goes through its own public entry points
-        self._builders = {
-            GRAVITY.name: (partial(projector_pair, GRAVITY),
-                           phase_space_sector, build_covariances),
-            MAXWELL.name: (maxwell_projector_pair, maxwell_phase_space,
-                           maxwell_covariances),
-        }
+        self._builders = _builders()
         if config.jobs > 1:
             self._prewarm(config.jobs)
 
     def _prewarm(self, jobs):
         from concurrent.futures import ProcessPoolExecutor
-        tasks = [("D2", sec, self.config.tol_ode) for sec in self.sectors]
-        tasks += [("D1", sec, self.config.tol_ode) for sec in self.sectors
-                  if cy.DataLayout(sec, 1).size]
+        cfg = self.config
+        # (theory, operator) -> (the suites that read its pairs, sectors)
+        wanted = {
+            (GRAVITY.name, "D2"): (("calderon", "states", "gauge", "symmetry"),
+                                   self.sectors),
+            (GRAVITY.name, "D1"): (("calderon",), [
+                sec for sec in self.sectors if cy.DataLayout(sec, 1).size]),
+            (MAXWELL.name, "D1"): (("maxwell",), maxwell_sectors(cfg.k_max)),
+            (MAXWELL.name, "D0"): (("maxwell",), [SCALAR0]),
+        }
+        tasks = [(theory, op, sec, cfg.tol_ode)
+                 for (theory, op), (readers, secs) in wanted.items()
+                 if set(readers) & set(cfg.suites) for sec in secs]
+        if not tasks:
+            return
         # with the fork start method every worker is launched up front
         with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-            for op, sec, pair in pool.map(_build_pair_task, tasks):
-                self._cache[("pair", GRAVITY.name, op, sec)] = pair
+            for theory, op, sec, pair in pool.map(_build_pair_task, tasks):
+                self._cache[("pair", theory, op, sec)] = pair
 
     def pair_euclid(self, sec, operator_id="D2", theory=GRAVITY):
         build = self._builders[theory.name][0]

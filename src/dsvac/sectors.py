@@ -193,6 +193,7 @@ class SectorSpace:
         self.basis = {}
         self._rewrite = {}  # rank -> dict gen_name -> coords over basis
         self._gram_basis = {}
+        self._ops = {}  # (name, rank) -> (matrix, target_rank)
         for rank in range(4):
             self._reduce_rank(rank, gens[rank], gram[rank], priority[rank],
                               _FINAL_ORDER[sector.family][rank])
@@ -256,8 +257,14 @@ class SectorSpace:
         Supported: 'd' (rank+1), 'delta' (rank-1), 'trace' (h-trace,
         rank-2), 'htrace' ((h| = 2*trace), 'hmul' (|h), 0->2),
         'hsym' (symmetrized h tensor attachment, 1->3).
-        Returns (matrix, target_rank).
+        Returns (matrix, target_rank); the matrix is a tuple of row tuples,
+        built once per (name, rank) and shared by every caller.
         """
+        if (name, rank) not in self._ops:
+            self._ops[name, rank] = self._build_op(name, rank)
+        return self._ops[name, rank]
+
+    def _build_op(self, name, rank):
         targets = {"d": rank + 1, "delta": rank - 1, "trace": rank - 2,
                    "htrace": rank - 2, "hmul": rank + 2, "hsym": rank + 2}
         if name not in targets:
@@ -275,7 +282,7 @@ class SectorSpace:
         mat = [[cols[j][i] for j in range(len(cols))] for i in range(self.dim(tr))]
         if name == "htrace":
             mat = rl.scale(mat, 2)
-        return mat, tr
+        return tuple(map(tuple, mat)), tr
 
 
 _APPLICABLE = {

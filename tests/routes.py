@@ -3,7 +3,8 @@
 The library keeps what ``dsvac run`` executes.  The second routes that the
 tests hold the program against, and that no report check runs, live here:
 the F_TT image routes of the phase space, the sphere quadrature of the
-scalar Gram matrices, the Killing data of the rank-1 kernel, the exact
+scalar Gram matrices, the Killing data of the rank-1 kernel, Lorentzian
+evolution by direct integration in both time directions, the exact
 action of the radial operators on concrete profiles, exact matrices of the
 coefficient field and composable spatial operators.
 """
@@ -12,6 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+from scipy.integrate import solve_ivp
 
 from dsvac import harmonics
 from dsvac import rational as rl
@@ -25,7 +27,7 @@ from dsvac.cauchy import (
 from dsvac.harmonics import NVAR, _mono_integral, _norm2, _sphere_inner, _sym_grad
 from dsvac.maxwell import SCALAR0
 from dsvac.phase_space import SCALAR1, VECTOR1
-from dsvac.radial import evolve_raw, indicial_data
+from dsvac.radial import INTEGRATOR_TOL, evolve_raw, indicial_data
 from dsvac.sectors import Family, space
 from dsvac.warped import cf_diff, cf_eval, cf_mul, cf_scale
 
@@ -167,6 +169,33 @@ def evolve_lorentzian(system, data, t_grid):
     f = np.asarray(data, dtype=complex)
     out_u, out_du = evolve_raw(system, f[:n], 1j * f[n:], t_grid)
     return np.hstack([out_u, -1j * out_du])
+
+
+def evolve_raw_direct(system, u0, du0, t_grid, tol=INTEGRATOR_TOL):
+    """``evolve_raw`` without the reflection: both parts of the data, zero or
+    not, each integrated forward to the positive times and backward to the
+    negative ones, one solve per part and time sign."""
+    n = system.n
+    u0 = np.asarray(u0, dtype=complex)
+    du0 = np.asarray(du0, dtype=complex)
+    t_grid = np.asarray(t_grid, dtype=float)
+    out_u = np.zeros((len(t_grid), n), dtype=complex)
+    out_du = np.zeros((len(t_grid), n), dtype=complex)
+    for p in np.nonzero(t_grid == 0.0)[0]:
+        out_u[p] = u0
+        out_du[p] = du0
+    for fac, pu, pdu in ((1.0, u0.real, du0.real), (1j, u0.imag, du0.imag)):
+        for sign in (+1, -1):
+            ts = np.unique(t_grid[sign * t_grid > 0])[::sign]
+            if ts.size == 0:
+                continue
+            sol = solve_ivp(system.rhs, (0.0, ts[-1]), np.concatenate([pu, pdu]),
+                            method="DOP853", rtol=tol, atol=tol, t_eval=ts)
+            for idx_t, tv in enumerate(ts):
+                for p in np.nonzero(t_grid == tv)[0]:
+                    out_u[p] += fac * sol.y[:n, idx_t]
+                    out_du[p] += fac * sol.y[n:, idx_t]
+    return out_u, out_du
 
 
 # -- Killing data and the F_TT image routes -----------------------------------

@@ -10,10 +10,10 @@ import pytest
 from dsvac.collocation import collocation_regular_basis
 from dsvac.calderon import principal_angle
 import dsvac.radial as radial
-from dsvac.radial import INTEGRATOR_TOL, build_system, charge_raw, evolve_raw, regular_basis
-from dsvac.sectors import Family, SectorLabel
+from dsvac.radial import build_system, charge_raw, evolve_raw, regular_basis
+from dsvac.sectors import Family, SectorLabel, enumerate_sectors
 from dsvac.warped import EUCLIDEAN, LORENTZIAN, WarpedSector
-from routes import evolve_lorentzian, indicial_exponents
+from routes import evolve_lorentzian, evolve_raw_direct, indicial_exponents
 
 Q = Fraction
 
@@ -41,6 +41,65 @@ def test_rational_roots_with_large_coprime_denominators():
     d1, d2 = 2**33 + 1, 2**33 - 1
     assert radial._rational_roots([Q(-1, d1), Q(1, d2)]) == [Q(d2, d1)]
     assert radial._rational_roots([Q(0), Q(-1, d1), Q(1, d2)]) == [Q(0), Q(d2, d1)]
+
+
+def _divisors_by_trial_division(n):
+    """Divisors as ``radial._divisors`` found them before it factorised n:
+    every d with d * d <= n tried."""
+    n = abs(n)
+    if n == 0:
+        return [1]
+    out = set()
+    d = 1
+    while d * d <= n:
+        if n % d == 0:
+            out.add(d)
+            out.add(n // d)
+        d += 1
+    return sorted(out)
+
+
+def test_divisors_match_trial_division():
+    rng = np.random.default_rng(2026)
+    values = (list(range(3001)) + [int(v) for v in rng.integers(1, 10**9, 50)]
+              + [2**33 - 1, 2**33 + 1, -360])
+    for v in values:
+        assert radial._divisors(v) == _divisors_by_trial_division(v), v
+
+
+def test_integer_indicial_values_at_a_fractional_exponent():
+    # the dsvac exponents are integers; a rational one exercises the
+    # q^(deg - k) weights of the integer evaluation
+    rng = np.random.default_rng(7)
+    lmat = [[[Q(int(a), int(b)) for a, b in rng.integers(1, 10**6, (3, 2))]
+             for _ in range(3)] for _ in range(3)]
+    for rho in (Q(-3, 7), Q(5, 2), Q(-11, 3)):
+        got = radial._indicial_at_shifts(radial._integer_entries(lmat), rho, 40)
+        ref = [[[float(radial._poly_eval(e, rho + m)) for e in row]
+                for row in lmat] for m in range(1, 41)]
+        assert got[1:].tobytes() == np.array(ref).tobytes(), rho
+
+
+@pytest.mark.parametrize("maxwell", [False, True], ids=["gravity", "maxwell"])
+def test_integer_indicial_values_equal_exact_ones(maxwell):
+    # one correctly rounded int/int division per entry: the floats of
+    # L(rho + m) equal those of the exact Fraction evaluation bit for bit
+    checked = 0
+    for op in ("D1",) if maxwell else ("D2", "D1"):
+        for sec in enumerate_sectors(12):
+            sysm = build_system(op, sec, EUCLIDEAN, maxwell=maxwell)
+            if not sysm.n:
+                continue
+            data, _, lmat = radial.indicial_data(sysm)
+            entries = radial._integer_entries(lmat)
+            for rho, _, _ in data:
+                got = radial._indicial_at_shifts(entries, rho, 40)[1:]
+                ref = np.array([[[float(radial._poly_eval(e, rho + m))
+                                  for e in row] for row in lmat]
+                                for m in range(1, 41)])
+                assert got.tobytes() == ref.tobytes(), (op, sec, rho)
+            checked += 1
+    assert checked == (25 if maxwell else 61)
 
 
 def test_vector1_regular_datum():
@@ -126,37 +185,6 @@ def test_m_num_matches_nested_loop(spec, signature):
             assert np.array_equal(got[1], ref[1]), (spec, s)
 
 
-def _evolve_raw_reference(system, u0, du0, t_grid):
-    """evolve_raw integrating both parts of the data, zero or not."""
-    n = system.n
-    u0 = np.asarray(u0, dtype=complex)
-    du0 = np.asarray(du0, dtype=complex)
-    t_grid = np.asarray(t_grid, dtype=float)
-    out_u = np.zeros((len(t_grid), n), dtype=complex)
-    out_du = np.zeros((len(t_grid), n), dtype=complex)
-    for p in np.nonzero(t_grid == 0.0)[0]:
-        out_u[p] = u0
-        out_du[p] = du0
-    for part_is_real, pu, pdu in ((True, u0.real, du0.real),
-                                  (False, u0.imag, du0.imag)):
-        for sign in (+1, -1):
-            mask = (t_grid > 0) if sign > 0 else (t_grid < 0)
-            ts = t_grid[mask]
-            if ts.size == 0:
-                continue
-            ts_sorted = np.sort(ts) if sign > 0 else np.sort(ts)[::-1]
-            y0 = np.concatenate([pu, pdu])
-            sol = radial.solve_ivp(system.rhs, (0.0, ts_sorted[-1]), y0,
-                                   method="DOP853", rtol=INTEGRATOR_TOL,
-                                   atol=INTEGRATOR_TOL, t_eval=ts_sorted)
-            fac = 1.0 if part_is_real else 1j
-            for idx_t, tv in enumerate(ts_sorted):
-                for p in np.nonzero(t_grid == tv)[0]:
-                    out_u[p] += fac * sol.y[:n, idx_t]
-                    out_du[p] += fac * sol.y[n:, idx_t]
-    return out_u, out_du
-
-
 def _count_solves(monkeypatch):
     calls = []
     real_solve = radial.solve_ivp
@@ -177,6 +205,13 @@ def test_zero_data_evolves_to_zero(monkeypatch):
     assert calls == []
 
 
+def _deviation(got, ref):
+    """Largest entry of got - ref over u and u-dot, relative to the largest
+    entry of the reference trajectory."""
+    dev = max(np.max(np.abs(g - r)) for g, r in zip(got, ref))
+    return dev / max(np.max(np.abs(r)) for r in ref)
+
+
 @pytest.mark.parametrize("part", ["real", "imag"])
 def test_single_part_data_matches_reference(part, monkeypatch):
     # a part with all-zero data is not integrated; the trajectory is the
@@ -187,11 +222,11 @@ def test_single_part_data_matches_reference(part, monkeypatch):
     u0 = fac * rng.normal(size=sysm.n)
     du0 = fac * rng.normal(size=sysm.n)
     t_grid = np.array([-1.5, -0.2, 0.0, 0.7, 2.0])
-    ref_u, ref_du = _evolve_raw_reference(sysm, u0, du0, t_grid)
+    ref = evolve_raw_direct(sysm, u0, du0, t_grid)
     calls = _count_solves(monkeypatch)
-    us, dus = evolve_raw(sysm, u0, du0, t_grid)
-    assert len(calls) == 2  # one part, both time directions
-    assert np.array_equal(us, ref_u) and np.array_equal(dus, ref_du)
+    got = evolve_raw(sysm, u0, du0, t_grid)
+    assert len(calls) == 1  # one part, both time signs in one solve
+    assert _deviation(got, ref) <= 1e-9
 
 
 def test_evolve_raw_tolerance(monkeypatch):
@@ -200,7 +235,32 @@ def test_evolve_raw_tolerance(monkeypatch):
     calls = _count_solves(monkeypatch)
     evolve_raw(sysm, np.array([1.0 + 1j]), np.array([0.0]), [-1.0, 1.0],
                tol=1e-10)
-    assert calls == [1e-10] * 4
+    assert calls == [1e-10]
+
+
+@pytest.mark.parametrize("maxwell", [False, True], ids=["gravity", "maxwell"])
+def test_reflected_evolution_matches_direct_integration(maxwell, monkeypatch):
+    # u(-t) = kappa v(t) for the reflected data: one forward solve agrees
+    # with integrating backward, on every Lorentzian system with k <= 8
+    rng = np.random.default_rng(2026)
+    t_grid = np.array([-2.0, -0.7, -0.3, 0.0, 0.3, 0.7, 0.7, 1.1, 2.0])
+    calls = _count_solves(monkeypatch)
+    checked = 0
+    for op in ("D0", "D1") if maxwell else ("D0", "D1", "D2"):
+        for sec in enumerate_sectors(8):
+            sysm = build_system(op, sec, LORENTZIAN, maxwell=maxwell)
+            if not sysm.n:
+                continue
+            u0, du0 = (rng.normal(size=sysm.n) + 1j * rng.normal(size=sysm.n)
+                       for _ in range(2))
+            ref = evolve_raw_direct(sysm, u0, du0, t_grid)
+            before = len(calls)
+            got = evolve_raw(sysm, u0, du0, t_grid)
+            assert len(calls) == before + 1, (op, sec)
+            assert _deviation(got, ref) <= 1e-9, (op, sec)
+            assert np.array_equal(got[0][5], got[0][6])  # the repeated time
+            checked += 1
+    assert checked == (26 if maxwell else 50)
 
 
 @pytest.mark.parametrize("sector", [SectorLabel(Family.SCALAR, 2),

@@ -76,8 +76,9 @@ def test_single_suite_runs(suite):
 
 
 def test_worker_pool_matches_serial():
-    serial = run(RunConfig(k_max=3, suites=("calderon",), jobs=1))
-    parallel = run(RunConfig(k_max=3, suites=("calderon",), jobs=2))
+    # a real fork: the Maxwell tasks must reach the Maxwell builder by name
+    serial = run(RunConfig(k_max=3, suites=("calderon", "maxwell"), jobs=1))
+    parallel = run(RunConfig(k_max=3, suites=("calderon", "maxwell"), jobs=2))
     c1, c2 = json.loads(_canon(serial)), json.loads(_canon(parallel))
     c1["config"].pop("jobs")
     c2["config"].pop("jobs")
@@ -317,9 +318,9 @@ def test_charge_conservation_records_the_levels_it_evolved():
     assert rec.extra["k_max"] == 1
 
 
-def test_pool_starts_no_more_workers_than_tasks(monkeypatch):
-    # with the fork start method every worker is launched up front; a fake
-    # executor records the request and builds nothing
+def _fake_pool(monkeypatch):
+    """Replace the process pool by one that records the worker count it is
+    asked for and builds nothing."""
     import concurrent.futures
 
     seen = []
@@ -335,9 +336,39 @@ def test_pool_starts_no_more_workers_than_tasks(monkeypatch):
             return False
 
         def map(self, fn, tasks):
-            return [(op, sec, None) for op, sec, _ in tasks]
+            return [(*task[:3], None) for task in tasks]
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+    return seen
+
+
+def test_pool_starts_no_more_workers_than_tasks(monkeypatch):
+    # with the fork start method every worker is launched up front
+    seen = _fake_pool(monkeypatch)
     art = report._Artifacts(RunConfig(k_max=1, jobs=64))
     tasks = sum(1 for key in art._cache if key[0] == "pair")
     assert seen == [tasks] and 0 < tasks < 64
+
+
+@pytest.mark.parametrize("suites", [
+    ("oracle", "identities"), ("phase_space",), ("maxwell",), ("states",),
+    ("calderon",), ("gauge", "maxwell"), report.ALL_SUITES], ids=str)
+def test_pool_builds_only_the_pairs_the_suites_read(suites, monkeypatch):
+    from dsvac.cauchy import DataLayout
+    from dsvac.maxwell import SCALAR0, maxwell_sectors
+    from dsvac.sectors import enumerate_sectors
+
+    seen = _fake_pool(monkeypatch)
+    art = report._Artifacts(RunConfig(k_max=3, suites=suites, jobs=2))
+    want = set()
+    if {"calderon", "states", "gauge", "symmetry"} & set(suites):
+        want |= {("gravity", "D2", sec) for sec in enumerate_sectors(3)}
+    if "calderon" in suites:
+        want |= {("gravity", "D1", sec) for sec in enumerate_sectors(3)
+                 if DataLayout(sec, 1).size}
+    if "maxwell" in suites:
+        want |= {("maxwell", "D1", sec) for sec in maxwell_sectors(3)}
+        want.add(("maxwell", "D0", SCALAR0))
+    assert {key[1:] for key in art._cache if key[0] == "pair"} == want
+    # no task, no pool
+    assert seen == ([min(2, len(want))] if want else [])

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from dsvac import rational as rl
-from dsvac.sectors import Family, SectorLabel, enumerate_sectors, space
+from dsvac.sectors import Family, SectorLabel, SectorSpace, enumerate_sectors, space
 from routes import spatial_op, transpose
 
 Q = Fraction
@@ -213,3 +213,15 @@ def test_multiplicities_low_k():
     assert SectorLabel(Family.SCALAR, 2).multiplicity == 9
     assert SectorLabel(Family.VECTOR, 1).multiplicity == 6
     assert not SectorLabel(Family.SCALAR, 4).multiplicity_verified
+
+
+@pytest.mark.parametrize("sector", [SectorLabel(Family.SCALAR, 3),
+                                    SectorLabel(Family.VECTOR, 2)], ids=str)
+def test_operator_matrices_are_built_once_and_immutable(sector):
+    sp = space(sector)
+    for name, rank in (("d", 0), ("d", 1), ("d", 2), ("delta", 1),
+                       ("delta", 2), ("htrace", 2), ("hmul", 0), ("hsym", 1)):
+        mat, tr = sp.op(name, rank)
+        assert sp.op(name, rank)[0] is mat
+        assert isinstance(mat, tuple) and all(isinstance(r, tuple) for r in mat)
+        assert SectorSpace(sector).op(name, rank) == (mat, tr)
