@@ -18,9 +18,9 @@ import numpy as np
 
 from . import rational as rl
 from .cauchy import euclid_symplectic_form, kappa_block, kappa_diagonal, wick_phases
-from .radial import build_system, regular_basis
+from .radial import OPERATOR_RANK, build_system, regular_basis
 from .sectors import SectorLabel
-from .warped import EUCLIDEAN
+from .warped import EUCLIDEAN, LORENTZIAN
 
 
 @dataclass
@@ -35,7 +35,7 @@ class QuotientInfo:
 class ProjectorPair:
     sector: SectorLabel
     operator_id: str
-    flavor: str
+    signature: str
     c_plus: np.ndarray
     c_minus: np.ndarray
     maxwell: bool = False
@@ -196,10 +196,9 @@ def lorentzify(pair):
     columns, so only their rows are rephased and the subspace itself is
     transported alongside.
     """
-    if pair.flavor != EUCLIDEAN:
+    if pair.signature != EUCLIDEAN:
         raise ValueError("pair is already Lorentzian")
-    rank = {"D0": 0, "D1": 1, "D2": 2}[pair.operator_id]
-    f = wick_phases(pair.sector, rank)
+    f = wick_phases(pair.sector, OPERATOR_RANK[pair.operator_id])
     finv = 1.0 / f
 
     def rows(c):
@@ -216,6 +215,6 @@ def lorentzify(pair):
         qinfo = QuotientInfo(kernel=rows(qi.kernel), subspace=rows(qi.subspace),
                              quotient_dim=qi.quotient_dim,
                              complement=rows(qi.complement))
-    return ProjectorPair(pair.sector, pair.operator_id, "lorentzian",
+    return ProjectorPair(pair.sector, pair.operator_id, LORENTZIAN,
                          c_plus, c_minus, maxwell=pair.maxwell,
                          quotient_info=qinfo, conditioning=pair.conditioning)

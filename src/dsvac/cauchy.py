@@ -3,25 +3,27 @@
 Cauchy data for a rank-k field are (value, normal derivative) pairs over the
 sector slot bases; Euclidean convention (u, -du/ds), Lorentzian
 (u, (1/i) du/dt), components ordered (ss, sS, SS) resp. (s, S) inside each
-half.  The Euclidean blocks of the gauge operators (symmetrized gradient and
-its adjoints, metric attachment and trace, plain gradient/divergence) are
-exact rational matrices; Lorentzian versions follow by conjugation with the
-Wick component phases.
-
-The gradient block on scalars carries the gravity shift (the scalar operator
-entering its jet elimination is D0 = D0L - 6, unlike the Maxwell case) and
-is cross-validated by the composition identities div o grad = 2*Lambda = 6
-and trace* o symgrad = -2 grad*.
+half.  Every exact block on data (the symmetrized gradient and its adjoint,
+metric attachment and trace, plain gradient/divergence, trace reversal) is
+one jet of the warped calculus in ``BLOCK_JETS``, evaluated at the equator
+by ``WarpedSector.cauchy_block``; second derivatives are eliminated with the
+input's radial system as ``radial.build_system`` caches it, so the gradient
+on scalars carries the gravity shift (D0 = D0L - 6) unless the Maxwell
+system is asked for.  Lorentzian versions follow by conjugation with the
+Wick component phases.  The exact blocks and forms are built once per
+sector and returned with immutable rows.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
 from . import rational as rl
+from .radial import build_system
 from .sectors import Family, SectorLabel, space
-from .warped import fiber_weights, kappa_signs
+from .warped import EUCLIDEAN, LORENTZIAN, WarpedSector, data_weight, kappa_signs
 
 Q = Fraction
 
@@ -43,184 +45,71 @@ class DataLayout:
             o += d
 
 
-def _blockmap(layout_out, layout_in):
-    return rl.zeros(layout_out.size, layout_in.size)
+def _frozen(rows):
+    return tuple(map(tuple, rows))
 
 
-def _set(dst, layout_out, half_out, slot_out, layout_in, half_in, slot_in, mat, scale=1):
-    ro = half_out * layout_out.half + layout_out.offsets[slot_out]
-    co = half_in * layout_in.half + layout_in.offsets[slot_in]
-    for i, row in enumerate(mat):
-        for j, v in enumerate(row):
-            if v != 0:
-                dst[ro + i][co + j] += Q(scale) * v
+# -- exact blocks: one jet of the warped calculus each ------------------------
+
+# name -> (jet on the unknown section z, rank in, rank out, signature).  The
+# trace reversal is the Lorentzian one (it enters the physical charge); every
+# other block is Euclidean.
+BLOCK_JETS = {
+    "sym_grad": (lambda ws, z: ws.trace_reversal(ws.d(z, 1)), 1, 2, EUCLIDEAN),
+    "sym_div": (lambda ws, z: ws.delta(z, 2), 2, 1, EUCLIDEAN),
+    "metric_mult": (lambda ws, z: ws.metric_mult(z), 0, 2, EUCLIDEAN),
+    "neg_trace": (lambda ws, z: ws.metric_pair(z, -1), 2, 0, EUCLIDEAN),
+    "grad": (lambda ws, z: ws.d(z, 0), 0, 1, EUCLIDEAN),
+    "div": (lambda ws, z: ws.delta(z, 1), 1, 0, EUCLIDEAN),
+    "trace_reversal": (lambda ws, z: ws.trace_reversal(z), 2, 2, LORENTZIAN),
+}
 
 
-def _ops(sector):
-    sp = space(sector)
-    out = {}
-    for name, rank in (("d", 0), ("d", 1), ("delta", 1), ("delta", 2),
-                       ("htrace", 2), ("hmul", 0)):
-        try:
-            m, _ = sp.op(name, rank)
-        except ValueError:
-            m = []
-        out[(name, rank)] = m
-    return out
+def jet_block(sector, name, signature, at=(Q(1), Q(0)), maxwell=False):
+    """Block ``name`` on raw jets, (u, u') -> (v, v') at the point
+    ``at`` = (a, adot) of ``signature``; exact when ``at`` is rational.
+    Second derivatives are eliminated with the cached radial system of the
+    input rank (the Maxwell one if ``maxwell``)."""
+    jet, rank_in, rank_out, _ = BLOCK_JETS[name]
+    ws = WarpedSector(sector, signature)
+
+    def elim():
+        system = build_system(f"D{rank_in}", sector, signature, maxwell=maxwell)
+        return system.slot_ranks, system.m1, system.m0
+
+    return ws.cauchy_block(lambda z: jet(ws, z), rank_in, rank_out, elim=elim,
+                           at=at)
 
 
-# -- Euclidean rational blocks ------------------------------------------------
-
-def sym_div_block(sector):
-    """Adjoint gauge operator on data, rank-2 -> rank-1 (Euclidean)."""
-    lam = sector.eigenvalue
-    li, lo = DataLayout(sector, 2), DataLayout(sector, 1)
-    op = _ops(sector)
-    m = _blockmap(lo, li)
-    _set(m, lo, 0, 0, li, 1, 0, rl.eye(li.slot_dims[0]), 2)
-    _set(m, lo, 0, 0, li, 0, 1, op[("delta", 1)], 2)
-    _set(m, lo, 0, 1, li, 1, 1, rl.eye(li.slot_dims[1]), 2)
-    _set(m, lo, 0, 1, li, 0, 2, op[("delta", 2)])
-    _set(m, lo, 1, 0, li, 0, 0, rl.eye(li.slot_dims[0]), 2 * (lam - 3))
-    _set(m, lo, 1, 0, li, 1, 1, op[("delta", 1)], 2)
-    _set(m, lo, 1, 0, li, 0, 2, op[("htrace", 2)], -1)
-    _set(m, lo, 1, 1, li, 0, 1, rl.eye(li.slot_dims[1]), 2 * (lam - 4))
-    _set(m, lo, 1, 1, li, 1, 2, op[("delta", 2)])
-    return m
+# keyed on bool(maxwell): lru_cache would key a defaulted and an explicit
+# maxwell=False apart and build the block twice
+_DATA_BLOCKS = {}
 
 
-def sym_grad_block(sector):
-    """Gauge operator on data, rank-1 -> rank-2 (Euclidean)."""
-    lam = sector.eigenvalue
-    li, lo = DataLayout(sector, 1), DataLayout(sector, 2)
-    op = _ops(sector)
-    m = _blockmap(lo, li)
-    half = Q(1, 2)
-    _set(m, lo, 0, 0, li, 1, 0, rl.eye(li.slot_dims[0]), -half)
-    _set(m, lo, 0, 0, li, 0, 1, op[("delta", 1)], half)
-    _set(m, lo, 0, 1, li, 1, 1, rl.eye(li.slot_dims[1]), -half)
-    _set(m, lo, 0, 1, li, 0, 0, op[("d", 0)], half)
-    _set(m, lo, 0, 2, li, 0, 1, op[("d", 1)])
-    _set(m, lo, 0, 2, li, 1, 0, op[("hmul", 0)], half)
-    if li.slot_dims[1] and li.slot_dims[0]:
-        hd = rl.matmul(op[("hmul", 0)], op[("delta", 1)])
-        _set(m, lo, 0, 2, li, 0, 1, hd, half)
-    _set(m, lo, 1, 0, li, 0, 0, rl.eye(li.slot_dims[0]), -half * lam)
-    _set(m, lo, 1, 0, li, 1, 1, op[("delta", 1)], half)
-    _set(m, lo, 1, 1, li, 0, 1, rl.eye(li.slot_dims[1]), -half * (lam - 4))
-    _set(m, lo, 1, 1, li, 1, 0, op[("d", 0)], half)
-    _set(m, lo, 1, 2, li, 1, 1, op[("d", 1)])
-    if li.slot_dims[1] and li.slot_dims[0]:
-        _set(m, lo, 1, 2, li, 1, 1, hd, half)
-    _set(m, lo, 1, 2, li, 0, 0, op[("hmul", 0)], half * (lam - 4))
-    return m
-
-
-def neg_trace_block(sector):
-    """Trace adjoint of the metric attachment, rank-2 -> rank-0."""
-    li, lo = DataLayout(sector, 2), DataLayout(sector, 0)
-    op = _ops(sector)
-    m = _blockmap(lo, li)
-    for h in (0, 1):
-        _set(m, lo, h, 0, li, h, 0, rl.eye(li.slot_dims[0]), -2)
-        _set(m, lo, h, 0, li, h, 2, op[("htrace", 2)], -1)
-    return m
-
-
-def metric_mult_block(sector):
-    """Metric attachment on data, rank-0 -> rank-2 (Euclidean)."""
-    li, lo = DataLayout(sector, 0), DataLayout(sector, 2)
-    op = _ops(sector)
-    m = _blockmap(lo, li)
-    for h in (0, 1):
-        _set(m, lo, h, 0, li, h, 0, rl.eye(li.slot_dims[0]))
-        _set(m, lo, h, 2, li, h, 0, op[("hmul", 0)])
-    return m
-
-
-def grad_block(sector, maxwell=False):
-    """Gradient on data, rank-0 -> rank-1 (Euclidean).
-
-    The second-derivative elimination uses the scalar operator of the
-    theory: D0L - 6 for linearized gravity, D0L for Maxwell.
-    """
-    lam = sector.eigenvalue
-    shift = Q(0) if maxwell else Q(6)
-    li, lo = DataLayout(sector, 0), DataLayout(sector, 1)
-    op = _ops(sector)
-    m = _blockmap(lo, li)
-    _set(m, lo, 0, 0, li, 1, 0, rl.eye(li.slot_dims[0]), -1)
-    _set(m, lo, 0, 1, li, 0, 0, op[("d", 0)])
-    _set(m, lo, 1, 0, li, 0, 0, rl.eye(li.slot_dims[0]), -(lam - shift))
-    _set(m, lo, 1, 1, li, 1, 0, op[("d", 0)])
-    return m
-
-
-def div_block(sector, maxwell=False):
-    """Divergence on data, rank-1 -> rank-0 (Euclidean)."""
-    lam = sector.eigenvalue
-    shift = Q(0) if maxwell else Q(6)
-    li, lo = DataLayout(sector, 1), DataLayout(sector, 0)
-    op = _ops(sector)
-    m = _blockmap(lo, li)
-    _set(m, lo, 0, 0, li, 1, 0, rl.eye(li.slot_dims[0]))
-    _set(m, lo, 0, 0, li, 0, 1, op[("delta", 1)])
-    _set(m, lo, 1, 0, li, 0, 0, rl.eye(li.slot_dims[0]), lam - shift)
-    _set(m, lo, 1, 0, li, 1, 1, op[("delta", 1)])
-    return m
-
-
-def trace_reversal_half(sector, flavor):
-    """Trace reversal on one half of rank-2 data (value components)."""
-    lay = DataLayout(sector, 2)
-    op = _ops(sector)
-    n = lay.half
-    m = rl.eye(n)
-    d0, d2 = lay.slot_dims[0], lay.slot_dims[2]
-    if d0 == 0:
-        return m
-    o0, o2 = lay.offsets[0], lay.offsets[2]
-    tr = rl.scale(op[("htrace", 2)], Q(1, 2))  # h-trace
-    hm = op[("hmul", 0)]
-    sgn = Q(1) if flavor == "lorentzian" else Q(-1)
-    # (Iu)_00 = 1/2 u_00 + sgn * 1/2 tr_h u_SS
-    for i in range(d0):
-        m[o0 + i][o0 + i] = Q(1, 2)
-        for j in range(d2):
-            m[o0 + i][o2 + j] = sgn * Q(1, 2) * tr[i][j]
-    # (Iu)_SS = u_SS + sgn * 1/2 |h) u_00 - 1/2 |h) tr_h u_SS
-    hmtr = rl.matmul(hm, tr)
-    for i in range(d2):
-        for j in range(d0):
-            m[o2 + i][o0 + j] += sgn * Q(1, 2) * hm[i][j]
-        for j in range(d2):
-            m[o2 + i][o2 + j] -= Q(1, 2) * hmtr[i][j]
-    return m
-
-
-def trace_reversal_block(sector, flavor="lorentzian"):
-    h = trace_reversal_half(sector, flavor)
-    return rl.block_diag([h, h])
+def data_block(sector, name, maxwell=False):
+    """Exact block ``name`` on Cauchy data at the equator: the jet block
+    with the derivative halves in the data convention (u, -u'), built once
+    per (sector, name, maxwell).  (The trace reversal does not mix the
+    halves, so the convention of its Lorentzian data leaves it unchanged.)"""
+    key = (sector, name, bool(maxwell))
+    if key not in _DATA_BLOCKS:
+        _, rank_in, rank_out, signature = BLOCK_JETS[name]
+        n_in = DataLayout(sector, rank_in).half
+        n_out = DataLayout(sector, rank_out).half
+        raw = jet_block(sector, name, signature, maxwell=maxwell)
+        _DATA_BLOCKS[key] = tuple(
+            tuple(-v if (i >= n_out) != (j >= n_in) else v for j, v in enumerate(row))
+            for i, row in enumerate(raw))
+    return _DATA_BLOCKS[key]
 
 
 # -- Hermitian forms ----------------------------------------------------------
 
-def _weight_diag(sector, rank, lorentz_signs):
-    sp = space(sector)
-    wts = fiber_weights(rank)
-    if lorentz_signs:
-        wts = [w * k for w, k in zip(wts, kappa_signs(rank))]
-    blocks = []
-    for r in range(rank + 1):
-        g = sp.gram(r)
-        blocks.append(rl.scale(g, wts[r]) if g else g)
-    return rl.block_diag(blocks)
-
-
+@lru_cache(maxsize=None)
 def data_gram(sector, rank):
     """Riemannian Hilbert Gram of doubled Cauchy data (positive definite)."""
-    w = _weight_diag(sector, rank, lorentz_signs=False)
-    return rl.block_diag([w, w])
+    w = data_weight(sector, rank)
+    return _frozen(rl.block_diag([w, w]))
 
 
 def normalized_columns(sector, basis, rank):
@@ -237,27 +126,28 @@ def normalized_columns(sector, basis, rank):
     return np.column_stack(out) if out else basis[:, :0]
 
 
+@lru_cache(maxsize=None)
 def charge_form(sector, rank):
     """Lorentzian conserved charge q_k as a Hermitian form matrix."""
-    d = _weight_diag(sector, rank, lorentz_signs=True)
+    d = data_weight(sector, rank, lorentz_signs=True)
     n = len(d)
     z = rl.zeros(n, n)
-    return rl.vstack([rl.hstack([z, d]), rl.hstack([d, z])])
+    return _frozen(rl.vstack([rl.hstack([z, d]), rl.hstack([d, z])]))
 
 
 def euclid_symplectic_form(sector, rank):
     """Green's-formula boundary form sigma (anti-Hermitian)."""
-    w = _weight_diag(sector, rank, lorentz_signs=False)
+    w = data_weight(sector, rank)
     n = len(w)
     z = rl.zeros(n, n)
     return rl.vstack([rl.hstack([z, rl.scale(w, -1)]), rl.hstack([w, z])])
 
 
+@lru_cache(maxsize=None)
 def physical_charge_form(sector):
     """q_{I,2} = q_2 o I_Sigma (trace-reversed charge on rank-2 data)."""
-    q2 = charge_form(sector, 2)
-    i_mat = trace_reversal_block(sector, "lorentzian")
-    return rl.matmul(q2, i_mat)
+    return _frozen(rl.matmul(charge_form(sector, 2),
+                             data_block(sector, "trace_reversal")))
 
 
 def kappa_diagonal(sector, rank, second=-1):
@@ -315,24 +205,23 @@ def lorentz_block(block_eu, sector, rank_out, rank_in):
     return (1.0 / f_out)[:, None] * b * f_in[None, :]
 
 
-# name -> (exact Euclidean block, rank out, rank in)
-_GAUGE_BLOCKS = {
-    "sym_grad": (sym_grad_block, 2, 1),
-    "sym_div": (sym_div_block, 1, 2),
-    "metric_mult": (metric_mult_block, 2, 0),
-    "neg_trace": (neg_trace_block, 0, 2),
-    "grad": (grad_block, 1, 0),
-    "div": (div_block, 0, 1),
-}
+_LORENTZ_BLOCKS = {}
 
 
-def lorentz_gauge_blocks(sector, *names):
-    """The named Lorentzian gauge blocks (any of sym_grad, sym_div,
-    metric_mult, neg_trace, grad, div), built only when asked for."""
+def lorentz_gauge_blocks(sector, *names, maxwell=False):
+    """The named Lorentzian blocks (Euclidean ones of ``BLOCK_JETS``
+    conjugated by the Wick phases), each built once per sector and
+    read-only."""
     out = {}
     for name in names:
-        block, rank_out, rank_in = _GAUGE_BLOCKS[name]
-        out[name] = lorentz_block(block(sector), sector, rank_out, rank_in)
+        key = (sector, name, bool(maxwell))
+        if key not in _LORENTZ_BLOCKS:
+            _, rank_in, rank_out, _ = BLOCK_JETS[name]
+            block = lorentz_block(data_block(sector, name, maxwell), sector,
+                                  rank_out, rank_in)
+            block.setflags(write=False)
+            _LORENTZ_BLOCKS[key] = block
+        out[name] = _LORENTZ_BLOCKS[key]
     return out
 
 
@@ -355,7 +244,8 @@ class Theory:
     ``quotient_sectors`` maps an operator to the sectors where its Euclidean
     kernel is nontrivial, so that its projectors exist only on the quotient;
     ``bad_levels`` are the harmonic levels (eigenvalues) that the modified
-    state projects out.
+    state projects out; ``gauge`` names the gauge operator's block in
+    ``BLOCK_JETS``.
     """
 
     name: str
@@ -363,6 +253,7 @@ class Theory:
     maxwell: bool
     quotient_sectors: dict
     bad_levels: tuple
+    gauge: str
 
     def charge(self, sector):
         """The conserved charge on field data (exact): q_{I,2} resp. q_1."""
@@ -372,11 +263,9 @@ class Theory:
 
     def gauge_block(self, sector):
         """Lorentzian gauge operator on data, gauge parameters -> field."""
-        if self.maxwell:
-            return lorentz_block(grad_block(sector, maxwell=True), sector, 1, 0)
-        return lorentz_gauge_blocks(sector, "sym_grad")["sym_grad"]
+        return lorentz_gauge_blocks(sector, self.gauge, maxwell=self.maxwell)[self.gauge]
 
 
-GRAVITY = Theory("gravity", 2, False, {"D1": KILLING_SECTORS}, (3, 4))
+GRAVITY = Theory("gravity", 2, False, {"D1": KILLING_SECTORS}, (3, 4), "sym_grad")
 MAXWELL = Theory("maxwell", 1, True, {"D0": (SectorLabel(Family.SCALAR, 0),)},
-                 (0,))
+                 (0,), "grad")

@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import rational as rl
-from .cauchy import MAXWELL, DataLayout, div_block, lorentz_columns
+from .cauchy import MAXWELL, DataLayout, data_block, lorentz_columns
 from .calderon import projector_pair
 from .sectors import Family, SectorLabel, enumerate_sectors
 from .states import build_covariances
@@ -57,7 +57,7 @@ class MaxwellPhaseSpace:
 def maxwell_phase_space(sector):
     """E = Ker(div block) per sector with its gauge/zero decomposition."""
     lay = DataLayout(sector, 1)
-    dv = div_block(sector, maxwell=True)
+    dv = data_block(sector, "div", maxwell=True)
     null = rl.nullspace(dv) if dv else [
         [Q(1) if i == j else Q(0) for i in range(lay.size)]
         for j in range(lay.size)]

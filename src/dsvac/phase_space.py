@@ -14,14 +14,7 @@ import numpy as np
 
 from . import rational as rl
 from .calderon import _rank, principal_angle
-from .cauchy import (
-    GRAVITY,
-    DataLayout,
-    lorentz_columns,
-    neg_trace_block,
-    normalized_columns,
-    sym_div_block,
-)
+from .cauchy import GRAVITY, DataLayout, data_block, lorentz_columns, normalized_columns
 from .sectors import Family, SectorLabel, space
 
 Q = Fraction
@@ -46,12 +39,11 @@ def _dim_fixture(sector):
     return (2, 0, 2, 2, 0)
 
 
-def ett_nullspace_euclid(sector):
+def ett_nullspace_euclid(sector, stacked):
     """Exact Euclidean E_TT basis as the joint null space of the adjoint
-    gauge blocks.  Sectors with no adjoint range (pure TT) are
-    unconstrained."""
+    gauge blocks, ``stacked`` one above the other.  Sectors with no adjoint
+    range (pure TT) are unconstrained."""
     size = DataLayout(sector, 2).size
-    stacked = rl.vstack([sym_div_block(sector), neg_trace_block(sector)])
     if not stacked:
         return [[Q(1) if i == j else Q(0) for i in range(size)] for j in range(size)]
     return rl.nullspace(stacked)
@@ -167,7 +159,8 @@ class PhaseSpaceSector:
 
 def phase_space_sector(sector):
     """Construct all subspaces, exactly, and cross-check the two routes."""
-    null_eu = ett_nullspace_euclid(sector)
+    stacked = rl.vstack([data_block(sector, "sym_div"), data_block(sector, "neg_trace")])
+    null_eu = ett_nullspace_euclid(sector, stacked)
     params = _param_columns(sector) if _dim_fixture(sector)[0] else []
     d_ett, d_eg, d_f, d_fg, d_e4 = _dim_fixture(sector)
     if len(null_eu) != d_ett or len(params) != d_ett:
@@ -175,12 +168,9 @@ def phase_space_sector(sector):
             f"E_TT dimension drift in {sector}: null space {len(null_eu)}, "
             f"parametrization {len(params)}, fixture {d_ett}")
     # the parametrization columns must span exactly the null space
-    if params:
-        stacked = rl.vstack([sym_div_block(sector), neg_trace_block(sector)])
-        for _, col in params:
-            resid = rl.matvec(stacked, col)
-            if any(x != 0 for x in resid):
-                raise RuntimeError(f"parametrization column leaves E_TT in {sector}")
+    for _, col in params:
+        if any(x != 0 for x in rl.matvec(stacked, col)):
+            raise RuntimeError(f"parametrization column leaves E_TT in {sector}")
     gauge_cols, f_cols, fg_cols, e4_cols = [], [], [], []
     for name, col in params:
         if name in ("u0", "u1"):

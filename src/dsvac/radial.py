@@ -20,10 +20,9 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from . import rational as rl
-from .cauchy import _weight_diag
 from .qseries import LSeries
 from .sectors import SectorLabel
-from .warped import EUCLIDEAN, LORENTZIAN, WarpedSector, cf_series_pole
+from .warped import EUCLIDEAN, LORENTZIAN, WarpedSector, cf_series_pole, data_weight
 
 Q = Fraction
 
@@ -93,7 +92,7 @@ class RadialSystem:
         return out.ravel()
 
 
-_RANK = {"D0": 0, "D1": 1, "D2": 2}
+OPERATOR_RANK = {"D0": 0, "D1": 1, "D2": 2}
 
 
 def _assert_reflection_parity(rank, slot_ranks, m1, m0):
@@ -113,7 +112,7 @@ def _assert_reflection_parity(rank, slot_ranks, m1, m0):
 
 @lru_cache(maxsize=None)
 def build_system(operator_id, sector, signature, maxwell=False):
-    rank = _RANK[operator_id]
+    rank = OPERATOR_RANK[operator_id]
     ws = WarpedSector(sector, signature)
     slot_ranks, m1, m0 = ws.radial_matrices(rank, maxwell=maxwell)
     _assert_reflection_parity(rank, slot_ranks, m1, m0)
@@ -558,7 +557,7 @@ def evolve_raw(system, u0, du0, t_grid, tol=INTEGRATOR_TOL):
 def charge_weight(system, t):
     """Time-dependent charge weight W(t): the slot-r block of the charge's
     weight (as in ``cauchy.charge_form``) scaled by cosh(t)^(3 - 2r)."""
-    w = rl.to_numpy(_weight_diag(system.sector, system.rank, lorentz_signs=True))
+    w = rl.to_numpy(data_weight(system.sector, system.rank, lorentz_signs=True))
     return w * np.array([np.cosh(t) ** (3 - 2 * r) for r in system.slot_ranks])[:, None]
 
 

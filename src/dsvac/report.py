@@ -54,7 +54,7 @@ from .states import (
     tt_energy_quadrature,
     wigner_involution_residual,
 )
-from .warped import EUCLIDEAN, LORENTZIAN, WarpedSector
+from .warped import EUCLIDEAN, LORENTZIAN
 
 SCHEMA_VERSION = 1
 ALL_SUITES = ("identities", "calderon", "phase_space", "states", "gauge",
@@ -326,12 +326,13 @@ def _suite_oracle(art, col, cfg):
 
 def _suite_identities(art, col, cfg):
     # exact operator identities (already rational-exact; assert and record)
-    worst = _worst(_max_abs(rl.matmul(cy.sym_div_block(sec), cy.sym_grad_block(sec)))
+    block = cy.data_block
+    worst = _worst(_max_abs(rl.matmul(block(sec, "sym_div"), block(sec, "sym_grad")))
                    for sec in art.sectors)
     col.add("identities", "gauge-complex", "gauge-complex-exactness", "-", worst,
             worst == 0.0)
-    worst = _worst(_max_abs(rl.sub(rl.matmul(cy.neg_trace_block(sec), cy.sym_grad_block(sec)),
-                                   rl.scale(cy.div_block(sec), -2)))
+    worst = _worst(_max_abs(rl.sub(rl.matmul(block(sec, "neg_trace"), block(sec, "sym_grad")),
+                                   rl.scale(block(sec, "div"), -2)))
                    for sec in art.sectors)
     col.add("identities", "trace-gauge-composition", "trace-gauge-relation", "-", worst,
             worst == 0.0)
@@ -352,15 +353,12 @@ def _suite_identities(art, col, cfg):
                    for system in systems if system.n)
     col.add("identities", "charge-conservation", "charge-conservation", "-",
             worst, worst <= INTEGRATION_BOUND, {"t_max": 2.0, "k_max": k_dyn})
-    worst = _worst(_intertwining_residual(
-        sec, "D1", "D2", lambda ws, z: ws.trace_reversal(ws.d(z, 1)),
-        rng, t_grid, cfg.tol_ode)
-        for sec in (SectorLabel(Family.SCALAR, 2), SectorLabel(Family.SCALAR, 1),
-                    SectorLabel(Family.VECTOR, 2)))
+    worst = _worst(_intertwining_residual(sec, "sym_grad", rng, t_grid, cfg.tol_ode)
+                   for sec in (SectorLabel(Family.SCALAR, 2), SectorLabel(Family.SCALAR, 1),
+                               SectorLabel(Family.VECTOR, 2)))
     col.add("identities", "gauge-evolution-intertwining", "gauge-evolution-compatibility",
             "-", worst, worst <= INTEGRATION_BOUND)
-    worst = _intertwining_residual(SectorLabel(Family.SCALAR, 2), "D2", "D1",
-                                   lambda ws, z: ws.delta(z, 2),
+    worst = _intertwining_residual(SectorLabel(Family.SCALAR, 2), "sym_div",
                                    rng, t_grid, cfg.tol_ode)
     col.add("identities", "adjoint-evolution-intertwining", "adjoint-evolution-compatibility",
             "-", worst, worst <= INTEGRATION_BOUND)
@@ -384,19 +382,17 @@ def _charge_drift(system, rng, t_grid, tol):
                   for i, t in enumerate(t_grid))
 
 
-def _intertwining_residual(sector, source, target, jet, rng, t_grid, tol):
-    """Largest mismatch between evolving random ``source`` data and then
-    applying the Cauchy block of ``jet(ws, z)``, and applying it first and
-    evolving the image as ``target`` data."""
-    sys_s = build_system(source, sector, LORENTZIAN)
-    sys_t = build_system(target, sector, LORENTZIAN)
-    ws = WarpedSector(sector, LORENTZIAN)
+def _intertwining_residual(sector, name, rng, t_grid, tol):
+    """Largest mismatch between evolving random source data and then
+    applying the Lorentzian jet of block ``name``, and applying it first and
+    evolving the image as target data."""
+    _, rank_s, rank_t, _ = cy.BLOCK_JETS[name]
+    sys_s = build_system(f"D{rank_s}", sector, LORENTZIAN, maxwell=False)
+    sys_t = build_system(f"D{rank_t}", sector, LORENTZIAN, maxwell=False)
 
     def block_raw(t):
-        a, adot = np.cosh(t) ** 2, np.sinh(2 * t)
-        return np.array(ws.cauchy_block(lambda z: jet(ws, z), sys_s.rank, sys_t.rank,
-                                        elim=(sys_s.slot_ranks, sys_s.m1, sys_s.m0),
-                                        at=(a, adot)), dtype=float)
+        at = (np.cosh(t) ** 2, np.sinh(2 * t))
+        return np.array(cy.jet_block(sector, name, LORENTZIAN, at=at), dtype=float)
 
     w0 = rng.normal(size=sys_s.n)
     dw0 = rng.normal(size=sys_s.n)

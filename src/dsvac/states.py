@@ -207,7 +207,7 @@ def tt_energy_quadrature(k=2, tol=1e-10, ode_tol=INTEGRATOR_TOL):
     ``tol`` is the quadrature tolerance, ``ode_tol`` the integrator's.
     """
     sector = SectorLabel(Family.TENSOR, k)
-    system = build_system("D2", sector, EUCLIDEAN)
+    system = build_system("D2", sector, EUCLIDEAN, maxwell=False)
     basis = regular_basis(system, tol=ode_tol, keep_dense=True)
     prof = solution_profile(basis)
     lam = float(sector.eigenvalue)

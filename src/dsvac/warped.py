@@ -22,6 +22,7 @@ without floating point.
 from fractions import Fraction
 from math import comb
 
+from . import rational as rl
 from .qseries import LSeries, scaled_arg, sin_series
 from .sectors import space
 
@@ -193,6 +194,21 @@ def kappa_signs(rank):
     return [Q((-1) ** (rank - r)) for r in range(rank + 1)]
 
 
+def data_weight(sector, rank, lorentz_signs=False):
+    """Weight of one half of rank-``rank`` Cauchy data: the slot Gram
+    matrices times the fiber weights, and times the reflection signs for
+    the Lorentzian charge."""
+    sp = space(sector)
+    wts = fiber_weights(rank)
+    if lorentz_signs:
+        wts = [w * k for w, k in zip(wts, kappa_signs(rank))]
+    blocks = []
+    for r in range(rank + 1):
+        g = sp.gram(r)
+        blocks.append(rl.scale(g, wts[r]) if g else g)
+    return rl.block_diag(blocks)
+
+
 class WarpedSector:
     """Warped calculus for one sector and one signature."""
 
@@ -279,11 +295,12 @@ class WarpedSector:
                           "trace", r + 2)
         return out
 
-    def metric_pair(self, z):
-        """(g| z for a rank-2 section: rank-0 section 2*(eps z_00 + a^-1 tr z_SS)."""
+    def metric_pair(self, z, c=1):
+        """c (g| z for a rank-2 section: rank-0 section
+        2c (eps z_00 + a^-1 tr z_SS)."""
         acc = self._zero_slot(0)
-        self._add(acc, 2 * self.eps, z[0])
-        self._add(acc, cf(-1, 0, 2), z[2], "trace", 2)
+        self._add(acc, 2 * c * self.eps, z[0])
+        self._add(acc, cf(-1, 0, 2 * c), z[2], "trace", 2)
         return {0: acc}
 
     def metric_mult(self, z0, c=1, out=None):
@@ -343,24 +360,24 @@ class WarpedSector:
 
     # -- Cauchy data blocks ---------------------------------------------------
 
-    def cauchy_block(self, op, in_rank, out_rank, elim=None, at=(Q(1), Q(0)),
-                     maxwell=False):
+    def cauchy_block(self, op, in_rank, out_rank, elim=None, at=(Q(1), Q(0))):
         """Jet-evaluate a first-order operator on Cauchy data.
 
         Returns the raw block mapping (u(pt), u'(pt)) -> (Op u (pt),
         d/ds Op u (pt)) as an exact rational matrix when ``at`` is rational.
         Second derivatives are eliminated with the radial system of the
-        input's field operator (pass ``elim``=(slot_ranks, M1, M0)).
+        input's field operator: ``elim`` is a function returning
+        (slot_ranks, M1, M0), by default the reduction ``radial_matrices`` of
+        linearized gravity.  It is called only if a second derivative occurs.
         """
         sig = self.sig
         z, n = self.unknown_section(in_rank)
         out = self.flat(op(z), out_rank)
         a_val, adot_val = at
         if elim is None:
-            elim = self.radial_matrices(in_rank, maxwell=maxwell)
-        _, m1, m0 = elim
-        m1_pt = [[cf_eval(c, a_val, adot_val) for c in row] for row in m1]
-        m0_pt = [[cf_eval(c, a_val, adot_val) for c in row] for row in m0]
+            def elim():
+                return self.radial_matrices(in_rank)
+        m_pt = []  # M1 and M0 at the point, from the first second derivative on
 
         def eval_expr(e):
             row_val = [Q(0) if isinstance(a_val, Fraction) else 0.0] * (2 * n)
@@ -371,6 +388,11 @@ class WarpedSector:
                 elif order == 1:
                     row_val[n + j] += c
                 elif order == 2:
+                    if not m_pt:
+                        _, m1, m0 = elim()
+                        m_pt[:] = [[[cf_eval(x, a_val, adot_val) for x in row]
+                                    for row in m] for m in (m1, m0)]
+                    m1_pt, m0_pt = m_pt
                     for l in range(n):
                         row_val[l] += c * m0_pt[j][l]
                         row_val[n + l] += c * m1_pt[j][l]

@@ -2,11 +2,12 @@
 
 The library keeps what ``dsvac run`` executes.  The second routes that the
 tests hold the program against, and that no report check runs, live here:
-the F_TT image routes of the phase space, the sphere quadrature of the
-scalar Gram matrices, the Killing data of the rank-1 kernel, Lorentzian
-evolution by direct integration in both time directions, the exact
-action of the radial operators on concrete profiles, exact matrices of the
-coefficient field and composable spatial operators.
+the Euclidean data blocks tabulated slot by slot, the F_TT image routes of
+the phase space, the sphere quadrature of the scalar Gram matrices, the
+Killing data of the rank-1 kernel, Lorentzian evolution by direct
+integration in both time directions, the exact action of the radial
+operators on concrete profiles, exact matrices of the coefficient field and
+composable spatial operators.
 """
 
 from dataclasses import dataclass
@@ -196,6 +197,168 @@ def evolve_raw_direct(system, u0, du0, t_grid, tol=INTEGRATOR_TOL):
                     out_u[p] += fac * sol.y[:n, idx_t]
                     out_du[p] += fac * sol.y[n:, idx_t]
     return out_u, out_du
+
+
+# -- hand-tabulated Euclidean data blocks ------------------------------------
+# The reference route of the exact blocks that dsvac.cauchy evaluates as jets
+# of the warped calculus: each block written out slot by slot.
+
+def _blockmap(layout_out, layout_in):
+    return rl.zeros(layout_out.size, layout_in.size)
+
+
+def _set(dst, layout_out, half_out, slot_out, layout_in, half_in, slot_in, mat, scale=1):
+    ro = half_out * layout_out.half + layout_out.offsets[slot_out]
+    co = half_in * layout_in.half + layout_in.offsets[slot_in]
+    for i, row in enumerate(mat):
+        for j, v in enumerate(row):
+            if v != 0:
+                dst[ro + i][co + j] += Q(scale) * v
+
+
+def _ops(sector):
+    sp = space(sector)
+    out = {}
+    for name, rank in (("d", 0), ("d", 1), ("delta", 1), ("delta", 2),
+                       ("htrace", 2), ("hmul", 0)):
+        try:
+            m, _ = sp.op(name, rank)
+        except ValueError:
+            m = []
+        out[(name, rank)] = m
+    return out
+
+
+def sym_div_block(sector):
+    """Adjoint gauge operator on data, rank-2 -> rank-1 (Euclidean)."""
+    lam = sector.eigenvalue
+    li, lo = DataLayout(sector, 2), DataLayout(sector, 1)
+    op = _ops(sector)
+    m = _blockmap(lo, li)
+    _set(m, lo, 0, 0, li, 1, 0, rl.eye(li.slot_dims[0]), 2)
+    _set(m, lo, 0, 0, li, 0, 1, op[("delta", 1)], 2)
+    _set(m, lo, 0, 1, li, 1, 1, rl.eye(li.slot_dims[1]), 2)
+    _set(m, lo, 0, 1, li, 0, 2, op[("delta", 2)])
+    _set(m, lo, 1, 0, li, 0, 0, rl.eye(li.slot_dims[0]), 2 * (lam - 3))
+    _set(m, lo, 1, 0, li, 1, 1, op[("delta", 1)], 2)
+    _set(m, lo, 1, 0, li, 0, 2, op[("htrace", 2)], -1)
+    _set(m, lo, 1, 1, li, 0, 1, rl.eye(li.slot_dims[1]), 2 * (lam - 4))
+    _set(m, lo, 1, 1, li, 1, 2, op[("delta", 2)])
+    return m
+
+
+def sym_grad_block(sector):
+    """Gauge operator on data, rank-1 -> rank-2 (Euclidean)."""
+    lam = sector.eigenvalue
+    li, lo = DataLayout(sector, 1), DataLayout(sector, 2)
+    op = _ops(sector)
+    m = _blockmap(lo, li)
+    half = Q(1, 2)
+    _set(m, lo, 0, 0, li, 1, 0, rl.eye(li.slot_dims[0]), -half)
+    _set(m, lo, 0, 0, li, 0, 1, op[("delta", 1)], half)
+    _set(m, lo, 0, 1, li, 1, 1, rl.eye(li.slot_dims[1]), -half)
+    _set(m, lo, 0, 1, li, 0, 0, op[("d", 0)], half)
+    _set(m, lo, 0, 2, li, 0, 1, op[("d", 1)])
+    _set(m, lo, 0, 2, li, 1, 0, op[("hmul", 0)], half)
+    if li.slot_dims[1] and li.slot_dims[0]:
+        hd = rl.matmul(op[("hmul", 0)], op[("delta", 1)])
+        _set(m, lo, 0, 2, li, 0, 1, hd, half)
+    _set(m, lo, 1, 0, li, 0, 0, rl.eye(li.slot_dims[0]), -half * lam)
+    _set(m, lo, 1, 0, li, 1, 1, op[("delta", 1)], half)
+    _set(m, lo, 1, 1, li, 0, 1, rl.eye(li.slot_dims[1]), -half * (lam - 4))
+    _set(m, lo, 1, 1, li, 1, 0, op[("d", 0)], half)
+    _set(m, lo, 1, 2, li, 1, 1, op[("d", 1)])
+    if li.slot_dims[1] and li.slot_dims[0]:
+        _set(m, lo, 1, 2, li, 1, 1, hd, half)
+    _set(m, lo, 1, 2, li, 0, 0, op[("hmul", 0)], half * (lam - 4))
+    return m
+
+
+def neg_trace_block(sector):
+    """Trace adjoint of the metric attachment, rank-2 -> rank-0."""
+    li, lo = DataLayout(sector, 2), DataLayout(sector, 0)
+    op = _ops(sector)
+    m = _blockmap(lo, li)
+    for h in (0, 1):
+        _set(m, lo, h, 0, li, h, 0, rl.eye(li.slot_dims[0]), -2)
+        _set(m, lo, h, 0, li, h, 2, op[("htrace", 2)], -1)
+    return m
+
+
+def metric_mult_block(sector):
+    """Metric attachment on data, rank-0 -> rank-2 (Euclidean)."""
+    li, lo = DataLayout(sector, 0), DataLayout(sector, 2)
+    op = _ops(sector)
+    m = _blockmap(lo, li)
+    for h in (0, 1):
+        _set(m, lo, h, 0, li, h, 0, rl.eye(li.slot_dims[0]))
+        _set(m, lo, h, 2, li, h, 0, op[("hmul", 0)])
+    return m
+
+
+def grad_block(sector, maxwell=False):
+    """Gradient on data, rank-0 -> rank-1 (Euclidean).
+
+    The second-derivative elimination uses the scalar operator of the
+    theory: D0L - 6 for linearized gravity, D0L for Maxwell.
+    """
+    lam = sector.eigenvalue
+    shift = Q(0) if maxwell else Q(6)
+    li, lo = DataLayout(sector, 0), DataLayout(sector, 1)
+    op = _ops(sector)
+    m = _blockmap(lo, li)
+    _set(m, lo, 0, 0, li, 1, 0, rl.eye(li.slot_dims[0]), -1)
+    _set(m, lo, 0, 1, li, 0, 0, op[("d", 0)])
+    _set(m, lo, 1, 0, li, 0, 0, rl.eye(li.slot_dims[0]), -(lam - shift))
+    _set(m, lo, 1, 1, li, 1, 0, op[("d", 0)])
+    return m
+
+
+def div_block(sector, maxwell=False):
+    """Divergence on data, rank-1 -> rank-0 (Euclidean)."""
+    lam = sector.eigenvalue
+    shift = Q(0) if maxwell else Q(6)
+    li, lo = DataLayout(sector, 1), DataLayout(sector, 0)
+    op = _ops(sector)
+    m = _blockmap(lo, li)
+    _set(m, lo, 0, 0, li, 1, 0, rl.eye(li.slot_dims[0]))
+    _set(m, lo, 0, 0, li, 0, 1, op[("delta", 1)])
+    _set(m, lo, 1, 0, li, 0, 0, rl.eye(li.slot_dims[0]), lam - shift)
+    _set(m, lo, 1, 0, li, 1, 1, op[("delta", 1)])
+    return m
+
+
+def trace_reversal_half(sector, flavor):
+    """Trace reversal on one half of rank-2 data (value components)."""
+    lay = DataLayout(sector, 2)
+    op = _ops(sector)
+    n = lay.half
+    m = rl.eye(n)
+    d0, d2 = lay.slot_dims[0], lay.slot_dims[2]
+    if d0 == 0:
+        return m
+    o0, o2 = lay.offsets[0], lay.offsets[2]
+    tr = rl.scale(op[("htrace", 2)], Q(1, 2))  # h-trace
+    hm = op[("hmul", 0)]
+    sgn = Q(1) if flavor == "lorentzian" else Q(-1)
+    # (Iu)_00 = 1/2 u_00 + sgn * 1/2 tr_h u_SS
+    for i in range(d0):
+        m[o0 + i][o0 + i] = Q(1, 2)
+        for j in range(d2):
+            m[o0 + i][o2 + j] = sgn * Q(1, 2) * tr[i][j]
+    # (Iu)_SS = u_SS + sgn * 1/2 |h) u_00 - 1/2 |h) tr_h u_SS
+    hmtr = rl.matmul(hm, tr)
+    for i in range(d2):
+        for j in range(d0):
+            m[o2 + i][o0 + j] += sgn * Q(1, 2) * hm[i][j]
+        for j in range(d2):
+            m[o2 + i][o2 + j] -= Q(1, 2) * hmtr[i][j]
+    return m
+
+
+def trace_reversal_block(sector, flavor="lorentzian"):
+    h = trace_reversal_half(sector, flavor)
+    return rl.block_diag([h, h])
 
 
 # -- Killing data and the F_TT image routes -----------------------------------

@@ -65,7 +65,7 @@ def test_lorentz_pair(d2_pairs):
         resid = pair.c_plus.conj().T @ qi2 - qi2 @ pair.c_plus
         assert np.max(np.abs(resid)) < 1e-9
         # the projectors commute with trace reversal on scalar sectors
-        i2 = rl.to_numpy(cy.trace_reversal_block(sec, "lorentzian"))
+        i2 = rl.to_numpy(cy.data_block(sec, "trace_reversal"))
         assert np.max(np.abs(i2 @ pair.c_plus - pair.c_plus @ i2)) < 1e-9
 
 

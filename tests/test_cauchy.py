@@ -1,8 +1,8 @@
 """Cauchy-surface operator blocks: dual-route validation.
 
-Every Euclidean block has two independent constructions: the tabulated
-rational formulas in dsvac.cauchy, and a jet evaluation through the warped
-calculus engine.  They must agree exactly.  On top of that the composition
+The library evaluates every exact block on data as a jet of the warped
+calculus (``cauchy.data_block``); ``routes`` tabulates the same blocks slot
+by slot.  They must agree exactly.  On top of that the composition
 identities of the gauge complex are checked exactly, and the Lorentzian
 conjugates satisfy the charge adjointness relations.
 """
@@ -12,8 +12,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import routes
 from dsvac import rational as rl
 from dsvac import cauchy as cy
+from dsvac.radial import build_system
 from dsvac.sectors import Family, SectorLabel, enumerate_sectors
 from dsvac.warped import EUCLIDEAN, WarpedSector
 from routes import gauge_orthogonal_residual, killing_data, killing_data_euclid
@@ -23,58 +25,77 @@ Q = Fraction
 SECTORS = enumerate_sectors(4)
 
 
-def engine_block(sector, which, maxwell=False):
-    """Euclidean data block from the warped engine (exact)."""
-    ws = WarpedSector(sector, EUCLIDEAN)
-    ops = {
-        "sym_grad": (lambda z: ws.trace_reversal(ws.d(z, 1)), 1, 2, False),
-        "sym_div": (lambda z: ws.delta(z, 2), 2, 1, False),
-        "metric_mult": (lambda z: ws.metric_mult({0: z[0]}), 0, 2, False),
-        "neg_trace": (lambda z: {0: _neg(ws, z)}, 2, 0, False),
-        "grad": (lambda z: ws.d(z, 0), 0, 1, maxwell),
-        "div": (lambda z: ws.delta(z, 1), 1, 0, maxwell),
-    }
-    op, rin, rout, mx = ops[which]
-    raw = ws.cauchy_block(op, rin, rout, maxwell=mx)
-    # raw maps (u, u') -> (v, v'); data convention flips derivative signs
-    n_in = cy.DataLayout(sector, rin).half
-    n_out = cy.DataLayout(sector, rout).half
-    out = [[Q(0)] * (2 * n_in) for _ in range(2 * n_out)]
-    for i in range(2 * n_out):
-        for j in range(2 * n_in):
-            s = Q(1)
-            if i >= n_out:
-                s = -s
-            if j >= n_in:
-                s = -s
-            out[i][j] = s * raw[i][j]
-    return out
+def _rows(block):
+    return [list(row) for row in block]
 
 
-def _neg(ws, z):
-    pair = ws.metric_pair(z)[0]
-    from dsvac.warped import le_scale
-    return [le_scale(e, -1, ws.sig) for e in pair]
-
-
-@pytest.mark.parametrize("sector", SECTORS, ids=str)
+@pytest.mark.parametrize("sector", enumerate_sectors(24), ids=str)
 def test_blocks_match_engine(sector):
-    assert cy.sym_grad_block(sector) == engine_block(sector, "sym_grad")
-    assert cy.sym_div_block(sector) == engine_block(sector, "sym_div")
-    assert cy.metric_mult_block(sector) == engine_block(sector, "metric_mult")
-    assert cy.neg_trace_block(sector) == engine_block(sector, "neg_trace")
-    assert cy.grad_block(sector) == engine_block(sector, "grad")
-    assert cy.div_block(sector) == engine_block(sector, "div")
-    assert cy.grad_block(sector, maxwell=True) == engine_block(
-        sector, "grad", maxwell=True)
-    assert cy.div_block(sector, maxwell=True) == engine_block(
-        sector, "div", maxwell=True)
+    for name in ("sym_grad", "sym_div", "metric_mult", "neg_trace", "grad", "div"):
+        table = getattr(routes, f"{name}_block")
+        assert _rows(cy.data_block(sector, name)) == table(sector), name
+    for name in ("grad", "div"):
+        table = getattr(routes, f"{name}_block")
+        assert _rows(cy.data_block(sector, name, maxwell=True)) == table(
+            sector, maxwell=True), name
+    assert _rows(cy.data_block(sector, "trace_reversal")) == routes.trace_reversal_block(
+        sector, "lorentzian")
+
+
+def test_blocks_are_built_once_and_immutable():
+    sec = SectorLabel(Family.SCALAR, 3)
+    q = cy.charge_form(sec, 2)
+    assert cy.charge_form(sec, 2) is q
+    assert cy.physical_charge_form(sec) is cy.physical_charge_form(sec)
+    assert cy.data_gram(sec, 1) is cy.data_gram(sec, 1)
+    assert cy.data_block(sec, "sym_grad") is cy.data_block(sec, "sym_grad", maxwell=False)
+    assert isinstance(q, tuple) and all(isinstance(row, tuple) for row in q)
+    before = _rows(q)
+    rl.matmul(q, q)
+    rl.scale(q, 3)
+    assert _rows(q) == before
+    blocks = cy.lorentz_gauge_blocks(sec, "sym_grad", "neg_trace")
+    again = cy.lorentz_gauge_blocks(sec, "neg_trace", "sym_grad")
+    for name, block in blocks.items():
+        assert again[name] is block
+        assert not block.flags.writeable
+    with pytest.raises(ValueError):
+        blocks["sym_grad"][0, 0] = 1.0
+    assert cy.GRAVITY.gauge_block(sec) is blocks["sym_grad"]
+
+
+def test_elimination_only_for_second_derivatives():
+    ws = WarpedSector(SectorLabel(Family.SCALAR, 2), EUCLIDEAN)
+    calls = []
+
+    def elim():
+        calls.append(1)
+        return ws.radial_matrices(1)
+
+    # metric attachment, trace and trace reversal are algebraic in u
+    ws.cauchy_block(lambda z: ws.metric_mult(z), 0, 2, elim=elim)
+    ws.cauchy_block(lambda z: ws.metric_pair(z, -1), 2, 0, elim=elim)
+    ws.cauchy_block(lambda z: ws.trace_reversal(z), 2, 2, elim=elim)
+    assert calls == []
+    ws.cauchy_block(lambda z: ws.trace_reversal(ws.d(z, 1)), 1, 2, elim=elim)
+    assert calls == [1]
+
+
+def test_blocks_eliminate_with_the_cached_system(monkeypatch):
+    sec = SectorLabel(Family.VECTOR, 30)  # built by no other test
+    build_system("D2", sec, EUCLIDEAN, maxwell=False)
+    reductions = []
+    reduce = WarpedSector.radial_matrices
+    monkeypatch.setattr(WarpedSector, "radial_matrices",
+                        lambda self, *a, **k: reductions.append(a) or reduce(self, *a, **k))
+    cy.data_block(sec, "sym_div")
+    assert reductions == []
 
 
 def test_sym_div_examples():
     # Scalar(0): g_1ss = 1 gives f_0s = 2, everything else 0
     sec = SectorLabel(Family.SCALAR, 0)
-    m = cy.sym_div_block(sec)
+    m = cy.data_block(sec, "sym_div")
     lay2, lay1 = cy.DataLayout(sec, 2), cy.DataLayout(sec, 1)
     g = [Q(0)] * lay2.size
     g[lay2.half + lay2.offsets[0]] = Q(1)
@@ -84,7 +105,7 @@ def test_sym_div_examples():
     assert f == expect
     # Vector(1): g_0sS input is annihilated (eigenvalue 4)
     secv = SectorLabel(Family.VECTOR, 1)
-    mv = cy.sym_div_block(secv)
+    mv = cy.data_block(secv, "sym_div")
     layv = cy.DataLayout(secv, 2)
     g = [Q(0)] * layv.size
     g[layv.offsets[1]] = Q(1)
@@ -93,7 +114,7 @@ def test_sym_div_examples():
 
 def test_sym_grad_kills_killing_data():
     for sec in (SectorLabel(Family.SCALAR, 1), SectorLabel(Family.VECTOR, 1)):
-        m = cy.sym_grad_block(sec)
+        m = cy.data_block(sec, "sym_grad")
         for v in killing_data_euclid(sec):
             assert rl.matvec(m, v) == [Q(0)] * cy.DataLayout(sec, 2).size
 
@@ -101,39 +122,43 @@ def test_sym_grad_kills_killing_data():
 @pytest.mark.parametrize("sector", SECTORS, ids=str)
 def test_gauge_complex_identities(sector):
     # adjoint-gauge o gauge = 0 exactly (Euclidean)
-    kdag = cy.sym_div_block(sector)
-    k21 = cy.sym_grad_block(sector)
+    kdag = cy.data_block(sector, "sym_div")
+    k21 = cy.data_block(sector, "sym_grad")
     z = rl.matmul(kdag, k21)
     assert all(all(v == 0 for v in row) for row in z)
     # trace-adjoint o gauge = -2 * divergence
-    k20d = cy.neg_trace_block(sector)
+    k20d = cy.data_block(sector, "neg_trace")
     lhs = rl.matmul(k20d, k21)
-    rhs = rl.scale(cy.div_block(sector), -2)
+    rhs = rl.scale(cy.data_block(sector, "div"), -2)
     assert lhs == rhs
     # divergence o gradient = 2*Lambda = 6 (gravity), 0 (Maxwell)
     lay0 = cy.DataLayout(sector, 0)
     if lay0.size:
-        grav = rl.matmul(cy.div_block(sector), cy.grad_block(sector))
+        grav = rl.matmul(cy.data_block(sector, "div"), cy.data_block(sector, "grad"))
         assert grav == rl.scale(rl.eye(lay0.size), 6)
-        mx = rl.matmul(cy.div_block(sector, maxwell=True),
-                       cy.grad_block(sector, maxwell=True))
+        mx = rl.matmul(cy.data_block(sector, "div", maxwell=True),
+                       cy.data_block(sector, "grad", maxwell=True))
         assert all(all(v == 0 for v in row) for row in mx)
     # neg_trace o metric_mult = -8 per doubled level
     if lay0.size:
-        comp = rl.matmul(cy.neg_trace_block(sector), cy.metric_mult_block(sector))
+        comp = rl.matmul(cy.data_block(sector, "neg_trace"),
+                         cy.data_block(sector, "metric_mult"))
         assert comp == rl.scale(rl.eye(lay0.size), -8)
 
 
 @pytest.mark.parametrize("sector", SECTORS, ids=str)
 def test_trace_reversal(sector):
-    for flavor in ("lorentzian", "euclidean"):
-        i2 = cy.trace_reversal_block(sector, flavor)
+    # the library's block is the Lorentzian one; the engine in the Euclidean
+    # signature gives the Euclidean one (it does not mix the data halves)
+    i_lor = cy.data_block(sector, "trace_reversal")
+    i_eu = cy.jet_block(sector, "trace_reversal", EUCLIDEAN)
+    assert i_eu == routes.trace_reversal_block(sector, "euclidean")
+    for i2 in (i_lor, i_eu):
         assert rl.matmul(i2, i2) == rl.eye(len(i2))
     # Euclidean version is the Wick conjugate of the Lorentzian one
-    i_lor = rl.to_numpy(cy.trace_reversal_block(sector, "lorentzian"))
-    i_eu = rl.to_numpy(cy.trace_reversal_block(sector, "euclidean"))
     f = cy.wick_phases(sector, 2)
-    assert np.allclose(f[:, None] * i_lor * (1 / f)[None, :], i_eu)
+    assert np.allclose(f[:, None] * rl.to_numpy(i_lor) * (1 / f)[None, :],
+                       rl.to_numpy(i_eu))
     # I is q2-self-adjoint: Q2 I symmetric, hence q_{I,2} Hermitian
     qi2 = rl.to_numpy(cy.physical_charge_form(sector))
     assert np.allclose(qi2, qi2.T)
@@ -148,7 +173,7 @@ def test_charge_vs_symplectic(sector):
         q = cy.charge_form(sector, rank)
         sig = cy.euclid_symplectic_form(sector, rank)
         kap = cy.kappa_block(sector, rank)
-        assert q == rl.matmul(sig, kap)
+        assert _rows(q) == rl.matmul(sig, kap)
 
 
 @pytest.mark.parametrize("sector", SECTORS, ids=str)

@@ -48,7 +48,7 @@ def test_spectra_disjoint():
 def test_gauge_composition():
     for sec in SECTORS:
         k10 = MAXWELL.gauge_block(sec)
-        k10d = cy.lorentz_block(cy.div_block(sec, maxwell=True), sec, 0, 1)
+        k10d = cy.lorentz_block(cy.data_block(sec, "div", maxwell=True), sec, 0, 1)
         if k10.size == 0:
             continue
         z = k10d @ k10

@@ -76,9 +76,11 @@ def test_single_suite_runs(suite):
 
 
 def test_worker_pool_matches_serial():
-    # a real fork: the Maxwell tasks must reach the Maxwell builder by name
-    serial = run(RunConfig(k_max=3, suites=("calderon", "maxwell"), jobs=1))
-    parallel = run(RunConfig(k_max=3, suites=("calderon", "maxwell"), jobs=2))
+    # a real fork of every suite: the Maxwell tasks must reach the Maxwell
+    # builder by name, and the per-sector caches the parent fills must give
+    # what the workers build in their own processes
+    serial = run(RunConfig(k_max=3, jobs=1))
+    parallel = run(RunConfig(k_max=3, jobs=2))
     c1, c2 = json.loads(_canon(serial)), json.loads(_canon(parallel))
     c1["config"].pop("jobs")
     c2["config"].pop("jobs")
