@@ -14,20 +14,24 @@ from math import pi
 import numpy as np
 
 
-def _cleared_matrices(system, s):
-    """a^2 M0 and a^2 M1 and a^2 at one point (no poles left)."""
-    a = np.cos(s) ** 2
-    adot = -np.sin(2 * s)
+def _collocation_matrix(system, s_nodes, cheb):
+    """Rows a^2 (-X'' + M1 X' + M0 X) at each node and slot, columns the
+    Chebyshev modes of each slot, from ``cheb`` = (t, dt, ddt) at the nodes.
+
+    One contraction evaluates a^2 A(s) = [[0, a^2 I], [a^2 M0, a^2 M1]] at
+    every node, with the a-exponents of the compiled first-order form
+    raised by 2 so that no pole is left; the top-right block is the a^2 of
+    the second-derivative term."""
     n = system.n
-    m1 = np.zeros((n, n))
-    m0 = np.zeros((n, n))
-    for i in range(n):
-        for j in range(n):
-            for (ia, jd), v in system.m1[i][j].items():
-                m1[i, j] += float(v) * a ** (ia + 2) * (adot if jd else 1.0)
-            for (ia, jd), v in system.m0[i][j].items():
-                m0[i, j] += float(v) * a ** (ia + 2) * (adot if jd else 1.0)
-    return m0, m1, a ** 2
+    monos, coef = system.first_order
+    a = np.cos(s_nodes) ** 2
+    adot = -np.sin(2 * s_nodes)
+    mono_vals = np.stack([a ** (ia + 2) * adot ** jd for ia, jd in monos], axis=1)
+    cleared = (mono_vals @ coef).reshape(len(s_nodes), 2 * n, 2 * n)[..., None]
+    t, dt, ddt = (b[:, None, None, :] for b in cheb)
+    mat = (cleared[:, n:, n:] * dt + cleared[:, n:, :n] * t
+           - cleared[:, :n, n:] * ddt)
+    return mat.reshape(len(s_nodes) * n, -1)
 
 
 def _cheb_basis(nmodes, s_nodes, smax):
@@ -61,19 +65,7 @@ def collocation_regular_basis(system, nmodes=56, oversample=2.0):
     y = np.cos(pi * (nn - j) / nn)  # -1..1 exclusive of left end
     s_nodes = (y + 1.0) * smax / 2.0
     s_nodes = s_nodes[s_nodes > 1e-9]
-    t, dt, ddt = _cheb_basis(nmodes, s_nodes, smax)
-    rows = []
-    for idx, s in enumerate(s_nodes):
-        m0, m1, a2 = _cleared_matrices(system, s)
-        for i in range(n):
-            row = np.zeros(n * nmodes)
-            for jslot in range(n):
-                block = (m1[i, jslot] * dt[idx] + m0[i, jslot] * t[idx])
-                if i == jslot:
-                    block = block - a2 * ddt[idx]
-                row[jslot * nmodes:(jslot + 1) * nmodes] = block
-            rows.append(row)
-    mat = np.array(rows)
+    mat = _collocation_matrix(system, s_nodes, _cheb_basis(nmodes, s_nodes, smax))
     mat /= np.linalg.norm(mat, axis=1, keepdims=True).clip(1e-300)
     u, sv, vt = np.linalg.svd(mat, full_matrices=False)
     gap = sv[-n - 1] / max(sv[-n], 1e-300) if len(sv) > n else np.inf

@@ -1,20 +1,27 @@
 """Radial ODE systems at the equator: regular solution bases and evolution.
 
 Each (operator, sector, signature) triple reduces to a second-order system
--X'' + M1(s) X' + M0(s) X = 0 over the sector slot basis.  Euclidean systems
-have regular singular points at s = +-pi/2; the basis of solutions regular
-at a pole is built by exact indicial analysis + Frobenius series seeding
-(the indicial matrix evaluated exactly on Python integers) and high-order
-adaptive integration to the equator.  Lorentzian systems are globally
-smooth and are integrated directly for the dynamical checks; the metric's
-t -> -t symmetry maps backward evolution to forward evolution of reflected
-data, so one forward solve covers both time signs.
+-X'' + M1(s) X' + M0(s) X = 0 over the sector slot basis.  Each system is
+compiled once to its first-order matrix A(s) = [[0, I], [M0(s), M1(s)]]:
+the few distinct monomials a^i adot^j of its coefficients and one float
+row of A per monomial, so an evaluation of A(s) is one contraction of the
+monomial values with those rows, and the ODE right-hand side one matrix
+product of A(s) with the stacked solution columns.
+
+Euclidean systems have regular singular points at s = +-pi/2; the basis of
+solutions regular at a pole is built by exact indicial analysis + Frobenius
+series seeding (the indicial matrix evaluated exactly on Python integers)
+and high-order adaptive integration to the equator, once per system and
+parameters.  Lorentzian systems are globally smooth and are integrated
+directly for the dynamical checks; the metric's t -> -t symmetry maps
+backward evolution to forward evolution of reflected data, so one forward
+solve covers both time signs.
 """
 
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import lcm, pi
+from math import cos, cosh, lcm, pi, sin, sinh
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -32,8 +39,10 @@ INTEGRATOR_TOL = 1e-12
 TAIL_TOL = 1e-14
 
 
-@dataclass
+@dataclass(eq=False)
 class RadialSystem:
+    """One radial system; ``build_system`` makes one instance per key, so
+    instances hash (and cache) by identity."""
     sector: SectorLabel
     operator_id: str  # 'D0' | 'D1' | 'D2'
     signature: str
@@ -48,48 +57,47 @@ class RadialSystem:
         return len(self.slot_ranks)
 
     def _ab(self, s):
+        """a(s) and its derivative as Python floats."""
         if self.signature == EUCLIDEAN:
-            a = np.cos(s) ** 2
-            adot = -np.sin(2 * s)
-        else:
-            a = np.cosh(s) ** 2
-            adot = np.sinh(2 * s)
-        return a, adot
+            return cos(s) ** 2, -sin(2 * s)
+        return cosh(s) ** 2, sinh(2 * s)
 
     @cached_property
-    def _m_terms(self):
-        """M1 and M0 flattened to (flat index, a power, adot power, float
-        coefficient) terms, in the entries' dict order."""
+    def first_order(self):
+        """The first-order matrix A(s) = [[0, I], [M0(s), M1(s)]] compiled
+        to (monomials, coefficients): the distinct (a power, adot power)
+        pairs of M1 and M0 with (0, 0) among them, and a (P, 2n * 2n) float
+        array whose row p holds the coefficients of monomial p, the identity
+        block under (0, 0).  A(s) = sum_p a^i_p adot^j_p row_p."""
         n = self.n
-        return tuple(
-            [(i * n + j, ia, jd, float(v))
-             for i in range(n) for j in range(n)
-             for (ia, jd), v in mat[i][j].items()]
-            for mat in (self.m1, self.m0))
+        monos = sorted({(0, 0)} | {mono for mat in (self.m1, self.m0)
+                                   for row in mat for entry in row
+                                   for mono in entry})
+        index = {mono: p for p, mono in enumerate(monos)}
+        coef = np.zeros((len(monos), 2 * n, 2 * n))
+        coef[index[0, 0], :n, n:] = np.eye(n)
+        for col, mat in ((0, self.m0), (n, self.m1)):
+            for i in range(n):
+                for j in range(n):
+                    for mono, v in mat[i][j].items():
+                        coef[index[mono], n + i, col + j] = float(v)
+        coef = coef.reshape(len(monos), -1)
+        coef.flags.writeable = False
+        return tuple(monos), coef
 
     def m_num(self, s):
+        """A(s) as a (2n, 2n) array: the monomials in Python floats, then
+        one contraction with the compiled coefficients."""
         a, adot = self._ab(s)
-        # Python floats: the same IEEE operations as numpy scalars, cheaper
-        a, adot = float(a), float(adot)
-        n = self.n
-        out = []
-        for terms in self._m_terms:
-            acc = [0.0] * (n * n)
-            for idx, ia, jd, v in terms:
-                acc[idx] += v * a ** ia * (adot if jd else 1.0)
-            out.append(np.array(acc).reshape(n, n))
-        return out[0], out[1]
+        monos, coef = self.first_order
+        dim = 2 * self.n
+        flat = np.dot([a ** ia * adot ** jd for ia, jd in monos], coef)
+        return flat.reshape(dim, dim)
 
     def rhs(self, s, y):
-        """First-order form for a stacked matrix of solutions."""
-        n = self.n
-        ncol = y.size // (2 * n)
-        y = y.reshape(2 * n, ncol)
-        m1, m0 = self.m_num(s)
-        out = np.empty_like(y)
-        out[:n] = y[n:]
-        out[n:] = m1 @ y[n:] + m0 @ y[:n]
-        return out.ravel()
+        """First-order form A(s) Y for a stacked matrix of solutions Y."""
+        mat = self.m_num(s)
+        return np.dot(mat, y.reshape(len(mat), -1)).ravel()
 
 
 OPERATOR_RANK = {"D0": 0, "D1": 1, "D2": 2}
@@ -338,9 +346,12 @@ def frobenius_solutions(system, order=SERIES_ORDER, x0=MATCH_RADIUS):
     cols_der = []
     exponents = []
     series_out = []
+    # physical components carry the grading x^(slot rank)
+    shifts = np.array([float(r) for r in system.slot_ranks])
     for rho, seeds in reg:
         rho_f = float(rho)
         l_shift = _indicial_at_shifts(entries, rho, order)
+        powers = _series_powers(rho_f, shifts, x0, order)
         others = {}
         for rho2, seeds2 in reg:
             off = rho2 - rho
@@ -349,11 +360,9 @@ def frobenius_solutions(system, order=SERIES_ORDER, x0=MATCH_RADIUS):
         for seed in seeds:
             coeffs = _frobenius_series(rho, seed, l_shift, p_f, q_f, n, order,
                                        others)
-            # physical components carry the grading x^(slot rank)
-            shifts = np.array([float(r) for r in system.slot_ranks])
             series = (rho_f, shifts, coeffs)
-            val, der, terms = _series_at(series, x0)
-            mags = [np.max(np.abs(t)) for t in terms]
+            val, der, terms = _series_at(series, x0, powers)
+            mags = np.abs(terms).max(axis=1).tolist()
             peak = max([0.0] + mags)
             tail = max([0.0] + mags[order - 2:])
             if peak > 0 and tail / peak > TAIL_TOL:
@@ -366,18 +375,26 @@ def frobenius_solutions(system, order=SERIES_ORDER, x0=MATCH_RADIUS):
     return np.array(cols_val).T, np.array(cols_der).T, exponents, series_out
 
 
-def _series_at(series, x):
+def _series_powers(rho, shifts, x, order):
+    """The exponents rho + m + shift of a graded Frobenius series, m =
+    0..order by slot, with x to those powers and to those powers less one."""
+    power = (rho + np.arange(order + 1))[:, None] + shifts
+    return power, x ** power, x ** (power - 1)
+
+
+def _series_at(series, x, powers=None):
     """Value and x-derivative at x of a graded Frobenius series (rho,
-    slot shifts, coefficients), with its terms."""
+    slot shifts, coefficients), with its terms; ``powers`` are its
+    ``_series_powers`` at x when already built."""
     rho, shifts, coeffs = series
+    power, xp, xd = powers or _series_powers(rho, shifts, x, len(coeffs) - 1)
+    terms = coeffs * xp
+    dterms = power * coeffs * xd
     val = np.zeros(len(shifts))
     der = np.zeros(len(shifts))
-    terms = []
-    for m, c in enumerate(coeffs):
-        power = rho + m + shifts
-        terms.append(c * x ** power)
-        val += terms[-1]
-        der += power * c * x ** (power - 1)
+    for t, d in zip(terms, dterms):  # a running sum in m
+        val += t
+        der += d
     return val, der, terms
 
 
@@ -444,13 +461,13 @@ def _frobenius_series(rho, seed, l_shift, p_f, q_f, n, order, resonances):
     return c
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolutionBasisAtEquator:
     sector: SectorLabel
     operator_id: str
     data_matrix: np.ndarray  # (2n, n) columns = (value, -d/ds value) at s=0
     conditioning: float
-    exponents: list
+    exponents: tuple
     dense: object = field(default=None, repr=False)
     series: object = field(default=None, repr=False)
     match_radius: float = MATCH_RADIUS
@@ -461,7 +478,14 @@ def regular_basis(system, series_order=SERIES_ORDER,
                   match_radius=MATCH_RADIUS, tol=INTEGRATOR_TOL,
                   keep_dense=False):
     """Cauchy data at s=0 of the basis of solutions regular at the north
-    pole (the south basis is its reflection, see ``calderon``)."""
+    pole (the south basis is its reflection, see ``calderon``).  Built once
+    per (system, series_order, match_radius, tol, keep_dense); the arrays
+    of the shared result are read-only."""
+    return _regular_basis(system, series_order, match_radius, tol, keep_dense)
+
+
+@lru_cache(maxsize=None)
+def _regular_basis(system, series_order, match_radius, tol, keep_dense):
     if system.signature != EUCLIDEAN:
         raise ValueError("regular bases are defined for the Euclidean systems")
     val, der, exponents, series = frobenius_solutions(
@@ -478,9 +502,12 @@ def regular_basis(system, series_order=SERIES_ORDER,
     qmat, _ = np.linalg.qr(data)
     sv = np.linalg.svd(data, compute_uv=False)
     cond = sv[-1] / sv[0]
-    return SolutionBasisAtEquator(system.sector, system.operator_id, qmat, cond, exponents,
+    for arr in (qmat, data):
+        arr.flags.writeable = False
+    return SolutionBasisAtEquator(system.sector, system.operator_id, qmat, cond,
+                                  tuple(exponents),
                                   dense=sol if keep_dense else None,
-                                  series=series if keep_dense else None,
+                                  series=tuple(series) if keep_dense else None,
                                   match_radius=match_radius,
                                   raw_data=data if keep_dense else None)
 

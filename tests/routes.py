@@ -5,9 +5,9 @@ tests hold the program against, and that no report check runs, live here:
 the Euclidean data blocks tabulated slot by slot, the F_TT image routes of
 the phase space, the sphere quadrature of the scalar Gram matrices, the
 Killing data of the rank-1 kernel, Lorentzian evolution by direct
-integration in both time directions, the exact action of the radial
-operators on concrete profiles, exact matrices of the coefficient field and
-composable spatial operators.
+integration in both time directions, the collocation matrix assembled node
+by node, the exact action of the radial operators on concrete profiles,
+exact matrices of the coefficient field and composable spatial operators.
 """
 
 from dataclasses import dataclass
@@ -197,6 +197,36 @@ def evolve_raw_direct(system, u0, du0, t_grid, tol=INTEGRATOR_TOL):
                     out_u[p] += fac * sol.y[:n, idx_t]
                     out_du[p] += fac * sol.y[n:, idx_t]
     return out_u, out_du
+
+
+def collocation_matrix_loop(system, s_nodes, cheb):
+    """``collocation._collocation_matrix`` assembled node by node and slot
+    by slot, with a^2 M0 and a^2 M1 summed term by term from the exact
+    coefficient dicts."""
+    t, dt, ddt = cheb
+    n = system.n
+    nmodes = t.shape[1]
+    rows = []
+    for idx, s in enumerate(s_nodes):
+        a = np.cos(s) ** 2
+        adot = -np.sin(2 * s)
+        m1 = np.zeros((n, n))
+        m0 = np.zeros((n, n))
+        for i in range(n):
+            for j in range(n):
+                for (ia, jd), v in system.m1[i][j].items():
+                    m1[i, j] += float(v) * a ** (ia + 2) * (adot if jd else 1.0)
+                for (ia, jd), v in system.m0[i][j].items():
+                    m0[i, j] += float(v) * a ** (ia + 2) * (adot if jd else 1.0)
+        for i in range(n):
+            row = np.zeros(n * nmodes)
+            for jslot in range(n):
+                block = m1[i, jslot] * dt[idx] + m0[i, jslot] * t[idx]
+                if i == jslot:
+                    block = block - a ** 2 * ddt[idx]
+                row[jslot * nmodes:(jslot + 1) * nmodes] = block
+            rows.append(row)
+    return np.array(rows)
 
 
 # -- hand-tabulated Euclidean data blocks ------------------------------------

@@ -7,13 +7,19 @@ from math import pi
 import numpy as np
 import pytest
 
+from dsvac import collocation
 from dsvac.collocation import collocation_regular_basis
 from dsvac.calderon import principal_angle
 import dsvac.radial as radial
 from dsvac.radial import build_system, charge_raw, evolve_raw, regular_basis
 from dsvac.sectors import Family, SectorLabel, enumerate_sectors
 from dsvac.warped import EUCLIDEAN, LORENTZIAN, WarpedSector
-from routes import evolve_lorentzian, evolve_raw_direct, indicial_exponents
+from routes import (
+    collocation_matrix_loop,
+    evolve_lorentzian,
+    evolve_raw_direct,
+    indicial_exponents,
+)
 
 Q = Fraction
 
@@ -123,6 +129,41 @@ def test_collocation_agreement(spec):
     assert gap > 1e4
 
 
+def test_collocation_matrix_matches_loop_assembly():
+    # the vectorised assembly against the node-by-node loop, to rounding
+    # relative to each row's norm (the scale the oracle normalises by)
+    checked = 0
+    for mx, op in ((False, "D2"), (True, "D1")):
+        for sec in enumerate_sectors(8):
+            sysm = build_system(op, sec, EUCLIDEAN, maxwell=mx)
+            if not sysm.n:
+                continue
+            s_nodes = np.linspace(0.01, pi / 2, 40)
+            cheb = collocation._cheb_basis(24, s_nodes, pi / 2)
+            got = collocation._collocation_matrix(sysm, s_nodes, cheb)
+            ref = collocation_matrix_loop(sysm, s_nodes, cheb)
+            assert got.shape == ref.shape == (40 * sysm.n, 24 * sysm.n)
+            scale = np.linalg.norm(ref, axis=1, keepdims=True)
+            assert np.all(np.abs(got - ref) <= 16 * EPS * scale), (op, sec)
+            checked += 1
+    assert checked > 30
+
+
+def test_regular_basis_is_built_once_and_read_only():
+    sysm = build_system("D2", SectorLabel(Family.SCALAR, 3), EUCLIDEAN)
+    basis = regular_basis(sysm)
+    assert regular_basis(sysm, tol=radial.INTEGRATOR_TOL) is basis
+    assert regular_basis(sysm, radial.SERIES_ORDER, radial.MATCH_RADIUS) is basis
+    assert regular_basis(sysm, tol=1e-10) is not basis
+    dense = regular_basis(sysm, keep_dense=True)
+    assert dense is not basis and dense.dense is not None
+    for arr in (basis.data_matrix, dense.data_matrix, dense.raw_data):
+        with pytest.raises(ValueError):
+            arr[0, 0] = 1.0
+    with pytest.raises(AttributeError):
+        basis.conditioning = 1.0
+
+
 CHARGE_CASES = [
     (Family.SCALAR, 2, "D2", False), (Family.SCALAR, 1, "D2", False),
     (Family.VECTOR, 1, "D2", False), (Family.TENSOR, 2, "D2", False),
@@ -152,37 +193,72 @@ def test_charge_conservation(spec):
 
 
 def _m_num_reference(system, s):
-    """M1(s), M0(s) by the nested loop over the exact coefficient dicts."""
+    """M1(s), M0(s) by the nested loop over the exact coefficient dicts,
+    with the sums of the absolute values of their terms."""
     a, adot = system._ab(s)
     n = system.n
-    m1 = np.zeros((n, n))
-    m0 = np.zeros((n, n))
+    m1, m0, abs1, abs0 = (np.zeros((n, n)) for _ in range(4))
     for i in range(n):
         for j in range(n):
-            for (ia, jd), v in system.m1[i][j].items():
-                m1[i, j] += float(v) * a ** ia * (adot if jd else 1.0)
-            for (ia, jd), v in system.m0[i][j].items():
-                m0[i, j] += float(v) * a ** ia * (adot if jd else 1.0)
-    return m1, m0
+            for mat, out, mag in ((system.m1, m1, abs1), (system.m0, m0, abs0)):
+                for (ia, jd), v in mat[i][j].items():
+                    term = float(v) * a ** ia * (adot if jd else 1.0)
+                    out[i, j] += term
+                    mag[i, j] += abs(term)
+    return m1, m0, abs1, abs0
 
 
-@pytest.mark.parametrize("signature", [EUCLIDEAN, LORENTZIAN])
-@pytest.mark.parametrize("spec", [
+M_NUM_SPECS = [
     (Family.SCALAR, 2, "D2", False), (Family.VECTOR, 2, "D2", False),
     (Family.TENSOR, 3, "D2", False), (Family.SCALAR, 3, "D1", False),
     (Family.VECTOR, 2, "D1", True), (Family.SCALAR, 1, "D0", True),
-], ids=str)
+]
+EPS = np.finfo(float).eps
+
+
+@pytest.mark.parametrize("signature", [EUCLIDEAN, LORENTZIAN])
+@pytest.mark.parametrize("spec", M_NUM_SPECS, ids=str)
 def test_m_num_matches_nested_loop(spec, signature):
+    # one contraction sums the terms in another order than the nested loop,
+    # so the entries agree to the rounding bound of the sum, not bitwise;
+    # the [0, I] rows hold no sum and stay exact
     fam, k, op, mx = spec
     sysm = build_system(op, SectorLabel(fam, k), signature, maxwell=mx)
+    n = sysm.n
     if spec[:3] == (Family.SCALAR, 2, "D2"):
-        assert sysm.n == 4
+        assert n == 4
     for s in np.linspace(-1.5, 1.5, 41):
         for arg in (s, float(s)):
             got = sysm.m_num(arg)
-            ref = _m_num_reference(sysm, arg)
-            assert np.array_equal(got[0], ref[0]), (spec, s)
-            assert np.array_equal(got[1], ref[1]), (spec, s)
+            m1, m0, abs1, abs0 = _m_num_reference(sysm, arg)
+            assert got.shape == (2 * n, 2 * n)
+            assert np.array_equal(got[:n], np.hstack([np.zeros((n, n)), np.eye(n)]))
+            assert np.all(np.abs(got[n:, n:] - m1) <= 4 * EPS * abs1), (spec, s)
+            assert np.all(np.abs(got[n:, :n] - m0) <= 4 * EPS * abs0), (spec, s)
+
+
+@pytest.mark.parametrize("signature", [EUCLIDEAN, LORENTZIAN])
+@pytest.mark.parametrize("spec", M_NUM_SPECS[:3], ids=str)
+def test_rhs_applies_the_first_order_matrix(spec, signature):
+    # rhs is A(s) Y for 1 to 4 stacked solution columns: the u rows are the
+    # u' rows exactly, the u' rows M1 u' + M0 u to the rounding bounds of
+    # m_num and of the 2n-term dot products on both sides
+    fam, k, op, mx = spec
+    sysm = build_system(op, SectorLabel(fam, k), signature, maxwell=mx)
+    n = sysm.n
+    rng = np.random.default_rng(5)
+    for s in (-1.2, 0.0, 0.4, 1.3):
+        m1, m0, abs1, abs0 = _m_num_reference(sysm, s)
+        for ncol in range(1, 5):
+            y = rng.normal(size=(2 * n, ncol))
+            out = sysm.rhs(s, y.ravel())
+            assert out.shape == (2 * n * ncol,)
+            out = out.reshape(2 * n, ncol)
+            mat = sysm.m_num(s)
+            assert np.all(np.abs(out - mat @ y) <= 2 * n * EPS * (np.abs(mat) @ np.abs(y)))
+            assert np.array_equal(out[:n], y[n:])
+            bound = (6 * n + 4) * EPS * (abs1 @ np.abs(y[n:]) + abs0 @ np.abs(y[:n]))
+            assert np.all(np.abs(out[n:] - (m1 @ y[n:] + m0 @ y[:n])) <= bound), (s, ncol)
 
 
 def _count_solves(monkeypatch):
