@@ -13,6 +13,9 @@ from math import pi
 
 import numpy as np
 
+NMODES = 56  # Chebyshev modes per slot
+NODES = 2 * NMODES  # collocation nodes
+
 
 def _collocation_matrix(system, s_nodes, cheb):
     """Rows a^2 (-X'' + M1 X' + M0 X) at each node and slot, columns the
@@ -52,30 +55,29 @@ def _cheb_basis(nmodes, s_nodes, smax):
     return t, dt * scale, ddt * scale ** 2
 
 
-def collocation_regular_basis(system, nmodes=56, oversample=2.0):
+def collocation_regular_basis(system):
     """Cauchy data at s=0 of the regular subspace by global collocation.
 
     Returns (data_matrix 2n x n orthonormal, spectral_gap).
     """
     n = system.n
     smax = pi / 2
-    nn = int(oversample * nmodes)
     # Chebyshev-Lobatto nodes on (0, pi/2], clustering at the pole
-    j = np.arange(1, nn + 1)
-    y = np.cos(pi * (nn - j) / nn)  # -1..1 exclusive of left end
+    j = np.arange(1, NODES + 1)
+    y = np.cos(pi * (NODES - j) / NODES)  # -1..1 exclusive of left end
     s_nodes = (y + 1.0) * smax / 2.0
     s_nodes = s_nodes[s_nodes > 1e-9]
-    mat = _collocation_matrix(system, s_nodes, _cheb_basis(nmodes, s_nodes, smax))
+    mat = _collocation_matrix(system, s_nodes, _cheb_basis(NMODES, s_nodes, smax))
     mat /= np.linalg.norm(mat, axis=1, keepdims=True).clip(1e-300)
     u, sv, vt = np.linalg.svd(mat, full_matrices=False)
     gap = sv[-n - 1] / max(sv[-n], 1e-300) if len(sv) > n else np.inf
     null = vt[-n:].T  # coefficients of the discrete regular solutions
     # evaluate data at s=0
-    t0, dt0, _ = _cheb_basis(nmodes, np.array([0.0]), smax)
+    t0, dt0, _ = _cheb_basis(NMODES, np.array([0.0]), smax)
     val = np.zeros((n, n))
     der = np.zeros((n, n))
     for col in range(n):
-        coeff = null[:, col].reshape(n, nmodes)
+        coeff = null[:, col].reshape(n, NMODES)
         val[:, col] = coeff @ t0[0]
         der[:, col] = coeff @ dt0[0]
     data = np.vstack([val, -der])

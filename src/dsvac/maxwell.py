@@ -98,6 +98,7 @@ def maxwell_projector_pair(sector, operator_id="D1", **params):
     return projector_pair(MAXWELL, sector, operator_id, **params)
 
 
-def maxwell_covariances(sector, variant="euclidean_vacuum", alpha=0.0,
-                        projector_pair=None):
-    return build_covariances(sector, variant, alpha, projector_pair, MAXWELL)
+def maxwell_covariances(sector, variant="euclidean_vacuum", alpha=0.0, *,
+                        projector_pair):
+    return build_covariances(sector, variant, alpha,
+                             projector_pair=projector_pair, theory=MAXWELL)

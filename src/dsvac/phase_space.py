@@ -19,6 +19,8 @@ from .sectors import Family, SectorLabel, space
 
 Q = Fraction
 
+KERNEL_RANK_TOL = 1e-10  # relative singular-value cut of the compressed charge
+
 VECTOR1 = SectorLabel(Family.VECTOR, 1)
 SCALAR1 = SectorLabel(Family.SCALAR, 1)
 
@@ -213,19 +215,19 @@ def pi_projection(sector, levels=(3, 4), rank=2):
     return np.eye(size)
 
 
-def charge_kernel_check(ps, tol=1e-10):
+def charge_kernel_check(ps):
     """Kernel of the theory's charge restricted to E versus F (principal
     angle), and the smallest nonzero singular value of the charge on E / F.
 
     The charge is compressed on unit-data-norm columns of E, so the rank cut
-    is relative to the form's scale.
+    is relative to the form's scale, at ``KERNEL_RANK_TOL``.
     """
     if ps.e_space.shape[1] == 0:
         return {"kernel_angle": 0.0, "quotient_sv": None}
     q = rl.to_numpy(ps.theory.charge(ps.sector))
     e = normalized_columns(ps.sector, ps.e_space, ps.theory.rank)
     u, s, vt = np.linalg.svd(e.conj().T @ q @ e)
-    rank = _rank(s, tol)
+    rank = _rank(s, KERNEL_RANK_TOL)
     ker = e @ vt[rank:].conj().T
     quo_sv = float(s[rank - 1]) if rank else None
     return {"kernel_angle": principal_angle(ker, ps.f_space),

@@ -12,13 +12,16 @@ Euclidean systems have regular singular points at s = +-pi/2; the basis of
 solutions regular at a pole is built by exact indicial analysis + Frobenius
 series seeding (the indicial matrix evaluated exactly on Python integers)
 and high-order adaptive integration to the equator, once per system and
-parameters.  Lorentzian systems are globally smooth and are integrated
-directly for the dynamical checks; the metric's t -> -t symmetry maps
-backward evolution to forward evolution of reflected data, so one forward
-solve covers both time signs.
+tolerance.  The coefficient poles sit at x = pi/2 - s = 0, +-pi, so the
+regular Frobenius series also converges on all of [0, pi/2]: summed to the
+equator it is the energy oracle's profile (``solution_profile``), a route
+independent of the integrator.  Lorentzian systems are globally smooth and
+are integrated directly for the dynamical checks; the metric's t -> -t
+symmetry maps backward evolution to forward evolution of reflected data, so
+one forward solve covers both time signs.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import cos, cosh, lcm, pi, sin, sinh
@@ -34,6 +37,7 @@ from .warped import EUCLIDEAN, LORENTZIAN, WarpedSector, cf_series_pole, data_we
 Q = Fraction
 
 SERIES_ORDER = 40
+EQUATOR_ORDER = 120  # the series order summed out to the equator
 MATCH_RADIUS = 0.15
 INTEGRATOR_TOL = 1e-12
 TAIL_TOL = 1e-14
@@ -317,11 +321,12 @@ def indicial_data(system, order=SERIES_ORDER):
     return out, (p_mats, q_mats), lmat
 
 
-def regular_exponents(system):
+def regular_exponents(system, order=SERIES_ORDER):
     """Exponents/seeds of the solutions square-integrable (hence smooth) at
-    the pole.  In the graded variables the L2 cutoff is uniform: a branch is
-    regular iff its graded exponent exceeds -2."""
-    data, series, lmat = indicial_data(system)
+    the pole, with the pole series to ``order``.  In the graded variables the
+    L2 cutoff is uniform: a branch is regular iff its graded exponent
+    exceeds -2."""
+    data, series, lmat = indicial_data(system, order)
     reg = []
     total_nullity = 0
     for rho, mult, seeds in data:
@@ -336,15 +341,15 @@ def regular_exponents(system):
 
 
 def frobenius_solutions(system, order=SERIES_ORDER, x0=MATCH_RADIUS):
-    """Values and s-derivatives at s = pi/2 - x0 of the regular basis."""
-    reg, (p_mats, q_mats), lmat = regular_exponents(system)
+    """Values and s-derivatives at s = pi/2 - x0 of the regular basis, and
+    its graded series (rho, slot shifts, coefficients), one per column."""
+    reg, (p_mats, q_mats), lmat = regular_exponents(system, order)
     n = system.n
     p_f = _series_float(p_mats, n, order)
     q_f = _series_float(q_mats, n, order)
     entries = _integer_entries(lmat)
     cols_val = []
     cols_der = []
-    exponents = []
     series_out = []
     # physical components carry the grading x^(slot rank)
     shifts = np.array([float(r) for r in system.slot_ranks])
@@ -370,9 +375,8 @@ def frobenius_solutions(system, order=SERIES_ORDER, x0=MATCH_RADIUS):
                     f"Frobenius tail not converged at x0={x0}: {tail/peak:.2e}")
             cols_val.append(val)
             cols_der.append(-der)  # d/ds = -d/dx
-            exponents.append(rho)
             series_out.append(series)
-    return np.array(cols_val).T, np.array(cols_der).T, exponents, series_out
+    return np.array(cols_val).T, np.array(cols_der).T, series_out
 
 
 def _series_powers(rho, shifts, x, order):
@@ -466,65 +470,43 @@ class SolutionBasisAtEquator:
     sector: SectorLabel
     operator_id: str
     data_matrix: np.ndarray  # (2n, n) columns = (value, -d/ds value) at s=0
-    conditioning: float
-    exponents: tuple
-    dense: object = field(default=None, repr=False)
-    series: object = field(default=None, repr=False)
-    match_radius: float = MATCH_RADIUS
-    raw_data: object = field(default=None, repr=False)
 
 
-def regular_basis(system, series_order=SERIES_ORDER,
-                  match_radius=MATCH_RADIUS, tol=INTEGRATOR_TOL,
-                  keep_dense=False):
+def regular_basis(system, tol=INTEGRATOR_TOL):
     """Cauchy data at s=0 of the basis of solutions regular at the north
-    pole (the south basis is its reflection, see ``calderon``).  Built once
-    per (system, series_order, match_radius, tol, keep_dense); the arrays
-    of the shared result are read-only."""
-    return _regular_basis(system, series_order, match_radius, tol, keep_dense)
+    pole (the south basis is its reflection, see ``calderon``): the
+    Frobenius seeds at ``MATCH_RADIUS`` marched to the equator with
+    tolerance ``tol``.  Built once per (system, tol); the array of the
+    shared result is read-only."""
+    return _regular_basis(system, tol)
 
 
 @lru_cache(maxsize=None)
-def _regular_basis(system, series_order, match_radius, tol, keep_dense):
+def _regular_basis(system, tol):
     if system.signature != EUCLIDEAN:
         raise ValueError("regular bases are defined for the Euclidean systems")
-    val, der, exponents, series = frobenius_solutions(
-        system, series_order, match_radius)
+    val, der, _ = frobenius_solutions(system, SERIES_ORDER, MATCH_RADIUS)
     n = system.n
-    s0 = pi / 2 - match_radius
     y0 = np.vstack([val, der]).ravel()
-    sol = solve_ivp(system.rhs, (s0, 0.0), y0, method="DOP853",
-                    rtol=tol, atol=tol, dense_output=keep_dense)
+    sol = solve_ivp(system.rhs, (pi / 2 - MATCH_RADIUS, 0.0), y0,
+                    method="DOP853", rtol=tol, atol=tol)
     if not sol.success:
         raise RuntimeError(f"integration failed: {sol.message}")
     y = sol.y[:, -1].reshape(2 * n, n)
-    data = np.vstack([y[:n], -y[n:]])
-    qmat, _ = np.linalg.qr(data)
-    sv = np.linalg.svd(data, compute_uv=False)
-    cond = sv[-1] / sv[0]
-    for arr in (qmat, data):
-        arr.flags.writeable = False
-    return SolutionBasisAtEquator(system.sector, system.operator_id, qmat, cond,
-                                  tuple(exponents),
-                                  dense=sol if keep_dense else None,
-                                  series=tuple(series) if keep_dense else None,
-                                  match_radius=match_radius,
-                                  raw_data=data if keep_dense else None)
+    qmat, _ = np.linalg.qr(np.vstack([y[:n], -y[n:]]))
+    qmat.flags.writeable = False
+    return SolutionBasisAtEquator(system.sector, system.operator_id, qmat)
 
 
-def solution_profile(basis, column=0):
-    """Callable (u(s), u'(s)) for one regular solution on [0, pi/2),
-    stitched from the dense integrator output and the pole series."""
-    if basis.dense is None or basis.series is None:
-        raise ValueError("regular_basis must be called with keep_dense=True")
-    n = basis.raw_data.shape[0] // 2
-    s_switch = pi / 2 - basis.match_radius
+def solution_profile(system):
+    """Callable s -> (u(s), u'(s)) on [0, pi/2] for the first regular
+    solution of a Euclidean system: its Frobenius series to
+    ``EQUATOR_ORDER``, whose tail is checked at the equator, the farthest
+    point from the pole."""
+    *_, series = frobenius_solutions(system, EQUATOR_ORDER, pi / 2)
 
     def phi(s):
-        if s <= s_switch:
-            y = basis.dense.sol(s)
-            return y[:n], y[n:]
-        val, der, _ = _series_at(basis.series[column], pi / 2 - s)
+        val, der, _ = _series_at(series[0], pi / 2 - s)
         return val, -der
 
     return phi

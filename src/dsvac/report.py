@@ -511,7 +511,7 @@ def _suite_states(art, col, cfg):
     sec = SectorLabel(Family.VECTOR, 1)
     _add_negativity(col, "states", "negativity-level-four", "level-four-negativity",
                     art.cov(sec), art.space(sec).ett4[:, 0], cfg)
-    energy, boundary, lam_val = tt_energy_quadrature(2, ode_tol=cfg.tol_ode)
+    energy, boundary, lam_val = tt_energy_quadrature(ode_tol=cfg.tol_ode)
     resid = abs(energy - boundary) / abs(boundary)
     ok = (resid <= INTEGRATION_BOUND
           and abs(lam_val - boundary) <= cfg.tol_verdict * abs(boundary))

@@ -175,13 +175,6 @@ _TABLES = {
     Family.TENSOR: _tensor_table,
 }
 
-_FINAL_ORDER = {
-    Family.SCALAR: {0: ["Y"], 1: ["dY"], 2: ["ddY", "hY"], 3: ["dddY", "hdY"]},
-    Family.VECTOR: {0: [], 1: ["V"], 2: ["dV"], 3: ["ddV", "hV"]},
-    Family.TENSOR: {0: [], 1: [], 2: ["T"], 3: ["dT"]},
-}
-
-
 class SectorSpace:
     """Reduced bases and exact operator matrices for one sector."""
 
@@ -195,10 +188,9 @@ class SectorSpace:
         self._gram_basis = {}
         self._ops = {}  # (name, rank) -> (matrix, target_rank)
         for rank in range(4):
-            self._reduce_rank(rank, gens[rank], gram[rank], priority[rank],
-                              _FINAL_ORDER[sector.family][rank])
+            self._reduce_rank(rank, gens[rank], gram[rank], priority[rank])
 
-    def _reduce_rank(self, rank, names, gram, priority, final_order):
+    def _reduce_rank(self, rank, names, gram, priority):
         if not names:
             self.basis[rank] = ()
             self._rewrite[rank] = {}
@@ -224,7 +216,7 @@ class SectorSpace:
                 rewrites[name] = dict(zip(kept, coeffs))
             else:
                 kept.append(name)
-        basis = [n for n in final_order if n in kept]
+        basis = [n for n in names if n in kept]
         self.basis[rank] = tuple(basis)
         rew = {}
         for n in names:

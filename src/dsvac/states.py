@@ -29,9 +29,8 @@ from .cauchy import (
     wigner_matrix,
 )
 from .calderon import calderon_invertible, lorentzify
-from .calderon import projector_pair as euclidean_projector_pair
 from .phase_space import pi_projection
-from .radial import INTEGRATOR_TOL, build_system, regular_basis, solution_profile
+from .radial import INTEGRATOR_TOL, build_system, solution_profile
 from .sectors import Family, SectorLabel
 from .warped import EUCLIDEAN
 
@@ -46,11 +45,9 @@ class CovariancePair:
     theory: Theory = GRAVITY
 
 
-def euclidean_vacuum_pair(sector, projector_pair=None, theory=GRAVITY):
-    """lambda_pm for the (pseudo) vacuum from the Euclidean Green's function."""
-    if projector_pair is None:
-        projector_pair = lorentzify(euclidean_projector_pair(
-            theory, sector, f"D{theory.rank}"))
+def euclidean_vacuum_pair(sector, projector_pair, theory=GRAVITY):
+    """lambda_pm for the (pseudo) vacuum from the Euclidean Green's function,
+    given the Lorentzian projector pair of the theory's field operator."""
     q = rl.to_numpy(theory.charge(sector)).astype(complex)
     lam_p = q @ projector_pair.c_plus
     lam_m = -q @ projector_pair.c_minus
@@ -58,8 +55,8 @@ def euclidean_vacuum_pair(sector, projector_pair=None, theory=GRAVITY):
                           theory=theory)
 
 
-def build_covariances(sector, variant="euclidean_vacuum", alpha=0.0,
-                      projector_pair=None, theory=GRAVITY):
+def build_covariances(sector, variant="euclidean_vacuum", alpha=0.0, *,
+                      projector_pair, theory=GRAVITY):
     base = euclidean_vacuum_pair(sector, projector_pair, theory)
     if variant == "euclidean_vacuum":
         return base
@@ -192,8 +189,11 @@ def wigner_involution_residual(sector):
 
 # -- independent energy oracle -------------------------------------------------
 
-def tt_energy_quadrature(k=2, tol=1e-10, ode_tol=INTEGRATOR_TOL):
-    """Hemisphere energy of the regular TT mode versus its boundary charge.
+QUADRATURE_TOL = 1e-10
+
+
+def tt_energy_quadrature(ode_tol=INTEGRATOR_TOL):
+    """Hemisphere energy of the regular TT(2) mode versus its boundary charge.
 
     For a transverse-traceless mode u = phi(s) T the quadratic form of the
     rank-2 operator is the manifestly positive integral
@@ -203,13 +203,14 @@ def tt_energy_quadrature(k=2, tol=1e-10, ode_tol=INTEGRATOR_TOL):
 
     psi1 = phi' - (adot/a) phi, and the boundary identity gives
     2 Q(u,u) = -2 phi(0) phi'(0), which is the covariance value of the
-    regular datum.  Returns (quadrature, boundary, covariance) values;
-    ``tol`` is the quadrature tolerance, ``ode_tol`` the integrator's.
+    regular datum.  The profile and its datum are the Frobenius series
+    summed to the equator; the covariance is that of the marched projector
+    pair at integrator tolerance ``ode_tol``.  Returns (quadrature,
+    boundary, covariance) values.
     """
-    sector = SectorLabel(Family.TENSOR, k)
+    sector = SectorLabel(Family.TENSOR, 2)
     system = build_system("D2", sector, EUCLIDEAN, maxwell=False)
-    basis = regular_basis(system, tol=ode_tol, keep_dense=True)
-    prof = solution_profile(basis)
+    prof = solution_profile(system)
     lam = float(sector.eigenvalue)
 
     def integrand(s):
@@ -220,9 +221,10 @@ def tt_energy_quadrature(k=2, tol=1e-10, ode_tol=INTEGRATOR_TOL):
         return (a ** 1.5) * (psi1 ** 2 / a ** 2 + 0.5 * adot ** 2 / a ** 4 * phi ** 2
                              + (lam - 6) / a ** 3 * phi ** 2 + 2 / a ** 2 * phi ** 2)
 
-    energy, _ = quad(integrand, 0.0, pi / 2, points=[pi / 2 - basis.match_radius],
-                     epsabs=tol, epsrel=tol, limit=200)
-    f = basis.raw_data[:, 0]  # (phi(0), -phi'(0)) of the integrated profile
+    energy, _ = quad(integrand, 0.0, pi / 2, epsabs=QUADRATURE_TOL,
+                     epsrel=QUADRATURE_TOL, limit=200)
+    (phi0,), (dphi0,) = prof(0.0)
+    f = np.array([phi0, -dphi0])  # (phi(0), -phi'(0))
     boundary = 2.0 * f[0] * f[1]
     cov = euclidean_vacuum_pair(sector, lorentzify(
         calderon_invertible(sector, "D2", tol=ode_tol)))

@@ -10,6 +10,7 @@ import pytest
 from dsvac import collocation
 from dsvac.collocation import collocation_regular_basis
 from dsvac.calderon import principal_angle
+from dsvac.maxwell import maxwell_sectors
 import dsvac.radial as radial
 from dsvac.radial import build_system, charge_raw, evolve_raw, regular_basis
 from dsvac.sectors import Family, SectorLabel, enumerate_sectors
@@ -153,15 +154,75 @@ def test_regular_basis_is_built_once_and_read_only():
     sysm = build_system("D2", SectorLabel(Family.SCALAR, 3), EUCLIDEAN)
     basis = regular_basis(sysm)
     assert regular_basis(sysm, tol=radial.INTEGRATOR_TOL) is basis
-    assert regular_basis(sysm, radial.SERIES_ORDER, radial.MATCH_RADIUS) is basis
     assert regular_basis(sysm, tol=1e-10) is not basis
-    dense = regular_basis(sysm, keep_dense=True)
-    assert dense is not basis and dense.dense is not None
-    for arr in (basis.data_matrix, dense.data_matrix, dense.raw_data):
-        with pytest.raises(ValueError):
-            arr[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        basis.data_matrix[0, 0] = 1.0
     with pytest.raises(AttributeError):
-        basis.conditioning = 1.0
+        basis.data_matrix = None
+
+
+def _regular_systems(k_max):
+    """The systems of the method-independence candidates: gravity D2 and
+    Maxwell D1 in every sector up to ``k_max``."""
+    out = []
+    for op, mx, secs in (("D2", False, enumerate_sectors(k_max)),
+                         ("D1", True, maxwell_sectors(k_max))):
+        for sec in secs:
+            sysm = build_system(op, sec, EUCLIDEAN, maxwell=mx)
+            if sysm.n:
+                out.append(sysm)
+    return out
+
+
+def _series_vs_march(k_max):
+    for sysm in _regular_systems(k_max):
+        val, der, _ = radial.frobenius_solutions(sysm, radial.EQUATOR_ORDER, pi / 2)
+        series = np.vstack([val, -der])  # (value, -d/ds value) at s = 0
+        ang = principal_angle(series, regular_basis(sysm).data_matrix)
+        assert ang <= 1e-11, (sysm.operator_id, sysm.sector, ang)
+
+
+def test_series_at_equator_matches_marched_basis():
+    # two routes to the regular subspace: the Frobenius series summed to the
+    # equator, and the seeds at MATCH_RADIUS marched there
+    _series_vs_march(8)
+
+
+@pytest.mark.slow
+def test_series_at_equator_matches_marched_basis_to_k24():
+    _series_vs_march(24)
+
+
+@pytest.mark.parametrize("sec", [SectorLabel(Family.SCALAR, 5),
+                                 SectorLabel(Family.TENSOR, 2)])
+def test_equator_series_obeys_the_full_order_recursion(sec):
+    # every coefficient to EQUATOR_ORDER satisfies L(rho+m) c_m =
+    # sum_j<m (P_(m-j) (rho+j) + Q_(m-j)) c_j with the exact pole tables at
+    # that order; tables cut off at a lower order leave the high
+    # coefficients off by the dropped terms
+    sysm = build_system("D2", sec, EUCLIDEAN)
+    order = radial.EQUATOR_ORDER
+    p_mats, q_mats = radial.pole_series_matrices(sysm, order)
+    p_f = radial._series_float(p_mats, sysm.n, order)
+    q_f = radial._series_float(q_mats, sysm.n, order)
+    _, _, lmat = radial.indicial_data(sysm)
+    *_, series = radial.frobenius_solutions(sysm, order, pi / 2)
+    for rho, _, c in series:
+        for m in range(1, order + 1):
+            lm = np.array([[float(radial._poly_eval(e, Q(rho) + m))
+                            for e in row] for row in lmat])
+            terms = [(p_f[m - j] * (rho + j) + q_f[m - j]) @ c[j] for j in range(m)]
+            scale = np.abs(lm) @ np.abs(c[m]) + sum(np.abs(t) for t in terms)
+            resid = np.abs(lm @ c[m] - sum(terms))
+            assert np.all(resid <= 1e-10 * scale), (sec, m)
+
+
+def test_series_tail_guard_fires_at_the_equator():
+    # at the march's SERIES_ORDER the TT(2) series has not converged at
+    # x = pi/2 (tail/peak about 1e-11), and the guard says so
+    sysm = build_system("D2", SectorLabel(Family.TENSOR, 2), EUCLIDEAN)
+    with pytest.raises(RuntimeError, match="tail not converged"):
+        radial.frobenius_solutions(sysm, radial.SERIES_ORDER, pi / 2)
 
 
 CHARGE_CASES = [
