@@ -38,7 +38,6 @@ class ProjectorPair:
     signature: str
     c_plus: np.ndarray
     c_minus: np.ndarray
-    maxwell: bool = False
     quotient_info: Optional[QuotientInfo] = None
     conditioning: float = 0.0
 
@@ -91,7 +90,7 @@ def calderon_invertible(sector, operator_id="D2", maxwell=False, **params):
     c_plus = vp @ inv[:n]
     c_minus = np.eye(2 * n) - c_plus
     return ProjectorPair(sector, operator_id, EUCLIDEAN, c_plus, c_minus,
-                         maxwell=maxwell, conditioning=cond)
+                         conditioning=cond)
 
 
 def calderon_quotient(sector, operator_id="D1", maxwell=False, **params):
@@ -131,8 +130,7 @@ def calderon_quotient(sector, operator_id="D1", maxwell=False, **params):
     qinfo = QuotientInfo(kernel=kernel, subspace=w,
                          quotient_dim=comp.shape[1], complement=comp)
     return ProjectorPair(sector, operator_id, EUCLIDEAN,
-                         c_plus_w, c_minus_w, maxwell=maxwell,
-                         quotient_info=qinfo,
+                         c_plus_w, c_minus_w, quotient_info=qinfo,
                          conditioning=float(s[-1]) if len(s) else 0.0)
 
 
@@ -216,5 +214,5 @@ def lorentzify(pair):
                              quotient_dim=qi.quotient_dim,
                              complement=rows(qi.complement))
     return ProjectorPair(pair.sector, pair.operator_id, LORENTZIAN,
-                         c_plus, c_minus, maxwell=pair.maxwell,
-                         quotient_info=qinfo, conditioning=pair.conditioning)
+                         c_plus, c_minus, quotient_info=qinfo,
+                         conditioning=pair.conditioning)

@@ -165,9 +165,10 @@ def kappa_block(sector, rank):
     return rl.block_diag([[[v]] for v in kappa_diagonal(sector, rank)])
 
 
-def wigner_matrix(sector, rank=2):
-    """Matrix part of the antilinear time reversal: Z f = M conj(f)."""
-    return rl.block_diag([[[v]] for v in kappa_diagonal(sector, rank, +1)])
+def wigner_matrix(sector):
+    """Matrix part of the antilinear time reversal on rank-2 data:
+    Z f = M conj(f)."""
+    return rl.block_diag([[[v]] for v in kappa_diagonal(sector, 2, +1)])
 
 
 # -- Wick phases and Lorentzian blocks ----------------------------------------

@@ -132,8 +132,6 @@ class PhaseSpaceSector:
     ftt_gauge: np.ndarray
     ett4: np.ndarray
     ett3: np.ndarray
-    param_labels: list
-    param_matrix_euclid: list  # exact rational columns, labelled
 
     theory = GRAVITY
 
@@ -192,8 +190,6 @@ def phase_space_sector(sector):
         ftt_gauge=lorentz_columns(fg_cols, sector, 2),
         ett4=lorentz_columns(e4_cols, sector, 2),
         ett3=lorentz_columns(e3_cols, sector, 2),
-        param_labels=[n for n, _ in params],
-        param_matrix_euclid=params,
     )
 
 
@@ -231,5 +227,4 @@ def charge_kernel_check(ps):
     ker = e @ vt[rank:].conj().T
     quo_sv = float(s[rank - 1]) if rank else None
     return {"kernel_angle": principal_angle(ker, ps.f_space),
-            "quotient_sv": quo_sv, "kernel_dim": ker.shape[1],
-            "ftt_dim": ps.f_space.shape[1]}
+            "quotient_sv": quo_sv, "kernel_dim": ker.shape[1]}

@@ -467,8 +467,6 @@ def _frobenius_series(rho, seed, l_shift, p_f, q_f, n, order, resonances):
 
 @dataclass(frozen=True)
 class SolutionBasisAtEquator:
-    sector: SectorLabel
-    operator_id: str
     data_matrix: np.ndarray  # (2n, n) columns = (value, -d/ds value) at s=0
 
 
@@ -495,7 +493,7 @@ def _regular_basis(system, tol):
     y = sol.y[:, -1].reshape(2 * n, n)
     qmat, _ = np.linalg.qr(np.vstack([y[:n], -y[n:]]))
     qmat.flags.writeable = False
-    return SolutionBasisAtEquator(system.sector, system.operator_id, qmat)
+    return SolutionBasisAtEquator(qmat)
 
 
 def solution_profile(system):

@@ -181,7 +181,6 @@ class SectorSpace:
     def __init__(self, sector):
         self.sector = sector
         gens, gram, act, priority = _TABLES[sector.family](sector.k)
-        self._gens = gens
         self._act = act
         self.basis = {}
         self._rewrite = {}  # rank -> dict gen_name -> coords over basis

@@ -28,10 +28,9 @@ from .cauchy import (
     physical_charge_form,
     wigner_matrix,
 )
-from .calderon import calderon_invertible, lorentzify
 from .phase_space import pi_projection
-from .radial import INTEGRATOR_TOL, build_system, solution_profile
-from .sectors import Family, SectorLabel
+from .radial import build_system, solution_profile
+from .sectors import SectorLabel
 from .warped import EUCLIDEAN
 
 
@@ -40,8 +39,6 @@ class CovariancePair:
     sector: SectorLabel
     lambda_plus: np.ndarray
     lambda_minus: np.ndarray
-    variant: str  # 'euclidean_vacuum' | 'modified' | 'modified4' | 'alpha'
-    alpha: float = 0.0
     theory: Theory = GRAVITY
 
 
@@ -51,8 +48,7 @@ def euclidean_vacuum_pair(sector, projector_pair, theory=GRAVITY):
     q = rl.to_numpy(theory.charge(sector)).astype(complex)
     lam_p = q @ projector_pair.c_plus
     lam_m = -q @ projector_pair.c_minus
-    return CovariancePair(sector, lam_p, lam_m, "euclidean_vacuum",
-                          theory=theory)
+    return CovariancePair(sector, lam_p, lam_m, theory)
 
 
 def build_covariances(sector, variant="euclidean_vacuum", alpha=0.0, *,
@@ -64,14 +60,12 @@ def build_covariances(sector, variant="euclidean_vacuum", alpha=0.0, *,
         levels = theory.bad_levels if variant == "modified" else (4,)
         pim = pi_projection(sector, levels, theory.rank).astype(complex)
         return CovariancePair(sector, pim.conj().T @ base.lambda_plus @ pim,
-                              pim.conj().T @ base.lambda_minus @ pim, variant,
-                              theory=theory)
+                              pim.conj().T @ base.lambda_minus @ pim, theory)
     if variant == "alpha":
         s_mat = rl.to_numpy(kappa_block(sector, theory.rank)).astype(complex)
         u = cosh(alpha) * np.eye(len(s_mat)) + sinh(alpha) * s_mat
         return CovariancePair(sector, u.conj().T @ base.lambda_plus @ u,
-                              u.conj().T @ base.lambda_minus @ u, variant, alpha,
-                              theory)
+                              u.conj().T @ base.lambda_minus @ u, theory)
     raise ValueError(f"unknown variant {variant!r}")
 
 
@@ -163,9 +157,9 @@ def alpha_unitarity_residual(sector, alpha):
     return float(np.max(np.abs(u.conj().T @ qi2 @ u - qi2))) / scale
 
 
-def time_reversal_residual(cov, rng=None):
+def time_reversal_residual(cov):
     """conj(Zf) . lambda Zg = conj(g) . lambda f on random data."""
-    rng = rng or np.random.default_rng(11)
+    rng = np.random.default_rng(11)
     mz = rl.to_numpy(wigner_matrix(cov.sector)).astype(complex)
     n = len(mz)
     if n == 0:
@@ -192,8 +186,10 @@ def wigner_involution_residual(sector):
 QUADRATURE_TOL = 1e-10
 
 
-def tt_energy_quadrature(ode_tol=INTEGRATOR_TOL):
-    """Hemisphere energy of the regular TT(2) mode versus its boundary charge.
+def tt_energy_quadrature(cov):
+    """Hemisphere energy of the regular mode of a TT sector versus its
+    boundary charge and its value under the covariance ``cov`` of that
+    sector's Euclidean vacuum.
 
     For a transverse-traceless mode u = phi(s) T the quadratic form of the
     rank-2 operator is the manifestly positive integral
@@ -204,11 +200,10 @@ def tt_energy_quadrature(ode_tol=INTEGRATOR_TOL):
     psi1 = phi' - (adot/a) phi, and the boundary identity gives
     2 Q(u,u) = -2 phi(0) phi'(0), which is the covariance value of the
     regular datum.  The profile and its datum are the Frobenius series
-    summed to the equator; the covariance is that of the marched projector
-    pair at integrator tolerance ``ode_tol``.  Returns (quadrature,
-    boundary, covariance) values.
+    summed to the equator; ``cov`` comes from the marched projector pair.
+    Returns (quadrature, boundary, covariance) values.
     """
-    sector = SectorLabel(Family.TENSOR, 2)
+    sector = cov.sector
     system = build_system("D2", sector, EUCLIDEAN, maxwell=False)
     prof = solution_profile(system)
     lam = float(sector.eigenvalue)
@@ -226,7 +221,5 @@ def tt_energy_quadrature(ode_tol=INTEGRATOR_TOL):
     (phi0,), (dphi0,) = prof(0.0)
     f = np.array([phi0, -dphi0])  # (phi(0), -phi'(0))
     boundary = 2.0 * f[0] * f[1]
-    cov = euclidean_vacuum_pair(sector, lorentzify(
-        calderon_invertible(sector, "D2", tol=ode_tol)))
     lam_val = float(np.real(f.astype(complex).conj() @ cov.lambda_plus @ f))
     return 2.0 * energy, float(boundary), lam_val

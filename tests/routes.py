@@ -27,7 +27,7 @@ from dsvac.cauchy import (
 )
 from dsvac.harmonics import NVAR, _mono_integral, _norm2, _sphere_inner, _sym_grad
 from dsvac.maxwell import SCALAR0
-from dsvac.phase_space import SCALAR1, VECTOR1
+from dsvac.phase_space import SCALAR1, VECTOR1, _param_columns
 from dsvac.radial import INTEGRATOR_TOL, evolve_raw, indicial_data
 from dsvac.sectors import Family, space
 from dsvac.warped import cf_diff, cf_eval, cf_mul, cf_scale
@@ -456,6 +456,12 @@ def _traceless_image(sector, dom, tol):
     return image @ _null(k20d @ image, tol)
 
 
+def param_labels(sector):
+    """Labels of the columns of the (u, f, beta) parametrization of E_TT,
+    in the order of ``PhaseSpaceSector.ett``."""
+    return [name for name, _ in _param_columns(sector)]
+
+
 def decompose(ps, data, tol=1e-10):
     """Unique (u, f, beta) coordinates of a Lorentzian E_TT datum, with
     membership flags."""
@@ -465,7 +471,7 @@ def decompose(ps, data, tol=1e-10):
     resid = np.linalg.norm(ps.ett @ coords - data)
     if resid > tol * max(1.0, np.linalg.norm(data)):
         raise ValueError(f"datum not in E_TT (residual {resid:.2e})")
-    named = dict(zip(ps.param_labels, coords))
+    named = dict(zip(param_labels(ps.sector), coords))
     flags = {
         "ett_gauge": all(abs(named.get(k, 0)) < tol for k in ("f0", "f1", "bs", "bS")),
         "ftt": all(abs(named.get(k, 0)) < tol for k in ("u0", "u1")),

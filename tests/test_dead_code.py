@@ -1,6 +1,8 @@
 """Dead-code guard over the library: every module-level import is used in
-its module, and every public function, class and method is referenced
-somewhere in the library outside its own definition."""
+its module; every public function, class and method is referenced
+somewhere in the library outside its own definition; every UPPER_CASE
+module constant and every dataclass field is read somewhere in the
+library."""
 
 import ast
 from pathlib import Path
@@ -64,3 +66,42 @@ def test_public_definitions_are_referenced():
                        for module, found in refs.items() for ref, line in found):
                 unreferenced.append(f"{name}: {node.name}")
     assert not unreferenced, unreferenced
+
+
+# serialised whole by ``dataclasses.asdict`` into the report
+SERIALISED = {"RunConfig", "CheckRecord"}
+
+
+def _reads(kinds=(ast.Name, ast.Attribute)):
+    """Every name or attribute the library reads (load context), so a
+    definition or an assignment does not count as a use."""
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for tree in MODULES.values() for node in ast.walk(tree)
+            if isinstance(node, kinds) and isinstance(node.ctx, ast.Load)}
+
+
+def _is_dataclass(node):
+    return any((dec.func if isinstance(dec, ast.Call) else dec).id == "dataclass"
+               for dec in node.decorator_list)
+
+
+def test_module_constants_are_read():
+    reads = _reads()
+    unread = [f"{name}: {target.id}" for name, tree in MODULES.items()
+              for node in tree.body if isinstance(node, (ast.Assign, ast.AnnAssign))
+              for target in (node.targets if isinstance(node, ast.Assign)
+                             else [node.target])
+              if isinstance(target, ast.Name) and target.id.isupper()
+              and target.id not in reads]
+    assert not unread, unread
+
+
+def test_dataclass_fields_are_read():
+    reads = _reads(ast.Attribute)  # a field is read as ``obj.field``
+    unread = [f"{name}: {node.name}.{field.target.id}"
+              for name, tree in MODULES.items() for node in tree.body
+              if isinstance(node, ast.ClassDef) and _is_dataclass(node)
+              and node.name not in SERIALISED
+              for field in node.body if isinstance(field, ast.AnnAssign)
+              and field.target.id not in reads]
+    assert not unread, unread

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -7,7 +11,7 @@ import dsvac.cli as cli
 import dsvac.report as report
 from dsvac.cli import main
 from dsvac.report import RunConfig, diff_reports, has_failures, run, to_csv, to_json
-from dsvac.sectors import Family, SectorLabel
+from dsvac.sectors import Family, SectorLabel, enumerate_sectors
 
 
 @pytest.fixture(scope="module")
@@ -183,6 +187,48 @@ def test_nan_residual_fails_an_aggregated_check(monkeypatch):
     rec = next(r for r in rep["records"] if r["check_id"] == "racah-antiunitarity")
     assert rec["verdict"] == "fail"
     assert math.isnan(rec["residual"])
+    assert rec["extra"]["worst_sector"] == str(bad)
+
+
+def test_aggregated_check_names_its_worst_sector(monkeypatch):
+    real = report.racah_antiunitarity_residual
+    bad = SectorLabel(Family.VECTOR, 2)
+    monkeypatch.setattr(report, "racah_antiunitarity_residual",
+                        lambda sec: 1e-3 if sec == bad else real(sec))
+    rep = run(RunConfig(k_max=3, suites=("symmetry",), k_dynamics=2))
+    rec = next(r for r in rep["records"] if r["check_id"] == "racah-antiunitarity")
+    assert (rec["sector"], rec["residual"], rec["verdict"]) == ("-", 1e-3, "fail")
+    assert rec["extra"] == {"worst_sector": str(bad), "bound": 1e-12}
+
+
+def test_add_worst_floors_at_zero_and_evaluates_every_sector_in_order():
+    col = report._Collector()
+    seen = []
+
+    def residual(sec):
+        seen.append(sec)
+        return {"a": -2.0, "b": -1.0, "c": -1.0, "d": -3.0}[sec]
+
+    col.add_worst("s", "c", "claim", "abcd", residual, 0.0, extra={"note": 1})
+    col.add_worst("s", "empty", "claim", (), residual, 0.0, ok=False)
+    floored, empty = col.records
+    assert seen == list("abcd")
+    assert (floored.sector, floored.residual, floored.verdict) == ("-", 0.0, "pass")
+    assert floored.extra == {"note": 1, "worst_sector": "b", "bound": 0.0}
+    assert (empty.residual, empty.verdict) == (0.0, "fail")
+    assert empty.extra["worst_sector"] is None
+
+
+def test_harmonic_eigenvalue_checks_the_closed_formulas(monkeypatch):
+    # the oracle measures the spectra; a wrong closed formula must fail
+    import dsvac.sectors as sectors
+    monkeypatch.setitem(sectors._EIG_SHIFT, Family.VECTOR, 2)
+    rep = run(RunConfig(k_max=0, suites=("oracle",)))
+    verdicts = {r["sector"]: r["verdict"] for r in rep["records"]
+                if r["check_id"] == "harmonic-eigenvalue"}
+    assert len(verdicts) == 9
+    assert {sec for sec, v in verdicts.items() if v == "fail"} == {
+        f"VectorTransverse({k})" for k in (1, 2, 3)}
 
 
 def test_q_adjointness_is_relative_to_the_form_scale():
@@ -197,6 +243,21 @@ def test_q_adjointness_is_relative_to_the_form_scale():
     assert rec.verdict == "pass"
     assert rec.residual <= 1e-14
     assert "absolute" in rec.extra
+
+
+@pytest.mark.slow
+def test_gauge_intertwining_is_certified_to_k48(tmp_path):
+    # relative to ||c2+|| ||K||; the absolute residual grows with the level
+    out = tmp_path / "r.json"
+    done = subprocess.run(
+        [sys.executable, "-m", "dsvac.cli", "run", "--k-max", "48", "--jobs", "2",
+         "--suites", "calderon", "--out", str(out)],
+        env={**os.environ, "PYTHONPATH": str(Path(report.__file__).parents[1])})
+    assert done.returncode == 0
+    rec = next(r for r in json.loads(out.read_text())["records"]
+               if r["check_id"] == "projector-gauge-intertwining")
+    assert rec["verdict"] == "pass"
+    assert rec["extra"]["worst_sector"] in {str(sec) for sec in enumerate_sectors(48)}
 
 
 def test_internal_error_exit_code(tmp_path, monkeypatch, capsys):

@@ -163,8 +163,9 @@ def test_racah_and_time_reversal(setup):
         assert time_reversal_residual(covs[sec]) < 1e-10
 
 
-def test_energy_quadrature_oracle():
-    energy, boundary, lam_val = tt_energy_quadrature()
+def test_energy_quadrature_oracle(setup):
+    _, _, covs = setup
+    energy, boundary, lam_val = tt_energy_quadrature(covs[SectorLabel(Family.TENSOR, 2)])
     assert energy > 0
     # the profile and its datum are one series summed to the equator, so the
     # boundary identity holds to rounding
