@@ -18,13 +18,15 @@ equator it is the energy oracle's profile (``solution_profile``), a route
 independent of the integrator.  Lorentzian systems are globally smooth and
 are integrated directly for the dynamical checks; the metric's t -> -t
 symmetry maps backward evolution to forward evolution of reflected data, so
-one forward solve covers both time signs.
+one forward solve covers both time signs, and a check's whole batch of
+systems is one block-diagonal solve (``evolve_raw``) whose tolerance is
+scaled so that every system still meets its own.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import cos, cosh, lcm, pi, sin, sinh
+from math import cos, cosh, inf, lcm, pi, sin, sinh, sqrt
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -41,6 +43,7 @@ EQUATOR_ORDER = 120  # the series order summed out to the equator
 MATCH_RADIUS = 0.15
 INTEGRATOR_TOL = 1e-12
 TAIL_TOL = 1e-14
+RTOL_FLOOR = 100 * np.finfo(float).eps  # scipy raises any smaller rtol to this
 
 
 @dataclass(eq=False)
@@ -512,53 +515,125 @@ def solution_profile(system):
 
 # -- Lorentzian evolution -----------------------------------------------------
 
-def evolve_raw(system, u0, du0, t_grid, tol=INTEGRATOR_TOL):
-    """Evolve raw components (u, u-dot) of the Lorentzian system.  Returns
-    arrays (nt, n) for u and u-dot.
+def evolve_raw(batch, t_grid, tol=INTEGRATOR_TOL):
+    """Evolve the raw components (u, u-dot) of Lorentzian systems on one time
+    grid.  ``batch`` is a sequence of (system, u0, du0); returns one pair of
+    (nt, n) arrays u, u-dot per entry.
 
-    The system is reflection symmetric (``_assert_reflection_parity``): with
-    kappa = diag((-1)^(rank - r)) over the slots, if v solves it with data
-    (kappa u0, -kappa du0) then u(-t) = kappa v(t), u-dot(-t) = -kappa
+    Each system is reflection symmetric (``_assert_reflection_parity``):
+    with kappa = diag((-1)^(rank - r)) over the slots, if v solves it with
+    data (kappa u0, -kappa du0) then u(-t) = kappa v(t), u-dot(-t) = -kappa
     v-dot(t).  So one forward solve to max |t| serves both time signs:
     complex data are handled by linearity, and the real and imaginary parts
-    and their reflections are its columns (a part with all-zero data, or a
-    time sign absent from the grid, gets none)."""
-    if system.signature != LORENTZIAN:
-        raise ValueError("evolution is for Lorentzian systems")
-    n = system.n
-    u0 = np.asarray(u0, dtype=complex)
-    du0 = np.asarray(du0, dtype=complex)
+    and their reflections are a system's columns (a part with all-zero data,
+    or a time sign absent from the grid, gets none).
+
+    The systems with columns are one block-diagonal ODE (``_block_rhs``),
+    solved by one DOP853 call per chunk (``_chunks``).  scipy's error norm
+    is a root mean square over all D real components of a solve, so a chunk
+    runs at rtol = atol = tol * sqrt(d_min / D), d_i the real components of
+    block i: then sum_i (d_i / d_min) RMS_i^2 <= 1 at every accepted step,
+    so every block meets the criterion it meets alone at ``tol``.  A chunk
+    ends where one more block would take that below ``RTOL_FLOOR``, which
+    scipy would silently raise it to; at the default ``tol`` a check's
+    batch is one chunk, and a batch of one is solved at ``tol`` itself."""
+    if tol < RTOL_FLOOR:
+        raise ValueError(f"tolerance {tol:g} is below the integrator's floor "
+                         f"{RTOL_FLOOR:.3g}")
     t_grid = np.asarray(t_grid, dtype=float)
-    out_u = np.zeros((len(t_grid), n), dtype=complex)
-    out_du = np.zeros((len(t_grid), n), dtype=complex)
-    for p in np.nonzero(t_grid == 0.0)[0]:
-        out_u[p] = u0
-        out_du[p] = du0
-    kappa = np.array([(-1.0) ** (system.rank - r) for r in system.slot_ranks])
-    reflect = np.concatenate([kappa, -kappa])  # its own inverse
-    cols, reads = [], []
-    for fac, part in ((1.0, np.concatenate([u0.real, du0.real])),
-                      (1j, np.concatenate([u0.imag, du0.imag]))):
-        if not part.any():
-            continue
-        for mask, flip in ((t_grid > 0, 1.0), (t_grid < 0, reflect)):
-            if mask.any():
-                cols.append(flip * part)
-                reads.append((fac, mask, flip))
-    if not cols:
-        return out_u, out_du
     t_abs = np.abs(t_grid)
     ts = np.unique(t_abs[t_abs > 0])
-    sol = solve_ivp(system.rhs, (0.0, ts[-1]), np.stack(cols, axis=1).ravel(),
-                    method="DOP853", rtol=tol, atol=tol, t_eval=ts)
-    if not sol.success:
-        raise RuntimeError(sol.message)
-    ys = sol.y.reshape(2 * n, len(cols), len(ts))
-    for c, (fac, mask, flip) in enumerate(reads):
-        y = flip * ys[:, c, np.searchsorted(ts, t_abs[mask])].T
-        out_u[mask] += fac * y[:, :n]
-        out_du[mask] += fac * y[:, n:]
-    return out_u, out_du
+    where = np.searchsorted(ts, t_abs)
+    out, blocks = [], []
+    for system, u0, du0 in batch:
+        if system.signature != LORENTZIAN:
+            raise ValueError("evolution is for Lorentzian systems")
+        u0 = np.asarray(u0, dtype=complex)
+        du0 = np.asarray(du0, dtype=complex)
+        us = np.zeros((len(t_grid), system.n), dtype=complex)
+        dus = np.zeros_like(us)
+        us[t_grid == 0.0] = u0
+        dus[t_grid == 0.0] = du0
+        out.append((us, dus))
+        kappa = np.array([(-1.0) ** (system.rank - r) for r in system.slot_ranks])
+        reflect = np.concatenate([kappa, -kappa])  # its own inverse
+        cols, reads = [], []
+        for fac, part in ((1.0, np.concatenate([u0.real, du0.real])),
+                          (1j, np.concatenate([u0.imag, du0.imag]))):
+            if not part.any():
+                continue
+            for mask, flip in ((t_grid > 0, 1.0), (t_grid < 0, reflect)):
+                if mask.any():
+                    cols.append(flip * part)
+                    reads.append((fac, mask, flip))
+        if cols:
+            blocks.append((system, np.stack(cols, axis=1), reads, us, dus))
+    for chunk, rtol in _chunks(blocks, tol):
+        sol = solve_ivp(_block_rhs(chunk), (0.0, ts[-1]),
+                        np.concatenate([cols.ravel() for _, cols, *_ in chunk]),
+                        method="DOP853", rtol=rtol, atol=rtol, t_eval=ts)
+        if not sol.success:
+            raise RuntimeError(sol.message)
+        start = 0
+        for system, cols, reads, us, dus in chunk:
+            n = system.n
+            ys = sol.y[start:start + cols.size].reshape(2 * n, -1, len(ts))
+            start += cols.size
+            for c, (fac, mask, flip) in enumerate(reads):
+                y = flip * ys[:, c, where[mask]].T
+                us[mask] += fac * y[:, :n]
+                dus[mask] += fac * y[:, n:]
+    return out
+
+
+def _chunks(blocks, tol):
+    """Consecutive runs of the (system, columns, ...) blocks, each with the
+    tolerance tol * sqrt(d_min / D) over its blocks' real component counts
+    d_i and their sum D, a run ending where one more block would take that
+    tolerance below ``RTOL_FLOOR``."""
+    chunk, d_min, total = [], inf, 0
+    for block in blocks:
+        d = block[1].size
+        if chunk and tol * sqrt(min(d_min, d) / (total + d)) < RTOL_FLOOR:
+            yield chunk, tol * sqrt(d_min / total)
+            chunk, d_min, total = [], inf, 0
+        chunk.append(block)
+        d_min, total = min(d_min, d), total + d
+    if chunk:
+        yield chunk, tol * sqrt(d_min / total)
+
+
+def _block_rhs(blocks):
+    """Right-hand side of the block-diagonal first-order system of the
+    (Lorentzian system, (2n, w) solution columns, ...) blocks: one
+    contraction of the union of the systems' compiled monomials
+    (``RadialSystem.first_order``) gives every block's A(t), zero-padded to
+    the largest, and one batched matrix product applies them."""
+    systems = [system for system, *_ in blocks]
+    monos = sorted({mono for system in systems for mono in system.first_order[0]})
+    index = {mono: p for p, mono in enumerate(monos)}
+    dim = 2 * max(system.n for system in systems)
+    width = max(cols.shape[1] for _, cols, *_ in blocks)
+    coef = np.zeros((len(monos), len(blocks), dim, dim))
+    slots = []  # where each block's columns sit in the padded stack
+    for b, (system, cols, *_) in enumerate(blocks):
+        d, w = cols.shape
+        for mono, row in zip(*system.first_order):
+            coef[index[mono], b, :d, :d] = row.reshape(d, d)
+        slots.append(((b * dim + np.arange(d)[:, None]) * width + np.arange(w)).ravel())
+    coef = coef.reshape(len(monos), -1)
+    slots = np.concatenate(slots)
+    stacked = np.zeros(len(blocks) * dim * width)  # the padding stays zero
+    ab = systems[0]._ab  # a(t), adot(t): every system is Lorentzian
+
+    def rhs(t, y):
+        a, adot = ab(t)
+        mats = np.dot([a ** i * adot ** j for i, j in monos], coef)
+        stacked[slots] = y
+        return np.matmul(mats.reshape(-1, dim, dim),
+                         stacked.reshape(-1, dim, width)).ravel()[slots]
+
+    return rhs
 
 
 def charge_weight(system, t):

@@ -38,7 +38,7 @@ from .maxwell import (
     spectra_disjoint,
 )
 from .phase_space import charge_kernel_check, phase_space_sector
-from .radial import build_system, charge_raw, evolve_raw, regular_basis
+from .radial import RTOL_FLOOR, build_system, charge_raw, evolve_raw, regular_basis
 from .sectors import Family, SectorLabel, enumerate_sectors
 from .states import (
     alpha_unitarity_residual,
@@ -79,7 +79,9 @@ class RunConfig:
     def validate(self):
         """Raise ValueError for a configuration no run can honour: a field of
         the wrong type, a tolerance or margin that is not finite and
-        positive, a negative level or seed, an unknown suite or format."""
+        positive, a ``tol_ode`` below the integrator's floor (which scipy
+        would raise it to), a negative level or seed, an unknown suite or
+        format."""
         for name in ("k_max", "k_dynamics", "seed", "jobs"):
             if not (_is_number(getattr(self, name), int) and getattr(self, name) >= 0):
                 raise ValueError(f"{name} must be an integer >= 0")
@@ -87,6 +89,8 @@ class RunConfig:
             value = getattr(self, name)
             if not (_is_number(value) and math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be a finite positive number")
+        if self.tol_ode < RTOL_FLOOR:
+            raise ValueError(f"tol_ode must be >= {RTOL_FLOOR:.3g}, the integrator's floor")
         if not (isinstance(self.alpha_values, tuple) and all(
                 _is_number(a) and math.isfinite(a) for a in self.alpha_values)):
             raise ValueError("alpha_values must be a list of finite numbers")
@@ -360,20 +364,22 @@ def _suite_identities(art, col, cfg):
                for sec in enumerate_sectors(k_dyn)
                for op, mx in (("D2", False), ("D1", False), ("D0", False),
                               ("D1", True), ("D0", True))}
+    drift = _charge_drifts({label: system for label, system in systems.items()
+                            if system.n}, rng, t_grid, cfg.tol_ode)
     col.add_worst("identities", "charge-conservation", "charge-conservation",
-                  [label for label, system in systems.items() if system.n],
-                  lambda label: _charge_drift(systems[label], rng, t_grid, cfg.tol_ode),
-                  INTEGRATION_BOUND, extra={"t_max": 2.0, "k_max": k_dyn})
+                  drift, drift.get, INTEGRATION_BOUND,
+                  extra={"t_max": 2.0, "k_max": k_dyn})
+    gauge = _intertwining_residuals((SectorLabel(Family.SCALAR, 2),
+                                     SectorLabel(Family.SCALAR, 1),
+                                     SectorLabel(Family.VECTOR, 2)),
+                                    "sym_grad", rng, t_grid, cfg.tol_ode)
     col.add_worst("identities", "gauge-evolution-intertwining",
-                  "gauge-evolution-compatibility",
-                  (SectorLabel(Family.SCALAR, 2), SectorLabel(Family.SCALAR, 1),
-                   SectorLabel(Family.VECTOR, 2)),
-                  lambda sec: _intertwining_residual(sec, "sym_grad", rng, t_grid,
-                                                     cfg.tol_ode), INTEGRATION_BOUND)
+                  "gauge-evolution-compatibility", gauge, gauge.get, INTEGRATION_BOUND)
+    adjoint = _intertwining_residuals((SectorLabel(Family.SCALAR, 2),), "sym_div", rng,
+                                      t_grid, cfg.tol_ode)
     col.add_worst("identities", "adjoint-evolution-intertwining",
-                  "adjoint-evolution-compatibility", (SectorLabel(Family.SCALAR, 2),),
-                  lambda sec: _intertwining_residual(sec, "sym_div", rng, t_grid,
-                                                     cfg.tol_ode), INTEGRATION_BOUND)
+                  "adjoint-evolution-compatibility", adjoint, adjoint.get,
+                  INTEGRATION_BOUND)
 
 
 def _trace_fixing_residual(sector):
@@ -382,38 +388,48 @@ def _trace_fixing_residual(sector):
                     - blocks["neg_trace"])
 
 
-def _charge_drift(system, rng, t_grid, tol):
-    """Largest change of the charge of random real data along the Lorentzian
-    evolution, relative to the size of the trajectory."""
-    u0 = rng.normal(size=system.n)
-    du0 = rng.normal(size=system.n)
-    us, dus = evolve_raw(system, u0, du0, t_grid, tol=tol)
-    q0 = charge_raw(system, u0 + 0j, du0 + 0j, u0 + 0j, du0 + 0j, 0.0)
-    scale = max(float(np.max(np.abs(us)) ** 2 + np.max(np.abs(dus)) ** 2), 1.0)
-    return _worst(abs(charge_raw(system, us[i], dus[i], us[i], dus[i], t) - q0) / scale
-                  for i, t in enumerate(t_grid))
+def _charge_drifts(systems, rng, t_grid, tol):
+    """Per label of ``systems``, the largest change of the charge of random
+    real data along the Lorentzian evolution, relative to the size of the
+    trajectory.  The data are drawn in order, then evolved as one batch."""
+    batch = [(system, rng.normal(size=system.n), rng.normal(size=system.n))
+             for system in systems.values()]
+    drift = {}
+    for label, (system, u0, du0), (us, dus) in zip(systems, batch,
+                                                   evolve_raw(batch, t_grid, tol=tol)):
+        q0 = charge_raw(system, u0 + 0j, du0 + 0j, u0 + 0j, du0 + 0j, 0.0)
+        scale = max(float(np.max(np.abs(us)) ** 2 + np.max(np.abs(dus)) ** 2), 1.0)
+        drift[label] = _worst(abs(charge_raw(system, us[i], dus[i], us[i], dus[i], t) - q0)
+                              / scale for i, t in enumerate(t_grid))
+    return drift
 
 
-def _intertwining_residual(sector, name, rng, t_grid, tol):
-    """Largest mismatch between evolving random source data and then
-    applying the Lorentzian jet of block ``name``, and applying it first and
-    evolving the image as target data."""
+def _intertwining_residuals(sectors, name, rng, t_grid, tol):
+    """Per sector of ``sectors``, the largest mismatch between evolving
+    random source data and then applying the Lorentzian jet of block
+    ``name``, and applying it first and evolving the image as target data.
+    The data are drawn in order, then every source and target system is
+    evolved in one batch."""
     _, rank_s, rank_t, _ = cy.BLOCK_JETS[name]
-    sys_s = build_system(f"D{rank_s}", sector, LORENTZIAN, maxwell=False)
-    sys_t = build_system(f"D{rank_t}", sector, LORENTZIAN, maxwell=False)
 
-    def block_raw(t):
+    def block_raw(sector, t):
         at = (np.cosh(t) ** 2, np.sinh(2 * t))
         return np.array(cy.jet_block(sector, name, LORENTZIAN, at=at), dtype=float)
 
-    w0 = rng.normal(size=sys_s.n)
-    dw0 = rng.normal(size=sys_s.n)
-    us, dus = evolve_raw(sys_s, w0, dw0, t_grid, tol=tol)
-    raw = block_raw(0.0) @ np.concatenate([w0, dw0])
-    ut, dut = evolve_raw(sys_t, raw[:sys_t.n], raw[sys_t.n:], t_grid, tol=tol)
-    return _worst(_max_abs(block_raw(t) @ np.concatenate([us[i].real, dus[i].real])
-                           - np.concatenate([ut[i].real, dut[i].real]))
-                  for i, t in enumerate(t_grid))
+    batch = []
+    for sector in sectors:
+        sys_s = build_system(f"D{rank_s}", sector, LORENTZIAN, maxwell=False)
+        sys_t = build_system(f"D{rank_t}", sector, LORENTZIAN, maxwell=False)
+        w0 = rng.normal(size=sys_s.n)
+        dw0 = rng.normal(size=sys_s.n)
+        raw = block_raw(sector, 0.0) @ np.concatenate([w0, dw0])
+        batch += [(sys_s, w0, dw0), (sys_t, raw[:sys_t.n], raw[sys_t.n:])]
+    paths = evolve_raw(batch, t_grid, tol=tol)
+    return {sector: _worst(_max_abs(block_raw(sector, t)
+                                    @ np.concatenate([us[i].real, dus[i].real])
+                                    - np.concatenate([ut[i].real, dut[i].real]))
+                           for i, t in enumerate(t_grid))
+            for sector, (us, dus), (ut, dut) in zip(sectors, paths[::2], paths[1::2])}
 
 
 def _suite_calderon(art, col, cfg):
@@ -640,8 +656,8 @@ def _suite_maxwell(art, col, cfg):
     # the level-zero Lorentzian profile
     system = build_system("D1", SCALAR0, LORENTZIAN, maxwell=True)
     t_grid = np.linspace(-2, 2, 17)
-    us, _ = evolve_raw(system, np.array([1.0]), np.array([0.0]), t_grid,
-                       tol=cfg.tol_ode)
+    (us, _), = evolve_raw([(system, np.array([1.0]), np.array([0.0]))], t_grid,
+                          tol=cfg.tol_ode)
     prof_resid = _max_abs(us[:, 0].real - 1 / np.cosh(t_grid) ** 3)
     col.add("maxwell", "zero-mode-profile", "zero-mode-profile", SCALAR0,
             prof_resid, prof_resid <= INTEGRATION_BOUND)

@@ -168,8 +168,21 @@ def evolve_lorentzian(system, data, t_grid):
     data trajectory at the grid times (raw conversion u-dot = i f1)."""
     n = system.n
     f = np.asarray(data, dtype=complex)
-    out_u, out_du = evolve_raw(system, f[:n], 1j * f[n:], t_grid)
+    (out_u, out_du), = evolve_raw([(system, f[:n], 1j * f[n:])], t_grid)
     return np.hstack([out_u, -1j * out_du])
+
+
+def block_dims(batch, t_grid):
+    """The real components ``evolve_raw`` integrates per (system, u0, du0)
+    of a batch: 2n per nonzero part of the data and per time sign of the
+    grid."""
+    t_grid = np.asarray(t_grid)
+    signs = int(np.any(t_grid > 0)) + int(np.any(t_grid < 0))
+    dims = []
+    for system, u0, du0 in batch:
+        data = np.concatenate([u0, du0])
+        dims.append(2 * system.n * signs * (int(data.real.any()) + int(data.imag.any())))
+    return dims
 
 
 def evolve_raw_direct(system, u0, du0, t_grid, tol=INTEGRATOR_TOL):

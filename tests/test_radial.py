@@ -2,7 +2,8 @@
 Lorentzian evolution with charge conservation and gauge intertwining."""
 
 from fractions import Fraction
-from math import pi
+import warnings
+from math import pi, sqrt
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from dsvac.radial import build_system, charge_raw, evolve_raw, regular_basis
 from dsvac.sectors import Family, SectorLabel, enumerate_sectors
 from dsvac.warped import EUCLIDEAN, LORENTZIAN, WarpedSector
 from routes import (
+    block_dims,
     collocation_matrix_loop,
     evolve_lorentzian,
     evolve_raw_direct,
@@ -243,7 +245,7 @@ def test_charge_conservation(spec):
     u0 = rng.normal(size=sysm.n) + 1j * rng.normal(size=sysm.n)
     du0 = rng.normal(size=sysm.n) + 1j * rng.normal(size=sysm.n)
     t_grid = np.linspace(-2.0, 2.0, 9)
-    us, dus = evolve_raw(sysm, u0, du0, t_grid)
+    (us, dus), = evolve_raw([(sysm, u0, du0)], t_grid)
     q0 = charge_raw(sysm, u0, du0, u0, du0, 0.0)
     # conservation relative to the trajectory size (some sectors grow
     # exponentially, so absolute drift scales with the solution)
@@ -322,13 +324,18 @@ def test_rhs_applies_the_first_order_matrix(spec, signature):
             assert np.all(np.abs(out[n:] - (m1 @ y[n:] + m0 @ y[:n])) <= bound), (s, ncol)
 
 
-def _count_solves(monkeypatch):
+def _count_solves(monkeypatch, sizes=None):
+    """The rtol of every ``solve_ivp`` call (which must equal its atol),
+    and with ``sizes`` the length of its initial state."""
     calls = []
     real_solve = radial.solve_ivp
 
-    def counting(*args, **kwargs):
+    def counting(fun, t_span, y0, **kwargs):
+        assert kwargs["atol"] == kwargs["rtol"]
         calls.append(kwargs["rtol"])
-        return real_solve(*args, **kwargs)
+        if sizes is not None:
+            sizes.append(len(y0))
+        return real_solve(fun, t_span, y0, **kwargs)
 
     monkeypatch.setattr(radial, "solve_ivp", counting)
     return calls
@@ -361,7 +368,7 @@ def test_single_part_data_matches_reference(part, monkeypatch):
     t_grid = np.array([-1.5, -0.2, 0.0, 0.7, 2.0])
     ref = evolve_raw_direct(sysm, u0, du0, t_grid)
     calls = _count_solves(monkeypatch)
-    got = evolve_raw(sysm, u0, du0, t_grid)
+    got, = evolve_raw([(sysm, u0, du0)], t_grid)
     assert len(calls) == 1  # one part, both time signs in one solve
     assert _deviation(got, ref) <= 1e-9
 
@@ -370,34 +377,96 @@ def test_evolve_raw_tolerance(monkeypatch):
     sysm = build_system("D1", SectorLabel(Family.SCALAR, 0), LORENTZIAN,
                         maxwell=True)
     calls = _count_solves(monkeypatch)
-    evolve_raw(sysm, np.array([1.0 + 1j]), np.array([0.0]), [-1.0, 1.0],
+    evolve_raw([(sysm, np.array([1.0 + 1j]), np.array([0.0]))], [-1.0, 1.0],
                tol=1e-10)
-    assert calls == [1e-10]
+    assert calls == [1e-10]  # a batch of one is solved at tol itself
+
+
+T_GRID = np.array([-2.0, -0.7, -0.3, 0.0, 0.3, 0.7, 0.7, 1.1, 2.0])  # a repeated time
+
+
+@pytest.fixture(scope="module")
+def lorentzian_cases():
+    """(maxwell, system, u0, du0, direct trajectory on ``T_GRID``) for every
+    Lorentzian system with k <= 8: gravity D0/D1/D2, Maxwell D0/D1, random
+    complex data."""
+    rng = np.random.default_rng(2026)
+    cases = []
+    for maxwell in (False, True):
+        for op in ("D0", "D1") if maxwell else ("D0", "D1", "D2"):
+            for sec in enumerate_sectors(8):
+                sysm = build_system(op, sec, LORENTZIAN, maxwell=maxwell)
+                if not sysm.n:
+                    continue
+                u0, du0 = (rng.normal(size=sysm.n) + 1j * rng.normal(size=sysm.n)
+                           for _ in range(2))
+                cases.append((maxwell, sysm, u0, du0,
+                              evolve_raw_direct(sysm, u0, du0, T_GRID)))
+    return cases
 
 
 @pytest.mark.parametrize("maxwell", [False, True], ids=["gravity", "maxwell"])
-def test_reflected_evolution_matches_direct_integration(maxwell, monkeypatch):
+def test_reflected_evolution_matches_direct_integration(maxwell, lorentzian_cases,
+                                                        monkeypatch):
     # u(-t) = kappa v(t) for the reflected data: one forward solve agrees
     # with integrating backward, on every Lorentzian system with k <= 8
-    rng = np.random.default_rng(2026)
-    t_grid = np.array([-2.0, -0.7, -0.3, 0.0, 0.3, 0.7, 0.7, 1.1, 2.0])
     calls = _count_solves(monkeypatch)
-    checked = 0
-    for op in ("D0", "D1") if maxwell else ("D0", "D1", "D2"):
-        for sec in enumerate_sectors(8):
-            sysm = build_system(op, sec, LORENTZIAN, maxwell=maxwell)
-            if not sysm.n:
-                continue
-            u0, du0 = (rng.normal(size=sysm.n) + 1j * rng.normal(size=sysm.n)
-                       for _ in range(2))
-            ref = evolve_raw_direct(sysm, u0, du0, t_grid)
-            before = len(calls)
-            got = evolve_raw(sysm, u0, du0, t_grid)
-            assert len(calls) == before + 1, (op, sec)
-            assert _deviation(got, ref) <= 1e-9, (op, sec)
-            assert np.array_equal(got[0][5], got[0][6])  # the repeated time
-            checked += 1
-    assert checked == (26 if maxwell else 50)
+    cases = [case for case in lorentzian_cases if case[0] == maxwell]
+    for _, sysm, u0, du0, ref in cases:
+        before = len(calls)
+        got, = evolve_raw([(sysm, u0, du0)], T_GRID)
+        assert calls[before:] == [radial.INTEGRATOR_TOL], sysm.sector
+        assert _deviation(got, ref) <= 1e-9, sysm.sector
+        assert np.array_equal(got[0][5], got[0][6])  # the repeated time
+    assert len(cases) == (26 if maxwell else 50)
+
+
+def _chunked(sizes, dims):
+    """``dims`` cut into consecutive runs whose sums are ``sizes``."""
+    runs, start = [], 0
+    for size in sizes:
+        end = start
+        while sum(dims[start:end]) < size:
+            end += 1
+        assert sum(dims[start:end]) == size
+        runs.append(dims[start:end])
+        start = end
+    assert start == len(dims)
+    return runs
+
+
+@pytest.mark.parametrize("tol", [radial.INTEGRATOR_TOL, 1e-13], ids=["default", "1e-13"])
+def test_one_batch_of_every_lorentzian_system_matches_direct_integration(
+        tol, lorentzian_cases, monkeypatch):
+    # the 76 systems as one block-diagonal solve, each block held to its own
+    # tolerance: a chunk of blocks with d_i real components runs at
+    # tol * sqrt(d_min / D), and a chunk ends where one more block would take
+    # that below scipy's rtol floor (at 1e-13 the batch needs several)
+    sizes = []
+    calls = _count_solves(monkeypatch, sizes)
+    batch = [(sysm, u0, du0) for _, sysm, u0, du0, _ in lorentzian_cases]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = evolve_raw(batch, T_GRID, tol=tol)
+    dims = block_dims(batch, T_GRID)
+    assert dims == [8 * sysm.n for sysm, *_ in batch]  # complex data, both signs
+    runs = _chunked(sizes, dims)
+    assert calls == [tol * sqrt(min(run) / sum(run)) for run in runs]
+    assert min(calls) >= radial.RTOL_FLOOR
+    assert (len(runs) == 1) == (tol == radial.INTEGRATOR_TOL)
+    for run, following in zip(runs, runs[1:]):  # each run as long as the floor allows
+        grown = run + following[:1]
+        assert tol * sqrt(min(grown) / sum(grown)) < radial.RTOL_FLOOR
+    for (_, sysm, _, _, ref), traj in zip(lorentzian_cases, got):
+        assert _deviation(traj, ref) <= 1e-9, (sysm.operator_id, sysm.sector)
+        assert np.array_equal(traj[0][5], traj[0][6])
+
+
+def test_evolve_raw_rejects_a_tolerance_below_the_floor():
+    sysm = build_system("D1", SectorLabel(Family.SCALAR, 0), LORENTZIAN, maxwell=True)
+    with pytest.raises(ValueError, match="floor"):
+        evolve_raw([(sysm, np.array([1.0]), np.array([0.0]))], [1.0],
+                   tol=radial.RTOL_FLOOR / 2)
 
 
 @pytest.mark.parametrize("sector", [SectorLabel(Family.SCALAR, 2),
@@ -420,9 +489,9 @@ def test_gauge_intertwining_along_evolution(sector):
     w0 = rng.normal(size=sys1.n)
     dw0 = rng.normal(size=sys1.n)
     t_grid = np.array([-1.5, -0.5, 0.8, 2.0])
-    u1, du1 = evolve_raw(sys1, w0, dw0, t_grid)
     raw2_0 = k21_raw(0.0) @ np.concatenate([w0, dw0])
-    u2, du2 = evolve_raw(sys2, raw2_0[:sys2.n], raw2_0[sys2.n:], t_grid)
+    (u1, du1), (u2, du2) = evolve_raw([(sys1, w0, dw0),
+                                       (sys2, raw2_0[:sys2.n], raw2_0[sys2.n:])], t_grid)
     for i, t in enumerate(t_grid):
         lhs = k21_raw(t) @ np.concatenate([u1[i].real, du1[i].real])
         rhs = np.concatenate([u2[i].real, du2[i].real])
@@ -445,9 +514,9 @@ def test_adjoint_intertwining_along_evolution():
     g0 = rng.normal(size=sys2.n)
     dg0 = rng.normal(size=sys2.n)
     t_grid = np.array([-1.0, 1.3])
-    u2, du2 = evolve_raw(sys2, g0, dg0, t_grid)
     raw1_0 = kdag_raw(0.0) @ np.concatenate([g0, dg0])
-    u1, du1 = evolve_raw(sys1, raw1_0[:sys1.n], raw1_0[sys1.n:], t_grid)
+    (u2, du2), (u1, du1) = evolve_raw([(sys2, g0, dg0),
+                                       (sys1, raw1_0[:sys1.n], raw1_0[sys1.n:])], t_grid)
     for i, t in enumerate(t_grid):
         lhs = kdag_raw(t) @ np.concatenate([u2[i].real, du2[i].real])
         rhs = np.concatenate([u1[i].real, du1[i].real])
@@ -459,7 +528,7 @@ def test_maxwell_level_zero_profile():
     sysm = build_system("D1", SectorLabel(Family.SCALAR, 0), LORENTZIAN,
                         maxwell=True)
     t_grid = np.linspace(-2, 2, 17)
-    us, dus = evolve_raw(sysm, np.array([1.0]), np.array([0.0]), t_grid)
+    (us, dus), = evolve_raw([(sysm, np.array([1.0]), np.array([0.0]))], t_grid)
     expect = 1.0 / np.cosh(t_grid) ** 3
     assert np.max(np.abs(us[:, 0].real - expect)) < 1e-8
 

@@ -3,15 +3,18 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
 
 import dsvac.cli as cli
+import dsvac.radial as radial
 import dsvac.report as report
 from dsvac.cli import main
 from dsvac.report import RunConfig, diff_reports, has_failures, run, to_csv, to_json
 from dsvac.sectors import Family, SectorLabel, enumerate_sectors
+from routes import block_dims
 
 
 @pytest.fixture(scope="module")
@@ -177,6 +180,16 @@ def test_bad_config_exits_2(flags, config, tmp_path, monkeypatch):
                  "--out", str(tmp_path / "r.json")]) == 2
 
 
+def test_tol_ode_below_the_integrator_floor_exits_2(tmp_path, monkeypatch, capsys):
+    # scipy would run any rtol below 100 eps at 100 eps, with a warning only
+    monkeypatch.setattr(cli, "run", lambda cfg: pytest.fail("a run started"))
+    assert main(["run", "--k-max", "2", "--k-dynamics", "2",
+                 "--suites", "identities,maxwell", "--tol-ode", "1e-14",
+                 "--out", str(tmp_path / "r.json")]) == 2
+    assert f"{radial.RTOL_FLOOR:.3g}" in capsys.readouterr().err
+    RunConfig(tol_ode=radial.RTOL_FLOOR).validate()
+
+
 def test_nan_residual_fails_an_aggregated_check(monkeypatch):
     # max(0.0, nan) is 0.0, so a NaN in one sector must be kept explicitly
     real = report.racah_antiunitarity_residual
@@ -285,19 +298,77 @@ def test_oracle_at_k_max_zero(tmp_path):
     assert not has_failures(rep)
 
 
-def test_tol_ode_reaches_every_integrator(monkeypatch):
-    import dsvac.radial as radial
-    seen = []
-    real_solve = radial.solve_ivp
+def _spy_integrators(monkeypatch):
+    """Every ``solve_ivp`` call of a run as (rtol, atol, state size), the
+    Lorentzian ones grouped by the ``evolve_raw`` batch that made them:
+    returns (marches, [(block dims, solves)] per batch)."""
+    marches, batches, open_batch = [], [], []
+    real_solve, real_evolve = radial.solve_ivp, report.evolve_raw
 
-    def recording(*args, **kwargs):
-        seen.append((kwargs["rtol"], kwargs["atol"]))
-        return real_solve(*args, **kwargs)
+    def recording(fun, t_span, y0, **kwargs):
+        (open_batch[-1] if open_batch else marches).append(
+            (kwargs["rtol"], kwargs["atol"], len(y0)))
+        return real_solve(fun, t_span, y0, **kwargs)
+
+    def evolving(batch, t_grid, tol):
+        batch = list(batch)
+        open_batch.append([])
+        try:
+            return real_evolve(batch, t_grid, tol=tol)
+        finally:
+            batches.append((block_dims(batch, t_grid), open_batch.pop()))
 
     monkeypatch.setattr(radial, "solve_ivp", recording)
-    rep = run(RunConfig(k_max=2, k_dynamics=2, tol_ode=1e-11))
-    assert rep["records"]
-    assert seen and set(seen) == {(1e-11, 1e-11)}
+    monkeypatch.setattr(report, "evolve_raw", evolving)
+    return marches, batches
+
+
+def test_tol_ode_reaches_every_integrator(monkeypatch):
+    # a march runs at tol_ode itself; a Lorentzian batch with d_i real
+    # components per system runs at tol_ode * sqrt(d_min / D), which holds
+    # every system to tol_ode, in one solve while that stays above the floor
+    marches, batches = _spy_integrators(monkeypatch)
+    tol = 1e-11
+    rep = run(RunConfig(k_max=2, k_dynamics=2, tol_ode=tol))
+    assert rep["records"] and not has_failures(rep)
+    assert marches and set(marches) == {(tol, tol, size) for *_, size in marches}
+    assert len(batches) == 4  # charge conservation, 2 intertwinings, zero mode
+    for dims, solves in batches:
+        law = tol * math.sqrt(min(dims) / sum(dims))
+        assert solves == [(law, law, sum(dims))]
+    zero_mode, = [solves for dims, solves in batches if len(dims) == 1]
+    assert zero_mode == [(tol, tol, 4)]  # a batch of one runs at tol_ode itself
+
+
+def test_identities_make_one_lorentzian_solve_per_check(monkeypatch):
+    marches, batches = _spy_integrators(monkeypatch)
+    rep = run(RunConfig(suites=("identities",)))
+    assert not has_failures(rep)
+    assert marches == []
+    assert [len(solves) for _, solves in batches] == [1, 1, 1]
+    assert len(batches[0][0]) == 76  # every charge-conservation system to k = 8
+
+
+def test_tol_ode_near_the_floor_splits_a_check_into_chunks(monkeypatch):
+    # at 1e-13 the scaled tolerance of one solve would fall below scipy's
+    # rtol floor, so the batch is cut; scipy's warning would be an error here
+    marches, batches = _spy_integrators(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = run(RunConfig(k_max=2, k_dynamics=2, suites=("identities",), tol_ode=1e-13))
+    assert not has_failures(rep)
+    dims, solves = batches[0]
+    assert len(solves) > 1
+    assert sum(size for *_, size in solves) == sum(dims)
+    assert min(rtol for rtol, *_ in solves) >= radial.RTOL_FLOOR
+
+
+@pytest.mark.slow
+def test_identities_to_k24_make_one_solve_per_check(tmp_path, monkeypatch):
+    _, batches = _spy_integrators(monkeypatch)
+    assert main(["run", "--k-max", "24", "--k-dynamics", "24", "--suites", "identities",
+                 "--out", str(tmp_path / "r.json")]) == 0
+    assert [len(solves) for _, solves in batches] == [1, 1, 1]
 
 
 def test_maxwell_constructions_built_once(monkeypatch):
