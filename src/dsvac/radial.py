@@ -9,27 +9,34 @@ monomial values with those rows, and the ODE right-hand side one matrix
 product of A(s) with the stacked solution columns.
 
 Euclidean systems have regular singular points at s = +-pi/2; the basis of
-solutions regular at a pole is built by exact indicial analysis + Frobenius
-series seeding (the indicial matrix evaluated exactly on Python integers)
-and high-order adaptive integration to the equator, once per system and
-tolerance.  The coefficient poles sit at x = pi/2 - s = 0, +-pi, so the
-regular Frobenius series also converges on all of [0, pi/2]: summed to the
-equator it is the energy oracle's profile (``solution_profile``), a route
-independent of the integrator.  Lorentzian systems are globally smooth and
-are integrated directly for the dynamical checks; the metric's t -> -t
-symmetry maps backward evolution to forward evolution of reflected data, so
-one forward solve covers both time signs, and a check's whole batch of
-systems is one block-diagonal solve (``evolve_raw``) whose tolerance is
-scaled so that every system still meets its own.
+solutions regular at a pole is built by indicial analysis + Frobenius series
+seeding and high-order adaptive integration to the equator, once per system
+and tolerance.  What fixes the exponents stays exact: the order-0 pole
+coefficients P0 and Q0 (from the exact Laurent series), the indicial
+polynomial, its rational roots and their seed spaces, and L(rho + m), each
+entry rounded once from Python integers.  The higher pole coefficients that
+the recursion reads are floats: one contraction of a system's coefficients
+with the Laurent series of the five monomials they use, all read off the
+series of cot x and tabulated once per process.  The coefficient poles sit
+at x = pi/2 - s = 0, +-pi, so the regular Frobenius series also converges
+on all of [0, pi/2]: summed to the equator it is the energy oracle's
+profile (``solution_profile``), a route independent of the integrator.
+Lorentzian systems are globally smooth and are integrated directly for the
+dynamical checks; the metric's t -> -t symmetry maps backward evolution to
+forward evolution of reflected data, so one forward solve covers both time
+signs, and a check's whole batch of systems is one block-diagonal solve
+(``evolve_raw``) whose tolerance is scaled so that every system still
+meets its own.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import cos, cosh, inf, lcm, pi, sin, sinh, sqrt
+from math import cos, cosh, gcd, inf, lcm, pi, sin, sinh, sqrt
 
 import numpy as np
 from scipy.integrate import solve_ivp
+from scipy.special import zeta
 
 from . import rational as rl
 from .qseries import LSeries
@@ -137,8 +144,11 @@ def build_system(operator_id, sector, signature, maxwell=False):
 
 # -- indicial analysis --------------------------------------------------------
 
+# Polynomials are coefficient lists, lowest power first, over the integers or
+# the rationals alike.
+
 def _poly_mul(p, q):
-    out = [Q(0)] * (len(p) + len(q) - 1)
+    out = [0] * (len(p) + len(q) - 1)
     for i, a in enumerate(p):
         for j, b in enumerate(q):
             out[i + j] += a * b
@@ -147,7 +157,7 @@ def _poly_mul(p, q):
 
 def _poly_add(p, q):
     n = max(len(p), len(q))
-    out = [Q(0)] * n
+    out = [0] * n
     for i, a in enumerate(p):
         out[i] += a
     for i, b in enumerate(q):
@@ -158,10 +168,10 @@ def _poly_add(p, q):
 def _poly_det(mat):
     n = len(mat)
     if n == 0:
-        return [Q(1)]
+        return [1]
     if n == 1:
         return mat[0][0]
-    out = [Q(0)]
+    out = [0]
     for j in range(n):
         minor = [[row[c] for c in range(n) if c != j] for row in mat[1:]]
         term = _poly_mul(mat[0][j], _poly_det(minor))
@@ -172,14 +182,20 @@ def _poly_det(mat):
 
 
 def _poly_eval(p, x):
-    tot = Q(0)
+    tot = 0
     for c in reversed(p):
         tot = tot * x + c
     return tot
 
 
 def _rational_roots(p):
-    """All roots with multiplicity of an exactly-factorable polynomial."""
+    """All roots with multiplicity of an exactly-factorable polynomial.
+
+    The polynomial is cleared to integer coefficients, a candidate root
+    u/v (u | constant term, v | leading coefficient, in lowest terms) is
+    tested by Horner on the integer v^deg p(u/v), and a root found is
+    divided out over the integers: v x - u divides the integer polynomial
+    exactly (Gauss's lemma)."""
     p = list(p)
     while p and p[-1] == 0:
         p.pop()
@@ -189,29 +205,46 @@ def _rational_roots(p):
     while p and p[0] == 0:
         roots.append(Q(0))
         p = p[1:]
-    while len(p) > 1:
-        den = lcm(*(c.denominator for c in p))
-        ip = [int(c * den) for c in p]
-        a0, an = abs(ip[0]), abs(ip[-1])
-        found = None
-        nums = _divisors(a0)
-        for q in _divisors(an):
-            for pnum in nums:
-                for cand in (Q(pnum, q), Q(-pnum, q)):
-                    if _poly_eval(p, cand) == 0:
-                        found = cand
-                        break
-                if found is not None:
-                    break
-            if found is not None:
-                break
+    den = lcm(*(c.denominator for c in p))
+    ip = [int(c * den) for c in p]
+    while len(ip) > 1:
+        found = _integer_root(ip)
         if found is None:
             raise RuntimeError(f"indicial polynomial has irrational roots: {p}")
-        roots.append(found)
-        p = _poly_divide_root(p, found)
+        roots.append(Q(*found))
+        ip = _divide_linear(ip, *found)
     if len(roots) != lead_deg:
         raise RuntimeError("root extraction lost degree")
     return roots
+
+
+def _integer_root(ip):
+    """The first rational root (u, v), v > 0 and gcd(u, v) = 1, of the
+    integer polynomial ``ip`` (coefficients low to high), by increasing
+    denominator, then increasing |u|, positive first; None if it has none."""
+    nums = _divisors(ip[0])
+    for v in _divisors(ip[-1]):
+        weights = [c * v ** k for k, c in enumerate(reversed(ip))]
+        for unum in nums:
+            if gcd(unum, v) != 1:
+                continue  # the same number was tried with a smaller v
+            for u in (unum, -unum):
+                acc = 0
+                for w in weights:  # v^deg p(u/v), highest power first
+                    acc = acc * u + w
+                if acc == 0:
+                    return u, v
+    return None
+
+
+def _divide_linear(ip, u, v):
+    """The integer quotient of ``ip`` by v x - u, which divides it."""
+    quot = [0] * (len(ip) - 1)
+    acc = 0
+    for k in range(len(ip) - 1, 0, -1):
+        acc = (ip[k] + u * acc) // v
+        quot[k - 1] = acc
+    return quot
 
 
 def _divisors(n):
@@ -233,17 +266,6 @@ def _divisors(n):
     if n > 1:
         out += [d * n for d in out]
     return sorted(out)
-
-
-def _poly_divide_root(p, r):
-    """Synthetic division of p by (x - r)."""
-    coeffs = list(reversed(p))
-    q = []
-    acc = Q(0)
-    for c in coeffs[:-1]:
-        acc = c + r * acc
-        q.append(acc)
-    return list(reversed(q))
 
 
 def pole_series_matrices(system, order=SERIES_ORDER):
@@ -292,13 +314,24 @@ def pole_series_matrices(system, order=SERIES_ORDER):
     return p_mats, q_mats
 
 
-def indicial_data(system, order=SERIES_ORDER):
-    """Exponents (exact) with their exact seed spaces at the north pole."""
+def pole_leading_terms(system):
+    """The exact order-0 coefficients P0, Q0 of the pole series: those of
+    ``pole_series_matrices`` at order 0, which fixes coefficient 0 and runs
+    its pole-order guards."""
     n = system.n
-    p_mats, q_mats = pole_series_matrices(system, order)
-    p0 = [[p_mats[i][j].coeff(0) for j in range(n)] for i in range(n)]
-    q0 = [[q_mats[i][j].coeff(0) for j in range(n)] for i in range(n)]
-    # L(rho) = rho(rho-1) I - P0 rho - Q0, entries as polynomials in rho
+    p_mats, q_mats = pole_series_matrices(system, 0)
+    return ([[p_mats[i][j].coeff(0) for j in range(n)] for i in range(n)],
+            [[q_mats[i][j].coeff(0) for j in range(n)] for i in range(n)])
+
+
+def indicial_data(system):
+    """Exponents (exact) with their exact seed spaces at the north pole, and
+    the indicial matrix L(rho) = rho(rho-1) I - P0 rho - Q0, its entries
+    exact polynomials in rho.  The exponents are the roots of det L, taken
+    over the integer entries of ``_integer_entries`` (a positive multiple
+    of L, with the same roots)."""
+    n = system.n
+    p0, q0 = pole_leading_terms(system)
     lmat = []
     for i in range(n):
         row = []
@@ -308,8 +341,7 @@ def indicial_data(system, order=SERIES_ORDER):
                 poly = _poly_add(poly, [Q(0), Q(-1), Q(1)])
             row.append(poly)
         lmat.append(row)
-    det = _poly_det(lmat)
-    roots = _rational_roots(det)
+    roots = _rational_roots(_poly_det(_integer_entries(lmat)[0]))
     uniq = {}
     for r in roots:
         uniq[r] = uniq.get(r, 0) + 1
@@ -321,15 +353,15 @@ def indicial_data(system, order=SERIES_ORDER):
     for rho, mult in sorted(uniq.items()):
         seeds = rl.nullspace(l_of(rho))
         out.append((rho, mult, seeds))
-    return out, (p_mats, q_mats), lmat
+    return out, lmat
 
 
-def regular_exponents(system, order=SERIES_ORDER):
+def regular_exponents(system):
     """Exponents/seeds of the solutions square-integrable (hence smooth) at
-    the pole, with the pole series to ``order``.  In the graded variables the
-    L2 cutoff is uniform: a branch is regular iff its graded exponent
-    exceeds -2."""
-    data, series, lmat = indicial_data(system, order)
+    the pole, with the indicial matrix.  In the graded variables the L2
+    cutoff is uniform: a branch is regular iff its graded exponent exceeds
+    -2."""
+    data, lmat = indicial_data(system)
     reg = []
     total_nullity = 0
     for rho, mult, seeds in data:
@@ -340,16 +372,80 @@ def regular_exponents(system, order=SERIES_ORDER):
         raise RuntimeError(
             f"regular solution count {total_nullity} != {system.n} "
             f"for {system.operator_id} {system.sector}")
-    return reg, series, lmat
+    return reg, lmat
+
+
+# -- float pole tables --------------------------------------------------------
+# Every Euclidean coefficient is a combination of five monomials a^i adot^j,
+# a = sin^2 x and adot = -sin 2x at the north pole.  All five are Laurent
+# series read off cot x = 1/x - 2 sum_n zeta(2n) x^(2n-1) / pi^(2n):
+#   adot/a = -2 cot x,  1/a = -(cot x)',  adot/a^2 = (1/a)',
+#   1/a^2 = ((1/a)'' + 4/a) / 6.
+
+POLE_MONOMIALS = ((-2, 0), (-2, 1), (-1, 0), (-1, 1), (0, 0))
+
+
+@lru_cache(maxsize=None)
+def _pole_table(top):
+    """(5, top + 5) floats: row p holds the Laurent coefficients of monomial
+    ``POLE_MONOMIALS[p]`` at the north pole, column e that of x^(e - 4).
+    Tabulated once per process and ``top``; the array is read-only."""
+    power = np.arange(-4, top + 4)  # three beyond top for the derivatives
+    cot = np.zeros(len(power))
+    cot[power == -1] = 1.0
+    odd = (power > 0) & (power % 2 == 1)
+    cot[odd] = -2 * zeta(power[odd] + 1.0) / pi ** (power[odd] + 1.0)
+
+    def deriv(c):  # x-derivative; its last coefficient is not known
+        out = np.zeros(len(c))
+        out[:-1] = (power[:-1] + 1) * c[1:]
+        return out
+
+    inv_a = -deriv(cot)
+    d_inv_a = deriv(inv_a)
+    rows = np.array([(deriv(d_inv_a) + 4 * inv_a) / 6, d_inv_a, inv_a, -2 * cot,
+                     power == 0])[:, :top + 5]
+    rows.flags.writeable = False
+    return rows
+
+
+def pole_tables(system, order):
+    """Float tables p_f[m] = P_m, q_f[m] = Q_m, m = 0..order, of the pole
+    series of ``pole_series_matrices``: one contraction of the system's
+    coefficient rows over ``POLE_MONOMIALS`` with the monomial table, read
+    at the graded shifts d_ij = r_j - r_i (the slot ranks differ by at most
+    2, so every column read is in the table):
+
+        P = x^(1+d) M1_hat - 2 r_j delta_ij,
+        Q = x^(2+d) M0_hat + r_j x^(1+d) M1_hat - r_j (r_j - 1) delta_ij,
+
+    with M1_hat = -M1 and M0_hat = M0 as series in x."""
+    n = system.n
+    index = {mono: p for p, mono in enumerate(POLE_MONOMIALS)}
+    coef = np.zeros((2, len(POLE_MONOMIALS), n, n))
+    for t, (mat, sign) in enumerate(((system.m1, -1.0), (system.m0, 1.0))):
+        for i in range(n):
+            for j in range(n):
+                for (ia, jd), v in mat[i][j].items():
+                    if (ia, jd) not in index:
+                        raise ValueError(f"coefficient monomial a^{ia} adot^{jd} "
+                                         "has no tabulated pole series")
+                    coef[t, index[ia, jd], i, j] = sign * float(v)
+    table = _pole_table(order + 1)
+    ranks = np.array(system.slot_ranks)
+    col = np.arange(order + 1)[:, None, None] + 4 - (ranks[None, :] - ranks[:, None])
+    p_f = np.einsum("pij,pmij->mij", coef[0], table[:, col - 1])  # x^(1+d) M1_hat
+    q_f = np.einsum("pij,pmij->mij", coef[1], table[:, col - 2]) + ranks * p_f
+    p_f[0] -= np.diag(2.0 * ranks)
+    q_f[0] -= np.diag(ranks * (ranks - 1.0))
+    return p_f, q_f
 
 
 def frobenius_solutions(system, order=SERIES_ORDER, x0=MATCH_RADIUS):
     """Values and s-derivatives at s = pi/2 - x0 of the regular basis, and
     its graded series (rho, slot shifts, coefficients), one per column."""
-    reg, (p_mats, q_mats), lmat = regular_exponents(system, order)
-    n = system.n
-    p_f = _series_float(p_mats, n, order)
-    q_f = _series_float(q_mats, n, order)
+    reg, lmat = regular_exponents(system)
+    p_f, q_f = pole_tables(system, order)
     entries = _integer_entries(lmat)
     cols_val = []
     cols_der = []
@@ -365,9 +461,8 @@ def frobenius_solutions(system, order=SERIES_ORDER, x0=MATCH_RADIUS):
             off = rho2 - rho
             if off.denominator == 1 and int(off) > 0:
                 others[int(off)] = seeds2
-        for seed in seeds:
-            coeffs = _frobenius_series(rho, seed, l_shift, p_f, q_f, n, order,
-                                       others)
+        block = _frobenius_block(rho, seeds, l_shift, p_f, q_f, order, others)
+        for coeffs in np.moveaxis(block, 2, 0):
             series = (rho_f, shifts, coeffs)
             val, der, terms = _series_at(series, x0, powers)
             mags = np.abs(terms).max(axis=1).tolist()
@@ -405,16 +500,6 @@ def _series_at(series, x, powers=None):
     return val, der, terms
 
 
-def _series_float(mats, n, order):
-    out = np.zeros((order + 1, n, n))
-    for i in range(n):
-        for j in range(n):
-            s = mats[i][j]
-            for m in range(order + 1):
-                out[m, i, j] = float(s.coeff(m))
-    return out
-
-
 def _integer_entries(lmat):
     """The entries of the indicial matrix as integer coefficient lists over
     one common positive denominator."""
@@ -425,47 +510,59 @@ def _integer_entries(lmat):
 def _indicial_at_shifts(entries, rho, order):
     """L(rho + m) as floats, index m = 1..order, from ``_integer_entries``.
 
-    With rho = a/q an entry sum_k b_k x^k / den is, at x = (a + m q)/q,
-    sum_k b_k (a + m q)^k q^(deg - k) / (den q^deg): one int/int true
-    division, which is correctly rounded, so every float equals
-    float(_poly_eval(entry, rho + m)) bit for bit."""
+    With rho = u/v an entry sum_k b_k x^k / den is, at x = (u + m v)/v,
+    sum_k b_k (u + m v)^k v^(D - k) / (den v^D) for any D at least its
+    degree: one int/int true division, which is correctly rounded, so every
+    float equals float(_poly_eval(entry, rho + m)) bit for bit.  The
+    entries, padded to one degree D, are evaluated at every m at once on
+    arrays of Python integers."""
     ints, den = entries
-    a, q = rho.numerator, rho.denominator
+    u, v = rho.numerator, rho.denominator
     n = len(ints)
+    deg = max(len(p) for row in ints for p in row) - 1
+    coef = np.zeros((n * n, deg + 1), dtype=object)
+    for e, p in enumerate(b for row in ints for b in row):
+        coef[e, deg + 1 - len(p):] = p[::-1]  # highest power first
+    x = np.array([u + m * v for m in range(1, order + 1)], dtype=object)
+    acc = np.zeros((n * n, order), dtype=object)
+    for k in range(deg + 1):
+        acc = acc * x + coef[:, k:k + 1] * v ** k
     out = np.zeros((order + 1, n, n))
-    for m in range(1, order + 1):
-        x = a + m * q
-        for i in range(n):
-            for j in range(n):
-                acc = 0
-                for k, b in enumerate(reversed(ints[i][j])):
-                    acc = acc * x + b * q ** k
-                out[m, i, j] = acc / (den * q ** (len(ints[i][j]) - 1))
+    out[1:] = (acc / (den * v ** deg)).astype(float).T.reshape(order, n, n)
     return out
 
 
-def _frobenius_series(rho, seed, l_shift, p_f, q_f, n, order, resonances):
-    """Float Frobenius recursion with exactly-handled resonances; l_shift[m]
-    is L(rho + m)."""
-    c = np.zeros((order + 1, n))
-    c[0] = [float(x) for x in seed]
-    rho_j = float(rho) + np.arange(order)
+def _frobenius_block(rho, seeds, l_shift, p_f, q_f, order, resonances):
+    """Float Frobenius recursion with exactly-handled resonances for all
+    seeds of one exponent as one block: (order + 1, n, seeds), coefficient m
+    in block[m]; l_shift[m] is L(rho + m).
+
+    L(rho + m) c_m = sum_(j<m) (P_(m-j) (rho + j) + Q_(m-j)) c_j, and the
+    sum is one contraction of the stacked tables [rho P + Q, P] with the
+    stacked coefficients [c_j, j c_j]; away from the resonances every
+    L(rho + m) is inverted up front, in one batched call."""
+    n = l_shift.shape[1]
+    coef = np.concatenate([float(rho) * p_f + q_f, p_f], axis=2)[::-1]
+    c = np.zeros((order + 1, 2 * n, len(seeds)))  # rows n.. hold m c_m
+    c[0, :n] = np.array([[float(x) for x in seed] for seed in seeds]).T
+    plain = [m for m in range(1, order + 1) if m not in resonances]
+    inv = np.zeros_like(l_shift)
+    inv[plain] = np.linalg.inv(l_shift[plain])
     for m in range(1, order + 1):
-        # sum over j < m of (P_(m-j) (rho + j) + Q_(m-j)) c_j
-        rhs = np.einsum("jab,jb->a", p_f[m:0:-1] * rho_j[:m, None, None]
-                        + q_f[m:0:-1], c[:m])
-        lm = l_shift[m]
+        rhs = np.einsum("jab,jbs->as", coef[order - m:order], c[:m])
         if m in resonances:
-            sol, res, rank, sv = np.linalg.lstsq(lm, rhs, rcond=None)
-            check = np.linalg.norm(lm @ sol - rhs)
-            scale = max(np.linalg.norm(rhs), 1.0)
-            if check > 1e-9 * scale:
+            lm = l_shift[m]
+            sol = np.linalg.lstsq(lm, rhs, rcond=None)[0]
+            check = np.linalg.norm(lm @ sol - rhs, axis=0)
+            scale = np.maximum(np.linalg.norm(rhs, axis=0), 1.0)
+            if np.any(check > 1e-9 * scale):
                 raise RuntimeError(
                     f"log terms required at resonance offset {m}")
-            c[m] = sol
         else:
-            c[m] = np.linalg.solve(lm, rhs)
-    return c
+            sol = inv[m] @ rhs
+        c[m, :n] = sol
+        c[m, n:] = m * sol
+    return c[:, :n]
 
 
 @dataclass(frozen=True)

@@ -6,8 +6,9 @@ the Euclidean data blocks tabulated slot by slot, the F_TT image routes of
 the phase space, the sphere quadrature of the scalar Gram matrices, the
 Killing data of the rank-1 kernel, Lorentzian evolution by direct
 integration in both time directions, the collocation matrix assembled node
-by node, the exact action of the radial operators on concrete profiles,
-exact matrices of the coefficient field and composable spatial operators.
+by node, the exact pole tables and the Frobenius recursion one seed at a
+time, the exact action of the radial operators on concrete profiles, exact
+matrices of the coefficient field and composable spatial operators.
 """
 
 from dataclasses import dataclass
@@ -150,7 +151,7 @@ def indicial_exponents(system, graded=True):
     ``graded=False`` reports the leading order of the physical components
     (graded exponent plus the smallest slot rank in the seed support).
     """
-    data, _, _ = indicial_data(system)
+    data, _ = indicial_data(system)
     out = []
     for rho, mult, seeds in data:
         if graded or not seeds:
@@ -161,6 +162,44 @@ def indicial_exponents(system, graded=True):
                 out.append(rho + shift)
             out.extend([rho] * (mult - len(seeds)))
     return sorted(out)
+
+
+def series_float(mats, n, order):
+    """(order + 1, n, n) floats of an n x n matrix of exact Laurent series
+    (``radial.pole_series_matrices``), coefficient m in row m: the exact
+    route to the pole tables."""
+    out = np.zeros((order + 1, n, n))
+    for i in range(n):
+        for j in range(n):
+            s = mats[i][j]
+            for m in range(order + 1):
+                out[m, i, j] = float(s.coeff(m))
+    return out
+
+
+def frobenius_series(rho, seed, l_shift, p_f, q_f, n, order, resonances):
+    """Float Frobenius recursion for one seed, with exactly-handled
+    resonances; l_shift[m] is L(rho + m).  The per-seed route to
+    ``radial._frobenius_block``."""
+    c = np.zeros((order + 1, n))
+    c[0] = [float(x) for x in seed]
+    rho_j = float(rho) + np.arange(order)
+    for m in range(1, order + 1):
+        # sum over j < m of (P_(m-j) (rho + j) + Q_(m-j)) c_j
+        rhs = np.einsum("jab,jb->a", p_f[m:0:-1] * rho_j[:m, None, None]
+                        + q_f[m:0:-1], c[:m])
+        lm = l_shift[m]
+        if m in resonances:
+            sol, res, rank, sv = np.linalg.lstsq(lm, rhs, rcond=None)
+            check = np.linalg.norm(lm @ sol - rhs)
+            scale = max(np.linalg.norm(rhs), 1.0)
+            if check > 1e-9 * scale:
+                raise RuntimeError(
+                    f"log terms required at resonance offset {m}")
+            c[m] = sol
+        else:
+            c[m] = np.linalg.solve(lm, rhs)
+    return c
 
 
 def evolve_lorentzian(system, data, t_grid):

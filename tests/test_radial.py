@@ -21,7 +21,9 @@ from routes import (
     collocation_matrix_loop,
     evolve_lorentzian,
     evolve_raw_direct,
+    frobenius_series,
     indicial_exponents,
+    series_float,
 )
 
 Q = Fraction
@@ -50,6 +52,20 @@ def test_rational_roots_with_large_coprime_denominators():
     d1, d2 = 2**33 + 1, 2**33 - 1
     assert radial._rational_roots([Q(-1, d1), Q(1, d2)]) == [Q(d2, d1)]
     assert radial._rational_roots([Q(0), Q(-1, d1), Q(1, d2)]) == [Q(0), Q(d2, d1)]
+
+
+def test_rational_roots_of_products_of_linear_factors():
+    # exact products of (v x - u) with repeated and zero roots, scaled by a
+    # rational: every root comes back with its multiplicity
+    rng = np.random.default_rng(16)
+    for _ in range(40):
+        roots = [Q(int(u), int(v)) for u, v in zip(rng.integers(-30, 31, 5),
+                                                   rng.integers(1, 13, 5))]
+        roots += roots[:int(rng.integers(0, 3))]
+        poly = [Q(int(rng.integers(1, 50)), int(rng.integers(1, 50)))]
+        for r in roots:
+            poly = radial._poly_mul(poly, [-r, Q(1)])
+        assert sorted(radial._rational_roots(poly)) == sorted(roots), roots
 
 
 def _divisors_by_trial_division(n):
@@ -89,6 +105,21 @@ def test_integer_indicial_values_at_a_fractional_exponent():
         assert got[1:].tobytes() == np.array(ref).tobytes(), rho
 
 
+def test_integer_indicial_values_with_mixed_entry_degrees():
+    # entries of 1 to 4 coefficients are padded to one degree; the padded
+    # division is the same exact rational, so the floats stay bit-equal
+    rng = np.random.default_rng(9)
+    lmat = [[[Q(int(a), int(b)) for a, b in zip(rng.integers(-10**6, 10**6, size),
+                                                 rng.integers(1, 10**6, size))]
+             for size in (1, 2, 3, 4, 2, 1, 3, 4, 2)[3 * i:3 * i + 3]]
+            for i in range(3)]
+    for rho in (Q(-3, 7), Q(4), Q(-11, 3)):
+        got = radial._indicial_at_shifts(radial._integer_entries(lmat), rho, 40)
+        ref = [[[float(radial._poly_eval(e, rho + m)) for e in row]
+                for row in lmat] for m in range(1, 41)]
+        assert got[1:].tobytes() == np.array(ref).tobytes(), rho
+
+
 @pytest.mark.parametrize("maxwell", [False, True], ids=["gravity", "maxwell"])
 def test_integer_indicial_values_equal_exact_ones(maxwell):
     # one correctly rounded int/int division per entry: the floats of
@@ -99,7 +130,7 @@ def test_integer_indicial_values_equal_exact_ones(maxwell):
             sysm = build_system(op, sec, EUCLIDEAN, maxwell=maxwell)
             if not sysm.n:
                 continue
-            data, _, lmat = radial.indicial_data(sysm)
+            data, lmat = radial.indicial_data(sysm)
             entries = radial._integer_entries(lmat)
             for rho, _, _ in data:
                 got = radial._indicial_at_shifts(entries, rho, 40)[1:]
@@ -109,6 +140,107 @@ def test_integer_indicial_values_equal_exact_ones(maxwell):
                 assert got.tobytes() == ref.tobytes(), (op, sec, rho)
             checked += 1
     assert checked == (25 if maxwell else 61)
+
+
+def _euclidean_systems(k_max):
+    """Every Euclidean system with k <= ``k_max`` and a slot: gravity D2 and
+    D1, Maxwell D1."""
+    out = []
+    for op, mx, secs in (("D2", False, enumerate_sectors(k_max)),
+                         ("D1", False, enumerate_sectors(k_max)),
+                         ("D1", True, maxwell_sectors(k_max))):
+        for sec in secs:
+            sysm = build_system(op, sec, EUCLIDEAN, maxwell=mx)
+            if sysm.n:
+                out.append(sysm)
+    return out
+
+
+def test_leading_terms_equal_those_of_the_full_order_series():
+    # P0 and Q0 fix the indicial roots: the order-0 call gives the same
+    # Fractions as the exact series at SERIES_ORDER, on every system k <= 24
+    systems = _euclidean_systems(24)
+    assert len(systems) == 170
+    for sysm in systems:
+        p_mats, q_mats = radial.pole_series_matrices(sysm, radial.SERIES_ORDER)
+        n = sysm.n
+        p0, q0 = radial.pole_leading_terms(sysm)
+        assert p0 == [[p_mats[i][j].coeff(0) for j in range(n)] for i in range(n)]
+        assert q0 == [[q_mats[i][j].coeff(0) for j in range(n)] for i in range(n)]
+
+
+def _made_up_system(m1, m0):
+    """A one-slot Euclidean system with the given coefficient dicts."""
+    return radial.RadialSystem(SectorLabel(Family.SCALAR, 0), "D0", EUCLIDEAN,
+                               False, 0, [0], [[m1]], [[m0]])
+
+
+@pytest.mark.parametrize("m1, m0, match", [
+    ({(-2, 0): Q(1)}, {}, "worse than first order"),  # P ~ x^-3
+    ({}, {(-2, 0): Q(1)}, "worse than second order"),  # Q ~ x^-2
+], ids=["first", "second"])
+def test_pole_order_guards_fire_on_the_leading_terms(m1, m0, match):
+    sysm = _made_up_system(m1, m0)
+    with pytest.raises(RuntimeError, match=match):
+        radial.pole_leading_terms(sysm)
+    with pytest.raises(RuntimeError, match=match):
+        radial.frobenius_solutions(sysm, 10)
+
+
+def test_pole_tables_name_an_untabulated_monomial():
+    sysm = _made_up_system({}, {(1, 0): Q(1), (0, 0): Q(2)})
+    with pytest.raises(ValueError, match=r"a\^1 adot\^0"):
+        radial.pole_tables(sysm, 10)
+
+
+def _float_tables_vs_exact(k_max):
+    # each float table against the exact series at EQUATOR_ORDER, relative
+    # to its largest entry: measured worst 8.5e-17 over k <= 24, at
+    # VectorTransverse(12) D1, Q table
+    order = radial.EQUATOR_ORDER
+    for sysm in _euclidean_systems(k_max):
+        exact = radial.pole_series_matrices(sysm, order)
+        for name, got, mats in zip("PQ", radial.pole_tables(sysm, order), exact):
+            ref = series_float(mats, sysm.n, order)
+            assert got.shape == ref.shape
+            err = np.max(np.abs(got - ref)) / np.max(np.abs(ref))
+            assert err <= 4 * EPS, (sysm.operator_id, sysm.sector, name, err)
+
+
+def test_float_pole_tables_match_the_exact_series():
+    _float_tables_vs_exact(8)
+
+
+@pytest.mark.slow
+def test_float_pole_tables_match_the_exact_series_to_k24():
+    _float_tables_vs_exact(24)
+
+
+def test_batched_recursion_matches_the_per_seed_one():
+    # all seeds of an exponent in one block against one seed at a time, on
+    # the same tables: the einsum and the solves sum in another order, so
+    # the coefficients agree to rounding relative to the largest term of the
+    # series at the equator (measured worst 4.2e-16 over k <= 8)
+    order = radial.EQUATOR_ORDER
+    xp = (pi / 2) ** np.arange(order + 1)[:, None]
+    blocks = 0
+    for sysm in _euclidean_systems(8):
+        reg, lmat = radial.regular_exponents(sysm)
+        p_f, q_f = radial.pole_tables(sysm, order)
+        entries = radial._integer_entries(lmat)
+        for rho, seeds in reg:
+            l_shift = radial._indicial_at_shifts(entries, rho, order)
+            others = {int(r - rho): s for r, s in reg
+                      if r > rho and (r - rho).denominator == 1}
+            block = radial._frobenius_block(rho, seeds, l_shift, p_f, q_f,
+                                            order, others)
+            blocks += len(seeds) > 1
+            for c, seed in enumerate(seeds):
+                ref = frobenius_series(rho, seed, l_shift, p_f, q_f, sysm.n,
+                                       order, others)
+                dev = np.max(np.abs(block[:, :, c] - ref) * xp)
+                assert dev <= 16 * EPS * np.max(np.abs(ref) * xp), (sysm.sector, rho)
+    assert blocks == 8  # exponents with more than one seed
 
 
 def test_vector1_regular_datum():
@@ -205,9 +337,9 @@ def test_equator_series_obeys_the_full_order_recursion(sec):
     sysm = build_system("D2", sec, EUCLIDEAN)
     order = radial.EQUATOR_ORDER
     p_mats, q_mats = radial.pole_series_matrices(sysm, order)
-    p_f = radial._series_float(p_mats, sysm.n, order)
-    q_f = radial._series_float(q_mats, sysm.n, order)
-    _, _, lmat = radial.indicial_data(sysm)
+    p_f = series_float(p_mats, sysm.n, order)
+    q_f = series_float(q_mats, sysm.n, order)
+    _, lmat = radial.indicial_data(sysm)
     *_, series = radial.frobenius_solutions(sysm, order, pi / 2)
     for rho, _, c in series:
         for m in range(1, order + 1):
