@@ -9,18 +9,23 @@ monomial values with those rows, and the ODE right-hand side one matrix
 product of A(s) with the stacked solution columns.
 
 Euclidean systems have regular singular points at s = +-pi/2; the basis of
-solutions regular at a pole is built by indicial analysis + Frobenius series
-seeding and high-order adaptive integration to the equator, once per system
-and tolerance.  What fixes the exponents stays exact: the order-0 pole
-coefficients P0 and Q0 (from the exact Laurent series), the indicial
-polynomial, its rational roots and their seed spaces, and L(rho + m), each
-entry rounded once from Python integers.  The higher pole coefficients that
-the recursion reads are floats: one contraction of a system's coefficients
-with the Laurent series of the five monomials they use, all read off the
-series of cot x and tabulated once per process.  The coefficient poles sit
-at x = pi/2 - s = 0, +-pi, so the regular Frobenius series also converges
-on all of [0, pi/2]: summed to the equator it is the energy oracle's
-profile (``solution_profile``), a route independent of the integrator.
+solutions regular at a pole is built by indicial analysis and the Frobenius
+series, once per system and tolerance.  What fixes the exponents stays
+exact: the order-0 pole coefficients P0 and Q0 (from the exact Laurent
+series), the indicial polynomial, its rational roots and their seed spaces,
+and L(rho + m), each entry rounded once from Python integers.  The higher
+pole coefficients that the recursion reads are floats: one contraction of a
+system's coefficients with the Laurent series of the five monomials they
+use, all read off the series of cot x and tabulated once per process.  The
+coefficient poles sit at x = pi/2 - s = 0, +-pi, so the regular Frobenius
+series converges on all of [0, pi/2], its terms falling like (x/pi)^m.  The
+recursion stops at the first order at which the tail test holds where the
+series is summed, and builds its pole tables and L(rho + m) a chunk at a
+time as it goes.  A regular basis is the series summed to x0 =
+``MATCH_RADIUS`` = 1.3 and marched the remaining pi/2 - x0 ~ 0.27 to the
+equator at the ODE tolerance (``regular_basis``); summed to the equator
+itself, the series is the energy oracle's profile (``solution_profile``), a
+route independent of the integrator.
 Lorentzian systems are globally smooth and are integrated directly for the
 dynamical checks; the metric's t -> -t symmetry maps backward evolution to
 forward evolution of reflected data, so one forward solve covers both time
@@ -45,9 +50,9 @@ from .warped import EUCLIDEAN, LORENTZIAN, WarpedSector, cf_series_pole, data_we
 
 Q = Fraction
 
-SERIES_ORDER = 40
-EQUATOR_ORDER = 120  # the series order summed out to the equator
-MATCH_RADIUS = 0.15
+MATCH_RADIUS = 1.3  # the series carries each regular basis to x0 = pi/2 - s
+ORDER_CAP = 400  # a Frobenius series not converged by this order raises
+CHUNK = 32  # orders of pole tables and L(rho + m) built at a time
 INTEGRATOR_TOL = 1e-12
 TAIL_TOL = 1e-14
 RTOL_FLOOR = 100 * np.finfo(float).eps  # scipy raises any smaller rtol to this
@@ -268,10 +273,11 @@ def _divisors(n):
     return sorted(out)
 
 
-def pole_series_matrices(system, order=SERIES_ORDER):
+def pole_series_matrices(system, order):
     """Exact Laurent series at x = pi/2 - s of P = x*N1, Q = x^2*N0 for the
-    slot-graded system.  Euclidean only (the Lorentzian systems are globally
-    smooth and have no pole to expand at).
+    slot-graded system, each entry known through x^order.  Euclidean only
+    (the Lorentzian systems are globally smooth and have no pole to expand
+    at).
 
     Components of solutions scale like x^(slot rank) relative to each other
     at the pole, so the substitution X = diag(x^r) V turns the mixed system
@@ -282,6 +288,10 @@ def pole_series_matrices(system, order=SERIES_ORDER):
         N0 = D^-1 (M1_hat D' + M0_hat D - D''),
 
     with M1_hat(x) = -M1(s), M0_hat(x) = M0(s) the x-coordinate forms.
+
+    Entry (i, j) reads M1_hat at x^(1+d) and M0_hat at x^(2+d), d = r_j -
+    r_i, so each is expanded just deep enough: ``cf_series_pole`` at depth
+    N knows a^-2, the deepest pole the guards below admit, through x^(N-2).
     """
     if system.signature != EUCLIDEAN:
         raise ValueError("indicial analysis applies to the Euclidean systems")
@@ -293,18 +303,18 @@ def pole_series_matrices(system, order=SERIES_ORDER):
         ri = ranks[i]
         for j in range(n):
             rj = ranks[j]
-            s1 = cf_series_pole(system.m1[i][j], order + 6)
-            s0 = cf_series_pole(system.m0[i][j], order + 6)
+            d = rj - ri
+            s1 = cf_series_pole(system.m1[i][j], order + 1 - d)
             m1h = LSeries(s1.off, [-c for c in s1.c])  # -M1(s)
-            m0h = s0
-            # N1[i][j] = x^(rj - ri) * M1_hat - (2 rj / x) delta_ij
-            n1 = LSeries(m1h.off + rj - ri, m1h.c)
-            n0 = LSeries(m0h.off + rj - ri, m0h.c)
-            # M1_hat * D'/D contribution to N0: (rj/x) * M1_hat * x^(rj-ri)
-            n0 = n0 + LSeries(m1h.off + rj - ri - 1, [rj * c for c in m1h.c])
+            m0h = cf_series_pole(system.m0[i][j], order - d)
+            # N1[i][j] = x^d * M1_hat - (2 rj / x) delta_ij
+            n1 = LSeries(m1h.off + d, m1h.c)
+            n0 = LSeries(m0h.off + d, m0h.c)
+            # M1_hat * D'/D contribution to N0: (rj/x) * M1_hat * x^d
+            n0 = n0 + LSeries(m1h.off + d - 1, [rj * c for c in m1h.c])
             if i == j:
-                n1 = n1 + LSeries(-1, [Q(-2 * rj)] + [Q(0)] * (order + 5))
-                n0 = n0 + LSeries(-2, [Q(-rj * (rj - 1))] + [Q(0)] * (order + 5))
+                n1 = n1 + LSeries(-1, [Q(-2 * rj)] + [Q(0)] * order)
+                n0 = n0 + LSeries(-2, [Q(-rj * (rj - 1))] + [Q(0)] * order)
             p_mats[i][j] = LSeries(n1.off + 1, n1.c)
             q_mats[i][j] = LSeries(n0.off + 2, n0.c)
             if p_mats[i][j].c and p_mats[i][j].min_order() < 0:
@@ -389,7 +399,9 @@ POLE_MONOMIALS = ((-2, 0), (-2, 1), (-1, 0), (-1, 1), (0, 0))
 def _pole_table(top):
     """(5, top + 5) floats: row p holds the Laurent coefficients of monomial
     ``POLE_MONOMIALS[p]`` at the north pole, column e that of x^(e - 4).
-    Tabulated once per process and ``top``; the array is read-only."""
+    Read at top = ``ORDER_CAP`` + 1, which covers every order the recursion
+    may reach, so it is tabulated once per process; the array is
+    read-only."""
     power = np.arange(-4, top + 4)  # three beyond top for the derivatives
     cot = np.zeros(len(power))
     cot[power == -1] = 1.0
@@ -409,12 +421,13 @@ def _pole_table(top):
     return rows
 
 
-def pole_tables(system, order):
-    """Float tables p_f[m] = P_m, q_f[m] = Q_m, m = 0..order, of the pole
-    series of ``pole_series_matrices``: one contraction of the system's
-    coefficient rows over ``POLE_MONOMIALS`` with the monomial table, read
-    at the graded shifts d_ij = r_j - r_i (the slot ranks differ by at most
-    2, so every column read is in the table):
+def pole_tables(system, orders):
+    """Float tables p_f[k] = P_m, q_f[k] = Q_m for the k-th order m of
+    ``orders`` (a range within 0..``ORDER_CAP``), of the pole series of
+    ``pole_series_matrices``: one contraction of the system's coefficient
+    rows over ``POLE_MONOMIALS`` with the monomial table, read at the graded
+    shifts d_ij = r_j - r_i (the slot ranks differ by at most 2, so every
+    column read is in the table):
 
         P = x^(1+d) M1_hat - 2 r_j delta_ij,
         Q = x^(2+d) M0_hat + r_j x^(1+d) M1_hat - r_j (r_j - 1) delta_ij,
@@ -431,22 +444,34 @@ def pole_tables(system, order):
                         raise ValueError(f"coefficient monomial a^{ia} adot^{jd} "
                                          "has no tabulated pole series")
                     coef[t, index[ia, jd], i, j] = sign * float(v)
-    table = _pole_table(order + 1)
+    table = _pole_table(ORDER_CAP + 1)
     ranks = np.array(system.slot_ranks)
-    col = np.arange(order + 1)[:, None, None] + 4 - (ranks[None, :] - ranks[:, None])
+    orders = np.asarray(orders)
+    col = orders[:, None, None] + 4 - (ranks[None, :] - ranks[:, None])
     p_f = np.einsum("pij,pmij->mij", coef[0], table[:, col - 1])  # x^(1+d) M1_hat
     q_f = np.einsum("pij,pmij->mij", coef[1], table[:, col - 2]) + ranks * p_f
-    p_f[0] -= np.diag(2.0 * ranks)
-    q_f[0] -= np.diag(ranks * (ranks - 1.0))
+    p_f[orders == 0] -= np.diag(2.0 * ranks)
+    q_f[orders == 0] -= np.diag(ranks * (ranks - 1.0))
     return p_f, q_f
 
 
-def frobenius_solutions(system, order=SERIES_ORDER, x0=MATCH_RADIUS):
+def frobenius_solutions(system, x0):
     """Values and s-derivatives at s = pi/2 - x0 of the regular basis, and
-    its graded series (rho, slot shifts, coefficients), one per column."""
+    its graded series (rho, slot shifts, coefficients), one per column.
+
+    Each exponent's seeds recur as one block (``_frobenius_block``) up to
+    the first order at which the tail test holds at x0 for every seed; the
+    pole tables, shared by the exponents, and each exponent's L(rho + m)
+    are built ``CHUNK`` orders at a time as the recursion reaches them."""
     reg, lmat = regular_exponents(system)
-    p_f, q_f = pole_tables(system, order)
     entries = _integer_entries(lmat)
+    chunks = {}  # lo -> (P, Q) at orders lo..lo + CHUNK - 1, for every exponent
+
+    def tables(lo):
+        if lo not in chunks:
+            chunks[lo] = pole_tables(system, range(lo, min(lo + CHUNK, ORDER_CAP + 1)))
+        return chunks[lo]
+
     cols_val = []
     cols_der = []
     series_out = []
@@ -454,23 +479,19 @@ def frobenius_solutions(system, order=SERIES_ORDER, x0=MATCH_RADIUS):
     shifts = np.array([float(r) for r in system.slot_ranks])
     for rho, seeds in reg:
         rho_f = float(rho)
-        l_shift = _indicial_at_shifts(entries, rho, order)
-        powers = _series_powers(rho_f, shifts, x0, order)
-        others = {}
-        for rho2, seeds2 in reg:
-            off = rho2 - rho
-            if off.denominator == 1 and int(off) > 0:
-                others[int(off)] = seeds2
-        block = _frobenius_block(rho, seeds, l_shift, p_f, q_f, order, others)
+        resonances = {int(rho2 - rho) for rho2, _ in reg
+                      if (rho2 - rho).denominator == 1 and rho2 > rho}
+        block, ratio = _frobenius_block(rho, seeds, entries, tables, resonances,
+                                        x0 ** (rho_f + shifts), x0)
+        if ratio > TAIL_TOL:
+            raise RuntimeError(
+                f"Frobenius tail not converged for {system.operator_id} "
+                f"{system.sector} at x0={x0:.6g} within the order cap "
+                f"{ORDER_CAP}: tail/peak {ratio:.2e}")
+        powers = _series_powers(rho_f, shifts, x0, len(block) - 1)
         for coeffs in np.moveaxis(block, 2, 0):
             series = (rho_f, shifts, coeffs)
-            val, der, terms = _series_at(series, x0, powers)
-            mags = np.abs(terms).max(axis=1).tolist()
-            peak = max([0.0] + mags)
-            tail = max([0.0] + mags[order - 2:])
-            if peak > 0 and tail / peak > TAIL_TOL:
-                raise RuntimeError(
-                    f"Frobenius tail not converged at x0={x0}: {tail/peak:.2e}")
+            val, der, _ = _series_at(series, x0, powers)
             cols_val.append(val)
             cols_der.append(-der)  # d/ds = -d/dx
             series_out.append(series)
@@ -507,8 +528,9 @@ def _integer_entries(lmat):
     return [[[int(c * den) for c in p] for p in row] for row in lmat], den
 
 
-def _indicial_at_shifts(entries, rho, order):
-    """L(rho + m) as floats, index m = 1..order, from ``_integer_entries``.
+def _indicial_at_shifts(entries, rho, orders):
+    """L(rho + m) as floats for each m of ``orders``, from
+    ``_integer_entries``.
 
     With rho = u/v an entry sum_k b_k x^k / den is, at x = (u + m v)/v,
     sum_k b_k (u + m v)^k v^(D - k) / (den v^D) for any D at least its
@@ -523,46 +545,71 @@ def _indicial_at_shifts(entries, rho, order):
     coef = np.zeros((n * n, deg + 1), dtype=object)
     for e, p in enumerate(b for row in ints for b in row):
         coef[e, deg + 1 - len(p):] = p[::-1]  # highest power first
-    x = np.array([u + m * v for m in range(1, order + 1)], dtype=object)
-    acc = np.zeros((n * n, order), dtype=object)
+    x = np.array([u + m * v for m in orders], dtype=object)
+    acc = np.zeros((n * n, len(x)), dtype=object)
     for k in range(deg + 1):
         acc = acc * x + coef[:, k:k + 1] * v ** k
-    out = np.zeros((order + 1, n, n))
-    out[1:] = (acc / (den * v ** deg)).astype(float).T.reshape(order, n, n)
-    return out
+    return (acc / (den * v ** deg)).astype(float).T.reshape(len(x), n, n)
 
 
-def _frobenius_block(rho, seeds, l_shift, p_f, q_f, order, resonances):
+def _frobenius_block(rho, seeds, entries, tables, resonances, scale, x0):
     """Float Frobenius recursion with exactly-handled resonances for all
-    seeds of one exponent as one block: (order + 1, n, seeds), coefficient m
-    in block[m]; l_shift[m] is L(rho + m).
+    seeds of one exponent as one block, up to the first order at which the
+    tail test holds at x0 for every seed, or ``ORDER_CAP``.  Returns the
+    coefficients, (order + 1, n, seeds) with coefficient m in block[m], and
+    the largest tail/peak ratio of the last order.
 
     L(rho + m) c_m = sum_(j<m) (P_(m-j) (rho + j) + Q_(m-j)) c_j, and the
     sum is one contraction of the stacked tables [rho P + Q, P] with the
-    stacked coefficients [c_j, j c_j]; away from the resonances every
-    L(rho + m) is inverted up front, in one batched call."""
-    n = l_shift.shape[1]
-    coef = np.concatenate([float(rho) * p_f + q_f, p_f], axis=2)[::-1]
-    c = np.zeros((order + 1, 2 * n, len(seeds)))  # rows n.. hold m c_m
+    stacked coefficients [c_j, j c_j].  ``tables(lo)`` is the (P, Q) chunk
+    of orders lo..lo + CHUNK - 1, lo = 1 + a multiple of CHUNK; L(rho + m)
+    comes from the indicial ``entries`` at that chunk's orders, and away
+    from the resonances is inverted in one batched call.
+
+    Term m of a seed is its graded coefficient at x0, c_m x0^m times
+    ``scale`` = x0^(rho + slot shift).  The tail test asks the largest of
+    the last three terms to be within ``TAIL_TOL`` of the largest term so
+    far, once those three are past the last resonance: there the
+    least-squares solve may leave c_m = 0 next to the terms that the
+    tables' parity makes 0, long before the series has converged."""
+    n = len(scale)
+    c = np.zeros((ORDER_CAP + 1, 2 * n, len(seeds)))  # rows n.. hold m c_m
     c[0, :n] = np.array([[float(x) for x in seed] for seed in seeds]).T
-    plain = [m for m in range(1, order + 1) if m not in resonances]
-    inv = np.zeros_like(l_shift)
-    inv[plain] = np.linalg.inv(l_shift[plain])
-    for m in range(1, order + 1):
-        rhs = np.einsum("jab,jbs->as", coef[order - m:order], c[:m])
+    coef = np.zeros((ORDER_CAP + 1, n, 2 * n))
+    lms = np.zeros((ORDER_CAP + 1, n, n))  # L(rho + m)
+    inv = np.zeros_like(lms)
+    built = 1  # the tables and inverses hold every order below this
+    weight = scale[:, None] * x0 ** np.arange(ORDER_CAP + 1)[:, None, None]
+    mags = [(np.abs(c[0, :n]) * weight[0]).max(axis=0).tolist()]  # term sizes
+    peak = mags[0]
+    first = max(resonances, default=0) + 3  # a resonance's c_m may be 0
+    for m in range(1, ORDER_CAP + 1):
+        if m == built:
+            p_f, q_f = tables(m)
+            built = m + len(p_f)
+            coef[m:built] = np.concatenate([float(rho) * p_f + q_f, p_f], axis=2)
+            lms[m:built] = _indicial_at_shifts(entries, rho, range(m, built))
+            plain = [k for k in range(m, built) if k not in resonances]
+            inv[plain] = np.linalg.inv(lms[plain])
+        rhs = np.einsum("jab,jbs->as", coef[m:0:-1], c[:m])
         if m in resonances:
-            lm = l_shift[m]
+            lm = lms[m]
             sol = np.linalg.lstsq(lm, rhs, rcond=None)[0]
             check = np.linalg.norm(lm @ sol - rhs, axis=0)
-            scale = np.maximum(np.linalg.norm(rhs, axis=0), 1.0)
-            if np.any(check > 1e-9 * scale):
+            bound = np.maximum(np.linalg.norm(rhs, axis=0), 1.0)
+            if np.any(check > 1e-9 * bound):
                 raise RuntimeError(
                     f"log terms required at resonance offset {m}")
         else:
             sol = inv[m] @ rhs
         c[m, :n] = sol
         c[m, n:] = m * sol
-    return c[:, :n]
+        mags.append((np.abs(sol) * weight[m]).max(axis=0).tolist())
+        peak = [max(p, t) for p, t in zip(peak, mags[-1])]
+        ratio = max(max(terms) / p for p, *terms in zip(peak, *mags[-3:]))
+        if m >= first and ratio <= TAIL_TOL:
+            break
+    return c[:m + 1, :n], ratio
 
 
 @dataclass(frozen=True)
@@ -573,8 +620,9 @@ class SolutionBasisAtEquator:
 def regular_basis(system, tol=INTEGRATOR_TOL):
     """Cauchy data at s=0 of the basis of solutions regular at the north
     pole (the south basis is its reflection, see ``calderon``): the
-    Frobenius seeds at ``MATCH_RADIUS`` marched to the equator with
-    tolerance ``tol``.  Built once per (system, tol); the array of the
+    Frobenius series summed to x0 = ``MATCH_RADIUS``, at the order its tail
+    test picks there, then marched the remaining pi/2 - x0 to the equator
+    with tolerance ``tol``.  Built once per (system, tol); the array of the
     shared result is read-only."""
     return _regular_basis(system, tol)
 
@@ -583,7 +631,7 @@ def regular_basis(system, tol=INTEGRATOR_TOL):
 def _regular_basis(system, tol):
     if system.signature != EUCLIDEAN:
         raise ValueError("regular bases are defined for the Euclidean systems")
-    val, der, _ = frobenius_solutions(system, SERIES_ORDER, MATCH_RADIUS)
+    val, der, _ = frobenius_solutions(system, MATCH_RADIUS)
     n = system.n
     y0 = np.vstack([val, der]).ravel()
     sol = solve_ivp(system.rhs, (pi / 2 - MATCH_RADIUS, 0.0), y0,
@@ -598,10 +646,9 @@ def _regular_basis(system, tol):
 
 def solution_profile(system):
     """Callable s -> (u(s), u'(s)) on [0, pi/2] for the first regular
-    solution of a Euclidean system: its Frobenius series to
-    ``EQUATOR_ORDER``, whose tail is checked at the equator, the farthest
-    point from the pole."""
-    *_, series = frobenius_solutions(system, EQUATOR_ORDER, pi / 2)
+    solution of a Euclidean system: its Frobenius series to the order the
+    tail test picks at the equator, the farthest point from the pole."""
+    *_, series = frobenius_solutions(system, pi / 2)
 
     def phi(s):
         val, der, _ = _series_at(series[0], pi / 2 - s)

@@ -99,10 +99,11 @@ def test_integer_indicial_values_at_a_fractional_exponent():
     lmat = [[[Q(int(a), int(b)) for a, b in rng.integers(1, 10**6, (3, 2))]
              for _ in range(3)] for _ in range(3)]
     for rho in (Q(-3, 7), Q(5, 2), Q(-11, 3)):
-        got = radial._indicial_at_shifts(radial._integer_entries(lmat), rho, 40)
+        got = radial._indicial_at_shifts(radial._integer_entries(lmat), rho,
+                                         range(1, 41))
         ref = [[[float(radial._poly_eval(e, rho + m)) for e in row]
                 for row in lmat] for m in range(1, 41)]
-        assert got[1:].tobytes() == np.array(ref).tobytes(), rho
+        assert got.tobytes() == np.array(ref).tobytes(), rho
 
 
 def test_integer_indicial_values_with_mixed_entry_degrees():
@@ -114,10 +115,11 @@ def test_integer_indicial_values_with_mixed_entry_degrees():
              for size in (1, 2, 3, 4, 2, 1, 3, 4, 2)[3 * i:3 * i + 3]]
             for i in range(3)]
     for rho in (Q(-3, 7), Q(4), Q(-11, 3)):
-        got = radial._indicial_at_shifts(radial._integer_entries(lmat), rho, 40)
+        got = radial._indicial_at_shifts(radial._integer_entries(lmat), rho,
+                                         range(1, 41))
         ref = [[[float(radial._poly_eval(e, rho + m)) for e in row]
                 for row in lmat] for m in range(1, 41)]
-        assert got[1:].tobytes() == np.array(ref).tobytes(), rho
+        assert got.tobytes() == np.array(ref).tobytes(), rho
 
 
 @pytest.mark.parametrize("maxwell", [False, True], ids=["gravity", "maxwell"])
@@ -133,7 +135,7 @@ def test_integer_indicial_values_equal_exact_ones(maxwell):
             data, lmat = radial.indicial_data(sysm)
             entries = radial._integer_entries(lmat)
             for rho, _, _ in data:
-                got = radial._indicial_at_shifts(entries, rho, 40)[1:]
+                got = radial._indicial_at_shifts(entries, rho, range(1, 41))
                 ref = np.array([[[float(radial._poly_eval(e, rho + m))
                                   for e in row] for row in lmat]
                                 for m in range(1, 41)])
@@ -158,11 +160,11 @@ def _euclidean_systems(k_max):
 
 def test_leading_terms_equal_those_of_the_full_order_series():
     # P0 and Q0 fix the indicial roots: the order-0 call gives the same
-    # Fractions as the exact series at SERIES_ORDER, on every system k <= 24
+    # Fractions as the exact series at order 40, on every system k <= 24
     systems = _euclidean_systems(24)
     assert len(systems) == 170
     for sysm in systems:
-        p_mats, q_mats = radial.pole_series_matrices(sysm, radial.SERIES_ORDER)
+        p_mats, q_mats = radial.pole_series_matrices(sysm, 40)
         n = sysm.n
         p0, q0 = radial.pole_leading_terms(sysm)
         assert p0 == [[p_mats[i][j].coeff(0) for j in range(n)] for i in range(n)]
@@ -184,23 +186,24 @@ def test_pole_order_guards_fire_on_the_leading_terms(m1, m0, match):
     with pytest.raises(RuntimeError, match=match):
         radial.pole_leading_terms(sysm)
     with pytest.raises(RuntimeError, match=match):
-        radial.frobenius_solutions(sysm, 10)
+        radial.frobenius_solutions(sysm, radial.MATCH_RADIUS)
 
 
 def test_pole_tables_name_an_untabulated_monomial():
     sysm = _made_up_system({}, {(1, 0): Q(1), (0, 0): Q(2)})
     with pytest.raises(ValueError, match=r"a\^1 adot\^0"):
-        radial.pole_tables(sysm, 10)
+        radial.pole_tables(sysm, range(11))
 
 
 def _float_tables_vs_exact(k_max):
-    # each float table against the exact series at EQUATOR_ORDER, relative
-    # to its largest entry: measured worst 8.5e-17 over k <= 24, at
+    # each float table against the exact series at order 120, relative to
+    # its largest entry: measured worst 8.5e-17 over k <= 24, at
     # VectorTransverse(12) D1, Q table
-    order = radial.EQUATOR_ORDER
+    order = 120
     for sysm in _euclidean_systems(k_max):
         exact = radial.pole_series_matrices(sysm, order)
-        for name, got, mats in zip("PQ", radial.pole_tables(sysm, order), exact):
+        tables = radial.pole_tables(sysm, range(order + 1))
+        for name, got, mats in zip("PQ", tables, exact):
             ref = series_float(mats, sysm.n, order)
             assert got.shape == ref.shape
             err = np.max(np.abs(got - ref)) / np.max(np.abs(ref))
@@ -218,29 +221,77 @@ def test_float_pole_tables_match_the_exact_series_to_k24():
 
 def test_batched_recursion_matches_the_per_seed_one():
     # all seeds of an exponent in one block against one seed at a time, on
-    # the same tables: the einsum and the solves sum in another order, so
-    # the coefficients agree to rounding relative to the largest term of the
-    # series at the equator (measured worst 4.2e-16 over k <= 8)
-    order = radial.EQUATOR_ORDER
-    xp = (pi / 2) ** np.arange(order + 1)[:, None]
+    # the same tables to the order the block picked at the equator: the
+    # einsum and the solves sum in another order, so the coefficients agree
+    # to rounding relative to the largest term of the series at the equator
+    # (measured worst 8.6e-16 over k <= 8)
     blocks = 0
     for sysm in _euclidean_systems(8):
         reg, lmat = radial.regular_exponents(sysm)
-        p_f, q_f = radial.pole_tables(sysm, order)
+        *_, series = radial.frobenius_solutions(sysm, pi / 2)
         entries = radial._integer_entries(lmat)
+        columns = iter(series)
         for rho, seeds in reg:
-            l_shift = radial._indicial_at_shifts(entries, rho, order)
-            others = {int(r - rho): s for r, s in reg
-                      if r > rho and (r - rho).denominator == 1}
-            block = radial._frobenius_block(rho, seeds, l_shift, p_f, q_f,
-                                            order, others)
             blocks += len(seeds) > 1
-            for c, seed in enumerate(seeds):
+            others = {int(r - rho) for r, _ in reg
+                      if r > rho and (r - rho).denominator == 1}
+            for seed in seeds:
+                coeffs = next(columns)[2]
+                order = len(coeffs) - 1
+                p_f, q_f = radial.pole_tables(sysm, range(order + 1))
+                l_shift = radial._indicial_at_shifts(entries, rho, range(order + 1))
                 ref = frobenius_series(rho, seed, l_shift, p_f, q_f, sysm.n,
                                        order, others)
-                dev = np.max(np.abs(block[:, :, c] - ref) * xp)
+                xp = (pi / 2) ** np.arange(order + 1)[:, None]
+                dev = np.max(np.abs(coeffs - ref) * xp)
                 assert dev <= 16 * EPS * np.max(np.abs(ref) * xp), (sysm.sector, rho)
     assert blocks == 8  # exponents with more than one seed
+
+
+def _tail_test_holds(block, rho, shifts, x0, order):
+    """The tail test of ``radial._frobenius_block`` on the columns of one
+    exponent's coefficients truncated at ``order``."""
+    terms = np.abs(block[:order + 1]) * x0 ** (rho + np.arange(order + 1)[:, None, None]
+                                              + shifts[:, None])
+    mags = terms.max(axis=1)  # (order + 1, seeds)
+    return np.all(mags[order - 2:].max(axis=0) <= radial.TAIL_TOL * mags.max(axis=0))
+
+
+def test_each_regular_basis_runs_its_recursion_once(monkeypatch):
+    # no coefficient, pole table or L(rho + m) is computed twice: each
+    # exponent recurs once, the tables and L(rho + m) come in disjoint
+    # chunks from order 1 up, and the order each exponent stops at is the
+    # first at which the tail test holds at MATCH_RADIUS for every seed (k <=
+    # 8 has 8 exponents with two seeds)
+    blocks, tables, shifts = [], [], []
+    for name, log in (("_frobenius_block", blocks), ("pole_tables", tables),
+                      ("_indicial_at_shifts", shifts)):
+        def spy(*args, _real=getattr(radial, name), _log=log, **kwargs):
+            out = _real(*args, **kwargs)
+            _log.append((args, out))
+            return out
+        monkeypatch.setattr(radial, name, spy)
+    x0 = radial.MATCH_RADIUS
+    for sysm in _euclidean_systems(8):
+        del blocks[:], tables[:], shifts[:]
+        radial._regular_basis.__wrapped__(sysm, radial.INTEGRATOR_TOL)
+        reg, _ = radial.regular_exponents(sysm)
+        assert [args[0] for args, _ in blocks] == [rho for rho, _ in reg]
+        orders = [m for (_, ms), _ in tables for m in ms]
+        assert orders == list(range(1, len(orders) + 1))
+        top = 0
+        for (rho, _), (_, (block, ratio)) in zip(reg, blocks):
+            order = len(block) - 1
+            assert ratio <= radial.TAIL_TOL
+            mine = [m for (_, r, ms), _ in shifts if r == rho for m in ms]
+            assert mine == list(range(1, len(mine) + 1))
+            assert order <= len(mine) < order + radial.CHUNK
+            sh = np.array(sysm.slot_ranks, dtype=float)
+            assert _tail_test_holds(block, float(rho), sh, x0, order)
+            assert not _tail_test_holds(block, float(rho), sh, x0, order - 1), \
+                (sysm.sector, rho, order)
+            top = max(top, order)
+        assert top <= len(orders) < top + radial.CHUNK
 
 
 def test_vector1_regular_datum():
@@ -308,9 +359,9 @@ def _regular_systems(k_max):
     return out
 
 
-def _series_vs_march(k_max):
-    for sysm in _regular_systems(k_max):
-        val, der, _ = radial.frobenius_solutions(sysm, radial.EQUATOR_ORDER, pi / 2)
+def _series_vs_march(systems):
+    for sysm in systems:
+        val, der, _ = radial.frobenius_solutions(sysm, pi / 2)
         series = np.vstack([val, -der])  # (value, -d/ds value) at s = 0
         ang = principal_angle(series, regular_basis(sysm).data_matrix)
         assert ang <= 1e-11, (sysm.operator_id, sysm.sector, ang)
@@ -318,31 +369,47 @@ def _series_vs_march(k_max):
 
 def test_series_at_equator_matches_marched_basis():
     # two routes to the regular subspace: the Frobenius series summed to the
-    # equator, and the seeds at MATCH_RADIUS marched there
-    _series_vs_march(8)
+    # equator, and the series summed to MATCH_RADIUS marched there
+    _series_vs_march(_regular_systems(8))
 
 
 @pytest.mark.slow
-def test_series_at_equator_matches_marched_basis_to_k24():
-    _series_vs_march(24)
+def test_series_at_equator_matches_marched_basis_to_k48():
+    # every Euclidean system with k <= 48; measured worst 1.4e-12, at
+    # Scalar(44) D2 (the march from 0.15 was 2.8e-8 off at TensorTT(47))
+    systems = _euclidean_systems(48)
+    assert len(systems) == 338
+    _series_vs_march(systems)
+
+
+@pytest.mark.slow
+def test_marched_basis_matches_collocation_to_k48():
+    # every method-independence candidate with k <= 48; measured worst
+    # 1.0e-12, at Scalar(44) D2
+    systems = _regular_systems(48)
+    assert len(systems) == 241
+    for sysm in systems:
+        coll, _ = collocation_regular_basis(sysm)
+        ang = principal_angle(regular_basis(sysm).data_matrix, coll)
+        assert ang <= 1e-11, (sysm.operator_id, sysm.sector, ang)
 
 
 @pytest.mark.parametrize("sec", [SectorLabel(Family.SCALAR, 5),
                                  SectorLabel(Family.TENSOR, 2)])
 def test_equator_series_obeys_the_full_order_recursion(sec):
-    # every coefficient to EQUATOR_ORDER satisfies L(rho+m) c_m =
-    # sum_j<m (P_(m-j) (rho+j) + Q_(m-j)) c_j with the exact pole tables at
-    # that order; tables cut off at a lower order leave the high
-    # coefficients off by the dropped terms
+    # every coefficient to the order picked at the equator satisfies
+    # L(rho+m) c_m = sum_j<m (P_(m-j) (rho+j) + Q_(m-j)) c_j with the exact
+    # pole tables at that order; tables cut off at a lower order leave the
+    # high coefficients off by the dropped terms
     sysm = build_system("D2", sec, EUCLIDEAN)
-    order = radial.EQUATOR_ORDER
+    *_, series = radial.frobenius_solutions(sysm, pi / 2)
+    order = max(len(c) for *_, c in series) - 1
     p_mats, q_mats = radial.pole_series_matrices(sysm, order)
     p_f = series_float(p_mats, sysm.n, order)
     q_f = series_float(q_mats, sysm.n, order)
     _, lmat = radial.indicial_data(sysm)
-    *_, series = radial.frobenius_solutions(sysm, order, pi / 2)
     for rho, _, c in series:
-        for m in range(1, order + 1):
+        for m in range(1, len(c)):
             lm = np.array([[float(radial._poly_eval(e, Q(rho) + m))
                             for e in row] for row in lmat])
             terms = [(p_f[m - j] * (rho + j) + q_f[m - j]) @ c[j] for j in range(m)]
@@ -351,12 +418,16 @@ def test_equator_series_obeys_the_full_order_recursion(sec):
             assert np.all(resid <= 1e-10 * scale), (sec, m)
 
 
-def test_series_tail_guard_fires_at_the_equator():
-    # at the march's SERIES_ORDER the TT(2) series has not converged at
-    # x = pi/2 (tail/peak about 1e-11), and the guard says so
+def test_series_tail_guard_fires_at_the_equator(monkeypatch):
+    # the TT(2) series needs more than 40 orders at x = pi/2 (tail/peak
+    # about 1e-11 there); under a cap of 40 the guard says so, and where
     sysm = build_system("D2", SectorLabel(Family.TENSOR, 2), EUCLIDEAN)
-    with pytest.raises(RuntimeError, match="tail not converged"):
-        radial.frobenius_solutions(sysm, radial.SERIES_ORDER, pi / 2)
+    *_, series = radial.frobenius_solutions(sysm, pi / 2)
+    assert len(series[0][2]) - 1 > 40
+    monkeypatch.setattr(radial, "ORDER_CAP", 40)
+    with pytest.raises(RuntimeError, match=r"tail not converged for D2 TensorTT\(2\) "
+                                           r"at x0=1\.5708 within the order cap 40"):
+        radial.frobenius_solutions(sysm, pi / 2)
 
 
 CHARGE_CASES = [

@@ -273,6 +273,20 @@ def test_gauge_intertwining_is_certified_to_k48(tmp_path):
     assert rec["extra"]["worst_sector"] in {str(sec) for sec in enumerate_sectors(48)}
 
 
+@pytest.mark.slow
+def test_every_suite_passes_to_k96(tmp_path):
+    # every regular basis is the series to MATCH_RADIUS plus a short march,
+    # so the k >= 43 sectors hold; the march from 0.15 failed 217 checks
+    # here, all at k >= 52
+    out = tmp_path / "r.json"
+    done = subprocess.run(
+        [sys.executable, "-m", "dsvac.cli", "run", "--k-max", "96", "--jobs", "2",
+         "--seed", "2026", "--out", str(out)],
+        env={**os.environ, "PYTHONPATH": str(Path(report.__file__).parents[1])})
+    assert done.returncode == 0
+    assert not has_failures(json.loads(out.read_text()))
+
+
 def test_internal_error_exit_code(tmp_path, monkeypatch, capsys):
     # an exception inside a suite is exit 3, not a failed check (exit 1)
     def broken(art, col, cfg):
