@@ -4,6 +4,9 @@
 report; ``dsvac diff`` compares two reports.  Exit codes: 0 all checks pass,
 1 at least one failing check, 2 configuration error, 3 internal error (an
 exception raised while running the suites; its traceback goes to stderr).
+``dsvac diff`` exits 0 with the diff on stdout, or 2 for a report it cannot
+read or that is not a report, or a drift factor that is not a finite number
+>= 1.
 """
 
 import argparse

@@ -10,10 +10,12 @@ product of A(s) with the stacked solution columns.
 
 Euclidean systems have regular singular points at s = +-pi/2; the basis of
 solutions regular at a pole is built by indicial analysis and the Frobenius
-series, once per system and tolerance.  What fixes the exponents stays
+series, once per system and tolerance.  The exponents are integers: the
+eigenvalues of the companion matrix of the indicial matrix, each rounded to
+the nearest integer and certified exactly.  What certifies them stays
 exact: the order-0 pole coefficients P0 and Q0 (from the exact Laurent
-series), the indicial polynomial, its rational roots and their seed spaces,
-and L(rho + m), each entry rounded once from Python integers.  The higher
+series), the null space of L(rho) at each exponent (its seed space), and
+L(rho + m), each entry rounded once from Python integers.  The higher
 pole coefficients that the recursion reads are floats: one contraction of a
 system's coefficients with the Laurent series of the five monomials they
 use, all read off the series of cot x and tabulated once per process.  The
@@ -37,7 +39,7 @@ meets its own.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import cos, cosh, gcd, inf, lcm, pi, sin, sinh, sqrt
+from math import cos, cosh, inf, lcm, pi, sin, sinh, sqrt
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -149,130 +151,6 @@ def build_system(operator_id, sector, signature, maxwell=False):
 
 # -- indicial analysis --------------------------------------------------------
 
-# Polynomials are coefficient lists, lowest power first, over the integers or
-# the rationals alike.
-
-def _poly_mul(p, q):
-    out = [0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return out
-
-
-def _poly_add(p, q):
-    n = max(len(p), len(q))
-    out = [0] * n
-    for i, a in enumerate(p):
-        out[i] += a
-    for i, b in enumerate(q):
-        out[i] += b
-    return out
-
-
-def _poly_det(mat):
-    n = len(mat)
-    if n == 0:
-        return [1]
-    if n == 1:
-        return mat[0][0]
-    out = [0]
-    for j in range(n):
-        minor = [[row[c] for c in range(n) if c != j] for row in mat[1:]]
-        term = _poly_mul(mat[0][j], _poly_det(minor))
-        if j % 2:
-            term = [-x for x in term]
-        out = _poly_add(out, term)
-    return out
-
-
-def _poly_eval(p, x):
-    tot = 0
-    for c in reversed(p):
-        tot = tot * x + c
-    return tot
-
-
-def _rational_roots(p):
-    """All roots with multiplicity of an exactly-factorable polynomial.
-
-    The polynomial is cleared to integer coefficients, a candidate root
-    u/v (u | constant term, v | leading coefficient, in lowest terms) is
-    tested by Horner on the integer v^deg p(u/v), and a root found is
-    divided out over the integers: v x - u divides the integer polynomial
-    exactly (Gauss's lemma)."""
-    p = list(p)
-    while p and p[-1] == 0:
-        p.pop()
-    lead_deg = len(p) - 1
-    roots = []
-    # strip zero roots
-    while p and p[0] == 0:
-        roots.append(Q(0))
-        p = p[1:]
-    den = lcm(*(c.denominator for c in p))
-    ip = [int(c * den) for c in p]
-    while len(ip) > 1:
-        found = _integer_root(ip)
-        if found is None:
-            raise RuntimeError(f"indicial polynomial has irrational roots: {p}")
-        roots.append(Q(*found))
-        ip = _divide_linear(ip, *found)
-    if len(roots) != lead_deg:
-        raise RuntimeError("root extraction lost degree")
-    return roots
-
-
-def _integer_root(ip):
-    """The first rational root (u, v), v > 0 and gcd(u, v) = 1, of the
-    integer polynomial ``ip`` (coefficients low to high), by increasing
-    denominator, then increasing |u|, positive first; None if it has none."""
-    nums = _divisors(ip[0])
-    for v in _divisors(ip[-1]):
-        weights = [c * v ** k for k, c in enumerate(reversed(ip))]
-        for unum in nums:
-            if gcd(unum, v) != 1:
-                continue  # the same number was tried with a smaller v
-            for u in (unum, -unum):
-                acc = 0
-                for w in weights:  # v^deg p(u/v), highest power first
-                    acc = acc * u + w
-                if acc == 0:
-                    return u, v
-    return None
-
-
-def _divide_linear(ip, u, v):
-    """The integer quotient of ``ip`` by v x - u, which divides it."""
-    quot = [0] * (len(ip) - 1)
-    acc = 0
-    for k in range(len(ip) - 1, 0, -1):
-        acc = (ip[k] + u * acc) // v
-        quot[k - 1] = acc
-    return quot
-
-
-def _divisors(n):
-    """Positive divisors of |n| in increasing order ([1] for 0), expanded
-    from the prime factorisation of n by trial division."""
-    n = abs(n)
-    if n == 0:
-        return [1]
-    out = [1]
-    p = 2
-    while p * p <= n:
-        e = 0
-        while n % p == 0:
-            n //= p
-            e += 1
-        if e:
-            out = [d * p ** i for d in out for i in range(e + 1)]
-        p += 1 if p == 2 else 2
-    if n > 1:
-        out += [d * n for d in out]
-    return sorted(out)
-
-
 def pole_series_matrices(system, order):
     """Exact Laurent series at x = pi/2 - s of P = x*N1, Q = x^2*N0 for the
     slot-graded system, each entry known through x^order.  Euclidean only
@@ -335,54 +213,53 @@ def pole_leading_terms(system):
 
 
 def indicial_data(system):
-    """Exponents (exact) with their exact seed spaces at the north pole, and
-    the indicial matrix L(rho) = rho(rho-1) I - P0 rho - Q0, its entries
-    exact polynomials in rho.  The exponents are the roots of det L, taken
-    over the integer entries of ``_integer_entries`` (a positive multiple
-    of L, with the same roots)."""
+    """Exponents with their multiplicities and exact seed spaces at the
+    north pole, and the exact order-0 pole coefficients (P0, Q0) of the
+    indicial matrix L(rho) = rho(rho-1) I - rho P0 - Q0.
+
+    The exponents, the roots of det L, are the eigenvalues of the companion
+    matrix [[0, I], [Q0, I + P0]] (whose characteristic polynomial is det L
+    exactly), each rounded to the nearest integer; an eigenvalue farther
+    than 1e-6 max(1, |rho|) from an integer raises.  Each distinct integer
+    is certified exactly by the null space of L(rho) over the rationals,
+    which is its seed space and must not be empty; its multiplicity is the
+    number of eigenvalues that round to it."""
     n = system.n
     p0, q0 = pole_leading_terms(system)
-    lmat = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            poly = [-q0[i][j], -p0[i][j], Q(0)]
-            if i == j:
-                poly = _poly_add(poly, [Q(0), Q(-1), Q(1)])
-            row.append(poly)
-        lmat.append(row)
-    roots = _rational_roots(_poly_det(_integer_entries(lmat)[0]))
-    uniq = {}
-    for r in roots:
-        uniq[r] = uniq.get(r, 0) + 1
-
-    def l_of(rho):
-        return [[_poly_eval(lmat[i][j], rho) for j in range(n)] for i in range(n)]
-
+    eye = np.eye(n)
+    companion = np.block([[np.zeros((n, n)), eye],
+                          [np.array(q0, dtype=float), eye + np.array(p0, dtype=float)]])
+    mults = {}
+    for ev in np.linalg.eigvals(companion):
+        rho = round(ev.real)
+        if abs(ev - rho) > 1e-6 * max(1.0, abs(ev)):
+            raise RuntimeError(f"indicial exponent {ev:.6g} of {system.operator_id} "
+                               f"{system.sector} is not an integer")
+        mults[rho] = mults.get(rho, 0) + 1
     out = []
-    for rho, mult in sorted(uniq.items()):
-        seeds = rl.nullspace(l_of(rho))
+    for rho, mult in sorted(mults.items()):
+        seeds = rl.nullspace([[rho * (rho - 1) * (i == j) - rho * p0[i][j] - q0[i][j]
+                               for j in range(n)] for i in range(n)])
+        if not seeds:
+            raise RuntimeError(f"indicial matrix of {system.operator_id} "
+                               f"{system.sector} is regular at rho = {rho}")
         out.append((rho, mult, seeds))
-    return out, lmat
+    return out, (p0, q0)
 
 
 def regular_exponents(system):
     """Exponents/seeds of the solutions square-integrable (hence smooth) at
-    the pole, with the indicial matrix.  In the graded variables the L2
-    cutoff is uniform: a branch is regular iff its graded exponent exceeds
-    -2."""
-    data, lmat = indicial_data(system)
-    reg = []
-    total_nullity = 0
-    for rho, mult, seeds in data:
-        if rho > -2 and seeds:
-            reg.append((rho, seeds))
-            total_nullity += len(seeds)
+    the pole, with the exact (P0, Q0) of ``indicial_data``.  In the graded
+    variables the L2 cutoff is uniform: a branch is regular iff its graded
+    exponent exceeds -2."""
+    data, leading = indicial_data(system)
+    reg = [(rho, seeds) for rho, _, seeds in data if rho > -2]
+    total_nullity = sum(len(seeds) for _, seeds in reg)
     if total_nullity != system.n:
         raise RuntimeError(
             f"regular solution count {total_nullity} != {system.n} "
             f"for {system.operator_id} {system.sector}")
-    return reg, lmat
+    return reg, leading
 
 
 # -- float pole tables --------------------------------------------------------
@@ -463,8 +340,8 @@ def frobenius_solutions(system, x0):
     the first order at which the tail test holds at x0 for every seed; the
     pole tables, shared by the exponents, and each exponent's L(rho + m)
     are built ``CHUNK`` orders at a time as the recursion reaches them."""
-    reg, lmat = regular_exponents(system)
-    entries = _integer_entries(lmat)
+    reg, leading = regular_exponents(system)
+    entries = _integer_entries(*leading)
     chunks = {}  # lo -> (P, Q) at orders lo..lo + CHUNK - 1, for every exponent
 
     def tables(lo):
@@ -479,8 +356,7 @@ def frobenius_solutions(system, x0):
     shifts = np.array([float(r) for r in system.slot_ranks])
     for rho, seeds in reg:
         rho_f = float(rho)
-        resonances = {int(rho2 - rho) for rho2, _ in reg
-                      if (rho2 - rho).denominator == 1 and rho2 > rho}
+        resonances = {rho2 - rho for rho2, _ in reg if rho2 > rho}
         block, ratio = _frobenius_block(rho, seeds, entries, tables, resonances,
                                         x0 ** (rho_f + shifts), x0)
         if ratio > TAIL_TOL:
@@ -521,35 +397,29 @@ def _series_at(series, x, powers=None):
     return val, der, terms
 
 
-def _integer_entries(lmat):
-    """The entries of the indicial matrix as integer coefficient lists over
-    one common positive denominator."""
-    den = lcm(*(c.denominator for row in lmat for p in row for c in p))
-    return [[[int(c * den) for c in p] for p in row] for row in lmat], den
+def _integer_entries(p0, q0):
+    """den P0 and den Q0 as (n, n) object arrays of Python integers over the
+    lcm ``den`` of their denominators, with den."""
+    den = lcm(*(c.denominator for mat in (p0, q0) for row in mat for c in row))
+    p0, q0 = (np.array([[int(c * den) for c in row] for row in mat], dtype=object)
+              for mat in (p0, q0))
+    return p0, q0, den
 
 
 def _indicial_at_shifts(entries, rho, orders):
-    """L(rho + m) as floats for each m of ``orders``, from
-    ``_integer_entries``.
+    """L(rho + m) as floats for each m of ``orders``, from the integer
+    ``_integer_entries`` of an integer exponent rho.
 
-    With rho = u/v an entry sum_k b_k x^k / den is, at x = (u + m v)/v,
-    sum_k b_k (u + m v)^k v^(D - k) / (den v^D) for any D at least its
-    degree: one int/int true division, which is correctly rounded, so every
-    float equals float(_poly_eval(entry, rho + m)) bit for bit.  The
-    entries, padded to one degree D, are evaluated at every m at once on
-    arrays of Python integers."""
-    ints, den = entries
-    u, v = rho.numerator, rho.denominator
-    n = len(ints)
-    deg = max(len(p) for row in ints for p in row) - 1
-    coef = np.zeros((n * n, deg + 1), dtype=object)
-    for e, p in enumerate(b for row in ints for b in row):
-        coef[e, deg + 1 - len(p):] = p[::-1]  # highest power first
-    x = np.array([u + m * v for m in orders], dtype=object)
-    acc = np.zeros((n * n, len(x)), dtype=object)
-    for k in range(deg + 1):
-        acc = acc * x + coef[:, k:k + 1] * v ** k
-    return (acc / (den * v ** deg)).astype(float).T.reshape(len(x), n, n)
+    At the integer x = rho + m, den L(x) = den x(x-1) I - x den P0 - den Q0
+    is a matrix of Python integers, and one int/int true division by den
+    rounds each entry correctly, so every float equals that of the exact
+    rational L(x) bit for bit.  Every m is evaluated at once on arrays of
+    Python integers."""
+    p0, q0, den = entries
+    n = len(p0)
+    x = np.array([rho + m for m in orders], dtype=object)[:, None, None]
+    acc = den * x * (x - 1) * np.eye(n, dtype=object) - x * p0 - q0
+    return (acc / den).astype(float)
 
 
 def _frobenius_block(rho, seeds, entries, tables, resonances, scale, x0):

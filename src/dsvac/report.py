@@ -80,8 +80,8 @@ class RunConfig:
         """Raise ValueError for a configuration no run can honour: a field of
         the wrong type, a tolerance or margin that is not finite and
         positive, a ``tol_ode`` below the integrator's floor (which scipy
-        would raise it to), a negative level or seed, an unknown suite or
-        format."""
+        would raise it to), a negative level or seed, no suite (a run that
+        checks nothing would pass), an unknown suite or format."""
         for name in ("k_max", "k_dynamics", "seed", "jobs"):
             if not (_is_number(getattr(self, name), int) and getattr(self, name) >= 0):
                 raise ValueError(f"{name} must be an integer >= 0")
@@ -94,9 +94,9 @@ class RunConfig:
         if not (isinstance(self.alpha_values, tuple) and all(
                 _is_number(a) and math.isfinite(a) for a in self.alpha_values)):
             raise ValueError("alpha_values must be a list of finite numbers")
-        if not (isinstance(self.suites, tuple)
+        if not (isinstance(self.suites, tuple) and self.suites
                 and all(isinstance(s, str) for s in self.suites)):
-            raise ValueError("suites must be a list of suite names")
+            raise ValueError("suites must be a non-empty list of suite names")
         if not isinstance(self.output, str):
             raise ValueError("output must be a path")
         gravity = set(self.suites) - {"maxwell", "oracle"}
@@ -723,8 +723,22 @@ def to_csv(report):
     return "\n".join(lines) + "\n"
 
 
+_DIFF_KEYS = {"suite", "check_id", "sector", "verdict", "residual"}
+
+
 def diff_reports(old, new, drift_factor=10.0):
-    """Structured diff: verdict flips, residual drift, added/removed checks."""
+    """Structured diff: verdict flips, residual drift, added/removed checks.
+    Raises ValueError for a drift factor that is not a finite number >= 1
+    (a NaN one would flag no drift at all) and for a report that is not an
+    object with a list of records, each with the keys the diff reads."""
+    if not (math.isfinite(drift_factor) and drift_factor >= 1):
+        raise ValueError(f"drift factor must be a finite number >= 1, not {drift_factor}")
+    for name, rep in (("old", old), ("new", new)):
+        if not (isinstance(rep, dict) and isinstance(rep.get("records"), list)
+                and all(isinstance(r, dict) and _DIFF_KEYS <= r.keys()
+                        for r in rep["records"])):
+            raise ValueError(f"{name} report is not an object with a list of records "
+                             f"that each hold {sorted(_DIFF_KEYS)}")
     if old.get("schema_version") != new.get("schema_version"):
         raise ValueError("schema version mismatch")
 

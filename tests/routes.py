@@ -6,9 +6,10 @@ the Euclidean data blocks tabulated slot by slot, the F_TT image routes of
 the phase space, the sphere quadrature of the scalar Gram matrices, the
 Killing data of the rank-1 kernel, Lorentzian evolution by direct
 integration in both time directions, the collocation matrix assembled node
-by node, the exact pole tables and the Frobenius recursion one seed at a
-time, the exact action of the radial operators on concrete profiles, exact
-matrices of the coefficient field and composable spatial operators.
+by node, the exact pole tables, the exact indicial matrix and its
+determinant, the Frobenius recursion one seed at a time, the exact action of
+the radial operators on concrete profiles, exact matrices of the coefficient
+field and composable spatial operators.
 """
 
 from dataclasses import dataclass
@@ -146,7 +147,7 @@ def spatial_op(op_symbol, sector, rank):
 # -- radial layer -------------------------------------------------------------
 
 def indicial_exponents(system, graded=True):
-    """All indicial exponents at the pole, exact rationals with multiplicity.
+    """All indicial exponents at the pole, integers with multiplicity.
 
     ``graded=False`` reports the leading order of the physical components
     (graded exponent plus the smallest slot rank in the seed support).
@@ -162,6 +163,40 @@ def indicial_exponents(system, graded=True):
                 out.append(rho + shift)
             out.extend([rho] * (mult - len(seeds)))
     return sorted(out)
+
+
+def indicial_matrix(p0, q0, x):
+    """The exact indicial matrix L(x) = x(x-1) I - x P0 - Q0 at x, from the
+    order-0 pole coefficients of ``radial.indicial_data``."""
+    n = len(p0)
+    return [[Q(x * (x - 1) * (i == j)) - x * p0[i][j] - q0[i][j] for j in range(n)]
+            for i in range(n)]
+
+
+def indicial_floats(p0, q0, rho, orders):
+    """(len(orders), n, n) floats: L(rho + m) for each m of ``orders``, each
+    entry of the exact matrix rounded once; the exact route to
+    ``radial._indicial_at_shifts``."""
+    return np.array([[[float(e) for e in row] for row in indicial_matrix(p0, q0, rho + m)]
+                     for m in orders])
+
+
+def det_exact(mat):
+    """Determinant of a square matrix of rationals by exact elimination."""
+    a = [[Q(x) for x in row] for row in mat]
+    det = Q(1)
+    for col in range(len(a)):
+        pivot = next((r for r in range(col, len(a)) if a[r][col]), None)
+        if pivot is None:
+            return Q(0)
+        if pivot != col:
+            a[col], a[pivot] = a[pivot], a[col]
+            det = -det
+        det *= a[col][col]
+        for row in a[col + 1:]:
+            f = row[col] / a[col][col]
+            row[:] = [x - f * y for x, y in zip(row, a[col])]
+    return det
 
 
 def series_float(mats, n, order):

@@ -1,8 +1,8 @@
 """Dead-code guard over the library: every module-level import is used in
 its module; every public function, class and method is referenced
-somewhere in the library outside its own definition; every UPPER_CASE
-module constant and every dataclass field is read somewhere in the
-library."""
+somewhere in the library outside its own definition, and every private one
+in its own module outside its own definition; every UPPER_CASE module
+constant and every dataclass field is read somewhere in the library."""
 
 import ast
 from pathlib import Path
@@ -31,9 +31,8 @@ def _references(tree, imports=True):
                 yield alias.name, node.lineno
 
 
-def _public_definitions(tree):
-    """(name, first line, last line) of each public module-level function
-    and class and of each public method; dunders are not public here."""
+def _definitions(tree):
+    """Each module-level function and class and each method."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             yield node
@@ -58,12 +57,26 @@ def test_public_definitions_are_referenced():
     refs = {name: list(_references(tree)) for name, tree in MODULES.items()}
     unreferenced = []
     for name, tree in MODULES.items():
-        for node in _public_definitions(tree):
+        for node in _definitions(tree):
             if node.name.startswith("_"):
                 continue
             first, last = node.lineno, node.end_lineno
             if not any(ref == node.name and (module != name or not first <= line <= last)
                        for module, found in refs.items() for ref, line in found):
+                unreferenced.append(f"{name}: {node.name}")
+    assert not unreferenced, unreferenced
+
+
+def test_private_definitions_are_referenced_in_their_module():
+    # a private helper that only the tests call, or only itself, is dead
+    unreferenced = []
+    for name, tree in MODULES.items():
+        refs = list(_references(tree))
+        for node in _definitions(tree):
+            if not node.name.startswith("_") or node.name.startswith("__"):
+                continue
+            first, last = node.lineno, node.end_lineno
+            if not any(ref == node.name and not first <= line <= last for ref, line in refs):
                 unreferenced.append(f"{name}: {node.name}")
     assert not unreferenced, unreferenced
 

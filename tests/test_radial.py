@@ -19,10 +19,13 @@ from dsvac.warped import EUCLIDEAN, LORENTZIAN, WarpedSector
 from routes import (
     block_dims,
     collocation_matrix_loop,
+    det_exact,
     evolve_lorentzian,
     evolve_raw_direct,
     frobenius_series,
     indicial_exponents,
+    indicial_floats,
+    indicial_matrix,
     series_float,
 )
 
@@ -46,80 +49,38 @@ def test_indicial_exponents_examples():
     assert sorted(e + f for e, f in zip(exps, reversed(exps)))[0] == -2
 
 
-def test_rational_roots_with_large_coprime_denominators():
-    # the lcm of the denominators, (2**33 + 1) * (2**33 - 1), does not fit in
-    # 64 bits; a wrapped lcm would give a wrong integer polynomial
-    d1, d2 = 2**33 + 1, 2**33 - 1
-    assert radial._rational_roots([Q(-1, d1), Q(1, d2)]) == [Q(d2, d1)]
-    assert radial._rational_roots([Q(0), Q(-1, d1), Q(1, d2)]) == [Q(0), Q(d2, d1)]
+def _random_leading_terms(rng, zeros=()):
+    """Random 3 x 3 (P0, Q0) of rationals whose denominators exceed 2^32, so
+    that their lcm needs more than 64 bits; the (matrix, i, j) of ``zeros``
+    are 0."""
+    mats = [[[Q(int(a), int(b)) for a, b in zip(rng.integers(-10**6, 10**6, 3),
+                                                 rng.integers(2**32, 2**40, 3))]
+             for _ in range(3)] for _ in range(2)]
+    for t, i, j in zeros:
+        mats[t][i][j] = Q(0)
+    return mats
 
 
-def test_rational_roots_of_products_of_linear_factors():
-    # exact products of (v x - u) with repeated and zero roots, scaled by a
-    # rational: every root comes back with its multiplicity
-    rng = np.random.default_rng(16)
-    for _ in range(40):
-        roots = [Q(int(u), int(v)) for u, v in zip(rng.integers(-30, 31, 5),
-                                                   rng.integers(1, 13, 5))]
-        roots += roots[:int(rng.integers(0, 3))]
-        poly = [Q(int(rng.integers(1, 50)), int(rng.integers(1, 50)))]
-        for r in roots:
-            poly = radial._poly_mul(poly, [-r, Q(1)])
-        assert sorted(radial._rational_roots(poly)) == sorted(roots), roots
-
-
-def _divisors_by_trial_division(n):
-    """Divisors as ``radial._divisors`` found them before it factorised n:
-    every d with d * d <= n tried."""
-    n = abs(n)
-    if n == 0:
-        return [1]
-    out = set()
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.add(d)
-            out.add(n // d)
-        d += 1
-    return sorted(out)
-
-
-def test_divisors_match_trial_division():
-    rng = np.random.default_rng(2026)
-    values = (list(range(3001)) + [int(v) for v in rng.integers(1, 10**9, 50)]
-              + [2**33 - 1, 2**33 + 1, -360])
-    for v in values:
-        assert radial._divisors(v) == _divisors_by_trial_division(v), v
-
-
-def test_integer_indicial_values_at_a_fractional_exponent():
-    # the dsvac exponents are integers; a rational one exercises the
-    # q^(deg - k) weights of the integer evaluation
+def test_integer_indicial_values_with_large_coprime_denominators():
     rng = np.random.default_rng(7)
-    lmat = [[[Q(int(a), int(b)) for a, b in rng.integers(1, 10**6, (3, 2))]
-             for _ in range(3)] for _ in range(3)]
-    for rho in (Q(-3, 7), Q(5, 2), Q(-11, 3)):
-        got = radial._indicial_at_shifts(radial._integer_entries(lmat), rho,
-                                         range(1, 41))
-        ref = [[[float(radial._poly_eval(e, rho + m)) for e in row]
-                for row in lmat] for m in range(1, 41)]
-        assert got.tobytes() == np.array(ref).tobytes(), rho
+    p0, q0 = _random_leading_terms(rng)
+    entries = radial._integer_entries(p0, q0)
+    assert entries[2] >= 2**64
+    for rho in (-3, 0, 5):
+        got = radial._indicial_at_shifts(entries, rho, range(1, 41))
+        assert got.tobytes() == indicial_floats(p0, q0, rho, range(1, 41)).tobytes(), rho
 
 
 def test_integer_indicial_values_with_mixed_entry_degrees():
-    # entries of 1 to 4 coefficients are padded to one degree; the padded
-    # division is the same exact rational, so the floats stay bit-equal
+    # zero entries of P0 and Q0 leave entries of L of degree 0, 1 and 2 and
+    # zero ones; each is still one exact integer over den, so bit-equal
     rng = np.random.default_rng(9)
-    lmat = [[[Q(int(a), int(b)) for a, b in zip(rng.integers(-10**6, 10**6, size),
-                                                 rng.integers(1, 10**6, size))]
-             for size in (1, 2, 3, 4, 2, 1, 3, 4, 2)[3 * i:3 * i + 3]]
-            for i in range(3)]
-    for rho in (Q(-3, 7), Q(4), Q(-11, 3)):
-        got = radial._indicial_at_shifts(radial._integer_entries(lmat), rho,
-                                         range(1, 41))
-        ref = [[[float(radial._poly_eval(e, rho + m)) for e in row]
-                for row in lmat] for m in range(1, 41)]
-        assert got.tobytes() == np.array(ref).tobytes(), rho
+    p0, q0 = _random_leading_terms(rng, zeros=[(0, 0, 1), (0, 1, 0), (0, 2, 2),
+                                               (1, 0, 1), (1, 2, 0), (1, 2, 2)])
+    entries = radial._integer_entries(p0, q0)
+    for rho in (-11, 4, 7):
+        got = radial._indicial_at_shifts(entries, rho, range(1, 41))
+        assert got.tobytes() == indicial_floats(p0, q0, rho, range(1, 41)).tobytes(), rho
 
 
 @pytest.mark.parametrize("maxwell", [False, True], ids=["gravity", "maxwell"])
@@ -132,13 +93,11 @@ def test_integer_indicial_values_equal_exact_ones(maxwell):
             sysm = build_system(op, sec, EUCLIDEAN, maxwell=maxwell)
             if not sysm.n:
                 continue
-            data, lmat = radial.indicial_data(sysm)
-            entries = radial._integer_entries(lmat)
+            data, (p0, q0) = radial.indicial_data(sysm)
+            entries = radial._integer_entries(p0, q0)
             for rho, _, _ in data:
                 got = radial._indicial_at_shifts(entries, rho, range(1, 41))
-                ref = np.array([[[float(radial._poly_eval(e, rho + m))
-                                  for e in row] for row in lmat]
-                                for m in range(1, 41)])
+                ref = indicial_floats(p0, q0, rho, range(1, 41))
                 assert got.tobytes() == ref.tobytes(), (op, sec, rho)
             checked += 1
     assert checked == (25 if maxwell else 61)
@@ -189,6 +148,47 @@ def test_pole_order_guards_fire_on_the_leading_terms(m1, m0, match):
         radial.frobenius_solutions(sysm, radial.MATCH_RADIUS)
 
 
+def test_indicial_exponents_are_every_root_of_the_indicial_determinant():
+    # both sides are polynomials of degree 2n, so agreeing exactly at 2n + 1
+    # integers makes them equal: the exponents are every root of det L, each
+    # with its multiplicity, on every Euclidean system with k <= 24
+    checked = 0
+    for op, mx, secs in (("D2", False, enumerate_sectors(24)),
+                         ("D1", False, enumerate_sectors(24)),
+                         ("D0", False, enumerate_sectors(24)),
+                         ("D1", True, maxwell_sectors(24)),
+                         ("D0", True, maxwell_sectors(24))):
+        for sec in secs:
+            sysm = build_system(op, sec, EUCLIDEAN, maxwell=mx)
+            if not sysm.n:
+                continue
+            data, (p0, q0) = radial.indicial_data(sysm)
+            assert all(isinstance(rho, int) and seeds for rho, _, seeds in data)
+            for x in range(-sysm.n, sysm.n + 1):
+                prod = 1
+                for rho, mult, _ in data:
+                    prod *= (x - rho) ** mult
+                assert prod == det_exact(indicial_matrix(p0, q0, x)), (op, mx, sec, x)
+            checked += 1
+    assert checked == 220
+
+
+@pytest.mark.parametrize("q0, match", [
+    (Q(3, 4), r"exponent (-0\.5|1\.5) of D0 Scalar\(0\) is not an integer"),
+    (Q(200000003, 100000000),  # (rho - 2 - d)(rho + 1 + d), d ~ 1e-8
+     r"indicial matrix of D0 Scalar\(0\) is regular at rho = -1"),
+], ids=["fraction", "near-integer"])
+def test_an_exponent_that_is_not_an_integer_names_its_system(q0, match, monkeypatch):
+    # a root that does not round to an integer raises, and so does one within
+    # the rounding tolerance of an integer that L does not vanish at
+    monkeypatch.setattr(radial, "pole_leading_terms", lambda system: ([[Q(0)]], [[q0]]))
+    sysm = _made_up_system({}, {})
+    with pytest.raises(RuntimeError, match=match):
+        radial.indicial_data(sysm)
+    with pytest.raises(RuntimeError, match=match):
+        radial.frobenius_solutions(sysm, radial.MATCH_RADIUS)
+
+
 def test_pole_tables_name_an_untabulated_monomial():
     sysm = _made_up_system({}, {(1, 0): Q(1), (0, 0): Q(2)})
     with pytest.raises(ValueError, match=r"a\^1 adot\^0"):
@@ -227,19 +227,17 @@ def test_batched_recursion_matches_the_per_seed_one():
     # (measured worst 8.6e-16 over k <= 8)
     blocks = 0
     for sysm in _euclidean_systems(8):
-        reg, lmat = radial.regular_exponents(sysm)
+        reg, (p0, q0) = radial.regular_exponents(sysm)
         *_, series = radial.frobenius_solutions(sysm, pi / 2)
-        entries = radial._integer_entries(lmat)
         columns = iter(series)
         for rho, seeds in reg:
             blocks += len(seeds) > 1
-            others = {int(r - rho) for r, _ in reg
-                      if r > rho and (r - rho).denominator == 1}
+            others = {r - rho for r, _ in reg if r > rho}
             for seed in seeds:
                 coeffs = next(columns)[2]
                 order = len(coeffs) - 1
                 p_f, q_f = radial.pole_tables(sysm, range(order + 1))
-                l_shift = radial._indicial_at_shifts(entries, rho, range(order + 1))
+                l_shift = indicial_floats(p0, q0, rho, range(order + 1))
                 ref = frobenius_series(rho, seed, l_shift, p_f, q_f, sysm.n,
                                        order, others)
                 xp = (pi / 2) ** np.arange(order + 1)[:, None]
@@ -407,11 +405,11 @@ def test_equator_series_obeys_the_full_order_recursion(sec):
     p_mats, q_mats = radial.pole_series_matrices(sysm, order)
     p_f = series_float(p_mats, sysm.n, order)
     q_f = series_float(q_mats, sysm.n, order)
-    _, lmat = radial.indicial_data(sysm)
+    _, (p0, q0) = radial.indicial_data(sysm)
     for rho, _, c in series:
+        l_shift = indicial_floats(p0, q0, int(rho), range(len(c)))
         for m in range(1, len(c)):
-            lm = np.array([[float(radial._poly_eval(e, Q(rho) + m))
-                            for e in row] for row in lmat])
+            lm = l_shift[m]
             terms = [(p_f[m - j] * (rho + j) + q_f[m - j]) @ c[j] for j in range(m)]
             scale = np.abs(lm) @ np.abs(c[m]) + sum(np.abs(t) for t in terms)
             resid = np.abs(lm @ c[m] - sum(terms))

@@ -33,6 +33,8 @@ def test_config_validation():
         RunConfig(fmt="xml").validate()
     with pytest.raises(ValueError):
         RunConfig(k_max=-1, suites=("maxwell",)).validate()
+    with pytest.raises(ValueError, match="non-empty"):
+        RunConfig(suites=()).validate()  # a run that checks nothing would pass
 
 
 def test_report_structure(small_report):
@@ -147,12 +149,49 @@ def test_cli_run_and_diff(tmp_path, capsys):
     assert delta["empty"]
 
 
+@pytest.mark.parametrize("bad", [[], {"schema_version": 1},
+                                 {"schema_version": 1, "records": [{"suite": "oracle"}]}],
+                         ids=["list", "no-records", "record-without-keys"])
+@pytest.mark.parametrize("side", ["old", "new"])
+def test_diff_of_a_malformed_report_exits_2(bad, side, small_report, tmp_path, capsys):
+    # exit 1 means a failed check: a report that is not one is a usage error
+    good, other = tmp_path / "good.json", tmp_path / "bad.json"
+    good.write_text(to_json(small_report))
+    other.write_text(json.dumps(bad))
+    paths = [str(other), str(good)] if side == "old" else [str(good), str(other)]
+    assert main(["diff", *paths]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"diff error: {side} report is not an object")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("factor", ["nan", "inf", "0.5", "-10"])
+def test_diff_drift_factor_must_be_finite_and_at_least_one(factor, small_report,
+                                                          tmp_path, capsys):
+    # a residual going from ~1e-15 to 1.0 is a drift under any factor >= 1;
+    # a NaN factor compares false with every ratio and would report none
+    import copy
+    drifted = copy.deepcopy(small_report)
+    drifted["records"][0]["residual"] = 1.0
+    old, new = tmp_path / "old.json", tmp_path / "new.json"
+    old.write_text(to_json(small_report))
+    new.write_text(to_json(drifted))
+    assert main(["diff", str(old), str(new), "--drift-factor", factor]) == 2
+    assert capsys.readouterr().err.startswith("diff error: drift factor must be")
+    assert main(["diff", str(old), str(new), "--drift-factor", "1"]) == 0
+    assert not json.loads(capsys.readouterr().out)["empty"]
+
+
 def test_cli_config_rejection(tmp_path):
     # gravity suites at k_max=1 are rejected with exit code 2
     assert main(["run", "--k-max", "1", "--out", str(tmp_path / "x.json")]) == 2
     # so is a negative k_max, also for suites without the gravity bound
     assert main(["run", "--k-max", "-1", "--suites", "maxwell",
                  "--out", str(tmp_path / "y.json")]) == 2
+    # so is an empty suite list, from a config file as from the flag
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"suites": []}))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "z.json")]) == 2
 
 
 @pytest.mark.parametrize("flags,config", [
@@ -163,8 +202,9 @@ def test_cli_config_rejection(tmp_path):
     (["--k-dynamics", "-1"], None),
     (["--margin", "nan"], None),
     (["--tol-verdict", "inf"], None),
+    (["--suites", ","], None),
 ], ids=["k_max-string", "config-not-object", "tol_ode-negative", "tol_ode-zero",
-        "k_dynamics-negative", "margin-nan", "tol_verdict-inf"])
+        "k_dynamics-negative", "margin-nan", "tol_verdict-inf", "suites-empty"])
 def test_bad_config_exits_2(flags, config, tmp_path, monkeypatch):
     # validation alone must reject these (a zero tolerance never returns), so
     # starting a run fails the test
