@@ -61,6 +61,9 @@ def collocation_regular_basis(system):
     Returns (data_matrix 2n x n orthonormal, spectral_gap).
     """
     n = system.n
+    if not n:
+        raise ValueError(f"{system.operator_id} {system.sector} has no slots, "
+                         "so no regular basis")
     smax = pi / 2
     # Chebyshev-Lobatto nodes on (0, pi/2], clustering at the pole
     j = np.arange(1, NODES + 1)

@@ -10,24 +10,24 @@ product of A(s) with the stacked solution columns.
 
 Euclidean systems have regular singular points at s = +-pi/2; the basis of
 solutions regular at a pole is built by indicial analysis and the Frobenius
-series, once per system and tolerance.  The exponents are integers: the
-eigenvalues of the companion matrix of the indicial matrix, each rounded to
-the nearest integer and certified exactly.  What certifies them stays
-exact: the order-0 pole coefficients P0 and Q0 (from the exact Laurent
-series), the null space of L(rho) at each exponent (its seed space), and
-L(rho + m), each entry rounded once from Python integers.  The higher
+series, once per system and tolerance.  The order-0 pole coefficients P0
+and Q0 (from the exact Laurent series) are certified integer matrices, and
+the exponents are integers: the eigenvalues of the companion matrix of the
+indicial matrix, each rounded to the nearest integer and certified exactly
+by the null space of L(rho), its seed space.  So L(rho + m) is an integer
+matrix at every order, evaluated in int64 and exact as floats.  The higher
 pole coefficients that the recursion reads are floats: one contraction of a
 system's coefficients with the Laurent series of the five monomials they
 use, all read off the series of cot x and tabulated once per process.  The
 coefficient poles sit at x = pi/2 - s = 0, +-pi, so the regular Frobenius
 series converges on all of [0, pi/2], its terms falling like (x/pi)^m.  The
-recursion stops at the first order at which the tail test holds where the
-series is summed, and builds its pole tables and L(rho + m) a chunk at a
-time as it goes.  A regular basis is the series summed to x0 =
-``MATCH_RADIUS`` = 1.3 and marched the remaining pi/2 - x0 ~ 0.27 to the
-equator at the ODE tolerance (``regular_basis``); summed to the equator
-itself, the series is the energy oracle's profile (``solution_profile``), a
-route independent of the integrator.
+pole tables and each exponent's L(rho + m) are built once to
+``ORDER_CAP``, and the recursion stops at the first order at which the
+tail test holds where the series is summed.  A regular basis is the series
+summed to x0 = ``MATCH_RADIUS`` = 1.3 and marched the remaining pi/2 - x0 ~
+0.27 to the equator at the ODE tolerance (``regular_basis``); summed to the
+equator itself, the series is the energy oracle's profile
+(``solution_profile``), a route independent of the integrator.
 Lorentzian systems are globally smooth and are integrated directly for the
 dynamical checks; the metric's t -> -t symmetry maps backward evolution to
 forward evolution of reflected data, so one forward solve covers both time
@@ -39,7 +39,7 @@ meets its own.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import cos, cosh, inf, lcm, pi, sin, sinh, sqrt
+from math import cos, cosh, inf, pi, sin, sinh, sqrt
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -54,7 +54,6 @@ Q = Fraction
 
 MATCH_RADIUS = 1.3  # the series carries each regular basis to x0 = pi/2 - s
 ORDER_CAP = 400  # a Frobenius series not converged by this order raises
-CHUNK = 32  # orders of pole tables and L(rho + m) built at a time
 INTEGRATOR_TOL = 1e-12
 TAIL_TOL = 1e-14
 RTOL_FLOOR = 100 * np.finfo(float).eps  # scipy raises any smaller rtol to this
@@ -214,21 +213,26 @@ def pole_leading_terms(system):
 
 def indicial_data(system):
     """Exponents with their multiplicities and exact seed spaces at the
-    north pole, and the exact order-0 pole coefficients (P0, Q0) of the
-    indicial matrix L(rho) = rho(rho-1) I - rho P0 - Q0.
+    north pole, and the order-0 pole coefficients (P0, Q0) of the indicial
+    matrix L(rho) = rho(rho-1) I - rho P0 - Q0 as (n, n) int64 arrays.
 
-    The exponents, the roots of det L, are the eigenvalues of the companion
-    matrix [[0, I], [Q0, I + P0]] (whose characteristic polynomial is det L
-    exactly), each rounded to the nearest integer; an eigenvalue farther
-    than 1e-6 max(1, |rho|) from an integer raises.  Each distinct integer
-    is certified exactly by the null space of L(rho) over the rationals,
-    which is its seed space and must not be empty; its multiplicity is the
-    number of eigenvalues that round to it."""
+    P0 and Q0 are certified integer matrices: an exact entry with a
+    denominator raises.  The exponents, the roots of det L, are the
+    eigenvalues of the companion matrix [[0, I], [Q0, I + P0]] (whose
+    characteristic polynomial is det L exactly), each rounded to the nearest
+    integer; an eigenvalue farther than 1e-6 max(1, |rho|) from an integer
+    raises.  Each distinct integer is certified exactly by the null space of
+    the integer matrix L(rho), which is its seed space and must not be
+    empty; its multiplicity is the number of eigenvalues that round to it."""
     n = system.n
     p0, q0 = pole_leading_terms(system)
-    eye = np.eye(n)
-    companion = np.block([[np.zeros((n, n)), eye],
-                          [np.array(q0, dtype=float), eye + np.array(p0, dtype=float)]])
+    if any(c.denominator != 1 for mat in (p0, q0) for row in mat for c in row):
+        raise RuntimeError(f"pole coefficients P0, Q0 of {system.operator_id} "
+                           f"{system.sector} are not integer matrices")
+    p0, q0 = (np.array([[int(c) for c in row] for row in mat], dtype=np.int64)
+              for mat in (p0, q0))
+    eye = np.eye(n, dtype=np.int64)
+    companion = np.block([[np.zeros((n, n)), eye], [q0, eye + p0]])
     mults = {}
     for ev in np.linalg.eigvals(companion):
         rho = round(ev.real)
@@ -238,8 +242,8 @@ def indicial_data(system):
         mults[rho] = mults.get(rho, 0) + 1
     out = []
     for rho, mult in sorted(mults.items()):
-        seeds = rl.nullspace([[rho * (rho - 1) * (i == j) - rho * p0[i][j] - q0[i][j]
-                               for j in range(n)] for i in range(n)])
+        lrho = rho * (rho - 1) * eye - rho * p0 - q0
+        seeds = rl.nullspace([[Q(x) for x in row] for row in lrho.tolist()])
         if not seeds:
             raise RuntimeError(f"indicial matrix of {system.operator_id} "
                                f"{system.sector} is regular at rho = {rho}")
@@ -249,7 +253,7 @@ def indicial_data(system):
 
 def regular_exponents(system):
     """Exponents/seeds of the solutions square-integrable (hence smooth) at
-    the pole, with the exact (P0, Q0) of ``indicial_data``.  In the graded
+    the pole, with the integer (P0, Q0) of ``indicial_data``.  In the graded
     variables the L2 cutoff is uniform: a branch is regular iff its graded
     exponent exceeds -2."""
     data, leading = indicial_data(system)
@@ -298,13 +302,12 @@ def _pole_table(top):
     return rows
 
 
-def pole_tables(system, orders):
-    """Float tables p_f[k] = P_m, q_f[k] = Q_m for the k-th order m of
-    ``orders`` (a range within 0..``ORDER_CAP``), of the pole series of
-    ``pole_series_matrices``: one contraction of the system's coefficient
-    rows over ``POLE_MONOMIALS`` with the monomial table, read at the graded
-    shifts d_ij = r_j - r_i (the slot ranks differ by at most 2, so every
-    column read is in the table):
+def pole_tables(system):
+    """Float tables p_f[m] = P_m, q_f[m] = Q_m for m = 0..``ORDER_CAP`` of
+    the pole series of ``pole_series_matrices``: one contraction of the
+    system's coefficient rows over ``POLE_MONOMIALS`` with the monomial
+    table, read at the graded shifts d_ij = r_j - r_i (the slot ranks differ
+    by at most 2, so every column read is in the table):
 
         P = x^(1+d) M1_hat - 2 r_j delta_ij,
         Q = x^(2+d) M0_hat + r_j x^(1+d) M1_hat - r_j (r_j - 1) delta_ij,
@@ -323,12 +326,11 @@ def pole_tables(system, orders):
                     coef[t, index[ia, jd], i, j] = sign * float(v)
     table = _pole_table(ORDER_CAP + 1)
     ranks = np.array(system.slot_ranks)
-    orders = np.asarray(orders)
-    col = orders[:, None, None] + 4 - (ranks[None, :] - ranks[:, None])
+    col = np.arange(ORDER_CAP + 1)[:, None, None] + 4 - (ranks[None, :] - ranks[:, None])
     p_f = np.einsum("pij,pmij->mij", coef[0], table[:, col - 1])  # x^(1+d) M1_hat
     q_f = np.einsum("pij,pmij->mij", coef[1], table[:, col - 2]) + ranks * p_f
-    p_f[orders == 0] -= np.diag(2.0 * ranks)
-    q_f[orders == 0] -= np.diag(ranks * (ranks - 1.0))
+    p_f[0] -= np.diag(2.0 * ranks)
+    q_f[0] -= np.diag(ranks * (ranks - 1.0))
     return p_f, q_f
 
 
@@ -336,93 +338,59 @@ def frobenius_solutions(system, x0):
     """Values and s-derivatives at s = pi/2 - x0 of the regular basis, and
     its graded series (rho, slot shifts, coefficients), one per column.
 
-    Each exponent's seeds recur as one block (``_frobenius_block``) up to
-    the first order at which the tail test holds at x0 for every seed; the
-    pole tables, shared by the exponents, and each exponent's L(rho + m)
-    are built ``CHUNK`` orders at a time as the recursion reaches them."""
-    reg, leading = regular_exponents(system)
-    entries = _integer_entries(*leading)
-    chunks = {}  # lo -> (P, Q) at orders lo..lo + CHUNK - 1, for every exponent
-
-    def tables(lo):
-        if lo not in chunks:
-            chunks[lo] = pole_tables(system, range(lo, min(lo + CHUNK, ORDER_CAP + 1)))
-        return chunks[lo]
-
+    The pole tables are built once, shared by the exponents; each
+    exponent's seeds recur as one block (``_frobenius_block``) on its
+    L(rho + m) up to the first order at which the tail test holds at x0 for
+    every seed."""
+    if not system.n:
+        raise ValueError(f"{system.operator_id} {system.sector} has no slots, "
+                         "so no regular basis")
+    reg, (p0, q0) = regular_exponents(system)
+    p_f, q_f = pole_tables(system)
     cols_val = []
     cols_der = []
     series_out = []
     # physical components carry the grading x^(slot rank)
     shifts = np.array([float(r) for r in system.slot_ranks])
     for rho, seeds in reg:
-        rho_f = float(rho)
         resonances = {rho2 - rho for rho2, _ in reg if rho2 > rho}
-        block, ratio = _frobenius_block(rho, seeds, entries, tables, resonances,
-                                        x0 ** (rho_f + shifts), x0)
+        block, ratio = _frobenius_block(rho, seeds, _indicial_at_shifts(p0, q0, rho),
+                                        p_f, q_f, resonances, x0 ** (rho + shifts), x0)
         if ratio > TAIL_TOL:
             raise RuntimeError(
                 f"Frobenius tail not converged for {system.operator_id} "
                 f"{system.sector} at x0={x0:.6g} within the order cap "
                 f"{ORDER_CAP}: tail/peak {ratio:.2e}")
-        powers = _series_powers(rho_f, shifts, x0, len(block) - 1)
         for coeffs in np.moveaxis(block, 2, 0):
-            series = (rho_f, shifts, coeffs)
-            val, der, _ = _series_at(series, x0, powers)
+            series = (float(rho), shifts, coeffs)
+            val, der = _series_at(series, x0)
             cols_val.append(val)
             cols_der.append(-der)  # d/ds = -d/dx
             series_out.append(series)
     return np.array(cols_val).T, np.array(cols_der).T, series_out
 
 
-def _series_powers(rho, shifts, x, order):
-    """The exponents rho + m + shift of a graded Frobenius series, m =
-    0..order by slot, with x to those powers and to those powers less one."""
-    power = (rho + np.arange(order + 1))[:, None] + shifts
-    return power, x ** power, x ** (power - 1)
-
-
-def _series_at(series, x, powers=None):
-    """Value and x-derivative at x of a graded Frobenius series (rho,
-    slot shifts, coefficients), with its terms; ``powers`` are its
-    ``_series_powers`` at x when already built."""
+def _series_at(series, x):
+    """Value and x-derivative at x of a graded Frobenius series (rho, slot
+    shifts, coefficients), each a running sum in m."""
     rho, shifts, coeffs = series
-    power, xp, xd = powers or _series_powers(rho, shifts, x, len(coeffs) - 1)
-    terms = coeffs * xp
-    dterms = power * coeffs * xd
-    val = np.zeros(len(shifts))
-    der = np.zeros(len(shifts))
-    for t, d in zip(terms, dterms):  # a running sum in m
-        val += t
-        der += d
-    return val, der, terms
+    power = (rho + np.arange(len(coeffs)))[:, None] + shifts
+    terms = coeffs * x ** power
+    dterms = power * coeffs * x ** (power - 1)
+    return np.add.accumulate(terms)[-1], np.add.accumulate(dterms)[-1]
 
 
-def _integer_entries(p0, q0):
-    """den P0 and den Q0 as (n, n) object arrays of Python integers over the
-    lcm ``den`` of their denominators, with den."""
-    den = lcm(*(c.denominator for mat in (p0, q0) for row in mat for c in row))
-    p0, q0 = (np.array([[int(c * den) for c in row] for row in mat], dtype=object)
-              for mat in (p0, q0))
-    return p0, q0, den
+def _indicial_at_shifts(p0, q0, rho):
+    """L(rho + m) = x(x-1) I - x P0 - Q0 at x = rho + m for every m =
+    0..``ORDER_CAP``, (ORDER_CAP + 1, n, n) floats, from the integer P0, Q0
+    of ``indicial_data`` and an integer exponent rho: one int64 expression,
+    whose entries stay far below 2^53 (at most 239 596 over the 868
+    Euclidean systems with k <= 96), so every float is the exact integer."""
+    x = (rho + np.arange(ORDER_CAP + 1, dtype=np.int64))[:, None, None]
+    return (x * (x - 1) * np.eye(len(p0), dtype=np.int64) - x * p0 - q0).astype(float)
 
 
-def _indicial_at_shifts(entries, rho, orders):
-    """L(rho + m) as floats for each m of ``orders``, from the integer
-    ``_integer_entries`` of an integer exponent rho.
-
-    At the integer x = rho + m, den L(x) = den x(x-1) I - x den P0 - den Q0
-    is a matrix of Python integers, and one int/int true division by den
-    rounds each entry correctly, so every float equals that of the exact
-    rational L(x) bit for bit.  Every m is evaluated at once on arrays of
-    Python integers."""
-    p0, q0, den = entries
-    n = len(p0)
-    x = np.array([rho + m for m in orders], dtype=object)[:, None, None]
-    acc = den * x * (x - 1) * np.eye(n, dtype=object) - x * p0 - q0
-    return (acc / den).astype(float)
-
-
-def _frobenius_block(rho, seeds, entries, tables, resonances, scale, x0):
+def _frobenius_block(rho, seeds, lms, p_f, q_f, resonances, scale, x0):
     """Float Frobenius recursion with exactly-handled resonances for all
     seeds of one exponent as one block, up to the first order at which the
     tail test holds at x0 for every seed, or ``ORDER_CAP``.  Returns the
@@ -431,10 +399,9 @@ def _frobenius_block(rho, seeds, entries, tables, resonances, scale, x0):
 
     L(rho + m) c_m = sum_(j<m) (P_(m-j) (rho + j) + Q_(m-j)) c_j, and the
     sum is one contraction of the stacked tables [rho P + Q, P] with the
-    stacked coefficients [c_j, j c_j].  ``tables(lo)`` is the (P, Q) chunk
-    of orders lo..lo + CHUNK - 1, lo = 1 + a multiple of CHUNK; L(rho + m)
-    comes from the indicial ``entries`` at that chunk's orders, and away
-    from the resonances is inverted in one batched call.
+    stacked coefficients [c_j, j c_j].  ``lms`` holds L(rho + m) and
+    ``p_f``, ``q_f`` the pole tables, each for m = 0..``ORDER_CAP``; away
+    from the resonances every L(rho + m) is inverted in one batched call.
 
     Term m of a seed is its graded coefficient at x0, c_m x0^m times
     ``scale`` = x0^(rho + slot shift).  The tail test asks the largest of
@@ -445,22 +412,15 @@ def _frobenius_block(rho, seeds, entries, tables, resonances, scale, x0):
     n = len(scale)
     c = np.zeros((ORDER_CAP + 1, 2 * n, len(seeds)))  # rows n.. hold m c_m
     c[0, :n] = np.array([[float(x) for x in seed] for seed in seeds]).T
-    coef = np.zeros((ORDER_CAP + 1, n, 2 * n))
-    lms = np.zeros((ORDER_CAP + 1, n, n))  # L(rho + m)
+    coef = np.concatenate([float(rho) * p_f + q_f, p_f], axis=2)
+    plain = [m for m in range(1, ORDER_CAP + 1) if m not in resonances]
     inv = np.zeros_like(lms)
-    built = 1  # the tables and inverses hold every order below this
+    inv[plain] = np.linalg.inv(lms[plain])
     weight = scale[:, None] * x0 ** np.arange(ORDER_CAP + 1)[:, None, None]
     mags = [(np.abs(c[0, :n]) * weight[0]).max(axis=0).tolist()]  # term sizes
     peak = mags[0]
     first = max(resonances, default=0) + 3  # a resonance's c_m may be 0
     for m in range(1, ORDER_CAP + 1):
-        if m == built:
-            p_f, q_f = tables(m)
-            built = m + len(p_f)
-            coef[m:built] = np.concatenate([float(rho) * p_f + q_f, p_f], axis=2)
-            lms[m:built] = _indicial_at_shifts(entries, rho, range(m, built))
-            plain = [k for k in range(m, built) if k not in resonances]
-            inv[plain] = np.linalg.inv(lms[plain])
         rhs = np.einsum("jab,jbs->as", coef[m:0:-1], c[:m])
         if m in resonances:
             lm = lms[m]
@@ -521,7 +481,7 @@ def solution_profile(system):
     *_, series = frobenius_solutions(system, pi / 2)
 
     def phi(s):
-        val, der, _ = _series_at(series[0], pi / 2 - s)
+        val, der = _series_at(series[0], pi / 2 - s)
         return val, -der
 
     return phi

@@ -390,14 +390,18 @@ def _trace_fixing_residual(sector):
 
 def _charge_drifts(systems, rng, t_grid, tol):
     """Per label of ``systems``, the largest change of the charge of random
-    real data along the Lorentzian evolution, relative to the size of the
-    trajectory.  The data are drawn in order, then evolved as one batch."""
-    batch = [(system, rng.normal(size=system.n), rng.normal(size=system.n))
-             for system in systems.values()]
+    complex data along the Lorentzian evolution, relative to the size of the
+    trajectory.  The data are drawn in order, then evolved as one batch.
+    The charge of real data is 0 whatever they are (the weight is
+    symmetric), so real data would test nothing."""
+    def draw(n):
+        return rng.normal(size=n) + 1j * rng.normal(size=n)
+
+    batch = [(system, draw(system.n), draw(system.n)) for system in systems.values()]
     drift = {}
     for label, (system, u0, du0), (us, dus) in zip(systems, batch,
                                                    evolve_raw(batch, t_grid, tol=tol)):
-        q0 = charge_raw(system, u0 + 0j, du0 + 0j, u0 + 0j, du0 + 0j, 0.0)
+        q0 = charge_raw(system, u0, du0, u0, du0, 0.0)
         scale = max(float(np.max(np.abs(us)) ** 2 + np.max(np.abs(dus)) ** 2), 1.0)
         drift[label] = _worst(abs(charge_raw(system, us[i], dus[i], us[i], dus[i], t) - q0)
                               / scale for i, t in enumerate(t_grid))
@@ -723,22 +727,29 @@ def to_csv(report):
     return "\n".join(lines) + "\n"
 
 
-_DIFF_KEYS = {"suite", "check_id", "sector", "verdict", "residual"}
+def _diffable(record):
+    """A record the diff can read: string suite, check_id, sector and
+    verdict, and a numeric (not bool) residual."""
+    return (isinstance(record, dict)
+            and all(isinstance(record.get(k), str)
+                    for k in ("suite", "check_id", "sector", "verdict"))
+            and isinstance(record.get("residual"), (int, float))
+            and not isinstance(record["residual"], bool))
 
 
 def diff_reports(old, new, drift_factor=10.0):
     """Structured diff: verdict flips, residual drift, added/removed checks.
     Raises ValueError for a drift factor that is not a finite number >= 1
     (a NaN one would flag no drift at all) and for a report that is not an
-    object with a list of records, each with the keys the diff reads."""
+    object with a list of records the diff can read (``_diffable``)."""
     if not (math.isfinite(drift_factor) and drift_factor >= 1):
         raise ValueError(f"drift factor must be a finite number >= 1, not {drift_factor}")
     for name, rep in (("old", old), ("new", new)):
         if not (isinstance(rep, dict) and isinstance(rep.get("records"), list)
-                and all(isinstance(r, dict) and _DIFF_KEYS <= r.keys()
-                        for r in rep["records"])):
-            raise ValueError(f"{name} report is not an object with a list of records "
-                             f"that each hold {sorted(_DIFF_KEYS)}")
+                and all(_diffable(r) for r in rep["records"])):
+            raise ValueError(f"{name} report is not an object with a list of records, "
+                             "each with string suite, check_id, sector and verdict "
+                             "and a numeric residual")
     if old.get("schema_version") != new.get("schema_version"):
         raise ValueError("schema version mismatch")
 

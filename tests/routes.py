@@ -167,7 +167,7 @@ def indicial_exponents(system, graded=True):
 
 def indicial_matrix(p0, q0, x):
     """The exact indicial matrix L(x) = x(x-1) I - x P0 - Q0 at x, from the
-    order-0 pole coefficients of ``radial.indicial_data``."""
+    exact order-0 pole coefficients of ``radial.pole_leading_terms``."""
     n = len(p0)
     return [[Q(x * (x - 1) * (i == j)) - x * p0[i][j] - q0[i][j] for j in range(n)]
             for i in range(n)]

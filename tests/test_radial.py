@@ -49,55 +49,23 @@ def test_indicial_exponents_examples():
     assert sorted(e + f for e, f in zip(exps, reversed(exps)))[0] == -2
 
 
-def _random_leading_terms(rng, zeros=()):
-    """Random 3 x 3 (P0, Q0) of rationals whose denominators exceed 2^32, so
-    that their lcm needs more than 64 bits; the (matrix, i, j) of ``zeros``
-    are 0."""
-    mats = [[[Q(int(a), int(b)) for a, b in zip(rng.integers(-10**6, 10**6, 3),
-                                                 rng.integers(2**32, 2**40, 3))]
-             for _ in range(3)] for _ in range(2)]
-    for t, i, j in zeros:
-        mats[t][i][j] = Q(0)
-    return mats
-
-
-def test_integer_indicial_values_with_large_coprime_denominators():
-    rng = np.random.default_rng(7)
-    p0, q0 = _random_leading_terms(rng)
-    entries = radial._integer_entries(p0, q0)
-    assert entries[2] >= 2**64
-    for rho in (-3, 0, 5):
-        got = radial._indicial_at_shifts(entries, rho, range(1, 41))
-        assert got.tobytes() == indicial_floats(p0, q0, rho, range(1, 41)).tobytes(), rho
-
-
-def test_integer_indicial_values_with_mixed_entry_degrees():
-    # zero entries of P0 and Q0 leave entries of L of degree 0, 1 and 2 and
-    # zero ones; each is still one exact integer over den, so bit-equal
-    rng = np.random.default_rng(9)
-    p0, q0 = _random_leading_terms(rng, zeros=[(0, 0, 1), (0, 1, 0), (0, 2, 2),
-                                               (1, 0, 1), (1, 2, 0), (1, 2, 2)])
-    entries = radial._integer_entries(p0, q0)
-    for rho in (-11, 4, 7):
-        got = radial._indicial_at_shifts(entries, rho, range(1, 41))
-        assert got.tobytes() == indicial_floats(p0, q0, rho, range(1, 41)).tobytes(), rho
-
-
 @pytest.mark.parametrize("maxwell", [False, True], ids=["gravity", "maxwell"])
 def test_integer_indicial_values_equal_exact_ones(maxwell):
-    # one correctly rounded int/int division per entry: the floats of
-    # L(rho + m) equal those of the exact Fraction evaluation bit for bit
+    # L(rho + m) as one int64 expression: its floats equal those of the exact
+    # Fraction evaluation bit for bit, at the first orders and at the last
+    # ones, where the entries are largest
     checked = 0
+    orders = [*range(41), *range(radial.ORDER_CAP - 40, radial.ORDER_CAP + 1)]
     for op in ("D1",) if maxwell else ("D2", "D1"):
         for sec in enumerate_sectors(12):
             sysm = build_system(op, sec, EUCLIDEAN, maxwell=maxwell)
             if not sysm.n:
                 continue
             data, (p0, q0) = radial.indicial_data(sysm)
-            entries = radial._integer_entries(p0, q0)
+            exact = radial.pole_leading_terms(sysm)
             for rho, _, _ in data:
-                got = radial._indicial_at_shifts(entries, rho, range(1, 41))
-                ref = indicial_floats(p0, q0, rho, range(1, 41))
+                got = radial._indicial_at_shifts(p0, q0, rho)[orders]
+                ref = indicial_floats(*exact, rho, orders)
                 assert got.tobytes() == ref.tobytes(), (op, sec, rho)
             checked += 1
     assert checked == (25 if maxwell else 61)
@@ -162,7 +130,8 @@ def test_indicial_exponents_are_every_root_of_the_indicial_determinant():
             sysm = build_system(op, sec, EUCLIDEAN, maxwell=mx)
             if not sysm.n:
                 continue
-            data, (p0, q0) = radial.indicial_data(sysm)
+            data, _ = radial.indicial_data(sysm)
+            p0, q0 = radial.pole_leading_terms(sysm)
             assert all(isinstance(rho, int) and seeds for rho, _, seeds in data)
             for x in range(-sysm.n, sysm.n + 1):
                 prod = 1
@@ -173,15 +142,16 @@ def test_indicial_exponents_are_every_root_of_the_indicial_determinant():
     assert checked == 220
 
 
-@pytest.mark.parametrize("q0, match", [
-    (Q(3, 4), r"exponent (-0\.5|1\.5) of D0 Scalar\(0\) is not an integer"),
-    (Q(200000003, 100000000),  # (rho - 2 - d)(rho + 1 + d), d ~ 1e-8
-     r"indicial matrix of D0 Scalar\(0\) is regular at rho = -1"),
-], ids=["fraction", "near-integer"])
-def test_an_exponent_that_is_not_an_integer_names_its_system(q0, match, monkeypatch):
+@pytest.mark.parametrize("p0, q0, match", [
+    (0, 1, r"exponent (-0\.618034|1\.61803) of D0 Scalar\(0\) is not an integer"),
+    (9999999, -1,  # rho^2 - 10^7 rho + 1: roots 1e-7 and 10^7 - 1e-7
+     r"indicial matrix of D0 Scalar\(0\) is regular at rho = 0"),
+], ids=["irrational", "near-integer"])
+def test_an_exponent_that_is_not_an_integer_names_its_system(p0, q0, match, monkeypatch):
     # a root that does not round to an integer raises, and so does one within
     # the rounding tolerance of an integer that L does not vanish at
-    monkeypatch.setattr(radial, "pole_leading_terms", lambda system: ([[Q(0)]], [[q0]]))
+    monkeypatch.setattr(radial, "pole_leading_terms",
+                        lambda system: ([[Q(p0)]], [[Q(q0)]]))
     sysm = _made_up_system({}, {})
     with pytest.raises(RuntimeError, match=match):
         radial.indicial_data(sysm)
@@ -189,20 +159,44 @@ def test_an_exponent_that_is_not_an_integer_names_its_system(q0, match, monkeypa
         radial.frobenius_solutions(sysm, radial.MATCH_RADIUS)
 
 
+def test_pole_coefficients_that_are_not_integers_name_their_system(monkeypatch):
+    # P0 = [[0, 1/2], [0, 0]], Q0 = 0: det L = (rho (rho - 1))^2 has the
+    # integer roots 0 and 1, but P0 is not an integer matrix
+    half = [[Q(0), Q(1, 2)], [Q(0), Q(0)]]
+    monkeypatch.setattr(radial, "pole_leading_terms",
+                        lambda system: (half, [[Q(0)] * 2 for _ in range(2)]))
+    sysm = radial.RadialSystem(SectorLabel(Family.SCALAR, 0), "D0", EUCLIDEAN, False,
+                               0, [0, 0], [[{}] * 2] * 2, [[{}] * 2] * 2)
+    match = r"P0, Q0 of D0 Scalar\(0\) are not integer matrices"
+    with pytest.raises(RuntimeError, match=match):
+        radial.indicial_data(sysm)
+    with pytest.raises(RuntimeError, match=match):
+        radial.frobenius_solutions(sysm, radial.MATCH_RADIUS)
+
+
+def test_a_system_without_slots_has_no_regular_basis():
+    sysm = build_system("D1", SectorLabel(Family.TENSOR, 2), EUCLIDEAN)
+    assert sysm.n == 0
+    for basis in (regular_basis, radial.solution_profile, collocation_regular_basis):
+        with pytest.raises(ValueError, match=r"D1 TensorTT\(2\) has no slots"):
+            basis(sysm)
+
+
 def test_pole_tables_name_an_untabulated_monomial():
     sysm = _made_up_system({}, {(1, 0): Q(1), (0, 0): Q(2)})
     with pytest.raises(ValueError, match=r"a\^1 adot\^0"):
-        radial.pole_tables(sysm, range(11))
+        radial.pole_tables(sysm)
 
 
-def _float_tables_vs_exact(k_max):
-    # each float table against the exact series at order 120, relative to
-    # its largest entry: measured worst 8.5e-17 over k <= 24, at
-    # VectorTransverse(12) D1, Q table
+def _float_tables_vs_exact(k_max, monkeypatch):
+    # each float table against the exact series, under a cap of 120 (the
+    # tables hold every order to the cap), relative to its largest entry:
+    # measured worst 8.5e-17 over k <= 24, at VectorTransverse(12) D1, Q table
     order = 120
+    monkeypatch.setattr(radial, "ORDER_CAP", order)
     for sysm in _euclidean_systems(k_max):
         exact = radial.pole_series_matrices(sysm, order)
-        tables = radial.pole_tables(sysm, range(order + 1))
+        tables = radial.pole_tables(sysm)
         for name, got, mats in zip("PQ", tables, exact):
             ref = series_float(mats, sysm.n, order)
             assert got.shape == ref.shape
@@ -210,13 +204,13 @@ def _float_tables_vs_exact(k_max):
             assert err <= 4 * EPS, (sysm.operator_id, sysm.sector, name, err)
 
 
-def test_float_pole_tables_match_the_exact_series():
-    _float_tables_vs_exact(8)
+def test_float_pole_tables_match_the_exact_series(monkeypatch):
+    _float_tables_vs_exact(8, monkeypatch)
 
 
 @pytest.mark.slow
-def test_float_pole_tables_match_the_exact_series_to_k24():
-    _float_tables_vs_exact(24)
+def test_float_pole_tables_match_the_exact_series_to_k24(monkeypatch):
+    _float_tables_vs_exact(24, monkeypatch)
 
 
 def test_batched_recursion_matches_the_per_seed_one():
@@ -227,7 +221,9 @@ def test_batched_recursion_matches_the_per_seed_one():
     # (measured worst 8.6e-16 over k <= 8)
     blocks = 0
     for sysm in _euclidean_systems(8):
-        reg, (p0, q0) = radial.regular_exponents(sysm)
+        reg, _ = radial.regular_exponents(sysm)
+        p0, q0 = radial.pole_leading_terms(sysm)
+        p_f, q_f = radial.pole_tables(sysm)
         *_, series = radial.frobenius_solutions(sysm, pi / 2)
         columns = iter(series)
         for rho, seeds in reg:
@@ -236,7 +232,6 @@ def test_batched_recursion_matches_the_per_seed_one():
             for seed in seeds:
                 coeffs = next(columns)[2]
                 order = len(coeffs) - 1
-                p_f, q_f = radial.pole_tables(sysm, range(order + 1))
                 l_shift = indicial_floats(p0, q0, rho, range(order + 1))
                 ref = frobenius_series(rho, seed, l_shift, p_f, q_f, sysm.n,
                                        order, others)
@@ -256,11 +251,11 @@ def _tail_test_holds(block, rho, shifts, x0, order):
 
 
 def test_each_regular_basis_runs_its_recursion_once(monkeypatch):
-    # no coefficient, pole table or L(rho + m) is computed twice: each
-    # exponent recurs once, the tables and L(rho + m) come in disjoint
-    # chunks from order 1 up, and the order each exponent stops at is the
-    # first at which the tail test holds at MATCH_RADIUS for every seed (k <=
-    # 8 has 8 exponents with two seeds)
+    # no coefficient, pole table or L(rho + m) is computed twice: the tables
+    # are built once per system and L(rho + m) once per exponent, each
+    # exponent recurs once on those, and the order it stops at is the first
+    # at which the tail test holds at MATCH_RADIUS for every seed (k <= 8
+    # has 8 exponents with two seeds)
     blocks, tables, shifts = [], [], []
     for name, log in (("_frobenius_block", blocks), ("pole_tables", tables),
                       ("_indicial_at_shifts", shifts)):
@@ -274,22 +269,18 @@ def test_each_regular_basis_runs_its_recursion_once(monkeypatch):
         del blocks[:], tables[:], shifts[:]
         radial._regular_basis.__wrapped__(sysm, radial.INTEGRATOR_TOL)
         reg, _ = radial.regular_exponents(sysm)
+        assert len(tables) == 1
+        (_, (p_f, q_f)), = tables
+        assert [args[2] for args, _ in shifts] == [rho for rho, _ in reg]
         assert [args[0] for args, _ in blocks] == [rho for rho, _ in reg]
-        orders = [m for (_, ms), _ in tables for m in ms]
-        assert orders == list(range(1, len(orders) + 1))
-        top = 0
-        for (rho, _), (_, (block, ratio)) in zip(reg, blocks):
+        for (rho, _), (args, (block, ratio)), (_, lms) in zip(reg, blocks, shifts):
+            assert args[2] is lms and args[3] is p_f and args[4] is q_f
             order = len(block) - 1
             assert ratio <= radial.TAIL_TOL
-            mine = [m for (_, r, ms), _ in shifts if r == rho for m in ms]
-            assert mine == list(range(1, len(mine) + 1))
-            assert order <= len(mine) < order + radial.CHUNK
             sh = np.array(sysm.slot_ranks, dtype=float)
             assert _tail_test_holds(block, float(rho), sh, x0, order)
             assert not _tail_test_holds(block, float(rho), sh, x0, order - 1), \
                 (sysm.sector, rho, order)
-            top = max(top, order)
-        assert top <= len(orders) < top + radial.CHUNK
 
 
 def test_vector1_regular_datum():
@@ -405,7 +396,7 @@ def test_equator_series_obeys_the_full_order_recursion(sec):
     p_mats, q_mats = radial.pole_series_matrices(sysm, order)
     p_f = series_float(p_mats, sysm.n, order)
     q_f = series_float(q_mats, sysm.n, order)
-    _, (p0, q0) = radial.indicial_data(sysm)
+    p0, q0 = radial.pole_leading_terms(sysm)
     for rho, _, c in series:
         l_shift = indicial_floats(p0, q0, int(rho), range(len(c)))
         for m in range(1, len(c)):

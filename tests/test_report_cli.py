@@ -6,6 +6,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import dsvac.cli as cli
@@ -149,12 +150,23 @@ def test_cli_run_and_diff(tmp_path, capsys):
     assert delta["empty"]
 
 
-@pytest.mark.parametrize("bad", [[], {"schema_version": 1},
-                                 {"schema_version": 1, "records": [{"suite": "oracle"}]}],
-                         ids=["list", "no-records", "record-without-keys"])
+_RECORD = {"suite": "oracle", "check_id": "c", "sector": "-", "verdict": "pass",
+           "residual": 0.0}
+
+
+@pytest.mark.parametrize("bad", [
+    [], {"schema_version": 1}, {"schema_version": 1, "records": [{"suite": "oracle"}]},
+    {"schema_version": 1, "records": [{**_RECORD, "residual": None}]},
+    {"schema_version": 1, "records": [{**_RECORD, "residual": "x"}]},
+    {"schema_version": 1, "records": [{**_RECORD, "residual": True}]},
+    {"schema_version": 1, "records": [{**_RECORD, "sector": ["Scalar(2)"]}]},
+], ids=["list", "no-records", "record-without-keys", "residual-null", "residual-string",
+        "residual-bool", "sector-list"])
 @pytest.mark.parametrize("side", ["old", "new"])
 def test_diff_of_a_malformed_report_exits_2(bad, side, small_report, tmp_path, capsys):
-    # exit 1 means a failed check: a report that is not one is a usage error
+    # exit 1 means a failed check: a report that is not one is a usage error,
+    # and so is a record field of the wrong type (the diff would raise a
+    # TypeError comparing or keying on it)
     good, other = tmp_path / "good.json", tmp_path / "bad.json"
     good.write_text(to_json(small_report))
     other.write_text(json.dumps(bad))
@@ -496,6 +508,26 @@ def test_maxwell_gauge_positivity_takes_both_signs(monkeypatch):
     recs = [r for r in col.records if r.check_id == "positivity-gauge"]
     assert recs and all(r.verdict == "fail" for r in recs)
     assert all(abs(r.residual - 1e-3) <= 1e-6 for r in recs)
+
+
+def test_lorentzian_checks_fail_on_perturbed_evolution(monkeypatch):
+    # 1e-6 of noise on every evolved trajectory fails each check that reads
+    # evolve_raw; the charge check sees it only because its data are complex
+    # (the charge of real data is 0 whatever the trajectory)
+    real_evolve = report.evolve_raw
+    rng = np.random.default_rng(5)
+
+    def noisy(batch, t_grid, tol):
+        return [(us + 1e-6 * rng.normal(size=us.shape), dus + 1e-6 * rng.normal(size=dus.shape))
+                for us, dus in real_evolve(batch, t_grid, tol=tol)]
+
+    monkeypatch.setattr(report, "evolve_raw", noisy)
+    rep = run(RunConfig(k_max=4, suites=("identities", "maxwell")))
+    lorentzian = ("charge-conservation", "gauge-evolution-intertwining",
+                  "adjoint-evolution-intertwining", "zero-mode-profile")
+    verdicts = {r["check_id"]: r["verdict"] for r in rep["records"]
+                if r["check_id"] in lorentzian}
+    assert verdicts == dict.fromkeys(lorentzian, "fail")
 
 
 def test_charge_conservation_records_the_levels_it_evolved():
