@@ -113,8 +113,10 @@ def calderon_quotient(sector, operator_id="D1", maxwell=False, **params):
     q = rl.to_numpy(rl.matmul(euclid_symplectic_form(sector, system.rank),
                               kappa_block(sector, system.rank)))
     w = _null(kernel.T @ q)  # f with kernel^T q f = 0
-    # sanity: kernel inside its own q-orthogonal
-    assert np.max(np.abs(kernel.T @ q @ kernel)) < 1e-9
+    # the kernel must lie inside its own q-orthogonal (NaN fails too)
+    if not np.max(np.abs(kernel.T @ q @ kernel)) < 1e-9:
+        raise RuntimeError(f"kernel data of {operator_id}{' Maxwell' if maxwell else ''} "
+                           f"{sector} are not isotropic under the symplectic form")
     span = _orth(np.hstack([vp, vm]))
     # the domain must coincide with span(vp, vm)
     if w.shape[1] != span.shape[1] or principal_angle(w, span) > 1e-8:

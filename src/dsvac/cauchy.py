@@ -246,7 +246,8 @@ class Theory:
     kernel is nontrivial, so that its projectors exist only on the quotient;
     ``bad_levels`` are the harmonic levels (eigenvalues) that the modified
     state projects out; ``gauge`` names the gauge operator's block in
-    ``BLOCK_JETS``.
+    ``BLOCK_JETS``, and ``constraints`` the blocks whose joint null space is
+    the constrained phase space E.
     """
 
     name: str
@@ -255,6 +256,7 @@ class Theory:
     quotient_sectors: dict
     bad_levels: tuple
     gauge: str
+    constraints: tuple
 
     def charge(self, sector):
         """The conserved charge on field data (exact): q_{I,2} resp. q_1."""
@@ -267,6 +269,7 @@ class Theory:
         return lorentz_gauge_blocks(sector, self.gauge, maxwell=self.maxwell)[self.gauge]
 
 
-GRAVITY = Theory("gravity", 2, False, {"D1": KILLING_SECTORS}, (3, 4), "sym_grad")
+GRAVITY = Theory("gravity", 2, False, {"D1": KILLING_SECTORS}, (3, 4), "sym_grad",
+                 ("sym_div", "neg_trace"))
 MAXWELL = Theory("maxwell", 1, True, {"D0": (SectorLabel(Family.SCALAR, 0),)},
-                 (0,), "grad")
+                 (0,), "grad", ("div",))

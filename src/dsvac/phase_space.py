@@ -1,10 +1,13 @@
-"""TT-gauge phase space per sector: bases and decompositions.
+"""Phase space per sector, for gravity and Maxwell alike: bases and
+decompositions.
 
-The physical space E_TT (kernel of both adjoint gauge blocks) decomposes per
-sector into a transverse-traceless part, a gauge part and the problematic
-level-four part.  Two independent routes are used throughout: exact null
-space computations of the Cauchy blocks, and the explicit parametrization by
-(u, f, beta) coordinates; they must agree exactly.
+The constrained space E (the joint null space of the theory's constraint
+blocks) decomposes per sector into a gauge part and the charge kernel F, and
+F into its gauge part and the one low level on which the Euclidean vacuum
+is not positive (gravity's level four, Maxwell's level zero).  Each theory
+supplies only its hand-audited parametrization, exact Euclidean columns with
+a role each; one builder certifies them against the exact null space (they
+must span E exactly) and sorts them into the parts.
 """
 
 from dataclasses import dataclass
@@ -14,183 +17,139 @@ import numpy as np
 
 from . import rational as rl
 from .calderon import _rank, principal_angle
-from .cauchy import GRAVITY, DataLayout, data_block, lorentz_columns, normalized_columns
+from .cauchy import GRAVITY, DataLayout, Theory, data_block, lorentz_columns, normalized_columns
 from .sectors import Family, SectorLabel, space
 
 Q = Fraction
 
 KERNEL_RANK_TOL = 1e-10  # relative singular-value cut of the compressed charge
 
-VECTOR1 = SectorLabel(Family.VECTOR, 1)
+SCALAR0 = SectorLabel(Family.SCALAR, 0)
 SCALAR1 = SectorLabel(Family.SCALAR, 1)
+VECTOR1 = SectorLabel(Family.VECTOR, 1)
+
+# part of E -> the roles of the columns that span it.  ``trace`` is
+# gravity's Scalar(1) beta_s line (gauge by its level, not strictly); ``bad``
+# spans the level that the modified state projects out.
+PART_ROLES = {
+    "e_gauge": ("gauge",),
+    "f_space": ("f", "trace", "bad"),
+    "f_gauge": ("f", "trace"),
+    "f_gauge_strict": ("f",),
+    "e_bad": ("bad",),
+    "e_trace": ("trace",),
+}
+
+# the labels of gravity's (u, f, beta) parametrization, by role
+GRAVITY_ROLES = {"u0": "gauge", "u1": "gauge", "f0": "f", "f1": "f", "bs": "trace",
+                 "bS": "bad"}
 
 
-def _dim_fixture(sector):
-    """Hand-audited dimensions (E_TT, E_gauge, F_TT, F_gauge, E_4)."""
-    fam, k = sector.family, sector.k
-    if fam is Family.TENSOR:
-        return (2, 2, 0, 0, 0)
-    if fam is Family.SCALAR:
-        if k == 0:
-            return (0, 0, 0, 0, 0)
-        if k == 1:
-            return (1, 0, 1, 1, 0)
-        return (2, 0, 2, 2, 0)
-    if k == 1:
-        return (1, 0, 1, 0, 1)
-    return (2, 0, 2, 2, 0)
+@dataclass(frozen=True, eq=False)
+class PhaseSpace:
+    """All phase-space subspaces of one sector of ``theory``, as Lorentzian
+    data columns.
 
-
-def ett_nullspace_euclid(sector, stacked):
-    """Exact Euclidean E_TT basis as the joint null space of the adjoint
-    gauge blocks, ``stacked`` one above the other.  Sectors with no adjoint
-    range (pure TT) are unconstrained."""
-    size = DataLayout(sector, 2).size
-    if not stacked:
-        return [[Q(1) if i == j else Q(0) for i in range(size)] for j in range(size)]
-    return rl.nullspace(stacked)
-
-
-def _param_columns(sector):
-    """Columns of the explicit (u, f, beta) parametrization, exact, with
-    labels 'u0','u1','f0','f1','bs','bS'."""
-    sp = space(sector)
-    lay = DataLayout(sector, 2)
-    lam = sector.eigenvalue
-    cols = []
-
-    def blank():
-        return [Q(0)] * lay.size
-
-    def put(v, half, slot, coeffs):
-        o = half * lay.half + lay.offsets[slot]
-        for i, c in enumerate(coeffs):
-            v[o + i] += c
-
-    if sector.family is Family.TENSOR:
-        for half, name in ((0, "u0"), (1, "u1")):
-            v = blank()
-            put(v, half, 2, [Q(1)])
-            cols.append((name, v))
-        return cols
-    if sector == SCALAR1:
-        v = blank()
-        put(v, 0, 0, [Q(-3)])      # g_0ss = -3 beta_s
-        put(v, 0, 2, [Q(1)])       # g_0SS = beta_s h
-        put(v, 1, 1, [Q(1)])       # g_1sS = d beta_s
-        return [("bs", v)]
-    if sector == VECTOR1:
-        v = blank()
-        put(v, 0, 1, [Q(1)])       # g_0sS = beta_S
-        return [("bS", v)]
-    if sector.family is Family.SCALAR:
-        # f0 along dY: rows 1, 3, 5
-        v = blank()
-        put(v, 0, 0, [lam])                           # delta f0S
-        names2 = sp.basis[2]
-        idx_dd = names2.index("ddY")
-        e_dd = [Q(1) if i == idx_dd else Q(0) for i in range(len(names2))]
-        put(v, 0, 2, e_dd)                            # d f0S
-        put(v, 1, 1, [-(2 * (lam - 2)) / 2])          # -1/2 delta d f0S
-        c0 = ("f0", v)
-        # f1 along dY: rows 2, 4, 6
-        v = blank()
-        put(v, 0, 1, [Q(-1, 2) * (1 + lam / (lam - 6))])
-        put(v, 1, 0, [(1 + 3 / (lam - 6)) * lam])
-        e6 = list(e_dd)
-        idx_h = names2.index("hY")
-        e6[idx_h] = -lam / (lam - 6)
-        put(v, 1, 2, e6)
-        return [c0, ("f1", v)]
-    # transverse vector sectors, k >= 2
-    v = blank()
-    put(v, 0, 2, [Q(1)])                 # d f0S
-    put(v, 1, 1, [-(lam - 4) / 2])       # -1/2 delta d f0S
-    c0 = ("f0", v)
-    v = blank()
-    put(v, 0, 1, [Q(-1, 2)])
-    put(v, 1, 2, [Q(1)])
-    return [c0, ("f1", v)]
-
-
-@dataclass
-class PhaseSpaceSector:
-    """All phase-space subspaces of one sector, Lorentzian data columns.
-
-    ``ftt_gauge`` is the level-characterized gauge part (everything in F_TT
-    outside the level-four line); ``ett3`` is its level-three piece, the
-    trace of the boost-type Killing gauge modes living in Scalar(1).  The
-    strictly gauge-invariant part of F_TT — the image of the
-    Killing-orthogonal subspace — excludes ett3 as well; see
-    ``ftt_gauge_strict``.  The two notions coincide except in Scalar(1).
+    ``f_gauge`` is the level-characterized gauge part (everything in F
+    outside the ``e_bad`` level); ``e_trace`` is its level-three piece, the
+    trace of gravity's boost-type Killing gauge modes living in Scalar(1).
+    The strictly gauge-invariant part of F, ``f_gauge_strict`` (the image of
+    the Killing-orthogonal subspace), excludes ``e_trace`` as well; the two
+    notions coincide except in gravity's Scalar(1).
     """
 
     sector: SectorLabel
-    ett: np.ndarray
-    ett_gauge: np.ndarray
-    ftt: np.ndarray
-    ftt_gauge: np.ndarray
-    ett4: np.ndarray
-    ett3: np.ndarray
-
-    theory = GRAVITY
-
-    @property
-    def e_space(self):
-        """E_TT, under the name the theory-generic checks read."""
-        return self.ett
-
-    @property
-    def f_space(self):
-        """F_TT, under the name the theory-generic checks read."""
-        return self.ftt
-
-    @property
-    def ftt_gauge_strict(self):
-        if self.sector == SCALAR1:
-            return self.ftt_gauge[:, :0]
-        return self.ftt_gauge
+    theory: Theory
+    e_space: np.ndarray
+    e_gauge: np.ndarray
+    f_space: np.ndarray
+    f_gauge: np.ndarray
+    f_gauge_strict: np.ndarray
+    e_bad: np.ndarray
+    e_trace: np.ndarray
 
     @property
     def dims(self):
-        return (self.ett.shape[1], self.ett_gauge.shape[1], self.ftt.shape[1],
-                self.ftt_gauge.shape[1], self.ett4.shape[1])
+        """Dimensions (E, E_gauge, F, F_gauge, E_bad)."""
+        return tuple(part.shape[1] for part in (self.e_space, self.e_gauge, self.f_space,
+                                                self.f_gauge, self.e_bad))
+
+
+def _data_column(sector, rank, *entries):
+    """Exact Euclidean data column of rank ``rank``, zero but for the
+    (half, slot, coefficients) entries: each coefficient list is added from
+    the slot's offset in the value (0) or normal-derivative (1) half."""
+    lay = DataLayout(sector, rank)
+    col = [Q(0)] * lay.size
+    for half, slot, coeffs in entries:
+        o = half * lay.half + lay.offsets[slot]
+        for i, c in enumerate(coeffs):
+            col[o + i] += c
+    return col
+
+
+def _build_phase_space(sector, theory, columns):
+    """The phase space of ``sector`` spanned by the (role, exact Euclidean
+    column) pairs ``columns``.  They must be as many as the dimension of the
+    exact joint null space of the theory's constraint blocks, and each must
+    lie in it; they are converted to Lorentzian data once and split by
+    role."""
+    stacked = rl.vstack([data_block(sector, name, theory.maxwell)
+                         for name in theory.constraints])
+    dim = len(rl.nullspace(stacked)) if stacked else DataLayout(sector, theory.rank).size
+    where = f"{theory.name} phase space of {sector}"
+    if len(columns) != dim:
+        raise RuntimeError(f"{where}: {len(columns)} columns for E of dimension {dim}")
+    for role, col in columns:
+        if any(rl.matvec(stacked, col)):
+            raise RuntimeError(f"{where}: a {role} column leaves E")
+    data = lorentz_columns([col for _, col in columns], sector, theory.rank)
+    roles = [role for role, _ in columns]
+    return PhaseSpace(sector, theory, data, **{
+        part: data[:, [j for j, role in enumerate(roles) if role in wanted]]
+        for part, wanted in PART_ROLES.items()})
+
+
+def _param_columns(sector):
+    """Columns of gravity's explicit (u, f, beta) parametrization of E_TT,
+    exact, with labels 'u0','u1','f0','f1','bs','bS'."""
+    lam = sector.eigenvalue
+
+    def column(*entries):
+        return _data_column(sector, 2, *entries)
+
+    if sector == SCALAR0:
+        return []                                    # E_TT is zero
+    if sector.family is Family.TENSOR:
+        return [("u0", column((0, 2, [Q(1)]))), ("u1", column((1, 2, [Q(1)])))]
+    if sector == SCALAR1:
+        return [("bs", column((0, 0, [Q(-3)]),       # g_0ss = -3 beta_s
+                              (0, 2, [Q(1)]),        # g_0SS = beta_s h
+                              (1, 1, [Q(1)])))]      # g_1sS = d beta_s
+    if sector == VECTOR1:
+        return [("bS", column((0, 1, [Q(1)])))]      # g_0sS = beta_S
+    if sector.family is Family.SCALAR:
+        names2 = space(sector).basis[2]
+        e_dd = [Q(1) if name == "ddY" else Q(0) for name in names2]
+        e6 = [-lam / (lam - 6) if name == "hY" else c for name, c in zip(names2, e_dd)]
+        # f0 along dY: rows 1, 3, 5; f1 along dY: rows 2, 4, 6
+        return [("f0", column((0, 0, [lam]),                     # delta f0S
+                              (0, 2, e_dd),                      # d f0S
+                              (1, 1, [-(2 * (lam - 2)) / 2]))),  # -1/2 delta d f0S
+                ("f1", column((0, 1, [Q(-1, 2) * (1 + lam / (lam - 6))]),
+                              (1, 0, [(1 + 3 / (lam - 6)) * lam]),
+                              (1, 2, e6)))]
+    # transverse vector sectors, k >= 2
+    return [("f0", column((0, 2, [Q(1)]),                # d f0S
+                          (1, 1, [-(lam - 4) / 2]))),    # -1/2 delta d f0S
+            ("f1", column((0, 1, [Q(-1, 2)]), (1, 2, [Q(1)])))]
 
 
 def phase_space_sector(sector):
-    """Construct all subspaces, exactly, and cross-check the two routes."""
-    stacked = rl.vstack([data_block(sector, "sym_div"), data_block(sector, "neg_trace")])
-    null_eu = ett_nullspace_euclid(sector, stacked)
-    params = _param_columns(sector) if _dim_fixture(sector)[0] else []
-    d_ett, d_eg, d_f, d_fg, d_e4 = _dim_fixture(sector)
-    if len(null_eu) != d_ett or len(params) != d_ett:
-        raise RuntimeError(
-            f"E_TT dimension drift in {sector}: null space {len(null_eu)}, "
-            f"parametrization {len(params)}, fixture {d_ett}")
-    # the parametrization columns must span exactly the null space
-    for _, col in params:
-        if any(x != 0 for x in rl.matvec(stacked, col)):
-            raise RuntimeError(f"parametrization column leaves E_TT in {sector}")
-    gauge_cols, f_cols, fg_cols, e4_cols = [], [], [], []
-    for name, col in params:
-        if name in ("u0", "u1"):
-            gauge_cols.append(col)
-        else:
-            f_cols.append(col)
-            if name == "bS":
-                e4_cols.append(col)
-            else:
-                fg_cols.append(col)
-    e3_cols = [col for name, col in params if name == "bs"]
-    return PhaseSpaceSector(
-        sector=sector,
-        ett=lorentz_columns([c for _, c in params], sector, 2),
-        ett_gauge=lorentz_columns(gauge_cols, sector, 2),
-        ftt=lorentz_columns(f_cols, sector, 2),
-        ftt_gauge=lorentz_columns(fg_cols, sector, 2),
-        ett4=lorentz_columns(e4_cols, sector, 2),
-        ett3=lorentz_columns(e3_cols, sector, 2),
-    )
+    """Gravity's phase space of ``sector``: E_TT, the kernel of both adjoint
+    gauge blocks, spanned by the (u, f, beta) parametrization."""
+    return _build_phase_space(sector, GRAVITY, [(GRAVITY_ROLES[label], col)
+                                                for label, col in _param_columns(sector)])
 
 
 def pi_projection(sector, levels=(3, 4), rank=2):
@@ -201,7 +160,7 @@ def pi_projection(sector, levels=(3, 4), rank=2):
     subspace); the default ``(3, 4)`` also removes Scalar(1), which is what
     full gauge invariance of the modified vacuum actually requires: the
     level-three trace modes pair nontrivially with the covariances (see
-    ``ftt_gauge_strict``), so leaving them in breaks invariance along the
+    ``PhaseSpace.f_gauge_strict``), so leaving them in breaks invariance along the
     boost-type gauge directions.  On rank-1 data (gauge parameters) the
     same levels give the matching projection; Maxwell removes level zero.
     """

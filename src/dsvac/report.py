@@ -81,7 +81,8 @@ class RunConfig:
         the wrong type, a tolerance or margin that is not finite and
         positive, a ``tol_ode`` below the integrator's floor (which scipy
         would raise it to), a negative level or seed, no suite (a run that
-        checks nothing would pass), an unknown suite or format."""
+        checks nothing would pass), an unknown suite or format, and a
+        repeated alpha (its checks would share one id)."""
         for name in ("k_max", "k_dynamics", "seed", "jobs"):
             if not (_is_number(getattr(self, name), int) and getattr(self, name) >= 0):
                 raise ValueError(f"{name} must be an integer >= 0")
@@ -94,6 +95,8 @@ class RunConfig:
         if not (isinstance(self.alpha_values, tuple) and all(
                 _is_number(a) and math.isfinite(a) for a in self.alpha_values)):
             raise ValueError("alpha_values must be a list of finite numbers")
+        if len(set(map(float, self.alpha_values))) < len(self.alpha_values):
+            raise ValueError("alpha_values must not repeat a value")
         if not (isinstance(self.suites, tuple) and self.suites
                 and all(isinstance(s, str) for s in self.suites)):
             raise ValueError("suites must be a non-empty list of suite names")
@@ -501,23 +504,23 @@ def _suite_phase_space(art, col, cfg):
     total4 = 0
     for sec in art.sectors:
         ps = art.space(sec)
-        total4 += ps.ett4.shape[1] * sec.multiplicity
-        if ps.ett.shape[1] == 0:
+        total4 += ps.e_bad.shape[1] * sec.multiplicity
+        if ps.e_space.shape[1] == 0:
             col.add("phase_space", "direct-sums", "phase-space-splitting", sec, 0.0, True,
                     {"dims": ps.dims})
             continue
-        parts = [p for p in (ps.ett_gauge, ps.ftt_gauge, ps.ett4) if p.shape[1]]
+        parts = [p for p in (ps.e_gauge, ps.f_gauge, ps.e_bad) if p.shape[1]]
         stacked = np.hstack(parts)
-        ang = principal_angle(stacked, ps.ett)
+        ang = principal_angle(stacked, ps.e_space)
         sv = np.linalg.svd(stacked, compute_uv=False)
         margin = float(sv[-1] / sv[0])
-        ok = (stacked.shape[1] == ps.ett.shape[1] and ang <= ROUNDOFF_BOUND
+        ok = (stacked.shape[1] == ps.e_space.shape[1] and ang <= ROUNDOFF_BOUND
               and margin >= cfg.margin)
         col.add("phase_space", "direct-sums", "phase-space-splitting", sec, ang, ok,
                 {"dims": ps.dims, "transversality": margin})
         rep = charge_kernel_check(ps)
         ok = (rep["kernel_angle"] <= ROUNDOFF_BOUND
-              and rep["kernel_dim"] == ps.ftt.shape[1])
+              and rep["kernel_dim"] == ps.f_space.shape[1])
         col.add("phase_space", "charge-kernel", "charge-kernel-theorem", sec,
                 rep["kernel_angle"], ok,
                 {"kernel_dim": rep.get("kernel_dim"),
@@ -536,14 +539,14 @@ def _suite_states(art, col, cfg):
                 herm <= cfg.tol_linear_algebra)
         col.add("states", "sum-rule", "vacuum-sum-rule", sec, sr, sr <= ROUNDOFF_BOUND)
         if sec.family is Family.TENSOR:
-            gauge = art.space(sec).ett_gauge
+            gauge = art.space(sec).e_gauge
             low = _lowest(cov, gauge)
             high = max(compressed_extrema(cov, gauge, sign)[1] for sign in (+1, -1))
             col.add("states", "positivity-gauge-sector", "gauge-sector-positivity", sec,
                     max(0.0, -low), low >= -tol, {"min_eig": low, "max_eig": high})
     sec = SectorLabel(Family.VECTOR, 1)
     _add_negativity(col, "states", "negativity-level-four", "level-four-negativity",
-                    art.cov(sec), art.space(sec).ett4[:, 0], cfg)
+                    art.cov(sec), art.space(sec).e_bad[:, 0], cfg)
     sec = SectorLabel(Family.TENSOR, 2)
     energy, boundary, lam_val = tt_energy_quadrature(art.cov(sec))
     resid = abs(energy - boundary) / abs(boundary)
@@ -556,24 +559,24 @@ def _suite_states(art, col, cfg):
 def _suite_gauge(art, col, cfg):
     tol = cfg.tol_verdict
     col.add_worst("gauge", "weak-invariance", "weak-gauge-invariance", art.sectors,
-                  lambda sec: gauge_pairing_residual(art.cov(sec), art.space(sec).ett,
-                                                     art.space(sec).ftt_gauge_strict),
+                  lambda sec: gauge_pairing_residual(art.cov(sec), art.space(sec).e_space,
+                                                     art.space(sec).f_gauge_strict),
                   tol)
     # strong invariance fails: the level-four witness, and the level-three
     # anomaly (the Scalar(1) trace line also pairs)
     sec4, sec3 = SectorLabel(Family.VECTOR, 1), SectorLabel(Family.SCALAR, 1)
     for check_id, claim, sec, f in (
             ("strong-invariance-failure", "strong-invariance-failure", sec4,
-             art.space(sec4).ett4[:, 0]),
+             art.space(sec4).e_bad[:, 0]),
             ("level-three-anomaly", "strong-invariance-anomaly", sec3,
-             art.space(sec3).ett3[:, 0])):
+             art.space(sec3).e_trace[:, 0])):
         val = abs(_pairing(art.cov(sec), f)[0])
         col.add("gauge", check_id, claim, sec, val, val >= PAIRING_FLOOR, {"pairing": val})
     # modified vacuum: sum rule on E_TT, positivity on E_TT, full invariance
     for check_id, residual, bound in (
-            ("modified-sum-rule", lambda cov, ps: sum_rule_residual(cov, on=ps.ett),
+            ("modified-sum-rule", lambda cov, ps: sum_rule_residual(cov, on=ps.e_space),
              ROUNDOFF_BOUND),
-            ("modified-positivity", lambda cov, ps: -_lowest(cov, ps.ett), tol),
+            ("modified-positivity", lambda cov, ps: -_lowest(cov, ps.e_space), tol),
             ("modified-full-invariance", full_gauge_residual, tol)):
         col.add_worst("gauge", check_id, check_id, art.sectors,
                       lambda sec: residual(art.cov(sec, "modified"), art.space(sec)), bound)
@@ -595,10 +598,12 @@ def _suite_symmetry(art, col, cfg):
                   (SectorLabel(Family.TENSOR, 2), SectorLabel(Family.SCALAR, 2),
                    SectorLabel(Family.VECTOR, 1)),
                   lambda sec: time_reversal_residual(art.cov(sec)), ROUNDOFF_BOUND)
-    for alpha in art.config.alpha_values:
+    # the ids read float(alpha): alpha 1 of a config file and 1.0 of the flag
+    # name one check
+    for alpha in map(float, art.config.alpha_values):
         covs = {sec: art.cov(sec, "alpha", alpha) for sec in art.sectors}
-        neg_ok = all(sum(_pairing(covs[sec], art.space(sec).ett4[:, 0])) <= -cfg.margin
-                     for sec in art.sectors if art.space(sec).ett4.shape[1])
+        neg_ok = all(sum(_pairing(covs[sec], art.space(sec).e_bad[:, 0])) <= -cfg.margin
+                     for sec in art.sectors if art.space(sec).e_bad.shape[1])
         col.add_worst("symmetry", f"alpha-unitarity[{alpha}]", "bogoliubov-family",
                       art.sectors, partial(alpha_unitarity_residual, alpha=alpha),
                       cfg.tol_linear_algebra)
@@ -606,7 +611,7 @@ def _suite_symmetry(art, col, cfg):
                       art.sectors, lambda sec: sum_rule_residual(covs[sec]), ROUNDOFF_BOUND)
         col.add_worst("symmetry", f"alpha-sign-dichotomy[{alpha}]", "bogoliubov-family",
                       [sec for sec in art.sectors if sec.family is Family.TENSOR],
-                      lambda sec: -_lowest(covs[sec], art.space(sec).ett_gauge),
+                      lambda sec: -_lowest(covs[sec], art.space(sec).e_gauge),
                       cfg.tol_verdict, ok=neg_ok)
     col.structural("symmetry", "o4-invariance", "O(4)", "-",
                    "block-diagonal per sector with level-independent "
@@ -629,7 +634,7 @@ def _suite_maxwell(art, col, cfg):
         col.add("maxwell", "projector-identities", "projector-algebra", sec,
                 _worst((r_sum, r_idem)), r_sum <= ROUNDOFF_BOUND and r_idem <= tol)
         ps = art.space(sec, MAXWELL)
-        total_zero += ps.e_zero.shape[1] * sec.multiplicity
+        total_zero += ps.e_bad.shape[1] * sec.multiplicity
         cov = art.cov(sec, theory=MAXWELL)
         sr = sum_rule_residual(cov)
         col.add("maxwell", "sum-rule", "maxwell-state-signs", sec, sr, sr <= ROUNDOFF_BOUND)
@@ -656,7 +661,7 @@ def _suite_maxwell(art, col, cfg):
             {"kernel_dim": qi.kernel.shape[1], "quotient_dim": qi.quotient_dim})
     _add_negativity(col, "maxwell", "negativity-zero-mode", "maxwell-state-signs",
                     art.cov(SCALAR0, theory=MAXWELL),
-                    art.space(SCALAR0, MAXWELL).e_zero[:, 0], cfg)
+                    art.space(SCALAR0, MAXWELL).e_bad[:, 0], cfg)
     # the level-zero Lorentzian profile
     system = build_system("D1", SCALAR0, LORENTZIAN, maxwell=True)
     t_grid = np.linspace(-2, 2, 17)
@@ -740,8 +745,9 @@ def _diffable(record):
 def diff_reports(old, new, drift_factor=10.0):
     """Structured diff: verdict flips, residual drift, added/removed checks.
     Raises ValueError for a drift factor that is not a finite number >= 1
-    (a NaN one would flag no drift at all) and for a report that is not an
-    object with a list of records the diff can read (``_diffable``)."""
+    (a NaN one would flag no drift at all), for a report that is not an
+    object with a list of records the diff can read (``_diffable``), and for
+    one with two records of one key (the diff would see only one of them)."""
     if not (math.isfinite(drift_factor) and drift_factor >= 1):
         raise ValueError(f"drift factor must be a finite number >= 1, not {drift_factor}")
     for name, rep in (("old", old), ("new", new)):
@@ -756,8 +762,17 @@ def diff_reports(old, new, drift_factor=10.0):
     def key(r):
         return (r["suite"], r["check_id"], r["sector"])
 
-    old_map = {key(r): r for r in old["records"]}
-    new_map = {key(r): r for r in new["records"]}
+    def by_key(name, records):
+        out = {}
+        for r in records:
+            if key(r) in out:
+                raise ValueError(f"{name} report is not an object with one record per "
+                                 f"(suite, check_id, sector): {list(key(r))} repeats")
+            out[key(r)] = r
+        return out
+
+    old_map = by_key("old", old["records"])
+    new_map = by_key("new", new["records"])
     out = {"verdict_changes": [], "residual_drift": [], "added": [],
            "removed": []}
     for k, r_new in new_map.items():

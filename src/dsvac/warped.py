@@ -347,7 +347,9 @@ class WarpedSector:
         """
         z, n = self.unknown_section(rank)
         out = self.flat(self.field_operator(z, rank, maxwell=maxwell), rank)
-        assert len(out) == n
+        if len(out) != n:
+            raise RuntimeError(f"D{rank}{' Maxwell' if maxwell else ''} {self.sector}: "
+                               f"{len(out)} equations for {n} unknowns")
         mats = {order: [[CF_ZERO] * n for _ in range(n)] for order in (1, 0)}
         for i, e in enumerate(out):
             for (j, order), coeff in e.items():

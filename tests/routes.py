@@ -545,25 +545,25 @@ def _traceless_image(sector, dom, tol):
 
 def param_labels(sector):
     """Labels of the columns of the (u, f, beta) parametrization of E_TT,
-    in the order of ``PhaseSpaceSector.ett``."""
+    in the order of ``PhaseSpace.e_space``."""
     return [name for name, _ in _param_columns(sector)]
 
 
 def decompose(ps, data, tol=1e-10):
     """Unique (u, f, beta) coordinates of a Lorentzian E_TT datum, with
     membership flags."""
-    if ps.ett.shape[1] == 0:
+    if ps.e_space.shape[1] == 0:
         raise ValueError("sector has trivial physical space")
-    coords, *_ = np.linalg.lstsq(ps.ett, np.asarray(data, complex), rcond=None)
-    resid = np.linalg.norm(ps.ett @ coords - data)
+    coords, *_ = np.linalg.lstsq(ps.e_space, np.asarray(data, complex), rcond=None)
+    resid = np.linalg.norm(ps.e_space @ coords - data)
     if resid > tol * max(1.0, np.linalg.norm(data)):
         raise ValueError(f"datum not in E_TT (residual {resid:.2e})")
     named = dict(zip(param_labels(ps.sector), coords))
     flags = {
-        "ett_gauge": all(abs(named.get(k, 0)) < tol for k in ("f0", "f1", "bs", "bS")),
-        "ftt": all(abs(named.get(k, 0)) < tol for k in ("u0", "u1")),
-        "ftt_gauge": all(abs(named.get(k, 0)) < tol for k in ("u0", "u1", "bS")),
-        "ett4": all(abs(named.get(k, 0)) < tol for k in ("u0", "u1", "f0", "f1", "bs")),
+        "e_gauge": all(abs(named.get(k, 0)) < tol for k in ("f0", "f1", "bs", "bS")),
+        "f_space": all(abs(named.get(k, 0)) < tol for k in ("u0", "u1")),
+        "f_gauge": all(abs(named.get(k, 0)) < tol for k in ("u0", "u1", "bS")),
+        "e_bad": all(abs(named.get(k, 0)) < tol for k in ("u0", "u1", "f0", "f1", "bs")),
     }
     return named, flags
 

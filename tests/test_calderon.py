@@ -150,3 +150,17 @@ def test_gauge_intertwining(sector, d2_pairs):
         lhs = pair2.c_plus @ (k21 @ w)
         rhs = k21 @ pair1.c_plus  # columns = c1+ applied to subspace basis
         assert np.max(np.abs(lhs - rhs)) < 1e-8, sector
+
+
+@pytest.mark.parametrize("sector, operator_id, maxwell, name", [
+    (SectorLabel(Family.SCALAR, 0), "D0", True, r"D0 Maxwell Scalar\(0\)"),
+    (SectorLabel(Family.VECTOR, 1), "D1", False, r"D1 VectorTransverse\(1\)"),
+])
+def test_a_kernel_that_is_not_isotropic_names_its_operator(sector, operator_id, maxwell,
+                                                           name, monkeypatch):
+    # with kappa in place of the symplectic form the pairing q is the
+    # identity, on which no nonzero kernel datum is isotropic
+    from dsvac import calderon
+    monkeypatch.setattr(calderon, "euclid_symplectic_form", cy.kappa_block)
+    with pytest.raises(RuntimeError, match=f"kernel data of {name} are not isotropic"):
+        calderon_quotient(sector, operator_id, maxwell=maxwell)

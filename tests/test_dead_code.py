@@ -2,7 +2,9 @@
 its module; every public function, class and method is referenced
 somewhere in the library outside its own definition, and every private one
 in its own module outside its own definition; every UPPER_CASE module
-constant and every dataclass field is read somewhere in the library."""
+constant and every dataclass field is read somewhere in the library; and
+no check of the library is an ``assert`` statement, which ``python -O``
+strips."""
 
 import ast
 from pathlib import Path
@@ -118,3 +120,9 @@ def test_dataclass_fields_are_read():
               for field in node.body if isinstance(field, ast.AnnAssign)
               and field.target.id not in reads]
     assert not unread, unread
+
+
+def test_no_assert_statements():
+    asserts = [f"{name}:{node.lineno}" for name, tree in MODULES.items()
+               for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert not asserts, asserts

@@ -57,13 +57,24 @@ def test_gauge_composition():
 
 def test_phase_space_dims(setup):
     _, spaces, _ = setup
-    # E = F = E_0 at level zero (the zero mode is itself a gauge image)
-    assert spaces[SCALAR0].dims == (1, 0, 1, 1)
-    assert spaces[SectorLabel(Family.SCALAR, 2)].dims == (2, 0, 2, 0)
-    assert spaces[SectorLabel(Family.VECTOR, 1)].dims == (2, 2, 0, 0)
-    total_zero = sum(ps.e_zero.shape[1] * sec.multiplicity
+    # (E, E_gauge, F, F_gauge, E_0): E = F = E_0 at level zero (the zero
+    # mode is itself a gauge image, but not an invariantly gauge one)
+    assert spaces[SCALAR0].dims == (1, 0, 1, 0, 1)
+    assert spaces[SectorLabel(Family.SCALAR, 2)].dims == (2, 0, 2, 2, 0)
+    assert spaces[SectorLabel(Family.VECTOR, 1)].dims == (2, 2, 0, 0, 0)
+    total_zero = sum(ps.e_bad.shape[1] * sec.multiplicity
                      for sec, ps in spaces.items())
     assert total_zero == 1
+
+
+def test_f_gauge_routes_agree(setup):
+    # the builder's gauge part of F against the route that drops the
+    # level-zero line from F; Maxwell has no strictly-gauge subtlety
+    _, spaces, _ = setup
+    for sec, ps in spaces.items():
+        assert np.array_equal(ps.f_gauge, maxwell_f_gauge(ps)), sec
+        assert np.array_equal(ps.f_gauge_strict, ps.f_gauge), sec
+        assert ps.e_trace.shape[1] == 0, sec
 
 
 def test_rank0_quotient():
@@ -108,7 +119,7 @@ def test_positivity_dichotomy(setup):
                 assert ext[0] > -1e-9, (sec, sign)
     # negativity on the level-zero line, strictly
     ps0, cov0 = spaces[SCALAR0], covs[SCALAR0]
-    f = ps0.e_zero[:, 0]
+    f = ps0.e_bad[:, 0]
     for lam in (cov0.lambda_plus, cov0.lambda_minus):
         val = float(np.real(f.conj() @ lam @ f))
         assert val < 1e-9
@@ -155,7 +166,7 @@ def test_modified_state(setup):
 def test_strong_invariance_fails_unmodified(setup):
     _, spaces, covs = setup
     ps0, cov0 = spaces[SCALAR0], covs[SCALAR0]
-    f = ps0.e_zero[:, 0]
+    f = ps0.e_bad[:, 0]
     val = abs(np.real(f.conj() @ cov0.lambda_plus @ f))
     assert val > 1e-3 * norm_squared(SCALAR0, f, 1)
 

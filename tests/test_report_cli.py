@@ -160,13 +160,15 @@ _RECORD = {"suite": "oracle", "check_id": "c", "sector": "-", "verdict": "pass",
     {"schema_version": 1, "records": [{**_RECORD, "residual": "x"}]},
     {"schema_version": 1, "records": [{**_RECORD, "residual": True}]},
     {"schema_version": 1, "records": [{**_RECORD, "sector": ["Scalar(2)"]}]},
+    {"schema_version": 1, "records": [_RECORD, dict(_RECORD, residual=1.0)]},
 ], ids=["list", "no-records", "record-without-keys", "residual-null", "residual-string",
-        "residual-bool", "sector-list"])
+        "residual-bool", "sector-list", "key-repeated"])
 @pytest.mark.parametrize("side", ["old", "new"])
 def test_diff_of_a_malformed_report_exits_2(bad, side, small_report, tmp_path, capsys):
     # exit 1 means a failed check: a report that is not one is a usage error,
     # and so is a record field of the wrong type (the diff would raise a
-    # TypeError comparing or keying on it)
+    # TypeError comparing or keying on it) or a repeated record key (the diff
+    # would see only one of its records)
     good, other = tmp_path / "good.json", tmp_path / "bad.json"
     good.write_text(to_json(small_report))
     other.write_text(json.dumps(bad))
@@ -215,8 +217,11 @@ def test_cli_config_rejection(tmp_path):
     (["--margin", "nan"], None),
     (["--tol-verdict", "inf"], None),
     (["--suites", ","], None),
+    (["--alpha", "0.3,0.3"], None),
+    ([], {"alpha_values": [1, 1.0]}),
 ], ids=["k_max-string", "config-not-object", "tol_ode-negative", "tol_ode-zero",
-        "k_dynamics-negative", "margin-nan", "tol_verdict-inf", "suites-empty"])
+        "k_dynamics-negative", "margin-nan", "tol_verdict-inf", "suites-empty",
+        "alpha-repeated", "alpha-repeated-int-and-float"])
 def test_bad_config_exits_2(flags, config, tmp_path, monkeypatch):
     # validation alone must reject these (a zero tolerance never returns), so
     # starting a run fails the test
@@ -230,6 +235,22 @@ def test_bad_config_exits_2(flags, config, tmp_path, monkeypatch):
         flags = flags + ["--config", str(path)]
     assert main(["run", "--suites", "maxwell", *flags,
                  "--out", str(tmp_path / "r.json")]) == 2
+
+
+def test_alpha_ids_do_not_depend_on_how_alpha_was_written(tmp_path, capsys):
+    # alpha 1 from a config file and 1.0 from the flag name the same checks
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"alpha_values": [1]}))
+    out_config, out_flag = tmp_path / "config.json", tmp_path / "flag.json"
+    common = ["run", "--k-max", "2", "--suites", "symmetry"]
+    assert main([*common, "--config", str(path), "--out", str(out_config)]) == 0
+    assert main([*common, "--alpha", "1", "--out", str(out_flag)]) == 0
+    ids = [r["check_id"] for r in json.loads(out_config.read_text())["records"]]
+    assert [i for i in ids if i.startswith("alpha-")] == [
+        "alpha-unitarity[1.0]", "alpha-sum-rule[1.0]", "alpha-sign-dichotomy[1.0]"]
+    capsys.readouterr()
+    assert main(["diff", str(out_config), str(out_flag)]) == 0
+    assert json.loads(capsys.readouterr().out)["empty"]
 
 
 def test_tol_ode_below_the_integrator_floor_exits_2(tmp_path, monkeypatch, capsys):

@@ -50,8 +50,8 @@ def test_positivity_on_gauge_sector(setup):
     for sec in SECTORS:
         if sec.family is not Family.TENSOR:
             continue
-        ext_p = compressed_extrema(covs[sec], spaces[sec].ett_gauge, +1)
-        ext_m = compressed_extrema(covs[sec], spaces[sec].ett_gauge, -1)
+        ext_p = compressed_extrema(covs[sec], spaces[sec].e_gauge, +1)
+        ext_m = compressed_extrema(covs[sec], spaces[sec].e_gauge, -1)
         assert ext_p[0] > -1e-9, sec
         assert ext_m[0] > -1e-9, sec
 
@@ -61,11 +61,11 @@ def test_negativity_on_level_four(setup):
     sec = SectorLabel(Family.VECTOR, 1)
     ps = spaces[sec]
     cov = covs[sec]
-    ext_p = compressed_extrema(cov, ps.ett4, +1)
-    ext_m = compressed_extrema(cov, ps.ett4, -1)
+    ext_p = compressed_extrema(cov, ps.e_bad, +1)
+    ext_m = compressed_extrema(cov, ps.e_bad, -1)
     assert ext_p[1] < 1e-9 and ext_m[1] < 1e-9
     # lambda+ + lambda- negative definite there
-    f = ps.ett4[:, 0]
+    f = ps.e_bad[:, 0]
     total = np.real(f.conj() @ (cov.lambda_plus + cov.lambda_minus) @ f)
     assert total / norm_squared(sec, f) < -1e-6
     # vanishing only at c+- f = 0: here the value is strictly negative
@@ -76,7 +76,7 @@ def test_weak_gauge_invariance_strict(setup):
     _, spaces, covs = setup
     for sec in SECTORS:
         ps = spaces[sec]
-        resid = gauge_pairing_residual(covs[sec], ps.ett, ps.ftt_gauge_strict)
+        resid = gauge_pairing_residual(covs[sec], ps.e_space, ps.f_gauge_strict)
         assert resid < 1e-9, sec
 
 
@@ -86,7 +86,7 @@ def test_level_three_anomaly(setup):
     _, spaces, covs = setup
     sec = SectorLabel(Family.SCALAR, 1)
     ps = spaces[sec]
-    f = ps.ett3[:, 0]
+    f = ps.e_trace[:, 0]
     val = abs(np.real(f.conj() @ covs[sec].lambda_plus @ f))
     assert val > 1e-3 * norm_squared(sec, f)
 
@@ -94,7 +94,7 @@ def test_level_three_anomaly(setup):
 def test_strong_invariance_witness(setup):
     _, spaces, covs = setup
     sec = SectorLabel(Family.VECTOR, 1)
-    f = spaces[sec].ett4[:, 0]
+    f = spaces[sec].e_bad[:, 0]
     val = abs(np.real(f.conj() @ covs[sec].lambda_plus @ f))
     assert val >= 1e-3 * norm_squared(sec, f)
 
@@ -105,11 +105,11 @@ def test_modified_state(setup):
         ps = spaces[sec]
         cov = build_covariances(sec, "modified", projector_pair=pairs[sec])
         # sum rule persists on E_TT
-        assert sum_rule_residual(cov, on=ps.ett) < 1e-10, sec
+        assert sum_rule_residual(cov, on=ps.e_space) < 1e-10, sec
         # positivity on all of E_TT
-        if ps.ett.shape[1]:
+        if ps.e_space.shape[1]:
             for sign in (+1, -1):
-                ext = compressed_extrema(cov, ps.ett, sign)
+                ext = compressed_extrema(cov, ps.e_space, sign)
                 assert ext[0] > -1e-9, (sec, sign)
         # full gauge invariance, all rank-1 directions
         assert full_gauge_residual(cov, ps) < 1e-9, sec
@@ -124,13 +124,13 @@ def test_modified4_variant_fails_full_invariance(setup):
     resid = full_gauge_residual(cov4, spaces[sec])
     assert resid > 1e-3
     # but it is still positive on E_TT and satisfies the sum rule
-    assert sum_rule_residual(cov4, on=spaces[sec].ett) < 1e-10
-    ext = compressed_extrema(cov4, spaces[sec].ett, +1)
+    assert sum_rule_residual(cov4, on=spaces[sec].e_space) < 1e-10
+    ext = compressed_extrema(cov4, spaces[sec].e_space, +1)
     assert ext[0] > -1e-9
     # and in Vector(1) it does restore positivity
     secv = SectorLabel(Family.VECTOR, 1)
     cov4v = build_covariances(secv, "modified4", projector_pair=pairs[secv])
-    extv = compressed_extrema(cov4v, spaces[secv].ett, +1)
+    extv = compressed_extrema(cov4v, spaces[secv].e_space, +1)
     assert extv[0] > -1e-9
 
 
@@ -146,7 +146,7 @@ def test_alpha_vacua(setup):
             assert hermiticity_residual(cov) < 1e-12 * np.exp(2 * alpha)
             assert sum_rule_residual(cov) < 1e-10
             if sec.family is Family.TENSOR:
-                ext = compressed_extrema(cov, spaces[sec].ett_gauge, +1)
+                ext = compressed_extrema(cov, spaces[sec].e_gauge, +1)
                 assert ext[0] > -1e-9
         cov0 = build_covariances(sec, "alpha", alpha=0.0,
                                  projector_pair=pairs[sec])

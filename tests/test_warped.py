@@ -499,3 +499,13 @@ def test_intertwining_jets_match_the_rank_by_rank_calculus():
             ws, ref = WarpedSector(sec, LORENTZIAN), _RankByRank(sec, LORENTZIAN)
             assert (ws.cauchy_block(lambda z: jet(ws, z), rin, rout, at=at)
                     == ref.cauchy_block(lambda z: jet(ref, z), rin, rout, at=at)), (sec, t)
+
+
+def test_an_equation_count_off_the_unknowns_names_its_operator(monkeypatch):
+    flat = WarpedSector.flat
+    monkeypatch.setattr(WarpedSector, "flat",
+                        lambda self, section, rank: flat(self, section, rank)[:-1])
+    ws = WarpedSector(SectorLabel(Family.SCALAR, 2), EUCLIDEAN)
+    with pytest.raises(RuntimeError,
+                       match=r"D1 Maxwell Scalar\(2\): 1 equations for 2 unknowns"):
+        ws.radial_matrices(1, maxwell=True)
