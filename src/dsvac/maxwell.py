@@ -3,7 +3,8 @@
 Projector pairs, phase space, covariances and their checks are the shared
 ones of ``calderon``, ``phase_space`` and ``states`` applied to
 ``cauchy.MAXWELL``; this module keeps what is particular to Maxwell, the
-hand-audited parametrization of its phase space, and thin entry points.
+hand-audited parametrization of its phase space, and entry points (the
+pair and covariance wrappers stay as layers the benchmark traces by name).
 The gauge complex is grad: functions -> 1-forms with the Hodge operators
 (no curvature shift); the level-zero scalar sector plays the role of the
 problematic subspace: the wave-equation solution 1/cosh^3(t) dt spans a

@@ -8,6 +8,7 @@ default report configuration (harmonic truncation k_max = 12).
 import numpy as np
 import pytest
 
+from dsvac.maxwell import maxwell_sectors
 from dsvac.report import RunConfig, run
 
 K_MAX = 12
@@ -130,8 +131,12 @@ def test_criterion_9_maxwell(report):
     ok = all(r["verdict"] == "pass" for r in recs)
     zero = _records(report, "maxwell", "zero-mode-total")
     prof = _records(report, "maxwell", "zero-mode-profile")
-    ok = ok and zero[0]["extra"]["total_with_multiplicity"] == 1
-    _announce(9, "Maxwell twin suite, zero mode dim 1, cosh^-3 profile", ok,
+    sums = _records(report, "maxwell", "direct-sums")
+    ok = (ok and zero[0]["extra"]["total_with_multiplicity"] == 1
+          and {r["sector"] for r in sums} == {str(s) for s in maxwell_sectors(K_MAX)}
+          and len(sums) == 25)
+    _announce(9, "Maxwell twin suite, direct sums on all 25 sectors, zero mode dim 1, "
+                 "cosh^-3 profile", ok,
               f"profile residual {prof[0]['residual']:.1e}")
 
 

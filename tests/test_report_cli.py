@@ -13,6 +13,8 @@ import dsvac.cli as cli
 import dsvac.radial as radial
 import dsvac.report as report
 from dsvac.cli import main
+from dsvac.maxwell import maxwell_phase_space, maxwell_sectors
+from dsvac.phase_space import phase_space_sector
 from dsvac.report import RunConfig, diff_reports, has_failures, run, to_csv, to_json
 from dsvac.sectors import Family, SectorLabel, enumerate_sectors
 from routes import block_dims
@@ -357,7 +359,11 @@ def test_every_suite_passes_to_k96(tmp_path):
          "--seed", "2026", "--out", str(out)],
         env={**os.environ, "PYTHONPATH": str(Path(report.__file__).parents[1])})
     assert done.returncode == 0
-    assert not has_failures(json.loads(out.read_text()))
+    rep = json.loads(out.read_text())
+    assert not has_failures(rep)
+    sums = {r["sector"] for r in rep["records"]
+            if (r["suite"], r["check_id"]) == ("maxwell", "direct-sums")}
+    assert sums == {str(sec) for sec in maxwell_sectors(96)}
 
 
 def test_internal_error_exit_code(tmp_path, monkeypatch, capsys):
@@ -503,6 +509,66 @@ def test_cli_csv_output(tmp_path):
                  "--k-dynamics", "2", "--format", "csv", "--out", str(out)])
     assert code == 0
     assert out.read_text().startswith("suite,")
+
+
+def test_collector_refuses_a_missing_residual():
+    # a residual of None must not read as a perfect 0.0
+    with pytest.raises(TypeError):
+        report._Collector().add("s", "c", "claim", "-", None, True)
+
+
+@pytest.mark.parametrize("suite", ["phase_space", "maxwell"])
+def test_a_repeated_f_column_fails_the_splitting_and_the_kernel(monkeypatch, suite):
+    # the repeated column spans the same F, so the kernel angle stays at
+    # round-off: only the dimension conditions can see it
+    from dataclasses import replace
+
+    bad = SectorLabel(Family.SCALAR, 3)
+    cfg = RunConfig(k_max=3, suites=(suite,))
+    art = report._Artifacts(cfg)
+    space = art.space
+
+    def repeated(sec, theory=report.GRAVITY):
+        ps = space(sec, theory)
+        if sec != bad:
+            return ps
+        return replace(ps, **{part: np.hstack((getattr(ps, part), getattr(ps, part)[:, :1]))
+                              for part in ("f_space", "f_gauge")})
+
+    monkeypatch.setattr(art, "space", repeated)
+    col = report._Collector()
+    report._SUITE_FNS[suite](art, col, cfg)
+    recs = {(r.check_id, r.sector): r for r in col.records
+            if r.check_id in ("direct-sums", "charge-kernel")}
+    assert {key for key, r in recs.items() if r.verdict == "fail"} == {
+        ("direct-sums", str(bad)), ("charge-kernel", str(bad))}
+    assert recs["charge-kernel", str(bad)].residual <= 1e-10
+
+
+def test_both_theories_record_the_shared_claims_alike():
+    rep = run(RunConfig(k_max=3, suites=("phase_space", "states", "maxwell")))
+
+    def records(suite, check_id):
+        return [r for r in rep["records"] if (r["suite"], r["check_id"]) == (suite, check_id)]
+
+    def extra_keys(suite, check_id):
+        # a sector with E = 0 records its dimensions only
+        return {tuple(sorted(r["extra"])) for r in records(suite, check_id)
+                if r["extra"].get("dims", (1,))[0]}
+
+    for gravity, maxwell in ((("phase_space", "direct-sums"), ("maxwell", "direct-sums")),
+                             (("phase_space", "charge-kernel"), ("maxwell", "charge-kernel")),
+                             (("states", "positivity-gauge-sector"),
+                              ("maxwell", "positivity-gauge"))):
+        keys = extra_keys(*gravity)
+        assert len(keys) == 1 and keys == extra_keys(*maxwell), (gravity, maxwell)
+    # positivity on the gauge part is recorded exactly where that part is
+    for (suite, check_id), spaces in (
+            (("states", "positivity-gauge-sector"),
+             map(phase_space_sector, enumerate_sectors(3))),
+            (("maxwell", "positivity-gauge"), map(maxwell_phase_space, maxwell_sectors(3)))):
+        gauge = {str(ps.sector) for ps in spaces if ps.e_gauge.shape[1]}
+        assert gauge and {r["sector"] for r in records(suite, check_id)} == gauge
 
 
 def test_maxwell_gauge_positivity_takes_both_signs(monkeypatch):
