@@ -16,8 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import rational as rl
-from .cauchy import euclid_symplectic_form, kappa_block, kappa_diagonal, wick_phases
+from .cauchy import charge_form, lorentz_block, reflection
 from .radial import OPERATOR_RANK, build_system, regular_basis
 from .sectors import SectorLabel
 from .warped import EUCLIDEAN, LORENTZIAN
@@ -59,8 +58,7 @@ def _regular_data(sector, operator_id, maxwell, params):
     """The system with the north regular data and their south reflection."""
     system = build_system(operator_id, sector, EUCLIDEAN, maxwell=maxwell)
     vp = regular_basis(system, **params).data_matrix
-    kap = np.array([float(v) for v in kappa_diagonal(sector, system.rank)])
-    return system, vp, kap[:, None] * vp
+    return system, vp, reflection(sector, system.rank)[:, None] * vp
 
 
 def projector_pair(theory, sector, operator_id, **params):
@@ -110,8 +108,7 @@ def calderon_quotient(sector, operator_id="D1", maxwell=False, **params):
     if kernel.shape[1] == 0:
         raise RuntimeError(f"no kernel data in {sector}; use calderon_invertible")
     # q-orthogonal domain
-    q = rl.to_numpy(rl.matmul(euclid_symplectic_form(sector, system.rank),
-                              kappa_block(sector, system.rank)))
+    q = charge_form(sector, system.rank)
     w = _null(kernel.T @ q)  # f with kernel^T q f = 0
     # the kernel must lie inside its own q-orthogonal (NaN fails too)
     if not np.max(np.abs(kernel.T @ q @ kernel)) < 1e-9:
@@ -198,23 +195,16 @@ def lorentzify(pair):
     """
     if pair.signature != EUCLIDEAN:
         raise ValueError("pair is already Lorentzian")
-    f = wick_phases(pair.sector, OPERATOR_RANK[pair.operator_id])
-    finv = 1.0 / f
+    rank = OPERATOR_RANK[pair.operator_id]
+    qi = pair.quotient_info
 
-    def rows(c):
-        return finv[:, None] * c if c.size else c.astype(complex)
+    def conj(c, rank_in=None):
+        return lorentz_block(c, pair.sector, rank, rank_in)
 
-    if pair.quotient_info is None:
-        c_plus = rows(pair.c_plus) * f[None, :]
-        c_minus = rows(pair.c_minus) * f[None, :]
-        qinfo = None
-    else:
-        c_plus = rows(pair.c_plus)
-        c_minus = rows(pair.c_minus)
-        qi = pair.quotient_info
-        qinfo = QuotientInfo(kernel=rows(qi.kernel), subspace=rows(qi.subspace),
-                             quotient_dim=qi.quotient_dim,
-                             complement=rows(qi.complement))
+    rank_in = rank if qi is None else None
+    if qi is not None:
+        qi = QuotientInfo(kernel=conj(qi.kernel), subspace=conj(qi.subspace),
+                          quotient_dim=qi.quotient_dim, complement=conj(qi.complement))
     return ProjectorPair(pair.sector, pair.operator_id, LORENTZIAN,
-                         c_plus, c_minus, quotient_info=qinfo,
-                         conditioning=pair.conditioning)
+                         conj(pair.c_plus, rank_in), conj(pair.c_minus, rank_in),
+                         quotient_info=qi, conditioning=pair.conditioning)

@@ -1,17 +1,23 @@
-"""Cauchy-surface operators on the equator, per sector.
+"""Cauchy data on the equator, per sector: their layout, reflection, Wick
+phases, blocks and forms.
 
-Cauchy data for a rank-k field are (value, normal derivative) pairs over the
-sector slot bases; Euclidean convention (u, -du/ds), Lorentzian
+This module is the one owner of how Cauchy data are represented.  Data for
+a rank-k field are (value, normal derivative) pairs over the sector slot
+bases (``DataLayout``); Euclidean convention (u, -du/ds), Lorentzian
 (u, (1/i) du/dt), components ordered (ss, sS, SS) resp. (s, S) inside each
-half.  Every exact block on data (the symmetrized gradient and its adjoint,
-metric attachment and trace, plain gradient/divergence, trace reversal) is
-one jet of the warped calculus in ``BLOCK_JETS``, evaluated at the equator
-by ``WarpedSector.cauchy_block``; second derivatives are eliminated with the
-input's radial system as ``radial.build_system`` caches it, so the gradient
-on scalars carries the gravity shift (D0 = D0L - 6) unless the Maxwell
-system is asked for.  Lorentzian versions follow by conjugation with the
-Wick component phases.  The exact blocks and forms are built once per
-sector and returned with immutable rows.
+half.  The reflection signs ``warped.kappa_signs`` (``reflection``) and the
+Wick phases i^(rank - r) (``wick_phases``) act per component, and every
+Lorentzian block is its Euclidean one conjugated by the phases
+(``lorentz_block``).  Every exact block on data (the symmetrized gradient
+and its adjoint, metric attachment and trace, plain gradient/divergence,
+trace reversal) is one jet of the warped calculus in ``BLOCK_JETS``,
+evaluated at the equator by ``WarpedSector.cauchy_block``; second
+derivatives are eliminated with the input's radial system as
+``radial.build_system`` caches it, so the gradient on scalars carries the
+gravity shift (D0 = D0L - 6) unless the Maxwell system is asked for.  The
+blocks and forms are built once per sector and are immutable: the blocks
+exact, the forms (Gram, charges) exact inside and read-only float arrays
+outside.
 """
 
 from dataclasses import dataclass
@@ -29,14 +35,17 @@ Q = Fraction
 
 
 class DataLayout:
-    """Flat layout of doubled Cauchy data for one sector and rank."""
+    """Flat layout of doubled Cauchy data for one sector and rank: in each
+    half the slots r = 0..rank one after another, ``ranks`` the slot of
+    each component of a half."""
 
     def __init__(self, sector, rank):
         self.sector = sector
         self.rank = rank
         sp = space(sector)
         self.slot_dims = [sp.dim(r) for r in range(rank + 1)]
-        self.half = sum(self.slot_dims)
+        self.ranks = [r for r, dim in enumerate(self.slot_dims) for _ in range(dim)]
+        self.half = len(self.ranks)
         self.size = 2 * self.half
         self.offsets = []
         o = 0
@@ -45,8 +54,9 @@ class DataLayout:
             o += d
 
 
-def _frozen(rows):
-    return tuple(map(tuple, rows))
+def _read_only(arr):
+    arr.setflags(write=False)
+    return arr
 
 
 # -- exact blocks: one jet of the warped calculus each ------------------------
@@ -103,20 +113,53 @@ def data_block(sector, name, maxwell=False):
     return _DATA_BLOCKS[key]
 
 
+# -- reflection and Wick phases -----------------------------------------------
+
+@lru_cache(maxsize=None)
+def reflection(sector, rank, second=-1):
+    """Reflection signs on doubled data: kappa = ``warped.kappa_signs`` on
+    the values and ``second * kappa`` on the normal derivatives.  With
+    ``second`` = -1 this is the data reflection, which is also the linear
+    time reversal S on Cauchy data; with +1 on rank-2 data the matrix part M
+    of the antilinear time reversal Z f = M conj(f)."""
+    kap = np.array(kappa_signs(rank), dtype=float)[DataLayout(sector, rank).ranks]
+    return _read_only(np.concatenate([kap, second * kap]))
+
+
+@lru_cache(maxsize=None)
+def wick_phases(sector, rank):
+    """Diagonal of the component phase map F (doubled): i^(rank - r)."""
+    ph = [1j ** (rank - r) for r in DataLayout(sector, rank).ranks]
+    return _read_only(np.array(ph + ph, dtype=complex))
+
+
+def lorentz_block(block, sector, rank_out, rank_in=None):
+    """Conjugate a Euclidean data block (exact rows or an array) by the Wick
+    phases, F_out^-1 B F_in.  With ``rank_in`` None the columns are not
+    data (a basis of data, or a map's action on one), so only the rows are
+    rephased."""
+    f_out = wick_phases(sector, rank_out)
+    b = np.array(block, dtype=complex)
+    if rank_in is None:
+        return b / f_out[:, None]
+    f_in = wick_phases(sector, rank_in)
+    return b.reshape(len(f_out), len(f_in)) / f_out[:, None] * f_in
+
+
 # -- Hermitian forms ----------------------------------------------------------
 
 @lru_cache(maxsize=None)
 def data_gram(sector, rank):
     """Riemannian Hilbert Gram of doubled Cauchy data (positive definite)."""
     w = data_weight(sector, rank)
-    return _frozen(rl.block_diag([w, w]))
+    return _read_only(rl.to_numpy(rl.block_diag([w, w])))
 
 
 def normalized_columns(sector, basis, rank):
     """Columns scaled to unit Riemannian data norm (zero columns dropped)."""
     if basis.shape[1] == 0:
         return basis
-    g = rl.to_numpy(data_gram(sector, rank))
+    g = data_gram(sector, rank)
     out = []
     for j in range(basis.shape[1]):
         col = basis[:, j]
@@ -127,84 +170,39 @@ def normalized_columns(sector, basis, rank):
 
 
 @lru_cache(maxsize=None)
+def _exact_charge(sector, rank):
+    """q_k exactly: the charge's weight (``data_weight`` with the reflection
+    signs) pairs the values with the normal derivatives."""
+    d = data_weight(sector, rank, lorentz_signs=True)
+    z = rl.zeros(len(d), len(d))
+    return tuple(map(tuple, rl.vstack([rl.hstack([z, d]), rl.hstack([d, z])])))
+
+
+@lru_cache(maxsize=None)
 def charge_form(sector, rank):
     """Lorentzian conserved charge q_k as a Hermitian form matrix."""
-    d = data_weight(sector, rank, lorentz_signs=True)
-    n = len(d)
-    z = rl.zeros(n, n)
-    return _frozen(rl.vstack([rl.hstack([z, d]), rl.hstack([d, z])]))
-
-
-def euclid_symplectic_form(sector, rank):
-    """Green's-formula boundary form sigma (anti-Hermitian)."""
-    w = data_weight(sector, rank)
-    n = len(w)
-    z = rl.zeros(n, n)
-    return rl.vstack([rl.hstack([z, rl.scale(w, -1)]), rl.hstack([w, z])])
+    return _read_only(rl.to_numpy(_exact_charge(sector, rank)))
 
 
 @lru_cache(maxsize=None)
 def physical_charge_form(sector):
-    """q_{I,2} = q_2 o I_Sigma (trace-reversed charge on rank-2 data)."""
-    return _frozen(rl.matmul(charge_form(sector, 2),
-                             data_block(sector, "trace_reversal")))
+    """q_{I,2} = q_2 o I_Sigma (trace-reversed charge on rank-2 data), the
+    product taken exactly."""
+    return _read_only(rl.to_numpy(rl.matmul(_exact_charge(sector, 2),
+                                            data_block(sector, "trace_reversal"))))
 
 
-def kappa_diagonal(sector, rank, second=-1):
-    """Reflection signs on doubled data: kappa on the values and
-    ``second * kappa`` on the normal derivatives."""
-    kap = kappa_signs(rank)
-    half = [kap[r] for r, dim in enumerate(DataLayout(sector, rank).slot_dims)
-            for _ in range(dim)]
-    return half + [second * v for v in half]
+def charge_raw(system, u, du, v, dv, t):
+    """Conserved charge pairing of two raw solutions of a Lorentzian system
+    at time t.  Its weight is the off-diagonal block of ``charge_form`` with
+    the slot-r rows scaled by cosh(t)^(3 - 2r)."""
+    n = system.n
+    w = charge_form(system.sector, system.rank)[:n, n:] * np.array(
+        [np.cosh(t) ** (3 - 2 * r) for r in system.slot_ranks])[:, None]
+    return 1j * (du.conj() @ w @ v - u.conj() @ w @ dv)
 
 
-def kappa_block(sector, rank):
-    """diag(kappa, -kappa): the data reflection, which is also the linear
-    time reversal S on Cauchy data."""
-    return rl.block_diag([[[v]] for v in kappa_diagonal(sector, rank)])
-
-
-def wigner_matrix(sector):
-    """Matrix part of the antilinear time reversal on rank-2 data:
-    Z f = M conj(f)."""
-    return rl.block_diag([[[v]] for v in kappa_diagonal(sector, 2, +1)])
-
-
-# -- Wick phases and Lorentzian blocks ----------------------------------------
-
-def wick_phases(sector, rank):
-    """Diagonal of the component phase map F (doubled), complex numpy."""
-    lay = DataLayout(sector, rank)
-    ph = []
-    for r, dim in enumerate(lay.slot_dims):
-        ph.extend([1j ** (rank - r)] * dim)
-    ph = np.array(ph + ph, dtype=complex)
-    return ph
-
-
-def lorentz_columns(cols, sector, rank):
-    """Lorentzian data columns (complex) of exact Euclidean data vectors."""
-    if not cols:
-        return np.zeros((DataLayout(sector, rank).size, 0), dtype=complex)
-    arr = np.array([[complex(x) for x in col] for col in cols]).T
-    return arr / wick_phases(sector, rank)[:, None]
-
-
-def lorentz_block(block_eu, sector, rank_out, rank_in):
-    """Conjugate a Euclidean data block by the Wick phases."""
-    size_out = DataLayout(sector, rank_out).size
-    size_in = DataLayout(sector, rank_in).size
-    b = np.zeros((size_out, size_in), dtype=complex)
-    for i, row in enumerate(block_eu):
-        for j, v in enumerate(row):
-            b[i, j] = v
-    if size_out == 0 or size_in == 0:
-        return b
-    f_out = wick_phases(sector, rank_out)
-    f_in = wick_phases(sector, rank_in)
-    return (1.0 / f_out)[:, None] * b * f_in[None, :]
-
+# -- Lorentzian blocks --------------------------------------------------------
 
 _LORENTZ_BLOCKS = {}
 
@@ -218,10 +216,8 @@ def lorentz_gauge_blocks(sector, *names, maxwell=False):
         key = (sector, name, bool(maxwell))
         if key not in _LORENTZ_BLOCKS:
             _, rank_in, rank_out, _ = BLOCK_JETS[name]
-            block = lorentz_block(data_block(sector, name, maxwell), sector,
-                                  rank_out, rank_in)
-            block.setflags(write=False)
-            _LORENTZ_BLOCKS[key] = block
+            _LORENTZ_BLOCKS[key] = _read_only(lorentz_block(
+                data_block(sector, name, maxwell), sector, rank_out, rank_in))
         out[name] = _LORENTZ_BLOCKS[key]
     return out
 
@@ -259,7 +255,7 @@ class Theory:
     constraints: tuple
 
     def charge(self, sector):
-        """The conserved charge on field data (exact): q_{I,2} resp. q_1."""
+        """The conserved charge on field data: q_{I,2} resp. q_1."""
         if self.maxwell:
             return charge_form(sector, 1)
         return physical_charge_form(sector)

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import rational as rl
 from .calderon import _rank, principal_angle
-from .cauchy import GRAVITY, DataLayout, Theory, data_block, lorentz_columns, normalized_columns
+from .cauchy import GRAVITY, DataLayout, Theory, data_block, lorentz_block, normalized_columns
 from .sectors import Family, SectorLabel, space
 
 Q = Fraction
@@ -96,14 +96,16 @@ def _build_phase_space(sector, theory, columns):
     role."""
     stacked = rl.vstack([data_block(sector, name, theory.maxwell)
                          for name in theory.constraints])
-    dim = len(rl.nullspace(stacked)) if stacked else DataLayout(sector, theory.rank).size
+    size = DataLayout(sector, theory.rank).size
+    dim = len(rl.nullspace(stacked)) if stacked else size
     where = f"{theory.name} phase space of {sector}"
     if len(columns) != dim:
         raise RuntimeError(f"{where}: {len(columns)} columns for E of dimension {dim}")
     for role, col in columns:
         if any(rl.matvec(stacked, col)):
             raise RuntimeError(f"{where}: a {role} column leaves E")
-    data = lorentz_columns([col for _, col in columns], sector, theory.rank)
+    euclid = np.array([col for _, col in columns], dtype=complex).reshape(len(columns), size)
+    data = lorentz_block(euclid.T, sector, theory.rank)
     roles = [role for role, _ in columns]
     return PhaseSpace(sector, theory, data, **{
         part: data[:, [j for j, role in enumerate(roles) if role in wanted]]
@@ -177,9 +179,7 @@ def charge_kernel_check(ps):
     The charge is compressed on unit-data-norm columns of E, so the rank cut
     is relative to the form's scale, at ``KERNEL_RANK_TOL``.
     """
-    if ps.e_space.shape[1] == 0:
-        return {"kernel_angle": 0.0, "quotient_sv": None}
-    q = rl.to_numpy(ps.theory.charge(ps.sector))
+    q = ps.theory.charge(ps.sector)
     e = normalized_columns(ps.sector, ps.e_space, ps.theory.rank)
     u, s, vt = np.linalg.svd(e.conj().T @ q @ e)
     rank = _rank(s, KERNEL_RANK_TOL)

@@ -48,7 +48,7 @@ from scipy.special import zeta
 from . import rational as rl
 from .qseries import LSeries
 from .sectors import SectorLabel
-from .warped import EUCLIDEAN, LORENTZIAN, WarpedSector, cf_series_pole, data_weight
+from .warped import EUCLIDEAN, LORENTZIAN, WarpedSector, cf_series_pole, kappa_signs
 
 Q = Fraction
 
@@ -126,7 +126,8 @@ OPERATOR_RANK = {"D0": 0, "D1": 1, "D2": 2}
 def _assert_reflection_parity(rank, slot_ranks, m1, m0):
     """kappa M1(-s) kappa = -M1(s) and kappa M0(-s) kappa = M0(s): entries
     with matching slot parities must be odd in adot (M1) / even (M0)."""
-    kap = [(-1) ** (rank - r) for r in slot_ranks]
+    signs = kappa_signs(rank)
+    kap = [signs[r] for r in slot_ranks]
     for i in range(len(slot_ranks)):
         for j in range(len(slot_ranks)):
             s = kap[i] * kap[j]
@@ -495,7 +496,7 @@ def evolve_raw(batch, t_grid, tol=INTEGRATOR_TOL):
     (nt, n) arrays u, u-dot per entry.
 
     Each system is reflection symmetric (``_assert_reflection_parity``):
-    with kappa = diag((-1)^(rank - r)) over the slots, if v solves it with
+    with kappa = diag(``kappa_signs``) over the slots, if v solves it with
     data (kappa u0, -kappa du0) then u(-t) = kappa v(t), u-dot(-t) = -kappa
     v-dot(t).  So one forward solve to max |t| serves both time signs:
     complex data are handled by linearity, and the real and imaginary parts
@@ -529,7 +530,7 @@ def evolve_raw(batch, t_grid, tol=INTEGRATOR_TOL):
         us[t_grid == 0.0] = u0
         dus[t_grid == 0.0] = du0
         out.append((us, dus))
-        kappa = np.array([(-1.0) ** (system.rank - r) for r in system.slot_ranks])
+        kappa = np.array(kappa_signs(system.rank), dtype=float)[system.slot_ranks]
         reflect = np.concatenate([kappa, -kappa])  # its own inverse
         cols, reads = [], []
         for fac, part in ((1.0, np.concatenate([u0.real, du0.real])),
@@ -608,16 +609,3 @@ def _block_rhs(blocks):
                          stacked.reshape(-1, dim, width)).ravel()[slots]
 
     return rhs
-
-
-def charge_weight(system, t):
-    """Time-dependent charge weight W(t): the slot-r block of the charge's
-    weight (as in ``cauchy.charge_form``) scaled by cosh(t)^(3 - 2r)."""
-    w = rl.to_numpy(data_weight(system.sector, system.rank, lorentz_signs=True))
-    return w * np.array([np.cosh(t) ** (3 - 2 * r) for r in system.slot_ranks])[:, None]
-
-
-def charge_raw(system, u, du, v, dv, t):
-    """Conserved charge pairing of two raw solutions at time t."""
-    w = charge_weight(system, t)
-    return 1j * (du.conj() @ w @ v - u.conj() @ w @ dv)

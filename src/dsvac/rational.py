@@ -4,7 +4,8 @@ Matrices are plain lists of lists of ``fractions.Fraction`` at the API.
 Inside, elimination works on sparse rows: :func:`nullspace` and
 :func:`solve` share one reduced row echelon routine that touches only
 nonzero entries, and :func:`matmul` skips zero terms.  Everything here is
-exact; convert with :func:`to_numpy` only at the float boundary.
+exact; :func:`to_numpy` converts at the float boundary, the forms of
+``cauchy``.
 """
 
 import itertools
@@ -17,10 +18,6 @@ Q = Fraction
 
 def zeros(m, n):
     return [[Q(0)] * n for _ in range(m)]
-
-
-def eye(n):
-    return [[Q(1) if i == j else Q(0) for j in range(n)] for i in range(n)]
 
 
 def shape(a):

@@ -18,15 +18,13 @@ from math import cosh, pi, sinh
 import numpy as np
 from scipy.integrate import quad
 
-from . import rational as rl
 from .cauchy import (
     GRAVITY,
     Theory,
     data_gram,
-    kappa_block,
     normalized_columns,
     physical_charge_form,
-    wigner_matrix,
+    reflection,
 )
 from .phase_space import pi_projection
 from .radial import build_system, solution_profile
@@ -45,7 +43,7 @@ class CovariancePair:
 def euclidean_vacuum_pair(sector, projector_pair, theory=GRAVITY):
     """lambda_pm for the (pseudo) vacuum from the Euclidean Green's function,
     given the Lorentzian projector pair of the theory's field operator."""
-    q = rl.to_numpy(theory.charge(sector)).astype(complex)
+    q = theory.charge(sector)
     lam_p = q @ projector_pair.c_plus
     lam_m = -q @ projector_pair.c_minus
     return CovariancePair(sector, lam_p, lam_m, theory)
@@ -62,10 +60,9 @@ def build_covariances(sector, variant="euclidean_vacuum", alpha=0.0, *,
         return CovariancePair(sector, pim.conj().T @ base.lambda_plus @ pim,
                               pim.conj().T @ base.lambda_minus @ pim, theory)
     if variant == "alpha":
-        s_mat = rl.to_numpy(kappa_block(sector, theory.rank)).astype(complex)
-        u = cosh(alpha) * np.eye(len(s_mat)) + sinh(alpha) * s_mat
-        return CovariancePair(sector, u.conj().T @ base.lambda_plus @ u,
-                              u.conj().T @ base.lambda_minus @ u, theory)
+        u = cosh(alpha) + sinh(alpha) * reflection(sector, theory.rank)  # diagonal
+        return CovariancePair(sector, u[:, None] * base.lambda_plus * u,
+                              u[:, None] * base.lambda_minus * u, theory)
     raise ValueError(f"unknown variant {variant!r}")
 
 
@@ -83,7 +80,7 @@ def hermiticity_residual(cov):
 def sum_rule_residual(cov, on=None):
     """lambda+ - lambda- = q, relative to the charge-form scale; restricted
     to a subspace basis if given."""
-    q = rl.to_numpy(cov.theory.charge(cov.sector)).astype(complex)
+    q = cov.theory.charge(cov.sector)
     diff = cov.lambda_plus - cov.lambda_minus - q
     scale = max(float(np.max(np.abs(q))) if q.size else 0.0, 1.0)
     if on is None:
@@ -100,8 +97,7 @@ def compressed_extrema(cov, basis, sign=+1):
         return None
     lam = cov.lambda_plus if sign > 0 else cov.lambda_minus
     a = basis.conj().T @ lam @ basis
-    g = rl.to_numpy(data_gram(cov.sector, cov.theory.rank))
-    g = basis.conj().T @ g @ basis
+    g = basis.conj().T @ data_gram(cov.sector, cov.theory.rank) @ basis
     gi = np.linalg.inv(np.linalg.cholesky(g))
     sym = gi @ ((a + a.conj().T) / 2) @ gi.conj().T
     ev = np.linalg.eigvalsh(sym)
@@ -134,33 +130,31 @@ def full_gauge_residual(cov, ps):
 
 
 def norm_squared(sector, f, rank=2):
-    g = rl.to_numpy(data_gram(sector, rank))
-    return float(np.real(np.conj(f) @ g @ f))
+    return float(np.real(np.conj(f) @ data_gram(sector, rank) @ f))
 
 
 # -- symmetry checks ----------------------------------------------------------
 
 def racah_antiunitarity_residual(sector):
     """S* q_{I,2} S = -q_{I,2}."""
-    s = rl.to_numpy(kappa_block(sector, 2))
-    qi2 = rl.to_numpy(physical_charge_form(sector))
-    return float(np.max(np.abs(s.T @ qi2 @ s + qi2))) if s.size else 0.0
+    s = reflection(sector, 2)
+    qi2 = physical_charge_form(sector)
+    return float(np.max(np.abs(s[:, None] * qi2 * s + qi2))) if s.size else 0.0
 
 
 def alpha_unitarity_residual(sector, alpha):
-    s = rl.to_numpy(kappa_block(sector, 2)).astype(complex)
-    if not s.size:
+    u = cosh(alpha) + sinh(alpha) * reflection(sector, 2)  # diagonal
+    if not u.size:
         return 0.0
-    qi2 = rl.to_numpy(physical_charge_form(sector)).astype(complex)
-    u = cosh(alpha) * np.eye(len(s)) + sinh(alpha) * s
+    qi2 = physical_charge_form(sector)
     scale = max(float(np.max(np.abs(qi2))), 1.0)
-    return float(np.max(np.abs(u.conj().T @ qi2 @ u - qi2))) / scale
+    return float(np.max(np.abs(u[:, None] * qi2 * u - qi2))) / scale
 
 
 def time_reversal_residual(cov):
     """conj(Zf) . lambda Zg = conj(g) . lambda f on random data."""
     rng = np.random.default_rng(11)
-    mz = rl.to_numpy(wigner_matrix(cov.sector)).astype(complex)
+    mz = reflection(cov.sector, 2, +1)  # diagonal
     n = len(mz)
     if n == 0:
         return 0.0
@@ -169,7 +163,7 @@ def time_reversal_residual(cov):
         for _ in range(4):
             f = rng.normal(size=n) + 1j * rng.normal(size=n)
             g = rng.normal(size=n) + 1j * rng.normal(size=n)
-            zf, zg = mz @ f.conj(), mz @ g.conj()
+            zf, zg = mz * f.conj(), mz * g.conj()
             lhs = zf.conj() @ lam @ zg
             rhs = g.conj() @ lam @ f
             worst = max(worst, abs(lhs - rhs))
@@ -177,8 +171,8 @@ def time_reversal_residual(cov):
 
 
 def wigner_involution_residual(sector):
-    mz = rl.to_numpy(wigner_matrix(sector))
-    return float(np.max(np.abs(mz @ mz - np.eye(len(mz))))) if mz.size else 0.0
+    mz = reflection(sector, 2, +1)
+    return float(np.max(np.abs(mz * mz - 1))) if mz.size else 0.0
 
 
 # -- independent energy oracle -------------------------------------------------

@@ -362,23 +362,19 @@ class WarpedSector:
 
     # -- Cauchy data blocks ---------------------------------------------------
 
-    def cauchy_block(self, op, in_rank, out_rank, elim=None, at=(Q(1), Q(0))):
+    def cauchy_block(self, op, in_rank, out_rank, elim, at=(Q(1), Q(0))):
         """Jet-evaluate a first-order operator on Cauchy data.
 
         Returns the raw block mapping (u(pt), u'(pt)) -> (Op u (pt),
         d/ds Op u (pt)) as an exact rational matrix when ``at`` is rational.
         Second derivatives are eliminated with the radial system of the
         input's field operator: ``elim`` is a function returning
-        (slot_ranks, M1, M0), by default the reduction ``radial_matrices`` of
-        linearized gravity.  It is called only if a second derivative occurs.
+        (slot_ranks, M1, M0), called only if a second derivative occurs.
         """
         sig = self.sig
         z, n = self.unknown_section(in_rank)
         out = self.flat(op(z), out_rank)
         a_val, adot_val = at
-        if elim is None:
-            def elim():
-                return self.radial_matrices(in_rank)
         m_pt = []  # M1 and M0 at the point, from the first second derivative on
 
         def eval_expr(e):

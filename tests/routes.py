@@ -2,14 +2,15 @@
 
 The library keeps what ``dsvac run`` executes.  The second routes that the
 tests hold the program against, and that no report check runs, live here:
-the Euclidean data blocks tabulated slot by slot, the F_TT image routes of
+the Euclidean data blocks tabulated slot by slot, the exact charge and Gram
+forms from Green's formula and the reflection, the F_TT image routes of
 the phase space, the sphere quadrature of the scalar Gram matrices, the
 Killing data of the rank-1 kernel, Lorentzian evolution by direct
 integration in both time directions, the collocation matrix assembled node
 by node, the exact pole tables, the exact indicial matrix and its
 determinant, the Frobenius recursion one seed at a time, the exact action of
 the radial operators on concrete profiles, exact matrices of the coefficient
-field and composable spatial operators.
+field, composable spatial operators and the exact identity matrix.
 """
 
 from dataclasses import dataclass
@@ -24,7 +25,8 @@ from dsvac.calderon import _null, _rank
 from dsvac.cauchy import (
     DataLayout,
     charge_form,
-    lorentz_columns,
+    data_block,
+    lorentz_block,
     lorentz_gauge_blocks,
 )
 from dsvac.harmonics import NVAR, _mono_integral, _norm2, _sphere_inner, _sym_grad
@@ -32,13 +34,17 @@ from dsvac.maxwell import SCALAR0
 from dsvac.phase_space import SCALAR1, VECTOR1, _param_columns
 from dsvac.radial import INTEGRATOR_TOL, evolve_raw, indicial_data
 from dsvac.sectors import Family, space
-from dsvac.warped import cf_diff, cf_eval, cf_mul, cf_scale
+from dsvac.warped import cf_diff, cf_eval, cf_mul, cf_scale, data_weight, kappa_signs
 
 Q = Fraction
 
 
 def transpose(a):
     return [list(col) for col in zip(*a)]
+
+
+def eye(n):
+    return [[Q(1) if i == j else Q(0) for j in range(n)] for i in range(n)]
 
 
 # -- matrices over the coefficient field of dsvac.warped ----------------------
@@ -136,7 +142,7 @@ def spatial_op(op_symbol, sector, rank):
     (the Lichnerowicz operator, the eigenvalue times the identity)."""
     sp = space(sector)
     if op_symbol in ("id", "lich"):
-        mat, tr = rl.eye(sp.dim(rank)), rank
+        mat, tr = eye(sp.dim(rank)), rank
         if op_symbol == "lich":
             mat = rl.scale(mat, sector.eigenvalue)
     else:
@@ -352,14 +358,14 @@ def sym_div_block(sector):
     li, lo = DataLayout(sector, 2), DataLayout(sector, 1)
     op = _ops(sector)
     m = _blockmap(lo, li)
-    _set(m, lo, 0, 0, li, 1, 0, rl.eye(li.slot_dims[0]), 2)
+    _set(m, lo, 0, 0, li, 1, 0, eye(li.slot_dims[0]), 2)
     _set(m, lo, 0, 0, li, 0, 1, op[("delta", 1)], 2)
-    _set(m, lo, 0, 1, li, 1, 1, rl.eye(li.slot_dims[1]), 2)
+    _set(m, lo, 0, 1, li, 1, 1, eye(li.slot_dims[1]), 2)
     _set(m, lo, 0, 1, li, 0, 2, op[("delta", 2)])
-    _set(m, lo, 1, 0, li, 0, 0, rl.eye(li.slot_dims[0]), 2 * (lam - 3))
+    _set(m, lo, 1, 0, li, 0, 0, eye(li.slot_dims[0]), 2 * (lam - 3))
     _set(m, lo, 1, 0, li, 1, 1, op[("delta", 1)], 2)
     _set(m, lo, 1, 0, li, 0, 2, op[("htrace", 2)], -1)
-    _set(m, lo, 1, 1, li, 0, 1, rl.eye(li.slot_dims[1]), 2 * (lam - 4))
+    _set(m, lo, 1, 1, li, 0, 1, eye(li.slot_dims[1]), 2 * (lam - 4))
     _set(m, lo, 1, 1, li, 1, 2, op[("delta", 2)])
     return m
 
@@ -371,18 +377,18 @@ def sym_grad_block(sector):
     op = _ops(sector)
     m = _blockmap(lo, li)
     half = Q(1, 2)
-    _set(m, lo, 0, 0, li, 1, 0, rl.eye(li.slot_dims[0]), -half)
+    _set(m, lo, 0, 0, li, 1, 0, eye(li.slot_dims[0]), -half)
     _set(m, lo, 0, 0, li, 0, 1, op[("delta", 1)], half)
-    _set(m, lo, 0, 1, li, 1, 1, rl.eye(li.slot_dims[1]), -half)
+    _set(m, lo, 0, 1, li, 1, 1, eye(li.slot_dims[1]), -half)
     _set(m, lo, 0, 1, li, 0, 0, op[("d", 0)], half)
     _set(m, lo, 0, 2, li, 0, 1, op[("d", 1)])
     _set(m, lo, 0, 2, li, 1, 0, op[("hmul", 0)], half)
     if li.slot_dims[1] and li.slot_dims[0]:
         hd = rl.matmul(op[("hmul", 0)], op[("delta", 1)])
         _set(m, lo, 0, 2, li, 0, 1, hd, half)
-    _set(m, lo, 1, 0, li, 0, 0, rl.eye(li.slot_dims[0]), -half * lam)
+    _set(m, lo, 1, 0, li, 0, 0, eye(li.slot_dims[0]), -half * lam)
     _set(m, lo, 1, 0, li, 1, 1, op[("delta", 1)], half)
-    _set(m, lo, 1, 1, li, 0, 1, rl.eye(li.slot_dims[1]), -half * (lam - 4))
+    _set(m, lo, 1, 1, li, 0, 1, eye(li.slot_dims[1]), -half * (lam - 4))
     _set(m, lo, 1, 1, li, 1, 0, op[("d", 0)], half)
     _set(m, lo, 1, 2, li, 1, 1, op[("d", 1)])
     if li.slot_dims[1] and li.slot_dims[0]:
@@ -397,7 +403,7 @@ def neg_trace_block(sector):
     op = _ops(sector)
     m = _blockmap(lo, li)
     for h in (0, 1):
-        _set(m, lo, h, 0, li, h, 0, rl.eye(li.slot_dims[0]), -2)
+        _set(m, lo, h, 0, li, h, 0, eye(li.slot_dims[0]), -2)
         _set(m, lo, h, 0, li, h, 2, op[("htrace", 2)], -1)
     return m
 
@@ -408,7 +414,7 @@ def metric_mult_block(sector):
     op = _ops(sector)
     m = _blockmap(lo, li)
     for h in (0, 1):
-        _set(m, lo, h, 0, li, h, 0, rl.eye(li.slot_dims[0]))
+        _set(m, lo, h, 0, li, h, 0, eye(li.slot_dims[0]))
         _set(m, lo, h, 2, li, h, 0, op[("hmul", 0)])
     return m
 
@@ -424,9 +430,9 @@ def grad_block(sector, maxwell=False):
     li, lo = DataLayout(sector, 0), DataLayout(sector, 1)
     op = _ops(sector)
     m = _blockmap(lo, li)
-    _set(m, lo, 0, 0, li, 1, 0, rl.eye(li.slot_dims[0]), -1)
+    _set(m, lo, 0, 0, li, 1, 0, eye(li.slot_dims[0]), -1)
     _set(m, lo, 0, 1, li, 0, 0, op[("d", 0)])
-    _set(m, lo, 1, 0, li, 0, 0, rl.eye(li.slot_dims[0]), -(lam - shift))
+    _set(m, lo, 1, 0, li, 0, 0, eye(li.slot_dims[0]), -(lam - shift))
     _set(m, lo, 1, 1, li, 1, 0, op[("d", 0)])
     return m
 
@@ -438,9 +444,9 @@ def div_block(sector, maxwell=False):
     li, lo = DataLayout(sector, 1), DataLayout(sector, 0)
     op = _ops(sector)
     m = _blockmap(lo, li)
-    _set(m, lo, 0, 0, li, 1, 0, rl.eye(li.slot_dims[0]))
+    _set(m, lo, 0, 0, li, 1, 0, eye(li.slot_dims[0]))
     _set(m, lo, 0, 0, li, 0, 1, op[("delta", 1)])
-    _set(m, lo, 1, 0, li, 0, 0, rl.eye(li.slot_dims[0]), lam - shift)
+    _set(m, lo, 1, 0, li, 0, 0, eye(li.slot_dims[0]), lam - shift)
     _set(m, lo, 1, 0, li, 1, 1, op[("delta", 1)])
     return m
 
@@ -450,7 +456,7 @@ def trace_reversal_half(sector, flavor):
     lay = DataLayout(sector, 2)
     op = _ops(sector)
     n = lay.half
-    m = rl.eye(n)
+    m = eye(n)
     d0, d2 = lay.slot_dims[0], lay.slot_dims[2]
     if d0 == 0:
         return m
@@ -478,6 +484,37 @@ def trace_reversal_block(sector, flavor="lorentzian"):
     return rl.block_diag([h, h])
 
 
+# -- exact forms on data, by Green's formula ----------------------------------
+
+def euclid_symplectic_form(sector, rank):
+    """Green's-formula boundary form sigma (anti-Hermitian)."""
+    w = data_weight(sector, rank)
+    z = rl.zeros(len(w), len(w))
+    return rl.vstack([rl.hstack([z, rl.scale(w, -1)]), rl.hstack([w, z])])
+
+
+def reflection_block(sector, rank, second=-1):
+    """diag(kappa, second * kappa) on doubled data, exact, slot by slot."""
+    half = [k for k, dim in zip(kappa_signs(rank), DataLayout(sector, rank).slot_dims)
+            for _ in range(dim)]
+    return rl.block_diag([[[v]] for v in half + [second * v for v in half]])
+
+
+def charge_form_exact(sector, rank):
+    """q_k = sigma o diag(kappa, -kappa)."""
+    return rl.matmul(euclid_symplectic_form(sector, rank), reflection_block(sector, rank))
+
+
+def physical_charge_form_exact(sector):
+    """q_{I,2} = q_2 o I_Sigma."""
+    return rl.matmul(charge_form_exact(sector, 2), data_block(sector, "trace_reversal"))
+
+
+def data_gram_exact(sector, rank):
+    w = data_weight(sector, rank)
+    return rl.block_diag([w, w])
+
+
 # -- Killing data and the F_TT image routes -----------------------------------
 
 def killing_data_euclid(sector):
@@ -498,7 +535,9 @@ def killing_data_euclid(sector):
 
 def killing_data(sector):
     """Lorentzian Killing Cauchy data (complex columns)."""
-    return lorentz_columns(killing_data_euclid(sector), sector, 1)
+    cols = killing_data_euclid(sector)
+    euclid = np.array(cols, dtype=complex).reshape(len(cols), DataLayout(sector, 1).size)
+    return lorentz_block(euclid.T, sector, 1)
 
 
 def gauge_orthogonal_residual(f, sector):
@@ -507,7 +546,7 @@ def gauge_orthogonal_residual(f, sector):
     kd = killing_data(sector)
     if kd.shape[1] == 0:
         return 0.0
-    q1 = rl.to_numpy(charge_form(sector, 1))
+    q1 = charge_form(sector, 1)
     return float(np.max(np.abs(kd.conj().T @ q1 @ np.asarray(f, complex))))
 
 
@@ -522,7 +561,7 @@ def ftt_gauge_image_route(sector, tol=1e-10):
     kd = killing_data(sector)
     dom = None
     if kd.shape[1]:
-        dom = _null(kd.conj().T @ rl.to_numpy(charge_form(sector, 1)), tol)
+        dom = _null(kd.conj().T @ charge_form(sector, 1), tol)
     return _traceless_image(sector, dom, tol)
 
 

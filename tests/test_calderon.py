@@ -50,7 +50,7 @@ def test_projector_fixes_regular_data(d2_pairs):
 def test_q_adjointness(d2_pairs):
     # c^* q = q c with q = sigma o diag(kappa, -kappa)
     for sec, pair in d2_pairs.items():
-        q = rl.to_numpy(cy.charge_form(sec, 2))
+        q = cy.charge_form(sec, 2)
         resid = pair.c_plus.T @ q - q @ pair.c_plus
         assert np.max(np.abs(resid)) < 1e-9, sec
 
@@ -61,7 +61,7 @@ def test_lorentz_pair(d2_pairs):
         pair = lorentzify(d2_pairs[sec])
         n2 = pair.c_plus.shape[0]
         assert np.max(np.abs(pair.c_plus + pair.c_minus - np.eye(n2))) < 1e-12
-        qi2 = rl.to_numpy(cy.physical_charge_form(sec))
+        qi2 = cy.physical_charge_form(sec)
         resid = pair.c_plus.conj().T @ qi2 - qi2 @ pair.c_plus
         assert np.max(np.abs(resid)) < 1e-9
         # the projectors commute with trace reversal on scalar sectors
@@ -121,9 +121,7 @@ def test_killing_kernel_total_dimension():
 def test_quotient_charge_nondegenerate():
     # [q] is non-degenerate on the quotient subspace/kernel
     ps = calderon_quotient(SectorLabel(Family.SCALAR, 1), "D1")
-    q = rl.to_numpy(cy.euclid_symplectic_form(SectorLabel(Family.SCALAR, 1), 1))
-    kap = rl.to_numpy(cy.kappa_block(SectorLabel(Family.SCALAR, 1), 1))
-    qmat = q @ kap
+    qmat = cy.charge_form(SectorLabel(Family.SCALAR, 1), 1)
     comp = ps.quotient_info.complement
     qq = comp.T @ qmat @ comp
     sv = np.linalg.svd(qq, compute_uv=False)
@@ -158,9 +156,10 @@ def test_gauge_intertwining(sector, d2_pairs):
 ])
 def test_a_kernel_that_is_not_isotropic_names_its_operator(sector, operator_id, maxwell,
                                                            name, monkeypatch):
-    # with kappa in place of the symplectic form the pairing q is the
-    # identity, on which no nonzero kernel datum is isotropic
+    # with the identity on data in place of the charge no nonzero kernel
+    # datum is isotropic
     from dsvac import calderon
-    monkeypatch.setattr(calderon, "euclid_symplectic_form", cy.kappa_block)
+    monkeypatch.setattr(calderon, "charge_form",
+                        lambda sector, rank: np.eye(cy.DataLayout(sector, rank).size))
     with pytest.raises(RuntimeError, match=f"kernel data of {name} are not isotropic"):
         calderon_quotient(sector, operator_id, maxwell=maxwell)

@@ -44,11 +44,24 @@ def test_blocks_match_engine(sector):
 
 def test_blocks_are_built_once_and_immutable():
     sec = SectorLabel(Family.SCALAR, 3)
-    q = cy.charge_form(sec, 2)
-    assert cy.charge_form(sec, 2) is q
-    assert cy.physical_charge_form(sec) is cy.physical_charge_form(sec)
-    assert cy.data_gram(sec, 1) is cy.data_gram(sec, 1)
+    # the float forms: built once, read-only, the exact forms converted
+    forms = [(cy.physical_charge_form, (sec,), routes.physical_charge_form_exact)]
+    for rank in (0, 1, 2):
+        forms += [(cy.charge_form, (sec, rank), routes.charge_form_exact),
+                  (cy.data_gram, (sec, rank), routes.data_gram_exact)]
+    for form, args, exact in forms:
+        mat = form(*args)
+        assert form(*args) is mat
+        assert not mat.flags.writeable
+        assert np.array_equal(mat, rl.to_numpy(exact(*args))), (form, args)
+    with pytest.raises(ValueError):
+        cy.charge_form(sec, 2)[0, 0] = 1.0
+    assert cy.GRAVITY.charge(sec) is cy.physical_charge_form(sec)
+    assert cy.MAXWELL.charge(sec) is cy.charge_form(sec, 1)
+    # the exact blocks and the exact charge inside: built once, immutable rows
     assert cy.data_block(sec, "sym_grad") is cy.data_block(sec, "sym_grad", maxwell=False)
+    q = cy._exact_charge(sec, 2)
+    assert cy._exact_charge(sec, 2) is q
     assert isinstance(q, tuple) and all(isinstance(row, tuple) for row in q)
     before = _rows(q)
     rl.matmul(q, q)
@@ -135,7 +148,7 @@ def test_gauge_complex_identities(sector):
     lay0 = cy.DataLayout(sector, 0)
     if lay0.size:
         grav = rl.matmul(cy.data_block(sector, "div"), cy.data_block(sector, "grad"))
-        assert grav == rl.scale(rl.eye(lay0.size), 6)
+        assert grav == rl.scale(routes.eye(lay0.size), 6)
         mx = rl.matmul(cy.data_block(sector, "div", maxwell=True),
                        cy.data_block(sector, "grad", maxwell=True))
         assert all(all(v == 0 for v in row) for row in mx)
@@ -143,7 +156,7 @@ def test_gauge_complex_identities(sector):
     if lay0.size:
         comp = rl.matmul(cy.data_block(sector, "neg_trace"),
                          cy.data_block(sector, "metric_mult"))
-        assert comp == rl.scale(rl.eye(lay0.size), -8)
+        assert comp == rl.scale(routes.eye(lay0.size), -8)
 
 
 @pytest.mark.parametrize("sector", SECTORS, ids=str)
@@ -154,26 +167,28 @@ def test_trace_reversal(sector):
     i_eu = cy.jet_block(sector, "trace_reversal", EUCLIDEAN)
     assert i_eu == routes.trace_reversal_block(sector, "euclidean")
     for i2 in (i_lor, i_eu):
-        assert rl.matmul(i2, i2) == rl.eye(len(i2))
+        assert rl.matmul(i2, i2) == routes.eye(len(i2))
     # Euclidean version is the Wick conjugate of the Lorentzian one
     f = cy.wick_phases(sector, 2)
     assert np.allclose(f[:, None] * rl.to_numpy(i_lor) * (1 / f)[None, :],
                        rl.to_numpy(i_eu))
     # I is q2-self-adjoint: Q2 I symmetric, hence q_{I,2} Hermitian
-    qi2 = rl.to_numpy(cy.physical_charge_form(sector))
+    qi2 = cy.physical_charge_form(sector)
     assert np.allclose(qi2, qi2.T)
 
 
 @pytest.mark.parametrize("sector", SECTORS, ids=str)
 def test_charge_vs_symplectic(sector):
-    # q_k = sigma o diag(kappa, -kappa), exactly, for ranks 0..2
+    # q_k = sigma o diag(kappa, -kappa), exactly, for ranks 0..2; the float
+    # reflection is diag(kappa, +-kappa), kappa = kappa_signs per slot
     for rank in (0, 1, 2):
         if cy.DataLayout(sector, rank).size == 0:
             continue
-        q = cy.charge_form(sector, rank)
-        sig = cy.euclid_symplectic_form(sector, rank)
-        kap = cy.kappa_block(sector, rank)
-        assert _rows(q) == rl.matmul(sig, kap)
+        assert _rows(cy._exact_charge(sector, rank)) == routes.charge_form_exact(sector, rank)
+        for second in (-1, 1):
+            kap = routes.reflection_block(sector, rank, second)
+            assert cy.reflection(sector, rank, second).tolist() == [
+                row[i] for i, row in enumerate(kap)]
 
 
 @pytest.mark.parametrize("sector", SECTORS, ids=str)
@@ -181,8 +196,8 @@ def test_lorentz_adjointness(sector):
     # (sym_div)^H q_1 = q_{I,2} sym_grad as complex matrices
     blocks = cy.lorentz_gauge_blocks(sector, "sym_grad", "sym_div", "neg_trace",
                                      "metric_mult")
-    q1 = rl.to_numpy(cy.charge_form(sector, 1))
-    qi2 = rl.to_numpy(cy.physical_charge_form(sector))
+    q1 = cy.charge_form(sector, 1)
+    qi2 = cy.physical_charge_form(sector)
     lhs = blocks["sym_div"].conj().T @ q1
     rhs = qi2 @ blocks["sym_grad"]
     assert np.max(np.abs(lhs - rhs)) < 1e-12 if lhs.size else True
@@ -190,7 +205,7 @@ def test_lorentz_adjointness(sector):
     z = blocks["sym_div"] @ blocks["sym_grad"]
     assert np.max(np.abs(z)) < 1e-12 if z.size else True
     # trace adjoint adjointness: (neg_trace)^H q_0 = q_{I,2} metric_mult
-    q0 = rl.to_numpy(cy.charge_form(sector, 0))
+    q0 = cy.charge_form(sector, 0)
     lhs2 = blocks["neg_trace"].conj().T @ q0
     rhs2 = qi2 @ blocks["metric_mult"]
     assert np.max(np.abs(lhs2 - rhs2)) < 1e-12 if lhs2.size else True
@@ -219,13 +234,13 @@ def test_trace_fixing_identity(sector):
 def test_racah_and_wigner():
     for sector in (SectorLabel(Family.SCALAR, 2), SectorLabel(Family.VECTOR, 1),
                    SectorLabel(Family.TENSOR, 2)):
-        s = rl.to_numpy(cy.kappa_block(sector, 2))
-        qi2 = rl.to_numpy(cy.physical_charge_form(sector))
+        s = np.diag(cy.reflection(sector, 2))
+        qi2 = cy.physical_charge_form(sector)
         # S* q_{I,2} S = -q_{I,2}
         assert np.allclose(s.T @ qi2 @ s, -qi2)
         # Z f = M conj(f) is an involution and anti-unitary for the charge:
         # q(Zf, Zg) = conj(q(f, g)) reduces to M^T q M = q (q real here)
-        mz = rl.to_numpy(cy.wigner_matrix(sector))
+        mz = np.diag(cy.reflection(sector, 2, +1))
         assert np.allclose(mz @ mz, np.eye(len(mz)))
         assert np.allclose(mz.T @ qi2 @ mz, qi2)
 

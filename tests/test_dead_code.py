@@ -1,6 +1,7 @@
 """Dead-code guard over the library: every module-level import is used in
-its module; every public function, class and method is referenced
-somewhere in the library outside its own definition, and every private one
+its module; every public function and class is referenced outside its own
+definition, in its own module or through an import from it, and every
+public method by name somewhere in the library; every private definition
 in its own module outside its own definition; every UPPER_CASE module
 constant and every dataclass field is read somewhere in the library; and
 no check of the library is an ``assert`` statement, which ``python -O``
@@ -55,16 +56,53 @@ def test_module_level_imports_are_used():
     assert not unused, unused
 
 
+def _module_references(tree, module):
+    """(name, line) of every public name of ``module`` that the tree of
+    another module imports from it (``from .module import name``) or reads
+    through a name bound to it (``rl.name`` after ``from . import rational
+    as rl``)."""
+    aliases = set()
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for alias in node.names:
+                if node.module == module:
+                    yield alias.name, node.lineno
+                elif node.module is None and alias.name == module:
+                    aliases.add(alias.asname or alias.name)
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in aliases):
+            yield node.attr, node.lineno
+
+
+def _loads(tree):
+    """(name, line) of every name the module reads."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id, node.lineno
+
+
 def test_public_definitions_are_referenced():
-    refs = {name: list(_references(tree)) for name, tree in MODULES.items()}
+    # a function or class counts as used only through its own module, so a
+    # local variable or a method of the same spelling elsewhere does not
+    # keep it alive; a method is looked up on an instance of unknown type,
+    # so any attribute of its name counts
+    attrs = {name: list(_references(tree)) for name, tree in MODULES.items()}
     unreferenced = []
     for name, tree in MODULES.items():
+        module = name.removesuffix(".py")
+        refs = {name: list(_loads(tree))}
+        refs.update((other, list(_module_references(found, module)))
+                    for other, found in MODULES.items() if other != name)
+        methods = {m for node in tree.body if isinstance(node, ast.ClassDef)
+                   for m in node.body if isinstance(m, ast.FunctionDef)}
         for node in _definitions(tree):
             if node.name.startswith("_"):
                 continue
             first, last = node.lineno, node.end_lineno
-            if not any(ref == node.name and (module != name or not first <= line <= last)
-                       for module, found in refs.items() for ref, line in found):
+            pool = attrs if node in methods else refs
+            if not any(ref == node.name and (other != name or not first <= line <= last)
+                       for other, found in pool.items() for ref, line in found):
                 unreferenced.append(f"{name}: {node.name}")
     assert not unreferenced, unreferenced
 

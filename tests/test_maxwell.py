@@ -98,7 +98,7 @@ def test_projector_identities(setup):
         n = pair.c_plus.shape[0]
         assert np.max(np.abs(pair.c_plus + pair.c_minus - np.eye(n))) < 1e-12
         assert np.max(np.abs(pair.c_plus @ pair.c_plus - pair.c_plus)) < 1e-9
-        q1 = rl.to_numpy(cy.charge_form(sec, 1))
+        q1 = cy.charge_form(sec, 1)
         assert np.max(np.abs(pair.c_plus.conj().T @ q1 - q1 @ pair.c_plus)) < 1e-9
 
 

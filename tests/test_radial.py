@@ -13,7 +13,8 @@ from dsvac.collocation import collocation_regular_basis
 from dsvac.calderon import principal_angle
 from dsvac.maxwell import maxwell_sectors
 import dsvac.radial as radial
-from dsvac.radial import build_system, charge_raw, evolve_raw, regular_basis
+from dsvac.cauchy import charge_raw
+from dsvac.radial import build_system, evolve_raw, regular_basis
 from dsvac.sectors import Family, SectorLabel, enumerate_sectors
 from dsvac.warped import EUCLIDEAN, LORENTZIAN, WarpedSector
 from routes import (
@@ -675,7 +676,7 @@ def test_gauge_intertwining_along_evolution(sector):
         a, adot = np.cosh(t) ** 2, np.sinh(2 * t)
         return np.array(ws.cauchy_block(
             lambda z: ws.trace_reversal(ws.d(z, 1)), 1, 2,
-            at=(a, adot)), dtype=float)
+            elim=lambda: ws.radial_matrices(1), at=(a, adot)), dtype=float)
 
     rng = np.random.default_rng(5)
     w0 = rng.normal(size=sys1.n)
@@ -700,7 +701,8 @@ def test_adjoint_intertwining_along_evolution():
     def kdag_raw(t):
         a, adot = np.cosh(t) ** 2, np.sinh(2 * t)
         return np.array(ws.cauchy_block(
-            lambda z: ws.delta(z, 2), 2, 1, at=(a, adot)), dtype=float)
+            lambda z: ws.delta(z, 2), 2, 1, elim=lambda: ws.radial_matrices(2),
+            at=(a, adot)), dtype=float)
 
     rng = np.random.default_rng(8)
     g0 = rng.normal(size=sys2.n)

@@ -577,7 +577,6 @@ def test_maxwell_gauge_positivity_takes_both_signs(monkeypatch):
     from dataclasses import replace
 
     from dsvac.cauchy import MAXWELL, data_gram
-    from dsvac.rational import to_numpy
 
     cfg = RunConfig(k_max=1, suites=("maxwell",))
     art = report._Artifacts(cfg)
@@ -587,7 +586,7 @@ def test_maxwell_gauge_positivity_takes_both_signs(monkeypatch):
         c = cov(sec, variant, alpha, theory)
         if theory is not MAXWELL or variant != "euclidean_vacuum":
             return c
-        return replace(c, lambda_minus=c.lambda_minus - 1e-3 * to_numpy(data_gram(sec, 1)))
+        return replace(c, lambda_minus=c.lambda_minus - 1e-3 * data_gram(sec, 1))
 
     monkeypatch.setattr(art, "cov", shifted)
     col = report._Collector()

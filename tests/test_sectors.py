@@ -4,7 +4,7 @@ import pytest
 
 from dsvac import rational as rl
 from dsvac.sectors import Family, SectorLabel, SectorSpace, enumerate_sectors, space
-from routes import spatial_op, transpose
+from routes import eye, spatial_op, transpose
 
 Q = Fraction
 
@@ -142,7 +142,7 @@ def test_commutator_rank1():
             comm = rl.sub(dd.rows(), ddag.rows())
         else:
             comm = dd.rows()
-        expect = rl.scale(rl.eye(sp.dim(1)), sec.eigenvalue - 4)
+        expect = rl.scale(eye(sp.dim(1)), sec.eigenvalue - 4)
         assert comm == expect
 
 
