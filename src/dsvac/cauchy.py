@@ -28,7 +28,7 @@ import numpy as np
 
 from . import rational as rl
 from .radial import build_system
-from .sectors import Family, SectorLabel, space
+from .sectors import SCALAR0, SCALAR1, VECTOR1, space
 from .warped import EUCLIDEAN, LORENTZIAN, WarpedSector, data_weight, kappa_signs
 
 Q = Fraction
@@ -230,7 +230,7 @@ def trace_fix_block(sector):
 
 # -- the Killing sectors and the two theories ---------------------------------
 
-KILLING_SECTORS = (SectorLabel(Family.SCALAR, 1), SectorLabel(Family.VECTOR, 1))
+KILLING_SECTORS = (SCALAR1, VECTOR1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -267,5 +267,5 @@ class Theory:
 
 GRAVITY = Theory("gravity", 2, False, {"D1": KILLING_SECTORS}, (3, 4), "sym_grad",
                  ("sym_div", "neg_trace"))
-MAXWELL = Theory("maxwell", 1, True, {"D0": (SectorLabel(Family.SCALAR, 0),)},
+MAXWELL = Theory("maxwell", 1, True, {"D0": (SCALAR0,)},
                  (0,), "grad", ("div",))

@@ -17,8 +17,8 @@ from fractions import Fraction
 
 from .cauchy import MAXWELL
 from .calderon import projector_pair
-from .phase_space import SCALAR0, _build_phase_space, _data_column
-from .sectors import Family, enumerate_sectors
+from .phase_space import _build_phase_space, _data_column
+from .sectors import SCALAR0, Family, enumerate_sectors
 from .states import build_covariances
 
 Q = Fraction

@@ -18,15 +18,11 @@ import numpy as np
 from . import rational as rl
 from .calderon import _rank, principal_angle
 from .cauchy import GRAVITY, DataLayout, Theory, data_block, lorentz_block, normalized_columns
-from .sectors import Family, SectorLabel, space
+from .sectors import SCALAR0, SCALAR1, VECTOR1, Family, SectorLabel, space
 
 Q = Fraction
 
 KERNEL_RANK_TOL = 1e-10  # relative singular-value cut of the compressed charge
-
-SCALAR0 = SectorLabel(Family.SCALAR, 0)
-SCALAR1 = SectorLabel(Family.SCALAR, 1)
-VECTOR1 = SectorLabel(Family.VECTOR, 1)
 
 # part of E -> the roles of the columns that span it.  ``trace`` is
 # gravity's Scalar(1) beta_s line (gauge by its level, not strictly); ``bad``
@@ -152,24 +148,6 @@ def phase_space_sector(sector):
     gauge blocks, spanned by the (u, f, beta) parametrization."""
     return _build_phase_space(sector, GRAVITY, [(GRAVITY_ROLES[label], col)
                                                 for label, col in _param_columns(sector)])
-
-
-def pi_projection(sector, levels=(3, 4), rank=2):
-    """Spectral projection on rank-``rank`` data removing the harmonic
-    levels (eigenvalues) ``levels``.
-
-    ``levels=(4,)`` removes only the Vector(1) sector (the level-four
-    subspace); the default ``(3, 4)`` also removes Scalar(1), which is what
-    full gauge invariance of the modified vacuum actually requires: the
-    level-three trace modes pair nontrivially with the covariances (see
-    ``PhaseSpace.f_gauge_strict``), so leaving them in breaks invariance along the
-    boost-type gauge directions.  On rank-1 data (gauge parameters) the
-    same levels give the matching projection; Maxwell removes level zero.
-    """
-    size = DataLayout(sector, rank).size
-    if sector.eigenvalue in levels:
-        return np.zeros((size, size))
-    return np.eye(size)
 
 
 def charge_kernel_check(ps):

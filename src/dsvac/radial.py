@@ -123,7 +123,7 @@ class RadialSystem:
 OPERATOR_RANK = {"D0": 0, "D1": 1, "D2": 2}
 
 
-def _assert_reflection_parity(rank, slot_ranks, m1, m0):
+def _check_reflection_parity(operator_id, sector, rank, slot_ranks, m1, m0):
     """kappa M1(-s) kappa = -M1(s) and kappa M0(-s) kappa = M0(s): entries
     with matching slot parities must be odd in adot (M1) / even (M0)."""
     signs = kappa_signs(rank)
@@ -131,12 +131,10 @@ def _assert_reflection_parity(rank, slot_ranks, m1, m0):
     for i in range(len(slot_ranks)):
         for j in range(len(slot_ranks)):
             s = kap[i] * kap[j]
-            for (_, jd) in m1[i][j]:
-                if (-1) ** jd != -s:
-                    raise AssertionError("reflection parity broken in M1")
-            for (_, jd) in m0[i][j]:
-                if (-1) ** jd != s:
-                    raise AssertionError("reflection parity broken in M0")
+            for name, mat, parity in (("M1", m1, -s), ("M0", m0, s)):
+                if any((-1) ** jd != parity for _, jd in mat[i][j]):
+                    raise RuntimeError(f"{operator_id} {sector}: reflection parity "
+                                       f"broken in {name}")
 
 
 @lru_cache(maxsize=None)
@@ -144,7 +142,7 @@ def build_system(operator_id, sector, signature, maxwell=False):
     rank = OPERATOR_RANK[operator_id]
     ws = WarpedSector(sector, signature)
     slot_ranks, m1, m0 = ws.radial_matrices(rank, maxwell=maxwell)
-    _assert_reflection_parity(rank, slot_ranks, m1, m0)
+    _check_reflection_parity(operator_id, sector, rank, slot_ranks, m1, m0)
     return RadialSystem(sector, operator_id, signature, maxwell, rank,
                         slot_ranks, m1, m0)
 
@@ -495,7 +493,7 @@ def evolve_raw(batch, t_grid, tol=INTEGRATOR_TOL):
     grid.  ``batch`` is a sequence of (system, u0, du0); returns one pair of
     (nt, n) arrays u, u-dot per entry.
 
-    Each system is reflection symmetric (``_assert_reflection_parity``):
+    Each system is reflection symmetric (``_check_reflection_parity``):
     with kappa = diag(``kappa_signs``) over the slots, if v solves it with
     data (kappa u0, -kappa du0) then u(-t) = kappa v(t), u-dot(-t) = -kappa
     v-dot(t).  So one forward solve to max |t| serves both time signs:

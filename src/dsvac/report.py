@@ -13,7 +13,7 @@ import random
 import sys
 import time
 from dataclasses import dataclass, field, asdict
-from functools import partial, reduce
+from functools import partial
 
 import numpy as np
 
@@ -30,7 +30,6 @@ from .cauchy import GRAVITY, MAXWELL, charge_raw
 from .collocation import collocation_regular_basis
 from .harmonics import harmonic_oracle
 from .maxwell import (
-    SCALAR0,
     maxwell_covariances,
     maxwell_phase_space,
     maxwell_projector_pair,
@@ -39,20 +38,22 @@ from .maxwell import (
 )
 from .phase_space import charge_kernel_check, phase_space_sector
 from .radial import RTOL_FLOOR, build_system, evolve_raw, regular_basis
-from .sectors import Family, SectorLabel, enumerate_sectors
+from .sectors import SCALAR0, SCALAR1, VECTOR1, Family, SectorLabel, enumerate_sectors
 from .states import (
     alpha_unitarity_residual,
     build_covariances,
-    compressed_extrema,
+    extrema,
     full_gauge_residual,
     gauge_pairing_residual,
     hermiticity_residual,
+    max_abs,
     norm_squared,
     racah_antiunitarity_residual,
     sum_rule_residual,
     time_reversal_residual,
     tt_energy_quadrature,
     wigner_involution_residual,
+    worst,
 )
 from .warped import EUCLIDEAN, LORENTZIAN
 
@@ -146,16 +147,17 @@ class _Collector:
     def add_worst(self, suite, check_id, claim, sectors, residual, bound,
                   ok=True, extra=None):
         """One record for a claim checked sector by sector: the largest
-        residual (``_worst``) against ``bound``, with the first sector that
-        attains it in ``extra``; ``ok`` is any further condition of the
-        verdict.  Every residual is evaluated once, in order."""
+        residual (``worst``) against ``bound``, with the first sector that
+        attains it in ``extra`` (a negative largest one too); ``ok`` is any
+        further condition of the verdict.  Every residual is evaluated
+        once, in order."""
         sectors = list(sectors)
         values = [residual(sec) for sec in sectors]
-        top = reduce(_larger, values, -math.inf)
+        top = worst(values, -math.inf)
         where = next((str(sec) for sec, r in zip(sectors, values)
                       if r == top or math.isnan(r)), None)
-        worst = _larger(0.0, top)
-        self.add(suite, check_id, claim, "-", worst, worst <= bound and ok,
+        resid = worst(values)
+        self.add(suite, check_id, claim, "-", resid, resid <= bound and ok,
                  {**(extra or {}), "worst_sector": where, "bound": bound})
 
     def structural(self, suite, check_id, claim, sector, note):
@@ -264,32 +266,6 @@ PAIRING_FLOOR = 1e-3        # a pairing per unit data norm this large is nonzero
 DTN_RATIO = (0.5, 2.0)      # envelope of the TT Dirichlet-to-Neumann entry
 
 
-def _max_abs(m):
-    """Largest absolute entry of a float or exact matrix, 0.0 if it is empty."""
-    m = np.abs(np.asarray(m))
-    return float(np.max(m)) if m.size else 0.0
-
-
-def _larger(top, r):
-    """The larger of two residuals, the first on a tie; NaN wins (``max``
-    would drop it, and a NaN must fail the check)."""
-    return top if math.isnan(top) or r <= top else r
-
-
-def _worst(residuals):
-    """Largest residual, 0.0 for none; NaN if any is NaN."""
-    return reduce(_larger, residuals, 0.0)
-
-
-def _extrema(cov, basis):
-    """Smallest and largest eigenvalue of lambda+ and lambda- compressed to
-    ``basis``, (0.0, 0.0) on an empty basis."""
-    if basis.shape[1] == 0:
-        return 0.0, 0.0
-    lows, highs = zip(*(compressed_extrema(cov, basis, sign) for sign in (+1, -1)))
-    return min(lows), max(highs)
-
-
 def _pairing(cov, f):
     """lambda+(f, f) and lambda-(f, f) of one datum, per unit data norm."""
     nrm = norm_squared(cov.sector, f, cov.theory.rank)
@@ -301,15 +277,15 @@ def _add_negativity(col, suite, check_id, claim, cov, f, cfg):
     """Record that both covariances are strictly negative on the datum f."""
     vp, vm = _pairing(cov, f)
     tol = cfg.tol_verdict
-    col.add(suite, check_id, claim, cov.sector, max(vp, vm),
+    col.add(suite, check_id, claim, cov.sector, worst((vp, vm), -math.inf),
             vp <= tol and vm <= tol and vp + vm <= -cfg.margin,
             {"lambda_plus": vp, "lambda_minus": vm})
 
 
 def _projector_algebra(cp, cm):
     """Residuals of c+ + c- = 1 and of c+, c- idempotent (the worse one)."""
-    return (_max_abs(cp + cm - np.eye(len(cp))),
-            _worst((_max_abs(cp @ cp - cp), _max_abs(cm @ cm - cm))))
+    return (max_abs(cp + cm - np.eye(len(cp))),
+            worst((max_abs(cp @ cp - cp), max_abs(cm @ cm - cm))))
 
 
 def _add_phase_space(col, suite, kernel_claim, ps, cfg):
@@ -335,8 +311,8 @@ def _add_phase_space(col, suite, kernel_claim, ps, cfg):
 def _add_gauge_positivity(col, suite, check_id, claim, cov, ps, cfg):
     """Record that both covariances are positive on E_gauge, where it is not 0."""
     if ps.e_gauge.shape[1]:
-        low, high = _extrema(cov, ps.e_gauge)
-        col.add(suite, check_id, claim, ps.sector, max(0.0, -low), low >= -cfg.tol_verdict,
+        low, high = extrema(cov, ps.e_gauge)
+        col.add(suite, check_id, claim, ps.sector, worst((-low,)), low >= -cfg.tol_verdict,
                 {"min_eig": low, "max_eig": high})
 
 
@@ -344,7 +320,7 @@ def _modified_state(cov, ps, cfg):
     """A modified state's claims on E as (residual, bound): sum rule,
     positivity, full gauge invariance."""
     return {"modified-sum-rule": (sum_rule_residual(cov, on=ps.e_space), ROUNDOFF_BOUND),
-            "modified-positivity": (-_extrema(cov, ps.e_space)[0], cfg.tol_verdict),
+            "modified-positivity": (-extrema(cov, ps.e_space)[0], cfg.tol_verdict),
             "modified-full-invariance": (full_gauge_residual(cov, ps), cfg.tol_verdict)}
 
 
@@ -387,13 +363,13 @@ def _suite_identities(art, col, cfg):
     # exact operator identities (already rational-exact; assert and record)
     block = cy.data_block
     col.add_worst("identities", "gauge-complex", "gauge-complex-exactness", art.sectors,
-                  lambda sec: _max_abs(rl.matmul(block(sec, "sym_div"),
-                                                 block(sec, "sym_grad"))), 0.0)
+                  lambda sec: max_abs(rl.matmul(block(sec, "sym_div"),
+                                                block(sec, "sym_grad"))), 0.0)
     col.add_worst("identities", "trace-gauge-composition", "trace-gauge-relation",
                   art.sectors,
-                  lambda sec: _max_abs(rl.sub(rl.matmul(block(sec, "neg_trace"),
-                                                        block(sec, "sym_grad")),
-                                              rl.scale(block(sec, "div"), -2))), 0.0)
+                  lambda sec: max_abs(rl.sub(rl.matmul(block(sec, "neg_trace"),
+                                                       block(sec, "sym_grad")),
+                                             rl.scale(block(sec, "div"), -2))), 0.0)
     # trace-fixing identity on harmonic-gauge data (Lorentzian floats)
     col.add_worst("identities", "trace-fixing", "trace-fixing-identity",
                   [sec for sec in art.sectors if cy.DataLayout(sec, 0).size],
@@ -412,8 +388,7 @@ def _suite_identities(art, col, cfg):
     col.add_worst("identities", "charge-conservation", "charge-conservation",
                   drift, drift.get, INTEGRATION_BOUND,
                   extra={"t_max": 2.0, "k_max": k_dyn})
-    gauge = _intertwining_residuals((SectorLabel(Family.SCALAR, 2),
-                                     SectorLabel(Family.SCALAR, 1),
+    gauge = _intertwining_residuals((SectorLabel(Family.SCALAR, 2), SCALAR1,
                                      SectorLabel(Family.VECTOR, 2)),
                                     "sym_grad", rng, t_grid, cfg.tol_ode)
     col.add_worst("identities", "gauge-evolution-intertwining",
@@ -427,8 +402,8 @@ def _suite_identities(art, col, cfg):
 
 def _trace_fixing_residual(sector):
     blocks = cy.lorentz_gauge_blocks(sector, "sym_grad", "neg_trace")
-    return _max_abs(blocks["neg_trace"] @ blocks["sym_grad"] @ cy.trace_fix_block(sector)
-                    - blocks["neg_trace"])
+    return max_abs(blocks["neg_trace"] @ blocks["sym_grad"] @ cy.trace_fix_block(sector)
+                   - blocks["neg_trace"])
 
 
 def _charge_drifts(systems, rng, t_grid, tol):
@@ -445,9 +420,9 @@ def _charge_drifts(systems, rng, t_grid, tol):
     for label, (system, u0, du0), (us, dus) in zip(systems, batch,
                                                    evolve_raw(batch, t_grid, tol=tol)):
         q0 = charge_raw(system, u0, du0, u0, du0, 0.0)
-        scale = max(float(np.max(np.abs(us)) ** 2 + np.max(np.abs(dus)) ** 2), 1.0)
-        drift[label] = _worst(abs(charge_raw(system, us[i], dus[i], us[i], dus[i], t) - q0)
-                              / scale for i, t in enumerate(t_grid))
+        scale = max(max_abs(us) ** 2 + max_abs(dus) ** 2, 1.0)
+        drift[label] = worst(abs(charge_raw(system, us[i], dus[i], us[i], dus[i], t) - q0)
+                             / scale for i, t in enumerate(t_grid))
     return drift
 
 
@@ -472,10 +447,10 @@ def _intertwining_residuals(sectors, name, rng, t_grid, tol):
         raw = block_raw(sector, 0.0) @ np.concatenate([w0, dw0])
         batch += [(sys_s, w0, dw0), (sys_t, raw[:sys_t.n], raw[sys_t.n:])]
     paths = evolve_raw(batch, t_grid, tol=tol)
-    return {sector: _worst(_max_abs(block_raw(sector, t)
-                                    @ np.concatenate([us[i].real, dus[i].real])
-                                    - np.concatenate([ut[i].real, dut[i].real]))
-                           for i, t in enumerate(t_grid))
+    return {sector: worst(max_abs(block_raw(sector, t)
+                                  @ np.concatenate([us[i].real, dus[i].real])
+                                  - np.concatenate([ut[i].real, dut[i].real]))
+                          for i, t in enumerate(t_grid))
             for sector, (us, dus), (ut, dut) in zip(sectors, paths[::2], paths[1::2])}
 
 
@@ -491,7 +466,7 @@ def _suite_calderon(art, col, cfg):
                 r_idem <= tol)
         # the form's entries grow like k^4: measure relative to its scale
         q = cy.charge_form(sec, 2)
-        r_abs = _max_abs(cp.T @ q - q @ cp)
+        r_abs = max_abs(cp.T @ q - q @ cp)
         r_adj = r_abs / (np.linalg.norm(q, 2) * np.linalg.norm(cp, 2))
         col.add("calderon", "q-adjointness", "charge-adjointness", sec, r_adj, r_adj <= tol,
                 {"conditioning": pair.conditioning, "absolute": r_abs})
@@ -501,8 +476,8 @@ def _suite_calderon(art, col, cfg):
         pair = art.pair_euclid(sec, "D1")
         qi = pair.quotient_info
         total += qi.kernel.shape[1] * sec.multiplicity
-        resid = _worst((_max_abs(pair.c_plus + pair.c_minus - qi.subspace),
-                        *_projector_algebra(*quotient_matrices(pair))))
+        resid = worst((max_abs(pair.c_plus + pair.c_minus - qi.subspace),
+                       *_projector_algebra(*quotient_matrices(pair))))
         col.add("calderon", "quotient-identities", "kernel-quotient", sec,
                 resid, resid <= tol,
                 {"kernel_dim": qi.kernel.shape[1],
@@ -534,7 +509,7 @@ def _gauge_intertwining_residual(art, sector):
     pair1 = lorentzify(art.pair_euclid(sector, "D1"))
     k21 = GRAVITY.gauge_block(sector)
     dom = k21 if pair1.quotient_info is None else k21 @ pair1.quotient_info.subspace
-    return (_max_abs(pair2.c_plus @ dom - k21 @ pair1.c_plus)
+    return (max_abs(pair2.c_plus @ dom - k21 @ pair1.c_plus)
             / (np.linalg.norm(pair2.c_plus, 2) * np.linalg.norm(k21, 2)))
 
 
@@ -558,9 +533,8 @@ def _suite_states(art, col, cfg):
         col.add("states", "sum-rule", "vacuum-sum-rule", sec, sr, sr <= ROUNDOFF_BOUND)
         _add_gauge_positivity(col, "states", "positivity-gauge-sector",
                               "gauge-sector-positivity", cov, art.space(sec), cfg)
-    sec = SectorLabel(Family.VECTOR, 1)
     _add_negativity(col, "states", "negativity-level-four", "level-four-negativity",
-                    art.cov(sec), art.space(sec).e_bad[:, 0], cfg)
+                    art.cov(VECTOR1), art.space(VECTOR1).e_bad[:, 0], cfg)
     sec = SectorLabel(Family.TENSOR, 2)
     energy, boundary, lam_val = tt_energy_quadrature(art.cov(sec))
     resid = abs(energy - boundary) / abs(boundary)
@@ -577,12 +551,11 @@ def _suite_gauge(art, col, cfg):
                   cfg.tol_verdict)
     # strong invariance fails: the level-four witness, and the level-three
     # anomaly (the Scalar(1) trace line also pairs)
-    sec4, sec3 = SectorLabel(Family.VECTOR, 1), SectorLabel(Family.SCALAR, 1)
     for check_id, claim, sec, f in (
-            ("strong-invariance-failure", "strong-invariance-failure", sec4,
-             art.space(sec4).e_bad[:, 0]),
-            ("level-three-anomaly", "strong-invariance-anomaly", sec3,
-             art.space(sec3).e_trace[:, 0])):
+            ("strong-invariance-failure", "strong-invariance-failure", VECTOR1,
+             art.space(VECTOR1).e_bad[:, 0]),
+            ("level-three-anomaly", "strong-invariance-anomaly", SCALAR1,
+             art.space(SCALAR1).e_trace[:, 0])):
         val = abs(_pairing(art.cov(sec), f)[0])
         col.add("gauge", check_id, claim, sec, val, val >= PAIRING_FLOOR, {"pairing": val})
     modified = {sec: _modified_state(art.cov(sec, "modified"), art.space(sec), cfg)
@@ -591,9 +564,9 @@ def _suite_gauge(art, col, cfg):
         col.add_worst("gauge", check_id, check_id, art.sectors,
                       lambda sec: modified[sec][check_id][0], bound)
     # the single-level variant keeps the level-three pairing: report it
-    resid4 = full_gauge_residual(art.cov(sec3, "modified4"), art.space(sec3))
+    resid4 = full_gauge_residual(art.cov(SCALAR1, "modified4"), art.space(SCALAR1))
     col.add("gauge", "modified4-residual-invariance", "single-level-projection-gap",
-            sec3, resid4, resid4 > PAIRING_FLOOR,
+            SCALAR1, resid4, resid4 > PAIRING_FLOOR,
             {"note": "projection off level four alone is not fully gauge "
                      "invariant; the level-three trace modes must also be "
                      "removed"})
@@ -605,8 +578,7 @@ def _suite_symmetry(art, col, cfg):
     col.add_worst("symmetry", "wigner-involution", "time-reversal", art.sectors,
                   wigner_involution_residual, 0.0)
     col.add_worst("symmetry", "time-reversal-invariance", "time-reversal",
-                  (SectorLabel(Family.TENSOR, 2), SectorLabel(Family.SCALAR, 2),
-                   SectorLabel(Family.VECTOR, 1)),
+                  (SectorLabel(Family.TENSOR, 2), SectorLabel(Family.SCALAR, 2), VECTOR1),
                   lambda sec: time_reversal_residual(art.cov(sec)), ROUNDOFF_BOUND)
     # the ids read float(alpha): alpha 1 of a config file and 1.0 of the flag
     # name one check
@@ -621,7 +593,7 @@ def _suite_symmetry(art, col, cfg):
                       art.sectors, lambda sec: sum_rule_residual(covs[sec]), ROUNDOFF_BOUND)
         col.add_worst("symmetry", f"alpha-sign-dichotomy[{alpha}]", "bogoliubov-family",
                       [sec for sec in art.sectors if sec.family is Family.TENSOR],
-                      lambda sec: -_extrema(covs[sec], art.space(sec).e_gauge)[0],
+                      lambda sec: -extrema(covs[sec], art.space(sec).e_gauge)[0],
                       cfg.tol_verdict, ok=neg_ok)
     col.structural("symmetry", "o4-invariance", "O(4)", "-",
                    "block-diagonal per sector with level-independent "
@@ -639,7 +611,7 @@ def _suite_maxwell(art, col, cfg):
         pair = art.pair(sec, MAXWELL)
         r_sum, r_idem = _projector_algebra(pair.c_plus, pair.c_minus)
         col.add("maxwell", "projector-identities", "projector-algebra", sec,
-                _worst((r_sum, r_idem)), r_sum <= ROUNDOFF_BOUND and r_idem <= cfg.tol_verdict)
+                worst((r_sum, r_idem)), r_sum <= ROUNDOFF_BOUND and r_idem <= cfg.tol_verdict)
         ps = art.space(sec, MAXWELL)
         total_zero += ps.e_bad.shape[1] * sec.multiplicity
         cov = art.cov(sec, theory=MAXWELL)
@@ -650,7 +622,7 @@ def _suite_maxwell(art, col, cfg):
                               cov, ps, cfg)
         claims = _modified_state(art.cov(sec, "modified", theory=MAXWELL), ps, cfg).values()
         col.add("maxwell", "modified-state", "maxwell-modified-state", sec,
-                _worst(r for r, _ in claims), all(r <= bound for r, bound in claims))
+                worst(r for r, _ in claims), all(r <= bound for r, bound in claims))
     col.add("maxwell", "zero-mode-total", "maxwell-zero-mode", "-", abs(total_zero - 1),
             total_zero == 1, {"total_with_multiplicity": total_zero})
     # quotient bookkeeping at level zero
@@ -666,7 +638,7 @@ def _suite_maxwell(art, col, cfg):
     t_grid = np.linspace(-2, 2, 17)
     (us, _), = evolve_raw([(system, np.array([1.0]), np.array([0.0]))], t_grid,
                           tol=cfg.tol_ode)
-    prof_resid = _max_abs(us[:, 0].real - 1 / np.cosh(t_grid) ** 3)
+    prof_resid = max_abs(us[:, 0].real - 1 / np.cosh(t_grid) ** 3)
     col.add("maxwell", "zero-mode-profile", "zero-mode-profile", SCALAR0,
             prof_resid, prof_resid <= INTEGRATION_BOUND)
 
@@ -784,12 +756,9 @@ def diff_reports(old, new, drift_factor=10.0):
                 {"check": list(k), "old": r_old["verdict"],
                  "new": r_new["verdict"]})
         ro, rn = r_old["residual"], r_new["residual"]
-        floor = 1e-15
-        if max(rn, floor) / max(ro, floor) > drift_factor or \
-                max(ro, floor) / max(rn, floor) > drift_factor:
-            if max(ro, rn) > 1e-14:
-                out["residual_drift"].append(
-                    {"check": list(k), "old": ro, "new": rn})
+        fo, fn = worst((ro,), 1e-15), worst((rn,), 1e-15)  # floored
+        if (fn / fo > drift_factor or fo / fn > drift_factor) and worst((ro, rn)) > 1e-14:
+            out["residual_drift"].append({"check": list(k), "old": ro, "new": rn})
     for k in old_map:
         if k not in new_map:
             out["removed"].append(list(k))

@@ -67,6 +67,13 @@ class SectorLabel:
         return f"{self.family.value}({self.k})"
 
 
+# the special low sectors: Maxwell's level zero, and gravity's Killing
+# sectors at levels three (the trace line) and four
+SCALAR0 = SectorLabel(Family.SCALAR, 0)
+SCALAR1 = SectorLabel(Family.SCALAR, 1)
+VECTOR1 = SectorLabel(Family.VECTOR, 1)
+
+
 def enumerate_sectors(k_max, families=(Family.SCALAR, Family.VECTOR, Family.TENSOR)):
     """All sector labels with k <= k_max, family-major, k ascending."""
     if k_max < 0:

@@ -1,19 +1,28 @@
-"""Cauchy-surface covariances of the Euclidean vacuum and its variants.
+"""Cauchy-surface covariances of the Euclidean vacuum and its variants,
+and how a residual is measured.
 
 The covariances are lambda_pm = +-q c_pm with c_pm the Lorentzian
 conjugates of the Calderon projectors and q the theory's charge (q_{I,2} for
 gravity, q_1 for Maxwell); the functions here serve both theories, and their
 residuals are taken on unit-data-norm columns or relative to the charge's
-scale.  Variants: the modified vacuum composes with a spectral projection
-removing the problematic low levels (for gravity both of them by default;
-removing only the level-four part reproduces the weaker variant whose
-residual gauge pairing along the boost-type directions is reported rather
-than hidden), and the Bogoliubov family conjugates with exp(alpha * S) for
-the linear time reversal S.
+scale.  Variants: the modified vacuum removes the problematic low levels by
+the spectral projection (for gravity both of them by default; removing only
+the level-four part reproduces the weaker variant whose residual gauge
+pairing along the boost-type directions is reported rather than hidden),
+and the Bogoliubov family conjugates with exp(alpha * S) for the linear time
+reversal S.
+
+This module owns how a defect becomes a residual, for the report too:
+``max_abs`` is the largest absolute entry (0.0 when there is none),
+``worst`` the largest of several residuals, and a residual of a form whose
+entries grow with the level is divided by the form's largest entry, floored
+at 1.0.  A NaN always wins, so a NaN anywhere in a covariance fails every
+check that reads it.
 """
 
 from dataclasses import dataclass
-from math import cosh, pi, sinh
+from functools import reduce
+from math import cosh, inf, isnan, pi, sinh
 
 import numpy as np
 from scipy.integrate import quad
@@ -26,10 +35,35 @@ from .cauchy import (
     physical_charge_form,
     reflection,
 )
-from .phase_space import pi_projection
 from .radial import build_system, solution_profile
 from .sectors import SectorLabel
 from .warped import EUCLIDEAN
+
+
+# -- residual vocabulary ------------------------------------------------------
+
+def max_abs(m):
+    """Largest absolute entry of a float or exact matrix, 0.0 if it is
+    empty; NaN if any entry is NaN."""
+    m = np.abs(np.asarray(m))
+    return float(np.max(m)) if m.size else 0.0
+
+
+def _larger(top, r):
+    """The larger of two residuals, the first on a tie; NaN wins (``max``
+    would drop it, and a NaN must fail the check)."""
+    return top if isnan(top) or r <= top else r
+
+
+def worst(residuals, start=0.0):
+    """Largest residual, at least ``start``; NaN if any is NaN."""
+    return reduce(_larger, residuals, start)
+
+
+def _scaled(defect, scale):
+    """Largest entry of ``defect`` relative to the largest of ``scale``,
+    floored at 1.0: for forms whose entries grow with the level."""
+    return max_abs(defect) / max(max_abs(scale), 1.0)
 
 
 @dataclass
@@ -55,10 +89,13 @@ def build_covariances(sector, variant="euclidean_vacuum", alpha=0.0, *,
     if variant == "euclidean_vacuum":
         return base
     if variant in ("modified", "modified4"):
+        # the spectral projection is zero on the removed levels, the
+        # identity elsewhere
         levels = theory.bad_levels if variant == "modified" else (4,)
-        pim = pi_projection(sector, levels, theory.rank).astype(complex)
-        return CovariancePair(sector, pim.conj().T @ base.lambda_plus @ pim,
-                              pim.conj().T @ base.lambda_minus @ pim, theory)
+        if sector.eigenvalue not in levels:
+            return base
+        zero = np.zeros_like(base.lambda_plus)
+        return CovariancePair(sector, zero, zero, theory)
     if variant == "alpha":
         u = cosh(alpha) + sinh(alpha) * reflection(sector, theory.rank)  # diagonal
         return CovariancePair(sector, u[:, None] * base.lambda_plus * u,
@@ -68,13 +105,8 @@ def build_covariances(sector, variant="euclidean_vacuum", alpha=0.0, *,
 
 def hermiticity_residual(cov):
     """Relative Hermiticity defect (entries grow like the squared level)."""
-    worst = 0.0
-    for lam in (cov.lambda_plus, cov.lambda_minus):
-        if lam.size == 0:
-            continue
-        scale = max(float(np.max(np.abs(lam))), 1.0)
-        worst = max(worst, float(np.max(np.abs(lam - lam.conj().T))) / scale)
-    return worst
+    return worst(_scaled(lam - lam.conj().T, lam)
+                 for lam in (cov.lambda_plus, cov.lambda_minus))
 
 
 def sum_rule_residual(cov, on=None):
@@ -82,19 +114,14 @@ def sum_rule_residual(cov, on=None):
     to a subspace basis if given."""
     q = cov.theory.charge(cov.sector)
     diff = cov.lambda_plus - cov.lambda_minus - q
-    scale = max(float(np.max(np.abs(q))) if q.size else 0.0, 1.0)
-    if on is None:
-        return float(np.max(np.abs(diff))) / scale if diff.size else 0.0
-    if on.shape[1] == 0:
-        return 0.0
-    return float(np.max(np.abs(on.conj().T @ diff @ on))) / scale
+    return _scaled(diff if on is None else on.conj().T @ diff @ on, q)
 
 
 def compressed_extrema(cov, basis, sign=+1):
     """Extremal eigenvalues of a covariance compressed to a subspace,
-    normalized by the Riemannian data Gram."""
+    normalized by the Riemannian data Gram; (0.0, 0.0) on an empty basis."""
     if basis.shape[1] == 0:
-        return None
+        return 0.0, 0.0
     lam = cov.lambda_plus if sign > 0 else cov.lambda_minus
     a = basis.conj().T @ lam @ basis
     g = basis.conj().T @ data_gram(cov.sector, cov.theory.rank) @ basis
@@ -104,17 +131,20 @@ def compressed_extrema(cov, basis, sign=+1):
     return float(ev[0]), float(ev[-1])
 
 
+def extrema(cov, basis):
+    """Smallest and largest eigenvalue of lambda+ and lambda- compressed to
+    ``basis``, (0.0, 0.0) on an empty basis; NaN if either gives NaN."""
+    lows, highs = zip(*(compressed_extrema(cov, basis, sign) for sign in (+1, -1)))
+    return -worst((-low for low in lows), -inf), worst(highs, -inf)
+
+
 def gauge_pairing_residual(cov, left_basis, right_basis):
     """max |lambda_pm(f, g)| over unit-norm vectors of the two subspaces."""
     rank = cov.theory.rank
     left = normalized_columns(cov.sector, left_basis, rank)
     right = normalized_columns(cov.sector, right_basis, rank)
-    if left.shape[1] == 0 or right.shape[1] == 0:
-        return 0.0
-    vals = []
-    for lam in (cov.lambda_plus, cov.lambda_minus):
-        vals.append(np.max(np.abs(left.conj().T @ lam @ right)))
-    return float(max(vals))
+    return worst(max_abs(left.conj().T @ lam @ right)
+                 for lam in (cov.lambda_plus, cov.lambda_minus))
 
 
 def full_gauge_residual(cov, ps):
@@ -123,10 +153,7 @@ def full_gauge_residual(cov, ps):
 
     For modified variants the projection is already inside the covariance.
     """
-    k = cov.theory.gauge_block(cov.sector)
-    if k.size == 0 or ps.e_space.shape[1] == 0:
-        return 0.0
-    return gauge_pairing_residual(cov, ps.e_space, k)
+    return gauge_pairing_residual(cov, ps.e_space, cov.theory.gauge_block(cov.sector))
 
 
 def norm_squared(sector, f, rank=2):
@@ -139,40 +166,27 @@ def racah_antiunitarity_residual(sector):
     """S* q_{I,2} S = -q_{I,2}."""
     s = reflection(sector, 2)
     qi2 = physical_charge_form(sector)
-    return float(np.max(np.abs(s[:, None] * qi2 * s + qi2))) if s.size else 0.0
+    return max_abs(s[:, None] * qi2 * s + qi2)
 
 
 def alpha_unitarity_residual(sector, alpha):
     u = cosh(alpha) + sinh(alpha) * reflection(sector, 2)  # diagonal
-    if not u.size:
-        return 0.0
     qi2 = physical_charge_form(sector)
-    scale = max(float(np.max(np.abs(qi2))), 1.0)
-    return float(np.max(np.abs(u[:, None] * qi2 * u - qi2))) / scale
+    return _scaled(u[:, None] * qi2 * u - qi2, qi2)
 
 
 def time_reversal_residual(cov):
-    """conj(Zf) . lambda Zg = conj(g) . lambda f on random data."""
-    rng = np.random.default_rng(11)
+    """conj(Zf) . lambda Zg = conj(g) . lambda f for all data f, g, with
+    Z f = M conj(f) and M = diag(kappa, kappa): the matrix identity
+    M lambda^T M = lambda."""
     mz = reflection(cov.sector, 2, +1)  # diagonal
-    n = len(mz)
-    if n == 0:
-        return 0.0
-    worst = 0.0
-    for lam in (cov.lambda_plus, cov.lambda_minus):
-        for _ in range(4):
-            f = rng.normal(size=n) + 1j * rng.normal(size=n)
-            g = rng.normal(size=n) + 1j * rng.normal(size=n)
-            zf, zg = mz * f.conj(), mz * g.conj()
-            lhs = zf.conj() @ lam @ zg
-            rhs = g.conj() @ lam @ f
-            worst = max(worst, abs(lhs - rhs))
-    return float(worst)
+    return worst(max_abs(mz[:, None] * lam.T * mz - lam)
+                 for lam in (cov.lambda_plus, cov.lambda_minus))
 
 
 def wigner_involution_residual(sector):
     mz = reflection(sector, 2, +1)
-    return float(np.max(np.abs(mz * mz - 1))) if mz.size else 0.0
+    return max_abs(mz * mz - 1)
 
 
 # -- independent energy oracle -------------------------------------------------

@@ -347,17 +347,17 @@ class WarpedSector:
         """
         z, n = self.unknown_section(rank)
         out = self.flat(self.field_operator(z, rank, maxwell=maxwell), rank)
+        where = f"D{rank}{' Maxwell' if maxwell else ''} {self.sector}"
         if len(out) != n:
-            raise RuntimeError(f"D{rank}{' Maxwell' if maxwell else ''} {self.sector}: "
-                               f"{len(out)} equations for {n} unknowns")
+            raise RuntimeError(f"{where}: {len(out)} equations for {n} unknowns")
         mats = {order: [[CF_ZERO] * n for _ in range(n)] for order in (1, 0)}
         for i, e in enumerate(out):
             for (j, order), coeff in e.items():
                 if order in mats:
                     mats[order][i][j] = cf_scale(coeff, self.eps)
                 elif order != 2 or coeff != ({(0, 0): Q(-self.eps)} if i == j else {}):
-                    raise AssertionError(
-                        f"unexpected order-{order} structure at ({i},{j}): {coeff}")
+                    raise RuntimeError(f"{where}: unexpected order-{order} structure "
+                                       f"at ({i},{j}): {coeff}")
         return self.slot_info(rank), mats[1], mats[0]
 
     # -- Cauchy data blocks ---------------------------------------------------
@@ -395,7 +395,8 @@ class WarpedSector:
                         row_val[l] += c * m0_pt[j][l]
                         row_val[n + l] += c * m1_pt[j][l]
                 else:
-                    raise AssertionError("third derivative in Cauchy block")
+                    raise RuntimeError(f"rank-{in_rank} to rank-{out_rank} operator on "
+                                       f"{self.sector}: third derivative in Cauchy block")
             return row_val
 
         top = [eval_expr(e) for e in out]

@@ -4,7 +4,8 @@ The library keeps what ``dsvac run`` executes.  The second routes that the
 tests hold the program against, and that no report check runs, live here:
 the Euclidean data blocks tabulated slot by slot, the exact charge and Gram
 forms from Green's formula and the reflection, the F_TT image routes of
-the phase space, the sphere quadrature of the scalar Gram matrices, the
+the phase space, the spectral projection of the modified state as a
+matrix, the sphere quadrature of the scalar Gram matrices, the
 Killing data of the rank-1 kernel, Lorentzian evolution by direct
 integration in both time directions, the collocation matrix assembled node
 by node, the exact pole tables, the exact indicial matrix and its
@@ -30,10 +31,9 @@ from dsvac.cauchy import (
     lorentz_gauge_blocks,
 )
 from dsvac.harmonics import NVAR, _mono_integral, _norm2, _sphere_inner, _sym_grad
-from dsvac.maxwell import SCALAR0
-from dsvac.phase_space import SCALAR1, VECTOR1, _param_columns
+from dsvac.phase_space import _param_columns
 from dsvac.radial import INTEGRATOR_TOL, evolve_raw, indicial_data
-from dsvac.sectors import Family, space
+from dsvac.sectors import SCALAR0, SCALAR1, VECTOR1, Family, space
 from dsvac.warped import cf_diff, cf_eval, cf_mul, cf_scale, data_weight, kappa_signs
 
 Q = Fraction
@@ -613,6 +613,27 @@ def maxwell_f_gauge(ps):
     if ps.sector == SCALAR0:
         return ps.f_space[:, :0]
     return ps.f_space
+
+
+def pi_projection(sector, levels=(3, 4), rank=2):
+    """Spectral projection on rank-``rank`` data removing the harmonic
+    levels (eigenvalues) ``levels``: zero on a sector of those levels, the
+    identity on any other.  ``states.build_covariances`` applies it without
+    the matrix.
+
+    ``levels=(4,)`` removes only the Vector(1) sector (the level-four
+    subspace); the default ``(3, 4)`` also removes Scalar(1), which is what
+    full gauge invariance of the modified vacuum actually requires: the
+    level-three trace modes pair nontrivially with the covariances (see
+    ``PhaseSpace.f_gauge_strict``), so leaving them in breaks invariance
+    along the boost-type gauge directions.  On rank-1 data (gauge
+    parameters) the same levels give the matching projection; Maxwell
+    removes level zero.
+    """
+    size = DataLayout(sector, rank).size
+    if sector.eigenvalue in levels:
+        return np.zeros((size, size))
+    return np.eye(size)
 
 
 # -- sphere quadrature of the harmonic oracle ---------------------------------

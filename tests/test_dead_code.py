@@ -5,7 +5,7 @@ public method by name somewhere in the library; every private definition
 in its own module outside its own definition; every UPPER_CASE module
 constant and every dataclass field is read somewhere in the library; and
 no check of the library is an ``assert`` statement, which ``python -O``
-strips."""
+strips, or raises ``AssertionError``."""
 
 import ast
 from pathlib import Path
@@ -160,7 +160,17 @@ def test_dataclass_fields_are_read():
     assert not unread, unread
 
 
+def _raises_assertion_error(node):
+    """``raise AssertionError`` or ``raise AssertionError(...)``."""
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    return isinstance(exc, ast.Name) and exc.id == "AssertionError"
+
+
 def test_no_assert_statements():
+    # an internal error is a RuntimeError naming where it happened, never
+    # an AssertionError, which reads like a failed test
     asserts = [f"{name}:{node.lineno}" for name, tree in MODULES.items()
-               for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+               for node in ast.walk(tree) if isinstance(node, ast.Assert)
+               or isinstance(node, ast.Raise) and node.exc is not None
+               and _raises_assertion_error(node)]
     assert not asserts, asserts

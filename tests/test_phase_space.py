@@ -6,9 +6,9 @@ import pytest
 from dsvac import cauchy as cy
 from dsvac import maxwell, phase_space
 from dsvac.calderon import principal_angle
-from dsvac.phase_space import charge_kernel_check, phase_space_sector, pi_projection
+from dsvac.phase_space import charge_kernel_check, phase_space_sector
 from dsvac.sectors import Family, SectorLabel, enumerate_sectors
-from routes import decompose, ftt_gauge_image_route, ftt_image_route, param_labels
+from routes import decompose, ftt_gauge_image_route, ftt_image_route, param_labels, pi_projection
 
 SECTORS = enumerate_sectors(5)
 

@@ -175,6 +175,19 @@ def test_pole_coefficients_that_are_not_integers_name_their_system(monkeypatch):
         radial.frobenius_solutions(sysm, radial.MATCH_RADIUS)
 
 
+@pytest.mark.parametrize("name", ["M1", "M0"])
+def test_a_broken_reflection_parity_names_operator_and_sector(name):
+    # a diagonal entry of M1 must be odd in adot and one of M0 even: give
+    # it a term of the wrong parity
+    sec = SectorLabel(Family.SCALAR, 2)
+    sysm = build_system("D1", sec, EUCLIDEAN)
+    m1, m0 = ([[dict(entry) for entry in row] for row in m] for m in (sysm.m1, sysm.m0))
+    (m1 if name == "M1" else m0)[0][0][(0, 0 if name == "M1" else 1)] = Q(1)
+    with pytest.raises(RuntimeError,
+                       match=rf"D1 Scalar\(2\): reflection parity broken in {name}"):
+        radial._check_reflection_parity("D1", sec, 1, sysm.slot_ranks, m1, m0)
+
+
 def test_a_system_without_slots_has_no_regular_basis():
     sysm = build_system("D1", SectorLabel(Family.TENSOR, 2), EUCLIDEAN)
     assert sysm.n == 0

@@ -8,13 +8,23 @@ import pytest
 from dsvac import rational as rl
 from dsvac import cauchy as cy
 from dsvac.calderon import calderon_invertible, lorentzify
-from dsvac.phase_space import phase_space_sector, pi_projection
-from dsvac.sectors import Family, SectorLabel, enumerate_sectors
+from dsvac.phase_space import phase_space_sector
+from dsvac.report import (
+    ROUNDOFF_BOUND,
+    CheckRecord,
+    RunConfig,
+    _add_gauge_positivity,
+    _add_negativity,
+    _Collector,
+)
+from dsvac.sectors import VECTOR1, Family, SectorLabel, enumerate_sectors
 from dsvac.states import (
+    CovariancePair,
     alpha_unitarity_residual,
     build_covariances,
     compressed_extrema,
     euclidean_vacuum_pair,
+    extrema,
     full_gauge_residual,
     gauge_pairing_residual,
     hermiticity_residual,
@@ -25,6 +35,7 @@ from dsvac.states import (
     tt_energy_quadrature,
     wigner_involution_residual,
 )
+from routes import pi_projection
 
 K_CHECK = 5
 SECTORS = enumerate_sectors(K_CHECK)
@@ -100,9 +111,16 @@ def test_strong_invariance_witness(setup):
 
 
 def test_modified_state(setup):
-    pairs, spaces, _ = setup
+    pairs, spaces, covs = setup
     for sec in SECTORS:
         ps = spaces[sec]
+        # each modified pair is the vacuum compressed by the projection matrix
+        for variant, levels in (("modified", (3, 4)), ("modified4", (4,))):
+            cov = build_covariances(sec, variant, projector_pair=pairs[sec])
+            pim = pi_projection(sec, levels)
+            for lam, base in ((cov.lambda_plus, covs[sec].lambda_plus),
+                              (cov.lambda_minus, covs[sec].lambda_minus)):
+                assert np.array_equal(lam, pim.T @ base @ pim), (sec, variant)
         cov = build_covariances(sec, "modified", projector_pair=pairs[sec])
         # sum rule persists on E_TT
         assert sum_rule_residual(cov, on=ps.e_space) < 1e-10, sec
@@ -156,11 +174,20 @@ def test_alpha_vacua(setup):
 
 def test_racah_and_time_reversal(setup):
     pairs, _, covs = setup
+    rng = np.random.default_rng(11)
     for sec in (SectorLabel(Family.TENSOR, 3), SectorLabel(Family.SCALAR, 1),
                 SectorLabel(Family.VECTOR, 2)):
         assert racah_antiunitarity_residual(sec) == 0.0
         assert wigner_involution_residual(sec) == 0.0
         assert time_reversal_residual(covs[sec]) < 1e-10
+        # conj(Zf) . lambda Zg = conj(g) . lambda f with Z f = M conj(f) is
+        # the matrix identity M lambda^T M = lambda: both, by matrix products
+        m = np.diag(cy.reflection(sec, 2, +1))
+        for lam in (covs[sec].lambda_plus, covs[sec].lambda_minus):
+            assert np.max(np.abs(m @ lam.T @ m - lam)) <= ROUNDOFF_BOUND, sec
+            f, g = (rng.normal(size=len(m)) + 1j * rng.normal(size=len(m)) for _ in range(2))
+            zf, zg = m @ f.conj(), m @ g.conj()
+            assert abs(zf.conj() @ lam @ zg - g.conj() @ lam @ f) < 1e-10, sec
 
 
 def test_energy_quadrature_oracle(setup):
@@ -171,3 +198,41 @@ def test_energy_quadrature_oracle(setup):
     # boundary identity holds to rounding
     assert abs(energy - boundary) < 1e-12 * abs(boundary)
     assert abs(lam_val - boundary) < 1e-9 * abs(boundary)
+
+
+def _record(add, *args):
+    """The record that the report's helper ``add`` makes of ``args``."""
+    col = _Collector()
+    add(col, "suite", "check", "claim", *args, RunConfig())
+    return col.records[0]
+
+
+TT2, SCALAR3 = SectorLabel(Family.TENSOR, 2), SectorLabel(Family.SCALAR, 3)
+# each check that reads lambda-: the sector where it has something to read,
+# and its residual or record
+NAN_CHECKS = {
+    "hermiticity": (TT2, lambda cov, ps: hermiticity_residual(cov)),
+    "time-reversal": (TT2, lambda cov, ps: time_reversal_residual(cov)),
+    "gauge-pairing": (SCALAR3, lambda cov, ps: gauge_pairing_residual(
+        cov, ps.e_space, ps.f_gauge_strict)),
+    "full-gauge": (SCALAR3, lambda cov, ps: full_gauge_residual(cov, ps)),
+    "extrema-low": (TT2, lambda cov, ps: extrema(cov, ps.e_gauge)[0]),
+    "extrema-high": (TT2, lambda cov, ps: extrema(cov, ps.e_gauge)[1]),
+    "gauge-positivity": (TT2, lambda cov, ps: _record(_add_gauge_positivity, cov, ps)),
+    "negativity": (VECTOR1, lambda cov, ps: _record(_add_negativity, cov, ps.e_bad[:, 0])),
+}
+
+
+@pytest.mark.parametrize("check", NAN_CHECKS)
+def test_a_nan_covariance_fails_every_check_that_reads_it(setup, check):
+    # lambda+ is finite and comes first: a NaN must win wherever it comes
+    _, spaces, covs = setup
+    sec, measure = NAN_CHECKS[check]
+    cov = covs[sec]
+    nan = CovariancePair(sec, cov.lambda_plus, np.full_like(cov.lambda_minus, np.nan),
+                         cov.theory)
+    out = measure(nan, spaces[sec])
+    if isinstance(out, CheckRecord):
+        assert out.verdict == "fail"
+        out = out.residual
+    assert np.isnan(out)
