@@ -15,9 +15,9 @@ evaluated at the equator by ``WarpedSector.cauchy_block``; second
 derivatives are eliminated with the input's radial system as
 ``radial.build_system`` caches it, so the gradient on scalars carries the
 gravity shift (D0 = D0L - 6) unless the Maxwell system is asked for.  The
-blocks and forms are built once per sector and are immutable: the blocks
-exact, the forms (Gram, charges) exact inside and read-only float arrays
-outside.
+blocks and forms are built once per sector and are read-only arrays: the
+blocks exact (numpy object arrays of ``Fraction``), the forms (Gram,
+charges) exact inside and ``astype(float)`` of them outside.
 """
 
 from dataclasses import dataclass
@@ -26,7 +26,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import rational as rl
 from .radial import build_system
 from .sectors import SCALAR0, SCALAR1, VECTOR1, space
 from .warped import EUCLIDEAN, LORENTZIAN, WarpedSector, data_weight, kappa_signs
@@ -106,10 +105,11 @@ def data_block(sector, name, maxwell=False):
         _, rank_in, rank_out, signature = BLOCK_JETS[name]
         n_in = DataLayout(sector, rank_in).half
         n_out = DataLayout(sector, rank_out).half
-        raw = jet_block(sector, name, signature, maxwell=maxwell)
-        _DATA_BLOCKS[key] = tuple(
-            tuple(-v if (i >= n_out) != (j >= n_in) else v for j, v in enumerate(row))
-            for i, row in enumerate(raw))
+        block = np.array(jet_block(sector, name, signature, maxwell=maxwell),
+                         dtype=object).reshape(2 * n_out, 2 * n_in)
+        block[:n_out, n_in:] *= -1
+        block[n_out:, :n_in] *= -1
+        _DATA_BLOCKS[key] = _read_only(block)
     return _DATA_BLOCKS[key]
 
 
@@ -152,11 +152,13 @@ def lorentz_block(block, sector, rank_out, rank_in=None):
 def data_gram(sector, rank):
     """Riemannian Hilbert Gram of doubled Cauchy data (positive definite)."""
     w = data_weight(sector, rank)
-    return _read_only(rl.to_numpy(rl.block_diag([w, w])))
+    z = np.zeros_like(w)
+    return _read_only(np.block([[w, z], [z, w]]).astype(float))
 
 
 def normalized_columns(sector, basis, rank):
-    """Columns scaled to unit Riemannian data norm (zero columns dropped)."""
+    """Columns scaled to unit Riemannian data norm (zero columns dropped, a
+    NaN column kept unscaled, so that every check reading it fails)."""
     if basis.shape[1] == 0:
         return basis
     g = data_gram(sector, rank)
@@ -164,7 +166,9 @@ def normalized_columns(sector, basis, rank):
     for j in range(basis.shape[1]):
         col = basis[:, j]
         nrm = np.sqrt(np.real(col.conj() @ g @ col))
-        if nrm > 1e-14:
+        if np.isnan(nrm):
+            out.append(col)
+        elif nrm > 1e-14:
             out.append(col / nrm)
     return np.column_stack(out) if out else basis[:, :0]
 
@@ -174,22 +178,22 @@ def _exact_charge(sector, rank):
     """q_k exactly: the charge's weight (``data_weight`` with the reflection
     signs) pairs the values with the normal derivatives."""
     d = data_weight(sector, rank, lorentz_signs=True)
-    z = rl.zeros(len(d), len(d))
-    return tuple(map(tuple, rl.vstack([rl.hstack([z, d]), rl.hstack([d, z])])))
+    z = np.zeros_like(d)
+    return _read_only(np.block([[z, d], [d, z]]))
 
 
 @lru_cache(maxsize=None)
 def charge_form(sector, rank):
     """Lorentzian conserved charge q_k as a Hermitian form matrix."""
-    return _read_only(rl.to_numpy(_exact_charge(sector, rank)))
+    return _read_only(_exact_charge(sector, rank).astype(float))
 
 
 @lru_cache(maxsize=None)
 def physical_charge_form(sector):
     """q_{I,2} = q_2 o I_Sigma (trace-reversed charge on rank-2 data), the
     product taken exactly."""
-    return _read_only(rl.to_numpy(rl.matmul(_exact_charge(sector, 2),
-                                            data_block(sector, "trace_reversal"))))
+    exact = _exact_charge(sector, 2) @ data_block(sector, "trace_reversal")
+    return _read_only(exact.astype(float))
 
 
 def charge_raw(system, u, du, v, dv, t):

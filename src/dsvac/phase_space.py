@@ -90,15 +90,15 @@ def _build_phase_space(sector, theory, columns):
     exact joint null space of the theory's constraint blocks, and each must
     lie in it; they are converted to Lorentzian data once and split by
     role."""
-    stacked = rl.vstack([data_block(sector, name, theory.maxwell)
+    stacked = np.vstack([data_block(sector, name, theory.maxwell)
                          for name in theory.constraints])
     size = DataLayout(sector, theory.rank).size
-    dim = len(rl.nullspace(stacked)) if stacked else size
+    dim = len(rl.nullspace(stacked)) if len(stacked) else size
     where = f"{theory.name} phase space of {sector}"
     if len(columns) != dim:
         raise RuntimeError(f"{where}: {len(columns)} columns for E of dimension {dim}")
     for role, col in columns:
-        if any(rl.matvec(stacked, col)):
+        if (stacked @ col).any():
             raise RuntimeError(f"{where}: a {role} column leaves E")
     euclid = np.array([col for _, col in columns], dtype=complex).reshape(len(columns), size)
     data = lorentz_block(euclid.T, sector, theory.rank)

@@ -18,7 +18,6 @@ from functools import partial
 import numpy as np
 
 from . import __version__
-from . import rational as rl
 from . import cauchy as cy
 from .calderon import (
     lorentzify,
@@ -61,6 +60,8 @@ SCHEMA_VERSION = 1
 ALL_SUITES = ("identities", "calderon", "phase_space", "states", "gauge",
               "symmetry", "maxwell", "oracle")
 
+ALPHA_MAX = math.acosh(sys.float_info.max)  # beyond it cosh(alpha) overflows a float
+
 
 @dataclass
 class RunConfig:
@@ -82,8 +83,9 @@ class RunConfig:
         the wrong type, a tolerance or margin that is not finite and
         positive, a ``tol_ode`` below the integrator's floor (which scipy
         would raise it to), a negative level or seed, no suite (a run that
-        checks nothing would pass), an unknown suite or format, and a
-        repeated alpha (its checks would share one id)."""
+        checks nothing would pass), an unknown suite or format, an alpha
+        whose cosh overflows a float, and a repeated alpha (its checks would
+        share one id)."""
         for name in ("k_max", "k_dynamics", "seed", "jobs"):
             if not (_is_number(getattr(self, name), int) and getattr(self, name) >= 0):
                 raise ValueError(f"{name} must be an integer >= 0")
@@ -94,8 +96,9 @@ class RunConfig:
         if self.tol_ode < RTOL_FLOOR:
             raise ValueError(f"tol_ode must be >= {RTOL_FLOOR:.3g}, the integrator's floor")
         if not (isinstance(self.alpha_values, tuple) and all(
-                _is_number(a) and math.isfinite(a) for a in self.alpha_values)):
-            raise ValueError("alpha_values must be a list of finite numbers")
+                _is_number(a) and abs(a) <= ALPHA_MAX for a in self.alpha_values)):
+            raise ValueError(f"alpha_values must be a list of numbers with |alpha| <= "
+                             f"{ALPHA_MAX:.6g} (beyond it cosh(alpha) overflows a float)")
         if len(set(map(float, self.alpha_values))) < len(self.alpha_values):
             raise ValueError("alpha_values must not repeat a value")
         if not (isinstance(self.suites, tuple) and self.suites
@@ -363,13 +366,11 @@ def _suite_identities(art, col, cfg):
     # exact operator identities (already rational-exact; assert and record)
     block = cy.data_block
     col.add_worst("identities", "gauge-complex", "gauge-complex-exactness", art.sectors,
-                  lambda sec: max_abs(rl.matmul(block(sec, "sym_div"),
-                                                block(sec, "sym_grad"))), 0.0)
+                  lambda sec: max_abs(block(sec, "sym_div") @ block(sec, "sym_grad")), 0.0)
     col.add_worst("identities", "trace-gauge-composition", "trace-gauge-relation",
                   art.sectors,
-                  lambda sec: max_abs(rl.sub(rl.matmul(block(sec, "neg_trace"),
-                                                       block(sec, "sym_grad")),
-                                             rl.scale(block(sec, "div"), -2))), 0.0)
+                  lambda sec: max_abs(block(sec, "neg_trace") @ block(sec, "sym_grad")
+                                      + 2 * block(sec, "div")), 0.0)
     # trace-fixing identity on harmonic-gauge data (Lorentzian floats)
     col.add_worst("identities", "trace-fixing", "trace-fixing-identity",
                   [sec for sec in art.sectors if cy.DataLayout(sec, 0).size],
@@ -757,7 +758,10 @@ def diff_reports(old, new, drift_factor=10.0):
                  "new": r_new["verdict"]})
         ro, rn = r_old["residual"], r_new["residual"]
         fo, fn = worst((ro,), 1e-15), worst((rn,), 1e-15)  # floored
-        if (fn / fo > drift_factor or fo / fn > drift_factor) and worst((ro, rn)) > 1e-14:
+        # every ratio with a NaN compares false: a residual that turns NaN,
+        # or stops being NaN, has drifted
+        if math.isnan(ro) != math.isnan(rn) or (
+                (fn / fo > drift_factor or fo / fn > drift_factor) and worst((ro, rn)) > 1e-14):
             out["residual_drift"].append({"check": list(k), "old": ro, "new": rn})
     for k in old_map:
         if k not in new_map:

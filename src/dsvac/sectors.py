@@ -277,10 +277,9 @@ class SectorSpace:
             if combo is None:
                 raise ValueError(f"operator {name!r} not applicable at rank {rank}")
             cols.append(self._gen_coords(tr, combo))
-        mat = [[cols[j][i] for j in range(len(cols))] for i in range(self.dim(tr))]
-        if name == "htrace":
-            mat = rl.scale(mat, 2)
-        return tuple(map(tuple, mat)), tr
+        scale = 2 if name == "htrace" else 1
+        return tuple(tuple(scale * cols[j][i] for j in range(len(cols)))
+                     for i in range(self.dim(tr))), tr
 
 
 _APPLICABLE = {

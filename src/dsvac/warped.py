@@ -22,7 +22,9 @@ without floating point.
 from fractions import Fraction
 from math import comb
 
-from . import rational as rl
+import numpy as np
+from scipy.linalg import block_diag
+
 from .qseries import LSeries, scaled_arg, sin_series
 from .sectors import space
 
@@ -195,18 +197,15 @@ def kappa_signs(rank):
 
 
 def data_weight(sector, rank, lorentz_signs=False):
-    """Weight of one half of rank-``rank`` Cauchy data: the slot Gram
-    matrices times the fiber weights, and times the reflection signs for
-    the Lorentzian charge."""
+    """Weight of one half of rank-``rank`` Cauchy data, an exact object
+    array: the block diagonal of the slot Gram matrices times the fiber
+    weights, and times the reflection signs for the Lorentzian charge."""
     sp = space(sector)
     wts = fiber_weights(rank)
     if lorentz_signs:
         wts = [w * k for w, k in zip(wts, kappa_signs(rank))]
-    blocks = []
-    for r in range(rank + 1):
-        g = sp.gram(r)
-        blocks.append(rl.scale(g, wts[r]) if g else g)
-    return rl.block_diag(blocks)
+    return block_diag(*(np.array(sp.gram(r), dtype=object).reshape(sp.dim(r), sp.dim(r))
+                        * wts[r] for r in range(rank + 1)))
 
 
 class WarpedSector:

@@ -19,9 +19,9 @@ from fractions import Fraction
 
 import numpy as np
 from scipy.integrate import solve_ivp
+from scipy.linalg import block_diag
 
 from dsvac import harmonics
-from dsvac import rational as rl
 from dsvac.calderon import _null, _rank
 from dsvac.cauchy import (
     DataLayout,
@@ -44,7 +44,13 @@ def transpose(a):
 
 
 def eye(n):
-    return [[Q(1) if i == j else Q(0) for j in range(n)] for i in range(n)]
+    return np.diag(np.full(n, Q(1), dtype=object))
+
+
+def exact(rows, m, n):
+    """Nested rows of exact entries (``[]`` for no rows) as an (m, n)
+    object array."""
+    return np.array(rows, dtype=object).reshape(m, n)
 
 
 # -- matrices over the coefficient field of dsvac.warped ----------------------
@@ -127,11 +133,8 @@ class SectorOperator:
         rows = space(self.target[0]).dim(self.target[1])
         cols = space(other.source[0]).dim(other.source[1])
         mid = space(self.source[0]).dim(self.source[1])
-        if mid == 0 or rows == 0 or cols == 0:
-            m = rl.zeros(rows, cols)
-        else:
-            m = rl.matmul([list(r) for r in self.matrix], [list(r) for r in other.matrix])
-        return SectorOperator(other.source, self.target, tuple(tuple(r) for r in m))
+        m = exact(self.matrix, rows, mid) @ exact(other.matrix, mid, cols)
+        return SectorOperator(other.source, self.target, tuple(map(tuple, m.tolist())))
 
     def rows(self):
         return [list(r) for r in self.matrix]
@@ -144,7 +147,7 @@ def spatial_op(op_symbol, sector, rank):
     if op_symbol in ("id", "lich"):
         mat, tr = eye(sp.dim(rank)), rank
         if op_symbol == "lich":
-            mat = rl.scale(mat, sector.eigenvalue)
+            mat = sector.eigenvalue * mat
     else:
         mat, tr = sp.op(op_symbol, rank)
     return SectorOperator((sector, rank), (sector, tr), tuple(tuple(r) for r in mat))
@@ -327,7 +330,7 @@ def collocation_matrix_loop(system, s_nodes, cheb):
 # of the warped calculus: each block written out slot by slot.
 
 def _blockmap(layout_out, layout_in):
-    return rl.zeros(layout_out.size, layout_in.size)
+    return np.zeros((layout_out.size, layout_in.size), dtype=object)
 
 
 def _set(dst, layout_out, half_out, slot_out, layout_in, half_in, slot_in, mat, scale=1):
@@ -336,7 +339,7 @@ def _set(dst, layout_out, half_out, slot_out, layout_in, half_in, slot_in, mat, 
     for i, row in enumerate(mat):
         for j, v in enumerate(row):
             if v != 0:
-                dst[ro + i][co + j] += Q(scale) * v
+                dst[ro + i, co + j] += Q(scale) * v
 
 
 def _ops(sector):
@@ -384,7 +387,7 @@ def sym_grad_block(sector):
     _set(m, lo, 0, 2, li, 0, 1, op[("d", 1)])
     _set(m, lo, 0, 2, li, 1, 0, op[("hmul", 0)], half)
     if li.slot_dims[1] and li.slot_dims[0]:
-        hd = rl.matmul(op[("hmul", 0)], op[("delta", 1)])
+        hd = np.array(op[("hmul", 0)]) @ np.array(op[("delta", 1)])
         _set(m, lo, 0, 2, li, 0, 1, hd, half)
     _set(m, lo, 1, 0, li, 0, 0, eye(li.slot_dims[0]), -half * lam)
     _set(m, lo, 1, 0, li, 1, 1, op[("delta", 1)], half)
@@ -461,27 +464,27 @@ def trace_reversal_half(sector, flavor):
     if d0 == 0:
         return m
     o0, o2 = lay.offsets[0], lay.offsets[2]
-    tr = rl.scale(op[("htrace", 2)], Q(1, 2))  # h-trace
-    hm = op[("hmul", 0)]
+    tr = Q(1, 2) * np.array(op[("htrace", 2)])  # h-trace
+    hm = np.array(op[("hmul", 0)])
     sgn = Q(1) if flavor == "lorentzian" else Q(-1)
     # (Iu)_00 = 1/2 u_00 + sgn * 1/2 tr_h u_SS
     for i in range(d0):
-        m[o0 + i][o0 + i] = Q(1, 2)
+        m[o0 + i, o0 + i] = Q(1, 2)
         for j in range(d2):
-            m[o0 + i][o2 + j] = sgn * Q(1, 2) * tr[i][j]
+            m[o0 + i, o2 + j] = sgn * Q(1, 2) * tr[i, j]
     # (Iu)_SS = u_SS + sgn * 1/2 |h) u_00 - 1/2 |h) tr_h u_SS
-    hmtr = rl.matmul(hm, tr)
+    hmtr = hm @ tr
     for i in range(d2):
         for j in range(d0):
-            m[o2 + i][o0 + j] += sgn * Q(1, 2) * hm[i][j]
+            m[o2 + i, o0 + j] += sgn * Q(1, 2) * hm[i, j]
         for j in range(d2):
-            m[o2 + i][o2 + j] -= Q(1, 2) * hmtr[i][j]
+            m[o2 + i, o2 + j] -= Q(1, 2) * hmtr[i, j]
     return m
 
 
 def trace_reversal_block(sector, flavor="lorentzian"):
     h = trace_reversal_half(sector, flavor)
-    return rl.block_diag([h, h])
+    return block_diag(h, h)
 
 
 # -- exact forms on data, by Green's formula ----------------------------------
@@ -489,30 +492,30 @@ def trace_reversal_block(sector, flavor="lorentzian"):
 def euclid_symplectic_form(sector, rank):
     """Green's-formula boundary form sigma (anti-Hermitian)."""
     w = data_weight(sector, rank)
-    z = rl.zeros(len(w), len(w))
-    return rl.vstack([rl.hstack([z, rl.scale(w, -1)]), rl.hstack([w, z])])
+    z = np.zeros_like(w)
+    return np.block([[z, -w], [w, z]])
 
 
 def reflection_block(sector, rank, second=-1):
     """diag(kappa, second * kappa) on doubled data, exact, slot by slot."""
     half = [k for k, dim in zip(kappa_signs(rank), DataLayout(sector, rank).slot_dims)
             for _ in range(dim)]
-    return rl.block_diag([[[v]] for v in half + [second * v for v in half]])
+    return np.diag(np.array(half + [second * v for v in half], dtype=object))
 
 
 def charge_form_exact(sector, rank):
     """q_k = sigma o diag(kappa, -kappa)."""
-    return rl.matmul(euclid_symplectic_form(sector, rank), reflection_block(sector, rank))
+    return euclid_symplectic_form(sector, rank) @ reflection_block(sector, rank)
 
 
 def physical_charge_form_exact(sector):
     """q_{I,2} = q_2 o I_Sigma."""
-    return rl.matmul(charge_form_exact(sector, 2), data_block(sector, "trace_reversal"))
+    return charge_form_exact(sector, 2) @ data_block(sector, "trace_reversal")
 
 
 def data_gram_exact(sector, rank):
     w = data_weight(sector, rank)
-    return rl.block_diag([w, w])
+    return block_diag(w, w)
 
 
 # -- Killing data and the F_TT image routes -----------------------------------

@@ -7,17 +7,18 @@ identities of the gauge complex are checked exactly, and the Lorentzian
 conjugates satisfy the charge adjointness relations.
 """
 
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import routes
-from dsvac import rational as rl
 from dsvac import cauchy as cy
 from dsvac.radial import build_system
 from dsvac.sectors import Family, SectorLabel, enumerate_sectors
-from dsvac.warped import EUCLIDEAN, WarpedSector
+from dsvac.warped import EUCLIDEAN, WarpedSector, data_weight
 from routes import gauge_orthogonal_residual, killing_data, killing_data_euclid
 
 Q = Fraction
@@ -25,21 +26,17 @@ Q = Fraction
 SECTORS = enumerate_sectors(4)
 
 
-def _rows(block):
-    return [list(row) for row in block]
-
-
 @pytest.mark.parametrize("sector", enumerate_sectors(24), ids=str)
 def test_blocks_match_engine(sector):
     for name in ("sym_grad", "sym_div", "metric_mult", "neg_trace", "grad", "div"):
         table = getattr(routes, f"{name}_block")
-        assert _rows(cy.data_block(sector, name)) == table(sector), name
+        assert np.array_equal(cy.data_block(sector, name), table(sector)), name
     for name in ("grad", "div"):
         table = getattr(routes, f"{name}_block")
-        assert _rows(cy.data_block(sector, name, maxwell=True)) == table(
-            sector, maxwell=True), name
-    assert _rows(cy.data_block(sector, "trace_reversal")) == routes.trace_reversal_block(
-        sector, "lorentzian")
+        assert np.array_equal(cy.data_block(sector, name, maxwell=True),
+                              table(sector, maxwell=True)), name
+    assert np.array_equal(cy.data_block(sector, "trace_reversal"),
+                          routes.trace_reversal_block(sector, "lorentzian"))
 
 
 def test_blocks_are_built_once_and_immutable():
@@ -53,20 +50,20 @@ def test_blocks_are_built_once_and_immutable():
         mat = form(*args)
         assert form(*args) is mat
         assert not mat.flags.writeable
-        assert np.array_equal(mat, rl.to_numpy(exact(*args))), (form, args)
+        assert np.array_equal(mat, exact(*args).astype(float)), (form, args)
     with pytest.raises(ValueError):
         cy.charge_form(sec, 2)[0, 0] = 1.0
     assert cy.GRAVITY.charge(sec) is cy.physical_charge_form(sec)
     assert cy.MAXWELL.charge(sec) is cy.charge_form(sec, 1)
-    # the exact blocks and the exact charge inside: built once, immutable rows
-    assert cy.data_block(sec, "sym_grad") is cy.data_block(sec, "sym_grad", maxwell=False)
+    # the exact blocks and the exact charge inside: built once, read-only
+    block = cy.data_block(sec, "sym_grad")
+    assert cy.data_block(sec, "sym_grad", maxwell=False) is block
     q = cy._exact_charge(sec, 2)
     assert cy._exact_charge(sec, 2) is q
-    assert isinstance(q, tuple) and all(isinstance(row, tuple) for row in q)
-    before = _rows(q)
-    rl.matmul(q, q)
-    rl.scale(q, 3)
-    assert _rows(q) == before
+    for exact in (block, q):
+        assert exact.dtype == object and not exact.flags.writeable
+    with pytest.raises(ValueError):
+        q[0, 0] = Q(1)
     blocks = cy.lorentz_gauge_blocks(sec, "sym_grad", "neg_trace")
     again = cy.lorentz_gauge_blocks(sec, "neg_trace", "sym_grad")
     for name, block in blocks.items():
@@ -75,6 +72,30 @@ def test_blocks_are_built_once_and_immutable():
     with pytest.raises(ValueError):
         blocks["sym_grad"][0, 0] = 1.0
     assert cy.GRAVITY.gauge_block(sec) is blocks["sym_grad"]
+
+
+def test_exact_arrays_stay_exact_and_read_only():
+    # a float creeping into an exact block would round what is checked
+    # exactly; the only ints are the zeros that numpy fills in
+    def check(arr, shared):
+        assert isinstance(arr, np.ndarray) and arr.ndim == 2 and arr.dtype == object
+        assert all(type(x) in (int, Fraction) for x in arr.flat)
+        assert not (shared and arr.flags.writeable)
+
+    for sec in SECTORS:
+        for name in cy.BLOCK_JETS:
+            check(cy.data_block(sec, name), shared=True)
+        for name in ("grad", "div"):
+            check(cy.data_block(sec, name, maxwell=True), shared=True)
+        for rank in (0, 1, 2):
+            check(cy._exact_charge(sec, rank), shared=True)
+            for signs in (False, True):
+                check(data_weight(sec, rank, lorentz_signs=signs), shared=False)
+    # exact matrices are multiplied, stacked and scaled by numpy; of
+    # dsvac.rational the library calls only the elimination
+    calls = {name for path in Path(cy.__file__).parent.glob("*.py")
+             for name in re.findall(r"\brl\.(\w+)", path.read_text())}
+    assert calls == {"nullspace", "solve"}
 
 
 def test_elimination_only_for_second_derivatives():
@@ -112,7 +133,7 @@ def test_sym_div_examples():
     lay2, lay1 = cy.DataLayout(sec, 2), cy.DataLayout(sec, 1)
     g = [Q(0)] * lay2.size
     g[lay2.half + lay2.offsets[0]] = Q(1)
-    f = rl.matvec(m, g)
+    f = (m @ g).tolist()
     expect = [Q(0)] * lay1.size
     expect[lay1.offsets[0]] = Q(2)
     assert f == expect
@@ -122,14 +143,14 @@ def test_sym_div_examples():
     layv = cy.DataLayout(secv, 2)
     g = [Q(0)] * layv.size
     g[layv.offsets[1]] = Q(1)
-    assert rl.matvec(mv, g) == [Q(0)] * cy.DataLayout(secv, 1).size
+    assert (mv @ g).tolist() == [Q(0)] * cy.DataLayout(secv, 1).size
 
 
 def test_sym_grad_kills_killing_data():
     for sec in (SectorLabel(Family.SCALAR, 1), SectorLabel(Family.VECTOR, 1)):
         m = cy.data_block(sec, "sym_grad")
         for v in killing_data_euclid(sec):
-            assert rl.matvec(m, v) == [Q(0)] * cy.DataLayout(sec, 2).size
+            assert (m @ v).tolist() == [Q(0)] * cy.DataLayout(sec, 2).size
 
 
 @pytest.mark.parametrize("sector", SECTORS, ids=str)
@@ -137,26 +158,23 @@ def test_gauge_complex_identities(sector):
     # adjoint-gauge o gauge = 0 exactly (Euclidean)
     kdag = cy.data_block(sector, "sym_div")
     k21 = cy.data_block(sector, "sym_grad")
-    z = rl.matmul(kdag, k21)
+    z = kdag @ k21
     assert all(all(v == 0 for v in row) for row in z)
     # trace-adjoint o gauge = -2 * divergence
     k20d = cy.data_block(sector, "neg_trace")
-    lhs = rl.matmul(k20d, k21)
-    rhs = rl.scale(cy.data_block(sector, "div"), -2)
-    assert lhs == rhs
+    assert np.array_equal(k20d @ k21, -2 * cy.data_block(sector, "div"))
     # divergence o gradient = 2*Lambda = 6 (gravity), 0 (Maxwell)
     lay0 = cy.DataLayout(sector, 0)
     if lay0.size:
-        grav = rl.matmul(cy.data_block(sector, "div"), cy.data_block(sector, "grad"))
-        assert grav == rl.scale(routes.eye(lay0.size), 6)
-        mx = rl.matmul(cy.data_block(sector, "div", maxwell=True),
-                       cy.data_block(sector, "grad", maxwell=True))
+        grav = cy.data_block(sector, "div") @ cy.data_block(sector, "grad")
+        assert np.array_equal(grav, 6 * routes.eye(lay0.size))
+        mx = (cy.data_block(sector, "div", maxwell=True)
+              @ cy.data_block(sector, "grad", maxwell=True))
         assert all(all(v == 0 for v in row) for row in mx)
     # neg_trace o metric_mult = -8 per doubled level
     if lay0.size:
-        comp = rl.matmul(cy.data_block(sector, "neg_trace"),
-                         cy.data_block(sector, "metric_mult"))
-        assert comp == rl.scale(routes.eye(lay0.size), -8)
+        comp = cy.data_block(sector, "neg_trace") @ cy.data_block(sector, "metric_mult")
+        assert np.array_equal(comp, -8 * routes.eye(lay0.size))
 
 
 @pytest.mark.parametrize("sector", SECTORS, ids=str)
@@ -164,14 +182,14 @@ def test_trace_reversal(sector):
     # the library's block is the Lorentzian one; the engine in the Euclidean
     # signature gives the Euclidean one (it does not mix the data halves)
     i_lor = cy.data_block(sector, "trace_reversal")
-    i_eu = cy.jet_block(sector, "trace_reversal", EUCLIDEAN)
-    assert i_eu == routes.trace_reversal_block(sector, "euclidean")
+    i_eu = np.array(cy.jet_block(sector, "trace_reversal", EUCLIDEAN), dtype=object)
+    assert np.array_equal(i_eu, routes.trace_reversal_block(sector, "euclidean"))
     for i2 in (i_lor, i_eu):
-        assert rl.matmul(i2, i2) == routes.eye(len(i2))
+        assert np.array_equal(i2 @ i2, routes.eye(len(i2)))
     # Euclidean version is the Wick conjugate of the Lorentzian one
     f = cy.wick_phases(sector, 2)
-    assert np.allclose(f[:, None] * rl.to_numpy(i_lor) * (1 / f)[None, :],
-                       rl.to_numpy(i_eu))
+    assert np.allclose(f[:, None] * i_lor.astype(float) * (1 / f)[None, :],
+                       i_eu.astype(float))
     # I is q2-self-adjoint: Q2 I symmetric, hence q_{I,2} Hermitian
     qi2 = cy.physical_charge_form(sector)
     assert np.allclose(qi2, qi2.T)
@@ -184,7 +202,8 @@ def test_charge_vs_symplectic(sector):
     for rank in (0, 1, 2):
         if cy.DataLayout(sector, rank).size == 0:
             continue
-        assert _rows(cy._exact_charge(sector, rank)) == routes.charge_form_exact(sector, rank)
+        assert np.array_equal(cy._exact_charge(sector, rank),
+                              routes.charge_form_exact(sector, rank))
         for second in (-1, 1):
             kap = routes.reflection_block(sector, rank, second)
             assert cy.reflection(sector, rank, second).tolist() == [

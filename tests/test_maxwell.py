@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from dsvac import rational as rl
 from dsvac import cauchy as cy
 from dsvac.calderon import (
     lorentzify,

@@ -125,6 +125,19 @@ def test_diff_flags_changes(small_report):
     delta2 = diff_reports(small_report, extra)
     assert delta2["added"] == [[small_report["records"][0]["suite"], "novel",
                                 small_report["records"][0]["sector"]]]
+    # a failing residual that turns NaN has drifted, either way round; two
+    # NaNs have not
+    failing = copy.deepcopy(small_report)
+    failing["records"][0].update(verdict="fail", residual=1.0)
+    nan = copy.deepcopy(failing)
+    nan["records"][0]["residual"] = float("nan")
+    record = failing["records"][0]
+    for old, new in ((failing, nan), (nan, failing)):
+        delta3 = diff_reports(old, new)
+        assert [d["check"] for d in delta3["residual_drift"]] == [
+            [record["suite"], record["check_id"], record["sector"]]]
+        assert not delta3["empty"]
+    assert diff_reports(nan, copy.deepcopy(nan))["empty"]
 
 
 def test_diff_schema_mismatch(small_report):
@@ -221,9 +234,12 @@ def test_cli_config_rejection(tmp_path):
     (["--suites", ","], None),
     (["--alpha", "0.3,0.3"], None),
     ([], {"alpha_values": [1, 1.0]}),
+    (["--alpha", "800"], None),
+    ([], {"alpha_values": [0.3, -800]}),
 ], ids=["k_max-string", "config-not-object", "tol_ode-negative", "tol_ode-zero",
         "k_dynamics-negative", "margin-nan", "tol_verdict-inf", "suites-empty",
-        "alpha-repeated", "alpha-repeated-int-and-float"])
+        "alpha-repeated", "alpha-repeated-int-and-float", "alpha-cosh-overflows",
+        "alpha-cosh-overflows-in-config"])
 def test_bad_config_exits_2(flags, config, tmp_path, monkeypatch):
     # validation alone must reject these (a zero tolerance never returns), so
     # starting a run fails the test

@@ -5,7 +5,6 @@ independent energy oracle."""
 import numpy as np
 import pytest
 
-from dsvac import rational as rl
 from dsvac import cauchy as cy
 from dsvac.calderon import calderon_invertible, lorentzify
 from dsvac.phase_space import phase_space_sector
@@ -236,3 +235,13 @@ def test_a_nan_covariance_fails_every_check_that_reads_it(setup, check):
         assert out.verdict == "fail"
         out = out.residual
     assert np.isnan(out)
+
+
+def test_a_nan_basis_column_is_kept_and_fails_the_gauge_pairing(setup):
+    # normalization drops zero columns only: a NaN column stays, unscaled
+    _, spaces, covs = setup
+    ps = spaces[SCALAR3]
+    e = ps.e_space.copy()
+    e[:, 0] = np.nan
+    assert cy.normalized_columns(SCALAR3, e, 2).shape == e.shape
+    assert np.isnan(gauge_pairing_residual(covs[SCALAR3], e, ps.f_gauge_strict))

@@ -12,7 +12,6 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from dsvac import rational as rl
 from dsvac.qseries import LSeries, scaled_arg, sin_series
 from dsvac.radial import build_system
 from dsvac.sectors import Family, SectorLabel, enumerate_sectors, space
