@@ -7,14 +7,27 @@ exception raised while running the suites; its traceback goes to stderr).
 ``dsvac diff`` exits 0 with the diff on stdout, or 2 for a report it cannot
 read or that is not a report, or a drift factor that is not a finite number
 >= 1.
+
+Each process computes on one BLAS thread: ``--jobs`` worker processes are
+the only parallelism.  ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` and
+``MKL_NUM_THREADS`` default to 1 before numpy loads; a value set in the
+environment is kept.
 """
 
 import argparse
 import json
+import os
 import sys
 import traceback
 
-from .report import (
+# Pinned before the first numpy import of a run (``import dsvac`` loads no
+# numpy): the largest dense problem of a run, the collocation SVD, is at most
+# 448 x 224, too small for BLAS threads to pay, yet every process would start
+# a pool of helper threads that spin on the cores the sector pool uses.
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
+
+from .report import (  # noqa: E402
     ALL_SUITES,
     RunConfig,
     diff_reports,

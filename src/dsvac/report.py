@@ -39,6 +39,7 @@ from .phase_space import charge_kernel_check, phase_space_sector
 from .radial import RTOL_FLOOR, build_system, evolve_raw, regular_basis
 from .sectors import SCALAR0, SCALAR1, VECTOR1, Family, SectorLabel, enumerate_sectors
 from .states import (
+    alpha_sum_rule_residual,
     alpha_unitarity_residual,
     build_covariances,
     extrema,
@@ -90,8 +91,11 @@ class RunConfig:
             if not (_is_number(getattr(self, name), int) and getattr(self, name) >= 0):
                 raise ValueError(f"{name} must be an integer >= 0")
         for name in ("tol_verdict", "tol_linear_algebra", "tol_ode", "margin"):
+            # compared, not converted: an int beyond the float range (a JSON
+            # config can hold one) is rejected, where math.isfinite would
+            # raise OverflowError
             value = getattr(self, name)
-            if not (_is_number(value) and math.isfinite(value) and value > 0):
+            if not (_is_number(value) and 0 < value <= sys.float_info.max):
                 raise ValueError(f"{name} must be a finite positive number")
         if self.tol_ode < RTOL_FLOOR:
             raise ValueError(f"tol_ode must be >= {RTOL_FLOOR:.3g}, the integrator's floor")
@@ -591,7 +595,8 @@ def _suite_symmetry(art, col, cfg):
                       art.sectors, partial(alpha_unitarity_residual, alpha=alpha),
                       cfg.tol_linear_algebra)
         col.add_worst("symmetry", f"alpha-sum-rule[{alpha}]", "bogoliubov-family",
-                      art.sectors, lambda sec: sum_rule_residual(covs[sec]), ROUNDOFF_BOUND)
+                      art.sectors, lambda sec: alpha_sum_rule_residual(covs[sec], alpha),
+                      ROUNDOFF_BOUND)
         col.add_worst("symmetry", f"alpha-sign-dichotomy[{alpha}]", "bogoliubov-family",
                       [sec for sec in art.sectors if sec.family is Family.TENSOR],
                       lambda sec: -extrema(covs[sec], art.space(sec).e_gauge)[0],

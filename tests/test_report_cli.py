@@ -236,10 +236,11 @@ def test_cli_config_rejection(tmp_path):
     ([], {"alpha_values": [1, 1.0]}),
     (["--alpha", "800"], None),
     ([], {"alpha_values": [0.3, -800]}),
+    ([], {"tol_verdict": 10**400}),
 ], ids=["k_max-string", "config-not-object", "tol_ode-negative", "tol_ode-zero",
         "k_dynamics-negative", "margin-nan", "tol_verdict-inf", "suites-empty",
         "alpha-repeated", "alpha-repeated-int-and-float", "alpha-cosh-overflows",
-        "alpha-cosh-overflows-in-config"])
+        "alpha-cosh-overflows-in-config", "tol_verdict-int-beyond-float"])
 def test_bad_config_exits_2(flags, config, tmp_path, monkeypatch):
     # validation alone must reject these (a zero tolerance never returns), so
     # starting a run fails the test
@@ -253,6 +254,31 @@ def test_bad_config_exits_2(flags, config, tmp_path, monkeypatch):
         flags = flags + ["--config", str(path)]
     assert main(["run", "--suites", "maxwell", *flags,
                  "--out", str(tmp_path / "r.json")]) == 2
+
+
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                    reason="counts the process's threads in /proc/self/task")
+@pytest.mark.parametrize("preset,kept", [(None, "1"), ("2", "2")],
+                         ids=["unset-pins-one", "user-value-kept"])
+def test_the_cli_pins_one_blas_thread_unless_one_is_set(preset, kept):
+    # a BLAS pool of helper threads spins on the cores of the sector pool;
+    # after a matmul large enough to wake it, a pinned process is one thread
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARIABLES}
+    env["PYTHONPATH"] = str(Path(report.__file__).parents[1])
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    code = ("import os, dsvac.cli, numpy as np; a = np.ones((600, 600)); a @ a; "
+            "print(os.environ['OPENBLAS_NUM_THREADS'], len(os.listdir('/proc/self/task')))")
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    value, threads = done.stdout.split()
+    assert value == kept
+    if preset is None:
+        assert threads == "1"
 
 
 def test_alpha_ids_do_not_depend_on_how_alpha_was_written(tmp_path, capsys):
@@ -269,6 +295,16 @@ def test_alpha_ids_do_not_depend_on_how_alpha_was_written(tmp_path, capsys):
     capsys.readouterr()
     assert main(["diff", str(out_config), str(out_flag)]) == 0
     assert json.loads(capsys.readouterr().out)["empty"]
+
+
+def test_alpha_checks_hold_beyond_round_off_at_large_alpha():
+    # the defects are differences of terms cosh(alpha)^2 times the form; relative
+    # to the form alone alpha 5 read 1.5e-12 and alpha 8 read 1.7e-10
+    rep = run(RunConfig(k_max=4, suites=("symmetry",), alpha_values=(5.0, 8.0)))
+    verdicts = {r["check_id"]: r["verdict"] for r in rep["records"]}
+    for alpha in (5.0, 8.0):
+        for check in ("alpha-unitarity", "alpha-sum-rule"):
+            assert verdicts[f"{check}[{alpha}]"] == "pass", (check, alpha)
 
 
 def test_tol_ode_below_the_integrator_floor_exits_2(tmp_path, monkeypatch, capsys):

@@ -171,6 +171,19 @@ def test_alpha_vacua(setup):
         assert np.max(np.abs(cov0.lambda_plus - base.lambda_plus)) < 1e-12
 
 
+@pytest.mark.parametrize("sign", [+1, -1])
+def test_alpha_unitarity_sees_a_form_that_pairs_equal_signs(sign, monkeypatch):
+    # relative to cosh(alpha)^2 times the form, a form entry between two data
+    # of one sign of S, which u q u scales by e^(+-2 alpha), still fails
+    sec = SectorLabel(Family.SCALAR, 2)
+    i = int(np.flatnonzero(cy.reflection(sec, 2) == sign)[0])
+    broken = cy.physical_charge_form(sec).copy()
+    broken[i, i] += np.max(np.abs(broken))
+    monkeypatch.setattr("dsvac.states.physical_charge_form", lambda sector: broken)
+    for alpha in (0.3, 1.0, 8.0):
+        assert alpha_unitarity_residual(sec, alpha) > RunConfig().tol_linear_algebra
+
+
 def test_racah_and_time_reversal(setup):
     pairs, _, covs = setup
     rng = np.random.default_rng(11)
