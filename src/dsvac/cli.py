@@ -9,9 +9,9 @@ read or that is not a report, or a drift factor that is not a finite number
 >= 1.
 
 Each process computes on one BLAS thread: ``--jobs`` worker processes are
-the only parallelism.  ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` and
-``MKL_NUM_THREADS`` default to 1 before numpy loads; a value set in the
-environment is kept.
+the only parallelism.  Before numpy loads, ``OPENBLAS_NUM_THREADS``,
+``OMP_NUM_THREADS`` and ``MKL_NUM_THREADS`` are set to 1 unless the
+environment sets any of them; then all three are left as they are.
 """
 
 import argparse
@@ -23,9 +23,13 @@ import traceback
 # Pinned before the first numpy import of a run (``import dsvac`` loads no
 # numpy): the largest dense problem of a run, the collocation SVD, is at most
 # 448 x 224, too small for BLAS threads to pay, yet every process would start
-# a pool of helper threads that spin on the cores the sector pool uses.
-for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ.setdefault(_name, "1")
+# a pool of helper threads that spin on the cores the sector pool uses.  A
+# user's setting of any of the three wins (OpenBLAS falls back from its own
+# variable to OMP_NUM_THREADS), and once numpy is loaded the pool exists, so
+# the environment is left alone.
+_BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+if "numpy" not in sys.modules and not any(name in os.environ for name in _BLAS_THREADS):
+    os.environ.update(dict.fromkeys(_BLAS_THREADS, "1"))
 
 from .report import (  # noqa: E402
     ALL_SUITES,

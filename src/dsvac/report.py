@@ -39,7 +39,6 @@ from .phase_space import charge_kernel_check, phase_space_sector
 from .radial import RTOL_FLOOR, build_system, evolve_raw, regular_basis
 from .sectors import SCALAR0, SCALAR1, VECTOR1, Family, SectorLabel, enumerate_sectors
 from .states import (
-    alpha_sum_rule_residual,
     alpha_unitarity_residual,
     build_covariances,
     extrema,
@@ -595,8 +594,7 @@ def _suite_symmetry(art, col, cfg):
                       art.sectors, partial(alpha_unitarity_residual, alpha=alpha),
                       cfg.tol_linear_algebra)
         col.add_worst("symmetry", f"alpha-sum-rule[{alpha}]", "bogoliubov-family",
-                      art.sectors, lambda sec: alpha_sum_rule_residual(covs[sec], alpha),
-                      ROUNDOFF_BOUND)
+                      art.sectors, lambda sec: sum_rule_residual(covs[sec]), ROUNDOFF_BOUND)
         col.add_worst("symmetry", f"alpha-sign-dichotomy[{alpha}]", "bogoliubov-family",
                       [sec for sec in art.sectors if sec.family is Family.TENSOR],
                       lambda sec: -extrema(covs[sec], art.space(sec).e_gauge)[0],

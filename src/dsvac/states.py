@@ -16,14 +16,13 @@ This module owns how a defect becomes a residual, for the report too:
 ``max_abs`` is the largest absolute entry (0.0 when there is none),
 ``worst`` the largest of several residuals, and a residual of a form whose
 entries grow with the level is divided by the form's largest entry, floored
-at 1.0.  A residual of the Bogoliubov family is further divided by
-cosh(alpha)^2, the size of its terms relative to the form.  A NaN always
-wins, so a NaN anywhere in a covariance fails every check that reads it.
+at 1.0.  A NaN always wins, so a NaN anywhere in a covariance fails every
+check that reads it.
 """
 
 from dataclasses import dataclass
 from functools import reduce
-from math import cosh, inf, isnan, pi, sinh
+from math import inf, isnan, pi
 
 import numpy as np
 from scipy.integrate import quad
@@ -67,16 +66,6 @@ def _scaled(defect, scale):
     return max_abs(defect) / max(max_abs(scale), 1.0)
 
 
-def _alpha_scaled(residual, alpha):
-    """A residual of the Bogoliubov family relative to cosh(alpha)^2, the
-    largest coefficient of u X u = cosh^2 X + cosh sinh (S X + X S)
-    + sinh^2 S X S for u = cosh(alpha) + sinh(alpha) S: the entries
-    e^-|alpha| of u are the difference of cosh(alpha) and |sinh(alpha)|,
-    with round-off eps cosh(alpha), so the defect's round-off grows like
-    cosh(alpha)^2 times the form even where u X u does not."""
-    return residual / (cosh(alpha) * cosh(alpha))
-
-
 @dataclass
 class CovariancePair:
     sector: SectorLabel
@@ -108,7 +97,9 @@ def build_covariances(sector, variant="euclidean_vacuum", alpha=0.0, *,
         zero = np.zeros_like(base.lambda_plus)
         return CovariancePair(sector, zero, zero, theory)
     if variant == "alpha":
-        u = cosh(alpha) + sinh(alpha) * reflection(sector, theory.rank)  # diagonal
+        # exp(alpha S) = cosh(alpha) + sinh(alpha) S, but taken as exponentials:
+        # cosh - |sinh| would lose the entries e^-|alpha| to cancellation
+        u = np.exp(alpha * reflection(sector, theory.rank))  # diagonal
         return CovariancePair(sector, u[:, None] * base.lambda_plus * u,
                               u[:, None] * base.lambda_minus * u, theory)
     raise ValueError(f"unknown variant {variant!r}")
@@ -126,12 +117,6 @@ def sum_rule_residual(cov, on=None):
     q = cov.theory.charge(cov.sector)
     diff = cov.lambda_plus - cov.lambda_minus - q
     return _scaled(diff if on is None else on.conj().T @ diff @ on, q)
-
-
-def alpha_sum_rule_residual(cov, alpha):
-    """lambda+ - lambda- = q for the covariance of the Bogoliubov parameter
-    ``alpha``, relative to the charge-form scale times cosh(alpha)^2."""
-    return _alpha_scaled(sum_rule_residual(cov), alpha)
 
 
 def compressed_extrema(cov, basis, sign=+1):
@@ -187,13 +172,10 @@ def racah_antiunitarity_residual(sector):
 
 
 def alpha_unitarity_residual(sector, alpha):
-    """u q_{I,2} u = q_{I,2} for u = cosh(alpha) + sinh(alpha) S, relative to
-    the form's scale times cosh(alpha)^2: q_{I,2} pairs opposite signs of S,
-    so u q_{I,2} u is no larger than q_{I,2}, but its round-off is
-    cosh(alpha)^2 times larger."""
-    u = cosh(alpha) + sinh(alpha) * reflection(sector, 2)  # diagonal
+    """u q_{I,2} u = q_{I,2} for u = exp(alpha S)."""
+    u = np.exp(alpha * reflection(sector, 2))  # diagonal
     qi2 = physical_charge_form(sector)
-    return _alpha_scaled(_scaled(u[:, None] * qi2 * u - qi2, qi2), alpha)
+    return _scaled(u[:, None] * qi2 * u - qi2, qi2)
 
 
 def time_reversal_residual(cov):

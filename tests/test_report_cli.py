@@ -261,23 +261,27 @@ BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THR
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
                     reason="counts the process's threads in /proc/self/task")
-@pytest.mark.parametrize("preset,kept", [(None, "1"), ("2", "2")],
-                         ids=["unset-pins-one", "user-value-kept"])
-def test_the_cli_pins_one_blas_thread_unless_one_is_set(preset, kept):
+@pytest.mark.parametrize("imports,preset,expected", [
+    ("dsvac.cli", {}, dict.fromkeys(BLAS_THREAD_VARIABLES, "1")),
+    ("dsvac.cli", {"OPENBLAS_NUM_THREADS": "2"}, {"OPENBLAS_NUM_THREADS": "2"}),
+    ("dsvac.cli", {"OMP_NUM_THREADS": "8"}, {"OMP_NUM_THREADS": "8"}),
+    ("numpy, dsvac.cli", {}, {}),
+], ids=["unset-pins-one", "openblas-kept", "omp-alone-kept", "after-numpy-untouched"])
+def test_the_cli_pins_one_blas_thread_unless_one_is_set(imports, preset, expected):
     # a BLAS pool of helper threads spins on the cores of the sector pool;
     # after a matmul large enough to wake it, a pinned process is one thread
     env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARIABLES}
     env["PYTHONPATH"] = str(Path(report.__file__).parents[1])
-    if preset is not None:
-        env["OPENBLAS_NUM_THREADS"] = preset
-    code = ("import os, dsvac.cli, numpy as np; a = np.ones((600, 600)); a @ a; "
-            "print(os.environ['OPENBLAS_NUM_THREADS'], len(os.listdir('/proc/self/task')))")
+    env.update(preset)
+    code = (f"import os, json, {imports}, numpy as np; a = np.ones((600, 600)); a @ a; "
+            f"print(json.dumps({{k: os.environ[k] for k in {BLAS_THREAD_VARIABLES!r} "
+            "if k in os.environ}), len(os.listdir('/proc/self/task')))")
     done = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
-    value, threads = done.stdout.split()
-    assert value == kept
-    if preset is None:
+    variables, threads = done.stdout.rsplit(maxsplit=1)
+    assert json.loads(variables) == expected
+    if expected.get("OPENBLAS_NUM_THREADS") == "1":
         assert threads == "1"
 
 
@@ -298,11 +302,13 @@ def test_alpha_ids_do_not_depend_on_how_alpha_was_written(tmp_path, capsys):
 
 
 def test_alpha_checks_hold_beyond_round_off_at_large_alpha():
-    # the defects are differences of terms cosh(alpha)^2 times the form; relative
-    # to the form alone alpha 5 read 1.5e-12 and alpha 8 read 1.7e-10
-    rep = run(RunConfig(k_max=4, suites=("symmetry",), alpha_values=(5.0, 8.0)))
+    # u = cosh(alpha) + sinh(alpha) S lost its entries e^-|alpha| to
+    # cancellation: alpha 5 read 1.5e-12, alpha 8 1.7e-10, and from 19 on the
+    # entry had the wrong sign or was 0; exp(alpha S) keeps them to round-off
+    alphas = (5.0, 8.0, 19.0, 20.0)
+    rep = run(RunConfig(k_max=4, suites=("symmetry",), alpha_values=alphas))
     verdicts = {r["check_id"]: r["verdict"] for r in rep["records"]}
-    for alpha in (5.0, 8.0):
+    for alpha in alphas:
         for check in ("alpha-unitarity", "alpha-sum-rule"):
             assert verdicts[f"{check}[{alpha}]"] == "pass", (check, alpha)
 

@@ -173,8 +173,8 @@ def test_alpha_vacua(setup):
 
 @pytest.mark.parametrize("sign", [+1, -1])
 def test_alpha_unitarity_sees_a_form_that_pairs_equal_signs(sign, monkeypatch):
-    # relative to cosh(alpha)^2 times the form, a form entry between two data
-    # of one sign of S, which u q u scales by e^(+-2 alpha), still fails
+    # q_{I,2} pairs only opposite signs of S, which u q u leaves alone; an
+    # entry between two data of one sign, scaled by e^(+-2 alpha), must fail
     sec = SectorLabel(Family.SCALAR, 2)
     i = int(np.flatnonzero(cy.reflection(sec, 2) == sign)[0])
     broken = cy.physical_charge_form(sec).copy()
