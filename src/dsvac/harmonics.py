@@ -16,8 +16,9 @@ ratio used here).  The work is kept sparse: Pi is applied in factored form,
 so multiplying by a coordinate only shifts monomial keys; quadratures pair
 only monomials of equal per-coordinate parity (every other pair integrates
 to zero), with monomial integrals memoised on first use; symmetric tensors
-are summed over sorted indices; and the constraint solve uses the sparse
-elimination of :mod:`dsvac.rational`.
+are summed over sorted indices.  Polynomials are sparse exact vectors of
+:mod:`dsvac.rational`, summed in place by its ``accumulate``, and the
+constraint solve uses its sparse elimination.
 """
 
 import itertools
@@ -45,15 +46,6 @@ def monomials(deg):
     return out
 
 
-def p_add(p, q):
-    out = dict(p)
-    for a, c in q.items():
-        out[a] = out.get(a, Q(0)) + c
-        if out[a] == 0:
-            del out[a]
-    return out
-
-
 def p_scale(p, c):
     c = Q(c)
     if c == 0:
@@ -74,24 +66,13 @@ def p_diff(p, i):
 def p_laplace(p):
     out = {}
     for i in range(NVAR):
-        out = p_add(out, p_diff(p_diff(p, i), i))
+        rl.accumulate(out, p_diff(p_diff(p, i), i).items())
     return out
 
 
 def _shift_add(acc, p, i):
     """acc += x_i * p in place; multiplying by x_i only shifts keys."""
-    for a, c in p.items():
-        key = a[:i] + (a[i] + 1,) + a[i + 1:]
-        v = acc.get(key)
-        if v is None:
-            acc[key] = c
-        else:
-            v += c
-            if v:
-                acc[key] = v
-            else:
-                del acc[key]
-    return acc
+    return rl.accumulate(acc, [(a[:i] + (a[i] + 1,) + a[i + 1:], c) for a, c in p.items()])
 
 
 @lru_cache(maxsize=None)
@@ -185,7 +166,7 @@ def _sym_grad(u, rank):
         if key not in orbit:
             acc = {}
             for perm in perms:
-                acc = p_add(acc, d[tuple(key[p] for p in perm)])
+                rl.accumulate(acc, d[tuple(key[p] for p in perm)].items())
             orbit[key] = p_scale(acc, Q(1, len(perms)))
         sym[idx] = orbit[key]
     return sym, d
@@ -212,8 +193,7 @@ def _constraint_rows(rank, comps, mons):
 
     def put(key, col, image):
         for oa, c in image.items():
-            row = rows.setdefault((key, oa), {})
-            row[col] = row.get(col, Q(0)) + c
+            rl.accumulate(rows.setdefault((key, oa), {}), [(col, c)])
 
     for m, a in enumerate(mons):
         unit = {a: Q(1)}
@@ -263,7 +243,7 @@ def _realize(family, k):
             for rest in _indices(rank - 1):
                 acc = {}
                 for i in range(NVAR):
-                    acc = p_add(acc, d[(i, i) + rest])
+                    rl.accumulate(acc, d[(i, i) + rest].items())
                 div[rest] = p_scale(acc, -rank)
             norm_div = _norm2(div, rank - 1)
         max_div = max(max_div, norm_div / norm_u)

@@ -1,18 +1,35 @@
-"""Exact elimination over the rationals.
+"""Sparse exact vectors and their elimination over the rationals.
 
 The library's exact matrices are numpy object arrays of
 ``fractions.Fraction``: they multiply with ``@``, stack with ``np.block``
-and become floats with ``astype(float)``, the same algebra as the float
-matrices.  This module holds only what numpy cannot do exactly, the sparse
+and become floats with ``astype(float)``.  This module holds what numpy
+cannot do exactly: the sparse exact vector, a dict of nonzero rationals,
+with its one in-place update :func:`accumulate` (the warped coefficients,
+the harmonic polynomials and the rows here all update through it), and its
 elimination: :func:`nullspace` and :func:`solve` share one reduced row
-echelon routine that touches only nonzero entries.  They accept nested
-lists or 2-D arrays and return lists of ``Fraction``.
+echelon routine.  They accept nested lists or 2-D arrays and return lists
+of ``Fraction``.
 """
 
 import itertools
 from fractions import Fraction
 
 Q = Fraction
+
+
+def accumulate(acc, terms):
+    """acc += the ``(key, value)`` pairs ``terms`` in place; returns ``acc``.
+    A zero is never stored: a key whose sum cancels is deleted, so a later
+    term of it is appended anew at the end."""
+    for k, v in terms:
+        x = acc.get(k)
+        if x is not None:
+            v = x + v
+        if v:
+            acc[k] = v
+        elif x is not None:
+            del acc[k]
+    return acc
 
 
 def _rref(rows, ncol):
@@ -41,16 +58,8 @@ def _rref(rows, ncol):
             f = row.get(c)
             if f is None:
                 continue
-            for j, y in prow.items():
-                x = row.get(j)
-                if x is None:
-                    row[j] = -f * y
-                else:
-                    x -= f * y
-                    if x:
-                        row[j] = x
-                    else:
-                        del row[j]
+            g = -f
+            accumulate(row, [(j, g * y) for j, y in prow.items()])
         pivoted.append((c, prow))
     return pivoted
 

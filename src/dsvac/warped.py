@@ -16,7 +16,8 @@ for every rank.  The field operators of both theories come from them at every
 rank: the Lichnerowicz operator delta d - d delta, the zeroth-order terms of
 one per-rank table and, for linearized gravity, the mass term.  They are
 reduced to radial ODE systems and evaluated on Cauchy data by jets, all
-without floating point.
+without floating point.  Coefficients and linear expressions are sparse
+exact vectors, updated in place by ``rational.accumulate``.
 """
 
 from fractions import Fraction
@@ -25,6 +26,7 @@ from math import comb
 import numpy as np
 from scipy.linalg import block_diag
 
+from . import rational as rl
 from .qseries import LSeries, scaled_arg, sin_series
 from .sectors import space
 
@@ -55,40 +57,31 @@ def cf_scale(t, c):
     return {k: c * v for k, v in t.items()}
 
 
+def _mono_mul(i, j, v, sig):
+    """The terms of v * a^i * adot^j for j <= 2, with adot^2 = sig*(4a^2 - 4a)."""
+    if j == 2:
+        return [((i + 2, 0), 4 * sig * v), ((i + 1, 0), -4 * sig * v)]
+    return [((i, j), v)]
+
+
 def cf_mul(t1, t2, sig):
     out = {}
     for (i1, j1), v1 in t1.items():
         for (i2, j2), v2 in t2.items():
-            i, j, v = i1 + i2, j1 + j2, v1 * v2
-            if j == 2:
-                # adot^2 = sig*(4a^2 - 4a)
-                _acc(out, (i + 2, 0), Q(4 * sig) * v)
-                _acc(out, (i + 1, 0), Q(-4 * sig) * v)
-            else:
-                _acc(out, (i, j), v)
-    return {k: v for k, v in out.items() if v != 0}
-
-
-def _acc(d, k, v):
-    d[k] = d.get(k, Q(0)) + v
+            rl.accumulate(out, _mono_mul(i1 + i2, j1 + j2, v1 * v2, sig))
+    return out
 
 
 def cf_diff(t, sig):
-    """d/ds using a' = adot, adot' = addot = sig*(4a-2)."""
+    """d/ds using a' = adot, adot' = addot = sig*(4a-2):
+    d/ds(a^i adot^j) = i a^(i-1) adot^(j+1) + j a^i addot."""
     out = {}
     for (i, j), v in t.items():
-        if i != 0:
-            if j == 0:
-                _acc(out, (i - 1, 1), i * v)
-            else:
-                # i*a^(i-1)*adot^2 + handled with the j-term below
-                _acc(out, (i + 1, 0), Q(4 * sig) * i * v)
-                _acc(out, (i, 0), Q(-4 * sig) * i * v)
-        if j == 1:
-            # a^i * addot
-            _acc(out, (i + 1, 0), Q(4 * sig) * v)
-            _acc(out, (i, 0), Q(-2 * sig) * v)
-    return {k: v for k, v in out.items() if v != 0}
+        if i:
+            rl.accumulate(out, _mono_mul(i - 1, j + 1, i * v, sig))
+        if j:
+            rl.accumulate(out, [((i + 1, 0), 4 * sig * v), ((i, 0), -2 * sig * v)])
+    return out
 
 
 def cf_eval(t, a_val, adot_val):
@@ -133,45 +126,26 @@ def _pole_monomial(order, i, j):
 # -- linear expressions in the unknown radial profiles -----------------------
 # LinExpr = dict[(unknown_index, derivative_order)] -> coefficient dict
 
-def le_scale(e, c, sig):
-    out = {}
-    for k, v in e.items():
-        v = cf_scale(v, c) if isinstance(c, (int, Fraction)) else cf_mul(v, c, sig)
-        if v:
-            out[k] = v
-    return out
-
-
-def _cf_add_to(t, u):
-    """t += u in place; a term that cancels is dropped."""
-    for k, v in u.items():
-        if k in t:
-            v = t[k] + v
-        if v:
-            t[k] = v
-        else:
-            del t[k]
-
-
 def _le_add_to(acc, e, c, sig):
     """acc += c * e in place (c rational or a coefficient); an entry that
     cancels is dropped, so a later term of it is appended anew."""
-    for k, v in (e if c == 1 else le_scale(e, c, sig)).items():
+    for k, v in e.items():
+        if c != 1:
+            v = cf_scale(v, c) if isinstance(c, (int, Fraction)) else cf_mul(v, c, sig)
         if k in acc:
-            _cf_add_to(acc[k], v)
-            if not acc[k]:
+            if not rl.accumulate(acc[k], v.items()):
                 del acc[k]
-        else:
+        elif v:
             acc[k] = dict(v)
 
 
 def le_diff(e, sig):
     out = {}
     for (u, m), v in e.items():
-        _cf_add_to(out.setdefault((u, m + 1), {}), v)
+        rl.accumulate(out.setdefault((u, m + 1), {}), v.items())
         dv = cf_diff(v, sig)
         if dv:
-            _cf_add_to(out.setdefault((u, m), {}), dv)
+            rl.accumulate(out.setdefault((u, m), {}), dv.items())
     return {k: v for k, v in out.items() if v}
 
 

@@ -22,6 +22,7 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import block_diag
 
 from dsvac import harmonics
+from dsvac import rational as rl
 from dsvac.calderon import _null, _rank
 from dsvac.cauchy import (
     DataLayout,
@@ -664,7 +665,7 @@ def gram_quadrature_scalar(k):
     hess, _ = _sym_grad(w, 1)
     tr = {}
     for i in range(NVAR):
-        tr = harmonics.p_add(tr, hess[(i, i)])
+        rl.accumulate(tr, hess[(i, i)].items())
     # (ddY | Yh) = integral 2 * tr_h(ddY) * Y
     g_cross = 2 * _sphere_inner(tr, p) / norm
     return _norm2(w, 1) / norm, _norm2(hess, 2) / norm, g_cross, Q(6)

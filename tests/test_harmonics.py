@@ -5,7 +5,8 @@ from math import factorial
 import pytest
 
 from dsvac import harmonics
-from dsvac.harmonics import harmonic_oracle, p_add, p_diff, p_scale
+from dsvac import rational as rl
+from dsvac.harmonics import harmonic_oracle, p_diff, p_scale
 from dsvac.sectors import Family, SectorLabel, space
 from routes import gram_quadrature_scalar, p_mul, sphere_integral
 
@@ -79,8 +80,8 @@ def test_gram_cross_check(k):
 
 # -- reference copies of the unfactored projector and the product quadrature --
 
-_PI_REFERENCE = [[p_add({(0, 0, 0, 0): Q(1)} if i == j else {},
-                        {tuple(int(n == i) + int(n == j) for n in range(4)): Q(-1)})
+_PI_REFERENCE = [[rl.accumulate({(0, 0, 0, 0): Q(1)} if i == j else {},
+                                [(tuple(int(n == i) + int(n == j) for n in range(4)), Q(-1))])
                   for j in range(4)] for i in range(4)]
 
 
@@ -105,7 +106,7 @@ def _project_reference(t, rank):
             for a in range(4):
                 src = t.get(idx[:s] + (a,) + idx[s + 1:])
                 if src:
-                    acc = p_add(acc, p_mul(_PI_REFERENCE[idx[s]][a], src))
+                    rl.accumulate(acc, p_mul(_PI_REFERENCE[idx[s]][a], src).items())
             out[idx] = acc
         t = out
     return t
@@ -119,7 +120,7 @@ def _sym_grad_reference(u, rank):
     for idx in d:
         acc = {}
         for perm in perms:
-            acc = p_add(acc, d[tuple(idx[p] for p in perm)])
+            rl.accumulate(acc, d[tuple(idx[p] for p in perm)].items())
         sym[idx] = p_scale(acc, Q(1, len(perms)))
     return sym, d
 
@@ -128,7 +129,7 @@ def _norm2_reference(t, rank):
     acc = {}
     for p in t.values():
         if p:
-            acc = p_add(acc, p_mul(p, p))
+            rl.accumulate(acc, p_mul(p, p).items())
     return factorial(rank) * _sphere_integral_reference(acc)
 
 

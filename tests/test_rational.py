@@ -1,6 +1,6 @@
-"""Exact linear algebra against dense reference loops: the sparse
-elimination of ``dsvac.rational``, and numpy's object-array product that the
-library's exact matrices rely on."""
+"""Exact linear algebra against dense reference loops: the sparse exact
+vector of ``dsvac.rational`` (its in-place update and its elimination), and
+numpy's object-array product that the library's exact matrices rely on."""
 
 import random
 from fractions import Fraction
@@ -8,7 +8,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from dsvac import harmonics
 from dsvac import rational as rl
+from dsvac.radial import build_system
+from dsvac.sectors import Family, enumerate_sectors
+from dsvac.warped import EUCLIDEAN, LORENTZIAN, WarpedSector, cf_diff, cf_mul
 
 Q = Fraction
 
@@ -202,3 +206,76 @@ def test_matmul_equals_dense_reference():
     # an empty inner dimension gives exact zeros
     inner = np.empty((2, 0), dtype=object) @ np.empty((0, 3), dtype=object)
     assert inner.tolist() == [[Q(0)] * 3] * 2
+
+
+# -- the sparse exact vector ----------------------------------------------------
+
+def _accumulate_reference(items, terms, n):
+    """Dense sums and the key order of a dict that appends a new key, keeps
+    the place of a key it updates and forgets a key whose sum is zero."""
+    dense = [0] * n
+    order = []
+    for k, v in items + terms:
+        dense[k] += v
+        if dense[k] and k not in order:
+            order.append(k)
+        elif not dense[k] and k in order:
+            order.remove(k)
+    return [(k, dense[k]) for k in order]
+
+
+def test_accumulate_equals_dense_reference():
+    # few distinct values of both types, so that sums often cancel
+    values = [Q(1), Q(-1), Q(1, 2), Q(-3, 2), 1, -1, 2, 0]
+    rng = random.Random(26)
+    cancelled = 0
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        keys = rng.sample(range(n), rng.randint(0, n))
+        items = [(k, rng.choice(values[:-1])) for k in keys]
+        terms = [(rng.randrange(n), rng.choice(values)) for _ in range(rng.randint(0, 12))]
+        acc = dict(items)
+        out = rl.accumulate(acc, terms)
+        assert out is acc
+        assert list(out.items()) == _accumulate_reference(items, terms, n)
+        assert all(out.values())
+        cancelled += bool({k for k, v in items + terms if v} - out.keys())
+    assert cancelled > 50
+
+
+def test_accumulate_deletes_a_cancelled_key_and_appends_it_anew():
+    acc = {"a": Q(1), "b": 2}
+    assert rl.accumulate(acc, [("a", Q(-1))]) == {"b": 2}
+    rl.accumulate(acc, [("c", Q(0)), ("d", 0), ("a", Q(1, 3)), ("b", Q(1))])
+    assert list(acc.items()) == [("b", 3), ("a", Q(1, 3))]
+    assert rl.accumulate(acc, []) is acc
+
+
+def _assert_no_zero(sparse):
+    assert all(x != 0 for x in sparse.values()), sparse
+
+
+def test_no_exact_sparse_vector_stores_a_zero():
+    # (adot + 2a)(adot - 2a) = adot^2 - 4a^2 = -4a on cosh^2: the a adot and
+    # a^2 terms cancel and are not stored
+    assert cf_mul({(0, 1): Q(1), (1, 0): Q(2)}, {(0, 1): Q(1), (1, 0): Q(-2)}, 1) == {
+        (1, 0): Q(-4)}
+    for sec in enumerate_sectors(6):
+        for signature in (EUCLIDEAN, LORENTZIAN):
+            systems = [("D0", False), ("D1", False), ("D2", False)]
+            if sec.family is not Family.TENSOR:
+                systems += [("D0", True), ("D1", True)]
+            for op, maxwell in systems:
+                system = build_system(op, sec, signature, maxwell=maxwell)
+                sig = WarpedSector(sec, signature).sig
+                for coeff in (c for m in (system.m1, system.m0) for row in m for c in row):
+                    _assert_no_zero(coeff)
+                    _assert_no_zero(cf_diff(coeff, sig))
+    for fam, ks in ((Family.SCALAR, range(4)), (Family.VECTOR, range(1, 4)),
+                    (Family.TENSOR, range(2, 4))):
+        rank = harmonics._RANK[fam]
+        for k in ks:
+            for u in harmonics.harmonic_oracle(k, fam).elements:
+                for t in (u, *harmonics._sym_grad(u, rank)):
+                    for p in t.values():
+                        _assert_no_zero(p)

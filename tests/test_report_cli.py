@@ -236,11 +236,14 @@ def test_cli_config_rejection(tmp_path):
     ([], {"alpha_values": [1, 1.0]}),
     (["--alpha", "800"], None),
     ([], {"alpha_values": [0.3, -800]}),
+    (["--alpha", "350"], None),
+    ([], {"alpha_values": [0.3, -350]}),
     ([], {"tol_verdict": 10**400}),
 ], ids=["k_max-string", "config-not-object", "tol_ode-negative", "tol_ode-zero",
         "k_dynamics-negative", "margin-nan", "tol_verdict-inf", "suites-empty",
         "alpha-repeated", "alpha-repeated-int-and-float", "alpha-cosh-overflows",
-        "alpha-cosh-overflows-in-config", "tol_verdict-int-beyond-float"])
+        "alpha-cosh-overflows-in-config", "alpha-covariance-overflows",
+        "alpha-covariance-overflows-in-config", "tol_verdict-int-beyond-float"])
 def test_bad_config_exits_2(flags, config, tmp_path, monkeypatch):
     # validation alone must reject these (a zero tolerance never returns), so
     # starting a run fails the test
@@ -304,12 +307,14 @@ def test_alpha_ids_do_not_depend_on_how_alpha_was_written(tmp_path, capsys):
 def test_alpha_checks_hold_beyond_round_off_at_large_alpha():
     # u = cosh(alpha) + sinh(alpha) S lost its entries e^-|alpha| to
     # cancellation: alpha 5 read 1.5e-12, alpha 8 1.7e-10, and from 19 on the
-    # entry had the wrong sign or was 0; exp(alpha S) keeps them to round-off
-    alphas = (5.0, 8.0, 19.0, 20.0)
+    # entry had the wrong sign or was 0; exp(alpha S) keeps them to round-off.
+    # The bad datum f pairs to -1.875 e^(-2 alpha) per unit norm of f, below
+    # the margin from alpha ~ 7.2: its sign is read per unit norm of uf
+    alphas = (-300.0, 5.0, 8.0, 19.0, 20.0, 300.0)
     rep = run(RunConfig(k_max=4, suites=("symmetry",), alpha_values=alphas))
     verdicts = {r["check_id"]: r["verdict"] for r in rep["records"]}
     for alpha in alphas:
-        for check in ("alpha-unitarity", "alpha-sum-rule"):
+        for check in ("alpha-unitarity", "alpha-sum-rule", "alpha-sign-dichotomy"):
             assert verdicts[f"{check}[{alpha}]"] == "pass", (check, alpha)
 
 
