@@ -10,15 +10,22 @@ ambient projector Pi = 1 - x x^T on every slot.  Eigenvalues are measured,
 never assumed, as the exact quadrature of delta d - d delta on the element
 plus the rank's curvature shift.
 
-All arithmetic is exact rational; sphere integrals of monomials use the
-classical Gamma-function formula (the common 2*pi^2 factor cancels in every
-ratio used here).  The work is kept sparse: Pi is applied in factored form,
-so multiplying by a coordinate only shifts monomial keys; quadratures pair
-only monomials of equal per-coordinate parity (every other pair integrates
-to zero), with monomial integrals memoised on first use; symmetric tensors
-are summed over sorted indices.  Polynomials are sparse exact vectors of
-:mod:`dsvac.rational`, summed in place by its ``accumulate``, and the
-constraint solve uses its sparse elimination.
+Harmonics are fixed only up to scale, so all arithmetic is on Python
+``int``: every polynomial has integer coefficients, every element is a
+primitive integer null vector of the constraints, and the symmetrization
+sums its (r+1)! orderings without dividing by them.  Sphere integrals of
+monomials use the classical Gamma-function formula, as integers over one
+common denominator, 4^M (M+1)! at the top half-degree M the oracle
+integrates (the common 2*pi^2 factor and that denominator cancel in every
+ratio used here).  The eigenvalue and the transversality are each one
+``Fraction``, built at the end.  The work is kept sparse: Pi is applied in
+factored form, so multiplying by a coordinate only shifts monomial keys;
+quadratures pair only monomials of equal per-coordinate parity (every other
+pair integrates to zero), with monomial integrals memoised on first use;
+symmetric tensors are summed over sorted indices.  Polynomials are sparse
+exact vectors of :mod:`dsvac.rational`, summed in place by its
+``accumulate``, and the sparse integer constraint rows go straight to its
+fraction-free elimination.
 """
 
 import itertools
@@ -32,6 +39,13 @@ from .sectors import Family, SectorLabel
 Q = Fraction
 
 NVAR = 4
+
+K_MAX = 3  # desk scale
+
+# The largest half-degree of a monomial the oracle integrates: the norm of
+# the rank-3 symmetrized gradient of a rank-2 element of degree K_MAX, whose
+# entries have degree K_MAX - 1 plus two per projected slot.
+_MOMENT_TOP = K_MAX - 1 + 2 * 3
 
 
 def monomials(deg):
@@ -47,7 +61,6 @@ def monomials(deg):
 
 
 def p_scale(p, c):
-    c = Q(c)
     if c == 0:
         return {}
     return {a: c * v for a, v in p.items()}
@@ -76,16 +89,18 @@ def _shift_add(acc, p, i):
 
 
 @lru_cache(maxsize=None)
-def _mono_integral(a):
-    """Sphere integral of the monomial x^a, in units of 2*pi^2; memoised
-    on first use."""
+def _moment(a):
+    """Sphere integral of the monomial x^a, in units of 2*pi^2 / (4^M
+    (M+1)!) with M = _MOMENT_TOP: the integer 4^(M-s) (M+1)!/(s+1)!
+    prod (2 m_i)!/m_i! with a = 2m and s = |m|; memoised on first use."""
     if any(e % 2 for e in a):
-        return Q(0)
+        return 0
     m = [e // 2 for e in a]
-    num = Q(1)
+    s = sum(m)
+    num = 4 ** (_MOMENT_TOP - s) * factorial(_MOMENT_TOP + 1) // factorial(s + 1)
     for mi in m:
-        num *= Q(factorial(2 * mi), 4 ** mi * factorial(mi))
-    return num / factorial(sum(m) + 1)
+        num *= factorial(2 * mi) // factorial(mi)
+    return num
 
 
 def _parity(a):
@@ -93,15 +108,16 @@ def _parity(a):
 
 
 def _sphere_inner(p, q):
-    """Integral of p * q over the unit 3-sphere without forming the product:
-    only monomial pairs of equal per-coordinate parity integrate to nonzero."""
+    """Integral of p * q over the unit 3-sphere, in the units of
+    ``_moment``, without forming the product: only monomial pairs of equal
+    per-coordinate parity integrate to nonzero."""
     blocks = {}
     for b, d in q.items():
         blocks.setdefault(_parity(b), []).append((b, d))
-    total = Q(0)
+    total = 0
     for a, c in p.items():
         for b, d in blocks.get(_parity(a), ()):
-            total += c * d * _mono_integral(tuple(x + y for x, y in zip(a, b)))
+            total += c * d * _moment(tuple(x + y for x, y in zip(a, b)))
     return total
 
 
@@ -153,8 +169,9 @@ def _project(t, rank):
 
 def _sym_grad(u, rank):
     """Tangential gradient of a rank-``rank`` polynomial tensor: returns the
-    symmetrization and the unsymmetrized projection d, whose slot 0 carries
-    the derivative, d[(i,) + idx] = (Pi...Pi) d_i u[idx].  Each symmetrized
+    unscaled symmetrization, the sum over the (rank + 1)! orderings of the
+    slots, and the unsymmetrized projection d, whose slot 0 carries the
+    derivative, d[(i,) + idx] = (Pi...Pi) d_i u[idx].  Each symmetrized
     entry is built once per sorted index and shared by its orderings."""
     d = _project({(i,) + idx: p_diff(p, i) for idx, p in u.items()
                   for i in range(NVAR)}, rank + 1)
@@ -167,15 +184,16 @@ def _sym_grad(u, rank):
             acc = {}
             for perm in perms:
                 rl.accumulate(acc, d[tuple(key[p] for p in perm)].items())
-            orbit[key] = p_scale(acc, Q(1, len(perms)))
+            orbit[key] = acc
         sym[idx] = orbit[key]
     return sym, d
 
 
 def _norm2(t, rank):
     """Integral of the fiber norm r! sum t^2 of a symmetric rank-r tensor,
-    summed over sorted index tuples weighted by their number of orderings."""
-    total = Q(0)
+    in the units of ``_moment``, summed over sorted index tuples weighted by
+    their number of orderings."""
+    total = 0
     for idx in itertools.combinations_with_replacement(range(NVAR), rank):
         p = t.get(idx)
         if p:
@@ -185,10 +203,11 @@ def _norm2(t, rank):
 
 
 def _constraint_rows(rank, comps, mons):
-    """Exact constraint matrix on the coefficients of symmetric rank-``rank``
-    polynomial tensors of degree k: harmonic per component, divergence-free
-    and tangential per rank-(r-1) index, trace-free at rank 2.  Columns are
-    component-major in the order of ``comps``, monomials in ``mons`` order."""
+    """Sparse integer constraint rows on the coefficients of symmetric
+    rank-``rank`` polynomial tensors of degree k: harmonic per component,
+    divergence-free and tangential per rank-(r-1) index, trace-free at rank
+    2.  Columns are component-major in the order of ``comps``, monomials in
+    ``mons`` order."""
     rows = {}
 
     def put(key, col, image):
@@ -196,7 +215,7 @@ def _constraint_rows(rank, comps, mons):
             rl.accumulate(rows.setdefault((key, oa), {}), [(col, c)])
 
     for m, a in enumerate(mons):
-        unit = {a: Q(1)}
+        unit = {a: 1}
         lap = p_laplace(unit)
         grad = [p_diff(unit, i) for i in range(NVAR)]
         xmul = [_shift_add({}, unit, i) for i in range(NVAR)]
@@ -210,34 +229,36 @@ def _constraint_rows(rank, comps, mons):
                 put(("tangential", tuple(rest)), col, xmul[i])
             if rank == 2 and comp[0] == comp[1]:
                 put(("trace",), col, unit)
-    ncol = len(comps) * len(mons)
-    zero = Q(0)
-    dense = [[row.get(c, zero) for c in range(ncol)] for row in rows.values()]
-    return dense or [[zero] * ncol]
+    return list(rows.values())
 
 
 def _realize(family, k):
     """Harmonic, divergence-free, tangential (trace-free at rank 2) symmetric
-    polynomial tensors of degree k; eigenvalue measured as the quadrature of
-    delta d - d delta plus the curvature shift, transversality as the largest
-    relative divergence norm."""
+    polynomial tensors of degree k, each a primitive integer null vector of
+    the constraints; eigenvalue measured as the quadrature of delta d -
+    d delta plus the curvature shift, transversality as the largest
+    relative divergence norm.  The symmetrization is (rank + 1)! times the
+    symmetric part, so its norm is divided by ((rank + 1)!)^2."""
     rank = _RANK[family]
     comps = list(itertools.combinations_with_replacement(range(NVAR), rank))
     mons = monomials(k)
+    ncol = len(comps) * len(mons)
     elements = []
-    for v in rl.nullspace(_constraint_rows(rank, comps, mons)):
+    for v in rl.nullspace(_constraint_rows(rank, comps, mons), ncol):
+        v = rl.primitive({j: c for j, c in enumerate(v) if c})
         u = {}
         for n, comp in enumerate(comps):
-            p = {a: c for a, c in zip(mons, v[n * len(mons):]) if c != 0}
+            p = {a: v[j] for j, a in enumerate(mons, n * len(mons)) if j in v}
             for idx in set(itertools.permutations(comp)):
                 u[idx] = p
         elements.append(u)
+    orderings2 = factorial(rank + 1) ** 2
     eigs = set()
     max_div = Q(0)
     for u in elements:
         norm_u = _norm2(u, rank)
         sym, d = _sym_grad(u, rank)
-        norm_div = Q(0)
+        norm_div = 0
         if rank:
             div = {}
             for rest in _indices(rank - 1):
@@ -246,8 +267,9 @@ def _realize(family, k):
                     rl.accumulate(acc, d[(i, i) + rest].items())
                 div[rest] = p_scale(acc, -rank)
             norm_div = _norm2(div, rank - 1)
-        max_div = max(max_div, norm_div / norm_u)
-        eigs.add((_norm2(sym, rank + 1) - norm_div) / norm_u + _SHIFT[rank])
+        max_div = max(max_div, Q(norm_div, norm_u))
+        eigs.add(Q(_norm2(sym, rank + 1) - orderings2 * norm_div, orderings2 * norm_u)
+                 + _SHIFT[rank])
     if len(eigs) != 1:
         raise RuntimeError(f"{family.value} level {k} not an eigenspace: {sorted(eigs)}")
     return HarmonicRealization(family, k, elements, eigs.pop(), max_div)
@@ -256,10 +278,10 @@ def _realize(family, k):
 def harmonic_oracle(k, family):
     """Construct the harmonic level and measure eigenvalue + multiplicity.
 
-    Desk scale only (k <= 3); levels below the family minimum raise
+    Desk scale only (k <= K_MAX); levels below the family minimum raise
     ``ValueError``.
     """
     SectorLabel(family, k)
-    if k > 3:
-        raise ValueError("harmonic oracle is desk-scale: k <= 3")
+    if k > K_MAX:
+        raise ValueError(f"harmonic oracle is desk-scale: k <= {K_MAX}")
     return _realize(family, k)

@@ -5,14 +5,22 @@ The library's exact matrices are numpy object arrays of
 and become floats with ``astype(float)``.  This module holds what numpy
 cannot do exactly: the sparse exact vector, a dict of nonzero rationals,
 with its one in-place update :func:`accumulate` (the warped coefficients,
-the harmonic polynomials and the rows here all update through it), and its
+the harmonic polynomials and the rows here all update through it) and its
+scaling to a primitive integer vector, :func:`primitive`; and its
 elimination: :func:`nullspace` and :func:`solve` share one reduced row
-echelon routine.  They accept nested lists or 2-D arrays and return lists
-of ``Fraction``.
+echelon routine.  The elimination is fraction-free: every row is scaled to
+a primitive integer row on entry and kept so, a row is updated as
+``p * row - f * pivot_row`` with ``p`` and ``f`` divided by their gcd, and
+the ``Fraction`` entries of the reduced form are built once, at the end.
+The reduced form is unique, so the result is the one a Gauss-Jordan
+elimination over ``Fraction`` gives.  Both accept nested lists or 2-D
+arrays, :func:`nullspace` also sparse rows, and both return lists of
+``Fraction``.
 """
 
 import itertools
 from fractions import Fraction
+from math import gcd, lcm
 
 Q = Fraction
 
@@ -32,17 +40,32 @@ def accumulate(acc, terms):
     return acc
 
 
+def primitive(vec):
+    """Scale the sparse exact vector ``vec`` in place to a primitive integer
+    vector, of ``int`` entries whose gcd is 1, keeping its signs; returns
+    ``vec``."""
+    den = lcm(*(x.denominator for x in vec.values()))
+    for k, x in vec.items():
+        vec[k] = x.numerator * (den // x.denominator)
+    g = gcd(*vec.values())
+    if g > 1:
+        for k, x in vec.items():
+            vec[k] = x // g
+    return vec
+
+
 def _rref(rows, ncol):
-    """Reduced row echelon form of sparse rows (dicts ``{col: Fraction}`` of
-    nonzero entries), reduced in place.
+    """Reduced row echelon form of sparse rows (dicts ``{col: value}`` of
+    nonzero rationals), reduced in place without fractions.
 
     Walks the columns left to right; each pivot is taken from the un-pivoted
-    row with the fewest nonzeros, normalised, and its column eliminated from
-    every other row, touching only nonzero entries.  Returns the pivot
-    columns and their rows in column order.  The reduced form is unique, so
-    the result does not depend on the pivot choice.
+    row with the fewest nonzeros, and its column eliminated from every other
+    row by an integer combination, touching only nonzero entries.  Every row
+    stays a primitive integer row.  Returns the pivot columns and their rows
+    in column order, each row divided by its pivot.  The reduced form is
+    unique, so the result does not depend on the pivot choice.
     """
-    pending = [r for r in rows if r]
+    pending = [primitive(r) for r in rows if r]
     pivoted = []
     for c in range(ncol):
         if not pending:
@@ -51,27 +74,36 @@ def _rref(rows, ncol):
         if not holding:
             continue
         prow = pending.pop(min(holding, key=lambda i: len(pending[i])))
-        inv = 1 / prow[c]
-        for j in prow:
-            prow[j] *= inv
+        p = prow[c]
         for row in itertools.chain(pending, (r for _, r in pivoted)):
             f = row.get(c)
             if f is None:
                 continue
-            g = -f
-            accumulate(row, [(j, g * y) for j, y in prow.items()])
+            g = gcd(p, f)
+            s, t = p // g, -(f // g)
+            if s != 1:
+                for j in row:
+                    row[j] *= s
+            accumulate(row, [(j, t * y) for j, y in prow.items()])
+            g = gcd(*row.values())
+            if g > 1:
+                for j in row:
+                    row[j] //= g
         pivoted.append((c, prow))
-    return pivoted
+    return [(c, {j: Q(y, row[c]) for j, y in row.items()}) for c, row in pivoted]
 
 
 def _sparse_rows(a):
-    return [{j: x for j, x in enumerate(row) if x} for row in a]
+    return [dict(row) if isinstance(row, dict) else {j: x for j, x in enumerate(row) if x}
+            for row in a]
 
 
-def nullspace(a):
+def nullspace(a, ncol=None):
     """Basis (list of column vectors) of the exact null space of ``a``, read
-    off the reduced row echelon form: one vector per free column."""
-    n = len(a[0]) if len(a) else 0
+    off the reduced row echelon form: one vector per free column.  ``ncol``
+    is the number of columns; it is required when the rows of ``a`` are
+    sparse, dicts ``{col: value}`` of nonzero entries."""
+    n = ncol if ncol is not None else len(a[0]) if len(a) else 0
     pivoted = _rref(_sparse_rows(a), n)
     pivot_cols = {c for c, _ in pivoted}
     basis = []
@@ -81,7 +113,9 @@ def nullspace(a):
         v = [Q(0)] * n
         v[fc] = Q(1)
         for pc, row in pivoted:
-            v[pc] = -row.get(fc, Q(0))
+            x = row.get(fc)
+            if x is not None:
+                v[pc] = -x
         basis.append(v)
     return basis
 
@@ -105,4 +139,3 @@ def solve(a, b):
         raise ValueError("inconsistent system")
     x = [[row.get(n + j, Q(0)) for j in range(len(bm[0]))] for _, row in pivoted]
     return [r[0] for r in x] if vec else x
-

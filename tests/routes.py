@@ -11,11 +11,16 @@ integration in both time directions, the collocation matrix assembled node
 by node, the exact pole tables, the exact indicial matrix and its
 determinant, the Frobenius recursion one seed at a time, the exact action of
 the radial operators on concrete profiles, exact matrices of the coefficient
-field, composable spatial operators and the exact identity matrix.
+field, composable spatial operators, the exact identity matrix, and the
+polynomial harmonic oracle in ``Fraction`` arithmetic (normalized
+symmetrization, rational sphere moments, a dense constraint matrix), the
+reference route of the library's integer oracle.
 """
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -31,7 +36,18 @@ from dsvac.cauchy import (
     lorentz_block,
     lorentz_gauge_blocks,
 )
-from dsvac.harmonics import NVAR, _mono_integral, _norm2, _sphere_inner, _sym_grad
+from dsvac.harmonics import (
+    _RANK,
+    _SHIFT,
+    NVAR,
+    HarmonicRealization,
+    _indices,
+    _parity,
+    _project,
+    monomials,
+    p_diff,
+    p_scale,
+)
 from dsvac.phase_space import _param_columns
 from dsvac.radial import INTEGRATOR_TOL, evolve_raw, indicial_data
 from dsvac.sectors import SCALAR0, SCALAR1, VECTOR1, Family, space
@@ -640,7 +656,107 @@ def pi_projection(sector, levels=(3, 4), rank=2):
     return np.eye(size)
 
 
-# -- sphere quadrature of the harmonic oracle ---------------------------------
+# -- the harmonic oracle in Fraction arithmetic --------------------------------
+# The reference route of dsvac.harmonics: the same construction with
+# rational sphere moments, the symmetrization divided by its number of
+# orderings, the constraints as a dense Fraction matrix and the null vectors
+# as the elimination returns them.
+
+def mono_integral(a):
+    """Sphere integral of the monomial x^a, in units of 2*pi^2."""
+    if any(e % 2 for e in a):
+        return Q(0)
+    m = [e // 2 for e in a]
+    num = Q(1)
+    for mi in m:
+        num *= Q(factorial(2 * mi), 4 ** mi * factorial(mi))
+    return num / factorial(sum(m) + 1)
+
+
+def sphere_inner(p, q):
+    """Integral of p * q over the unit 3-sphere, in units of 2*pi^2."""
+    blocks = {}
+    for b, d in q.items():
+        blocks.setdefault(_parity(b), []).append((b, d))
+    total = Q(0)
+    for a, c in p.items():
+        for b, d in blocks.get(_parity(a), ()):
+            total += c * d * mono_integral(tuple(x + y for x, y in zip(a, b)))
+    return total
+
+
+def sym_grad(u, rank):
+    """Symmetrized tangential gradient (the symmetric part, divided by the
+    number of orderings) and the unsymmetrized projection d."""
+    d = _project({(i,) + idx: p_diff(p, i) for idx, p in u.items()
+                  for i in range(NVAR)}, rank + 1)
+    perms = list(itertools.permutations(range(rank + 1)))
+    orbit = {}
+    sym = {}
+    for idx in d:
+        key = tuple(sorted(idx))
+        if key not in orbit:
+            acc = {}
+            for perm in perms:
+                rl.accumulate(acc, d[tuple(key[p] for p in perm)].items())
+            orbit[key] = p_scale(acc, Q(1, len(perms)))
+        sym[idx] = orbit[key]
+    return sym, d
+
+
+def norm2(t, rank):
+    """Integral of the fiber norm r! sum t^2 of a symmetric rank-r tensor,
+    in units of 2*pi^2."""
+    total = Q(0)
+    for idx in itertools.combinations_with_replacement(range(NVAR), rank):
+        p = t.get(idx)
+        if p:
+            orderings = len(set(itertools.permutations(idx)))
+            total += orderings * sphere_inner(p, p)
+    return factorial(rank) * total
+
+
+def constraint_matrix(rank, comps, mons):
+    """The library's constraint rows as a dense matrix of Fraction."""
+    ncol = len(comps) * len(mons)
+    rows = harmonics._constraint_rows(rank, comps, mons) or [{}]
+    return [[Q(row.get(c, 0)) for c in range(ncol)] for row in rows]
+
+
+def harmonic_oracle_fractions(k, family):
+    """The harmonic level of ``family`` at level k, as ``harmonics.
+    harmonic_oracle`` builds it, in Fraction arithmetic throughout."""
+    rank = _RANK[family]
+    comps = list(itertools.combinations_with_replacement(range(NVAR), rank))
+    mons = monomials(k)
+    elements = []
+    for v in rl.nullspace(constraint_matrix(rank, comps, mons)):
+        u = {}
+        for n, comp in enumerate(comps):
+            p = {a: c for a, c in zip(mons, v[n * len(mons):]) if c != 0}
+            for idx in set(itertools.permutations(comp)):
+                u[idx] = p
+        elements.append(u)
+    eigs = set()
+    max_div = Q(0)
+    for u in elements:
+        norm_u = norm2(u, rank)
+        sym, d = sym_grad(u, rank)
+        norm_div = Q(0)
+        if rank:
+            div = {}
+            for rest in _indices(rank - 1):
+                acc = {}
+                for i in range(NVAR):
+                    rl.accumulate(acc, d[(i, i) + rest].items())
+                div[rest] = p_scale(acc, -rank)
+            norm_div = norm2(div, rank - 1)
+        max_div = max(max_div, norm_div / norm_u)
+        eigs.add((norm2(sym, rank + 1) - norm_div) / norm_u + _SHIFT[rank])
+    if len(eigs) != 1:
+        raise RuntimeError(f"{family.value} level {k} not an eigenspace: {sorted(eigs)}")
+    return HarmonicRealization(family, k, elements, eigs.pop(), max_div)
+
 
 def p_mul(p, q):
     out = {}
@@ -653,19 +769,19 @@ def p_mul(p, q):
 
 def sphere_integral(p):
     """Exact integral over the unit 3-sphere, in units of 2*pi^2."""
-    return sum((c * _mono_integral(a) for a, c in p.items()), Q(0))
+    return sum((c * mono_integral(a) for a, c in p.items()), Q(0))
 
 
 def gram_quadrature_scalar(k):
     """Quadrature Gram data for the scalar sector: returns
     ((dY|dY), (ddY|ddY), (ddY|Yh), (Yh|Yh)) relative to (Y|Y) = 1."""
     p = harmonics.harmonic_oracle(k, Family.SCALAR).elements[0][()]
-    norm = _norm2({(): p}, 0)
-    w, _ = _sym_grad({(): p}, 0)  # tangential gradient Pi grad P
-    hess, _ = _sym_grad(w, 1)
+    norm = norm2({(): p}, 0)
+    w, _ = sym_grad({(): p}, 0)  # tangential gradient Pi grad P
+    hess, _ = sym_grad(w, 1)
     tr = {}
     for i in range(NVAR):
         rl.accumulate(tr, hess[(i, i)].items())
     # (ddY | Yh) = integral 2 * tr_h(ddY) * Y
-    g_cross = 2 * _sphere_inner(tr, p) / norm
-    return _norm2(w, 1) / norm, _norm2(hess, 2) / norm, g_cross, Q(6)
+    g_cross = 2 * sphere_inner(tr, p) / norm
+    return norm2(w, 1) / norm, norm2(hess, 2) / norm, g_cross, Q(6)

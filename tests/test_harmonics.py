@@ -8,7 +8,13 @@ from dsvac import harmonics
 from dsvac import rational as rl
 from dsvac.harmonics import harmonic_oracle, p_diff, p_scale
 from dsvac.sectors import Family, SectorLabel, space
-from routes import gram_quadrature_scalar, p_mul, sphere_integral
+from routes import (
+    gram_quadrature_scalar,
+    harmonic_oracle_fractions,
+    mono_integral,
+    p_mul,
+    sphere_integral,
+)
 
 Q = Fraction
 
@@ -133,20 +139,83 @@ def _norm2_reference(t, rank):
     return factorial(rank) * _sphere_integral_reference(acc)
 
 
+# the library's sphere moments are integers over this one denominator
+MOMENT_DENOM = 4 ** harmonics._MOMENT_TOP * factorial(harmonics._MOMENT_TOP + 1)
+
+
+def _sym_grad_reference_unscaled(u, rank):
+    # the library sums the orderings without dividing by their number
+    sym, d = _sym_grad_reference(u, rank)
+    return {idx: p_scale(p, factorial(rank + 1)) for idx, p in sym.items()}, d
+
+
+def _norm2_reference_scaled(t, rank):
+    return MOMENT_DENOM * _norm2_reference(t, rank)
+
+
 @pytest.mark.parametrize("fam,k,rank", [(Family.VECTOR, 3, 1), (Family.TENSOR, 2, 2)])
 def test_realization_equals_reference(fam, k, rank, monkeypatch):
     real = harmonic_oracle(k, fam)
     for u in real.elements:
         sym, d = harmonics._sym_grad(u, rank)
-        ref_sym, ref_d = _sym_grad_reference(u, rank)
+        ref_sym, ref_d = _sym_grad_reference_unscaled(u, rank)
         assert sym == ref_sym
         assert d == ref_d
-        assert harmonics._norm2(u, rank) == _norm2_reference(u, rank)
-        assert harmonics._norm2(sym, rank + 1) == _norm2_reference(sym, rank + 1)
-    monkeypatch.setattr(harmonics, "_sym_grad", _sym_grad_reference)
-    monkeypatch.setattr(harmonics, "_norm2", _norm2_reference)
+        assert harmonics._norm2(u, rank) == _norm2_reference_scaled(u, rank)
+        assert harmonics._norm2(sym, rank + 1) == _norm2_reference_scaled(sym, rank + 1)
+    monkeypatch.setattr(harmonics, "_sym_grad", _sym_grad_reference_unscaled)
+    monkeypatch.setattr(harmonics, "_norm2", _norm2_reference_scaled)
     ref = harmonic_oracle(k, fam)
     assert real.elements == ref.elements
     assert (type(real.eigenvalue), real.eigenvalue) == (type(ref.eigenvalue), ref.eigenvalue)
     assert (type(real.transversality), real.transversality) == (
         type(ref.transversality), ref.transversality)
+
+
+NINE_SECTORS = [(Family.SCALAR, k) for k in range(4)] + [
+    (Family.VECTOR, k) for k in range(1, 4)] + [(Family.TENSOR, k) for k in (2, 3)]
+
+
+def _exact_rank(elements):
+    """Exact rank of a set of polynomial tensors, as vectors of their
+    (index, monomial) coefficients: the number of elements less the
+    dimension of the null space of the matrix with one column per element."""
+    rows = {}
+    for col, u in enumerate(elements):
+        for idx, p in u.items():
+            for a, c in p.items():
+                rows.setdefault((idx, a), {})[col] = c
+    return len(elements) - len(rl.nullspace(list(rows.values()), len(elements)))
+
+
+@pytest.mark.parametrize("fam,k", NINE_SECTORS)
+def test_integer_oracle_equals_fraction_route(fam, k):
+    real = harmonic_oracle(k, fam)
+    ref = harmonic_oracle_fractions(k, fam)
+    assert (type(real.eigenvalue), real.eigenvalue) == (type(ref.eigenvalue), ref.eigenvalue)
+    assert (type(real.transversality), real.transversality) == (
+        type(ref.transversality), ref.transversality)
+    assert real.multiplicity == ref.multiplicity
+    rank = _exact_rank(real.elements)
+    assert rank == _exact_rank(ref.elements) == real.multiplicity
+    assert _exact_rank(real.elements + ref.elements) == rank
+
+
+def test_oracle_computes_on_ints():
+    # the integer oracle is the speed-up: no Fraction creeps back into a
+    # coefficient of an element, a symmetrized gradient or a sphere moment
+    def coefficients(t):
+        return [c for p in t.values() for c in p.values()]
+
+    for fam, k in NINE_SECTORS:
+        rank = harmonics._RANK[fam]
+        for u in harmonic_oracle(k, fam).elements:
+            sym, d = harmonics._sym_grad(u, rank)
+            for t in (u, sym, d):
+                assert all(type(c) is int for c in coefficients(t))
+    top = 2 * harmonics._MOMENT_TOP
+    for deg in range(top + 1):
+        for a in harmonics.monomials(deg):
+            moment = harmonics._moment(a)
+            assert type(moment) is int
+            assert Q(moment, MOMENT_DENOM) == mono_integral(a)

@@ -1,7 +1,9 @@
 """Exact linear algebra against dense reference loops: the sparse exact
-vector of ``dsvac.rational`` (its in-place update and its elimination), and
-numpy's object-array product that the library's exact matrices rely on."""
+vector of ``dsvac.rational`` (its in-place update, its scaling to primitive
+integers and its fraction-free elimination), and numpy's object-array
+product that the library's exact matrices rely on."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -139,6 +141,51 @@ def test_nullspace_equals_dense_reference(a):
 
 def test_nullspace_of_the_empty_matrix():
     assert rl.nullspace([]) == []
+    assert _typed(rl.nullspace([], 2)) == _typed([[Q(1), Q(0)], [Q(0), Q(1)]])
+
+
+def _fraction_entry(rng, density):
+    # non-integer entries with coprime denominators up to 97, so that the
+    # fraction-free elimination clears many distinct denominators per row
+    if rng.random() >= density:
+        return Q(0)
+    return Q(rng.choice([-1, 1]) * rng.randint(1, 60), rng.choice([2, 3, 7, 11, 48, 97]))
+
+
+def test_fraction_rows_equal_dense_reference():
+    rng = random.Random(27)
+    solved = 0
+    for m, n in ((4, 9), (8, 8), (12, 6), (10, 16), (20, 30)):
+        for density in (0.2, 0.5, 0.9):
+            a = [[_fraction_entry(rng, density) for _ in range(n)] for _ in range(m)]
+            ref = _typed(_nullspace_reference(a))
+            assert _typed(rl.nullspace(a)) == ref
+            sparse = [{j: x for j, x in enumerate(row) if x} for row in a]
+            assert _typed(rl.nullspace(sparse, n)) == ref
+            assert sparse == [{j: x for j, x in enumerate(row) if x} for row in a]
+            square = [row[:m] for row in a]
+            if m > n or len(_nullspace_reference(square)):
+                continue
+            x = [_fraction_entry(rng, 0.8) for _ in range(m)]
+            for b in ((np.array(square) @ x).tolist(),
+                      (np.array(square) @ np.array(a[:m])).tolist()):
+                assert _typed(rl.solve(square, b)) == _typed(_solve_reference(square, b))
+            solved += 1
+    assert solved >= 5
+
+
+def test_primitive_scales_to_coprime_ints():
+    rng = random.Random(2027)
+    for _ in range(200):
+        vec = {k: _fraction_entry(rng, 1.0) * rng.choice([1, 5, 12])
+               for k in range(rng.randint(1, 8))}
+        out = rl.primitive(dict(vec))
+        assert list(out) == list(vec)
+        assert all(type(x) is int for x in out.values())
+        assert math.gcd(*out.values()) == 1
+        first = next(iter(vec))
+        ratio = vec[first] / out[first]
+        assert ratio > 0 and all(vec[k] == ratio * x for k, x in out.items())
 
 
 def test_solve_vector_and_matrix_right_hand_sides():
