@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .cauchy import charge_form, lorentz_block, reflection
-from .radial import OPERATOR_RANK, build_system, regular_basis
+from .radial import INTEGRATOR_TOL, OPERATOR_RANK, build_system, regular_basis
 from .sectors import SectorLabel
 from .warped import EUCLIDEAN, LORENTZIAN
 
@@ -54,14 +54,14 @@ def _orth(m, tol=1e-10):
     return u[:, :_rank(s, tol)]
 
 
-def _regular_data(sector, operator_id, maxwell, params):
+def _regular_data(sector, operator_id, maxwell, tol):
     """The system with the north regular data and their south reflection."""
     system = build_system(operator_id, sector, EUCLIDEAN, maxwell=maxwell)
-    vp = regular_basis(system, **params).data_matrix
+    vp = regular_basis(system, tol=tol).data_matrix
     return system, vp, reflection(sector, system.rank)[:, None] * vp
 
 
-def projector_pair(theory, sector, operator_id, **params):
+def projector_pair(theory, sector, operator_id, tol=INTEGRATOR_TOL):
     """Euclidean projector pair of one operator of ``theory``: the quotient
     construction in the sectors where the operator has a kernel, the
     invertible one elsewhere."""
@@ -69,13 +69,13 @@ def projector_pair(theory, sector, operator_id, **params):
         build = calderon_quotient
     else:
         build = calderon_invertible
-    return build(sector, operator_id, maxwell=theory.maxwell, **params)
+    return build(sector, operator_id, maxwell=theory.maxwell, tol=tol)
 
 
-def calderon_invertible(sector, operator_id="D2", maxwell=False, **params):
+def calderon_invertible(sector, operator_id="D2", maxwell=False, tol=INTEGRATOR_TOL):
     """Euclidean projector pair for an invertible operator (transversal
     regular subspaces)."""
-    system, vp, vm = _regular_data(sector, operator_id, maxwell, params)
+    system, vp, vm = _regular_data(sector, operator_id, maxwell, tol)
     n = system.n
     both = np.hstack([vp, vm])
     sv = np.linalg.svd(both, compute_uv=False)
@@ -91,7 +91,7 @@ def calderon_invertible(sector, operator_id="D2", maxwell=False, **params):
                          conditioning=cond)
 
 
-def calderon_quotient(sector, operator_id="D1", maxwell=False, **params):
+def calderon_quotient(sector, operator_id="D1", maxwell=False, tol=INTEGRATOR_TOL):
     """Euclidean projector pair in the non-invertible case.
 
     The projectors act on the charge-orthogonal complement of the kernel
@@ -99,7 +99,7 @@ def calderon_quotient(sector, operator_id="D1", maxwell=False, **params):
     the action on the subspace basis (columns of ``quotient_info.subspace``)
     with the kernel ambiguity projected out on the quotient.
     """
-    system, vp, vm = _regular_data(sector, operator_id, maxwell, params)
+    system, vp, vm = _regular_data(sector, operator_id, maxwell, tol)
     n = system.n
     # kernel data: intersection of the two regular subspaces
     u, s, vt = np.linalg.svd(vp.T @ vm)

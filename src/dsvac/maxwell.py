@@ -18,6 +18,7 @@ from fractions import Fraction
 from .cauchy import MAXWELL
 from .calderon import projector_pair
 from .phase_space import _build_phase_space, _data_column
+from .radial import INTEGRATOR_TOL
 from .sectors import SCALAR0, Family, enumerate_sectors
 from .states import build_covariances
 
@@ -58,8 +59,8 @@ def maxwell_phase_space(sector):
     return _build_phase_space(sector, MAXWELL, columns)
 
 
-def maxwell_projector_pair(sector, operator_id="D1", **params):
-    return projector_pair(MAXWELL, sector, operator_id, **params)
+def maxwell_projector_pair(sector, operator_id="D1", tol=INTEGRATOR_TOL):
+    return projector_pair(MAXWELL, sector, operator_id, tol)
 
 
 def maxwell_covariances(sector, variant="euclidean_vacuum", alpha=0.0, *,

@@ -242,7 +242,7 @@ def indicial_data(system):
     out = []
     for rho, mult in sorted(mults.items()):
         lrho = rho * (rho - 1) * eye - rho * p0 - q0
-        seeds = rl.nullspace([[Q(x) for x in row] for row in lrho.tolist()])
+        seeds = rl.nullspace(lrho.tolist())
         if not seeds:
             raise RuntimeError(f"indicial matrix of {system.operator_id} "
                                f"{system.sector} is regular at rho = {rho}")

@@ -6,16 +6,15 @@ and become floats with ``astype(float)``.  This module holds what numpy
 cannot do exactly: the sparse exact vector, a dict of nonzero rationals,
 with its one in-place update :func:`accumulate` (the warped coefficients,
 the harmonic polynomials and the rows here all update through it) and its
-scaling to a primitive integer vector, :func:`primitive`; and its
-elimination: :func:`nullspace` and :func:`solve` share one reduced row
-echelon routine.  The elimination is fraction-free: every row is scaled to
-a primitive integer row on entry and kept so, a row is updated as
-``p * row - f * pivot_row`` with ``p`` and ``f`` divided by their gcd, and
-the ``Fraction`` entries of the reduced form are built once, at the end.
-The reduced form is unique, so the result is the one a Gauss-Jordan
-elimination over ``Fraction`` gives.  Both accept nested lists or 2-D
-arrays, :func:`nullspace` also sparse rows, and both return lists of
-``Fraction``.
+scaling to a primitive integer vector, :func:`primitive`; and its null
+space, :func:`nullspace`, read off a reduced row echelon form.  The
+elimination is fraction-free: every row is scaled to a primitive integer row
+on entry and kept so, a row is updated as ``p * row - f * pivot_row`` with
+``p`` and ``f`` divided by their gcd, and the ``Fraction`` entries of the
+reduced form are built once, at the end.  The reduced form is unique, so the
+result is the one a Gauss-Jordan elimination over ``Fraction`` gives.
+:func:`nullspace` accepts nested lists, 2-D arrays or sparse rows, and
+returns lists of ``Fraction``.
 """
 
 import itertools
@@ -93,18 +92,15 @@ def _rref(rows, ncol):
     return [(c, {j: Q(y, row[c]) for j, y in row.items()}) for c, row in pivoted]
 
 
-def _sparse_rows(a):
-    return [dict(row) if isinstance(row, dict) else {j: x for j, x in enumerate(row) if x}
-            for row in a]
-
-
 def nullspace(a, ncol=None):
     """Basis (list of column vectors) of the exact null space of ``a``, read
     off the reduced row echelon form: one vector per free column.  ``ncol``
     is the number of columns; it is required when the rows of ``a`` are
     sparse, dicts ``{col: value}`` of nonzero entries."""
     n = ncol if ncol is not None else len(a[0]) if len(a) else 0
-    pivoted = _rref(_sparse_rows(a), n)
+    rows = [dict(row) if isinstance(row, dict) else {j: x for j, x in enumerate(row) if x}
+            for row in a]
+    pivoted = _rref(rows, n)
     pivot_cols = {c for c, _ in pivoted}
     basis = []
     for fc in range(n):
@@ -119,23 +115,3 @@ def nullspace(a, ncol=None):
         basis.append(v)
     return basis
 
-
-def solve(a, b):
-    """Solve a @ x = b for exact x; raises if singular/inconsistent.
-
-    ``b`` may be a vector or a matrix of right-hand sides; it is reduced as
-    extra columns of ``a``.
-    """
-    vec = not isinstance(b[0], list)
-    bm = [[x] for x in b] if vec else b
-    n = len(a[0]) if len(a) else 0
-    rows = _sparse_rows(a)
-    for row, rhs in zip(rows, bm):
-        row.update((n + j, x) for j, x in enumerate(rhs) if x)
-    pivoted = _rref(rows, n + len(bm[0]))
-    if sum(c < n for c, _ in pivoted) < n:
-        raise ValueError("singular system")
-    if len(pivoted) > n:
-        raise ValueError("inconsistent system")
-    x = [[row.get(n + j, Q(0)) for j in range(len(bm[0]))] for _, row in pivoted]
-    return [r[0] for r in x] if vec else x

@@ -7,9 +7,9 @@ symmetric differential, codifferential and metric attachment; their matrices
 have exact rational entries.
 
 Degenerate low levels (where generators become linearly dependent, for
-example d d Y = -Y h at k=1) are handled uniformly: candidate generators are
-reduced by an exact Gram-Schmidt rank test and the dropped generators keep a
-rewrite rule into the retained basis.
+example d d Y = -Y h at k=1) are handled uniformly: the exact null space of
+the candidate generators' Gram matrix, taken in priority order, names the
+dropped generators and their rewrite rules into the retained basis.
 """
 
 from dataclasses import dataclass
@@ -197,41 +197,20 @@ class SectorSpace:
             self._reduce_rank(rank, gens[rank], gram[rank], priority[rank])
 
     def _reduce_rank(self, rank, names, gram, priority):
-        if not names:
-            self.basis[rank] = ()
-            self._rewrite[rank] = {}
-            self._gram_basis[rank] = []
-            return
-        idx = {n: i for i, n in enumerate(names)}
-        kept = []
-
-        def g(a, b):
-            return gram[idx[a]][idx[b]]
-
-        rewrites = {}
-        for name in priority:
-            if kept:
-                gk = [[g(a, b) for b in kept] for a in kept]
-                rhs = [g(a, name) for a in kept]
-                coeffs = rl.solve(gk, rhs)
-                resid = g(name, name) - sum(c * r for c, r in zip(coeffs, rhs))
-            else:
-                coeffs = []
-                resid = g(name, name)
-            if resid == 0:
-                rewrites[name] = dict(zip(kept, coeffs))
-            else:
-                kept.append(name)
-        basis = [n for n in names if n in kept]
-        self.basis[rank] = tuple(basis)
-        rew = {}
-        for n in names:
-            if n in basis:
-                rew[n] = {n: Q(1)}
-            else:
-                rew[n] = {b: c for b, c in rewrites[n].items() if c != 0}
-        self._rewrite[rank] = rew
-        bidx = [idx[b] for b in basis]
+        # a null vector of the (positive semidefinite) Gram is a vanishing
+        # generator combination; in priority order, the one of a free column
+        # f is 1 at f and nonzero otherwise only at earlier kept generators,
+        # so it rewrites f over them
+        order = [names.index(n) for n in priority]
+        null = rl.nullspace([[gram[i][j] for j in order] for i in order]) if names else []
+        dropped = {}
+        for v in null:
+            f = max(i for i, x in enumerate(v) if x)
+            dropped[priority[f]] = {priority[p]: -x for p, x in enumerate(v[:f]) if x}
+        basis = tuple(n for n in names if n not in dropped)
+        self.basis[rank] = basis
+        self._rewrite[rank] = {n: dropped[n] if n in dropped else {n: Q(1)} for n in names}
+        bidx = [names.index(b) for b in basis]
         self._gram_basis[rank] = [[gram[i][j] for j in bidx] for i in bidx]
 
     def dim(self, rank):
@@ -253,8 +232,8 @@ class SectorSpace:
         """Matrix of a spatial operator on the rank-``rank`` basis.
 
         Supported: 'd' (rank+1), 'delta' (rank-1), 'trace' (h-trace,
-        rank-2), 'htrace' ((h| = 2*trace), 'hmul' (|h), 0->2),
-        'hsym' (symmetrized h tensor attachment, 1->3).
+        rank-2; (h| is twice it), 'hmul' (|h), 0->2), 'hsym' (symmetrized
+        h tensor attachment, 1->3).
         Returns (matrix, target_rank); the matrix is a tuple of row tuples,
         built once per (name, rank) and shared by every caller.
         """
@@ -264,32 +243,20 @@ class SectorSpace:
 
     def _build_op(self, name, rank):
         targets = {"d": rank + 1, "delta": rank - 1, "trace": rank - 2,
-                   "htrace": rank - 2, "hmul": rank + 2, "hsym": rank + 2}
+                   "hmul": rank + 2, "hsym": rank + 2}
         if name not in targets:
             raise ValueError(f"unknown operator {name!r}")
         tr = targets[name]
-        if not (0 <= tr <= 3) or rank not in _APPLICABLE[name]:
+        if not 0 <= tr <= 3:
             raise ValueError(f"operator {name!r} not applicable at rank {rank}")
-        key = "trace" if name == "htrace" else name
         cols = []
         for b in self.basis[rank]:
-            combo = self._act[key].get(b)
+            combo = self._act[name].get(b)
             if combo is None:
                 raise ValueError(f"operator {name!r} not applicable at rank {rank}")
             cols.append(self._gen_coords(tr, combo))
-        scale = 2 if name == "htrace" else 1
-        return tuple(tuple(scale * cols[j][i] for j in range(len(cols)))
+        return tuple(tuple(cols[j][i] for j in range(len(cols)))
                      for i in range(self.dim(tr))), tr
-
-
-_APPLICABLE = {
-    "d": (0, 1, 2),
-    "delta": (1, 2, 3),
-    "trace": (2, 3),
-    "htrace": (2, 3),
-    "hmul": (0,),
-    "hsym": (1,),
-}
 
 
 @lru_cache(maxsize=None)

@@ -141,7 +141,9 @@ def extrema(cov, basis):
 
 
 def gauge_pairing_residual(cov, left_basis, right_basis):
-    """max |lambda_pm(f, g)| over unit-norm vectors of the two subspaces."""
+    """max |lambda_pm(f, g)| over the unit-norm basis columns f of
+    ``left_basis`` and g of ``right_basis``: the largest entry, not the norm
+    of the pairing between the two subspaces."""
     rank = cov.theory.rank
     left = normalized_columns(cov.sector, left_basis, rank)
     right = normalized_columns(cov.sector, right_basis, rank)

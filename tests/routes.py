@@ -363,7 +363,7 @@ def _ops(sector):
     sp = space(sector)
     out = {}
     for name, rank in (("d", 0), ("d", 1), ("delta", 1), ("delta", 2),
-                       ("htrace", 2), ("hmul", 0)):
+                       ("trace", 2), ("hmul", 0)):
         try:
             m, _ = sp.op(name, rank)
         except ValueError:
@@ -384,7 +384,7 @@ def sym_div_block(sector):
     _set(m, lo, 0, 1, li, 0, 2, op[("delta", 2)])
     _set(m, lo, 1, 0, li, 0, 0, eye(li.slot_dims[0]), 2 * (lam - 3))
     _set(m, lo, 1, 0, li, 1, 1, op[("delta", 1)], 2)
-    _set(m, lo, 1, 0, li, 0, 2, op[("htrace", 2)], -1)
+    _set(m, lo, 1, 0, li, 0, 2, op[("trace", 2)], -2)
     _set(m, lo, 1, 1, li, 0, 1, eye(li.slot_dims[1]), 2 * (lam - 4))
     _set(m, lo, 1, 1, li, 1, 2, op[("delta", 2)])
     return m
@@ -424,7 +424,7 @@ def neg_trace_block(sector):
     m = _blockmap(lo, li)
     for h in (0, 1):
         _set(m, lo, h, 0, li, h, 0, eye(li.slot_dims[0]), -2)
-        _set(m, lo, h, 0, li, h, 2, op[("htrace", 2)], -1)
+        _set(m, lo, h, 0, li, h, 2, op[("trace", 2)], -2)
     return m
 
 
@@ -481,7 +481,7 @@ def trace_reversal_half(sector, flavor):
     if d0 == 0:
         return m
     o0, o2 = lay.offsets[0], lay.offsets[2]
-    tr = Q(1, 2) * np.array(op[("htrace", 2)])  # h-trace
+    tr = np.array(op[("trace", 2)])  # h-trace
     hm = np.array(op[("hmul", 0)])
     sgn = Q(1) if flavor == "lorentzian" else Q(-1)
     # (Iu)_00 = 1/2 u_00 + sgn * 1/2 tr_h u_SS

@@ -92,11 +92,11 @@ def test_exact_arrays_stay_exact_and_read_only():
             for signs in (False, True):
                 check(data_weight(sec, rank, lorentz_signs=signs), shared=False)
     # exact matrices are multiplied, stacked and scaled by numpy; of
-    # dsvac.rational the library calls only the elimination, the in-place
+    # dsvac.rational the library calls only the null space, the in-place
     # update of sparse exact vectors and their scaling to primitive integers
     calls = {name for path in Path(cy.__file__).parent.glob("*.py")
              for name in re.findall(r"\brl\.(\w+)", path.read_text())}
-    assert calls == {"accumulate", "nullspace", "primitive", "solve"}
+    assert calls == {"accumulate", "nullspace", "primitive"}
 
 
 def test_elimination_only_for_second_derivatives():

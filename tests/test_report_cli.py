@@ -288,6 +288,17 @@ def test_the_cli_pins_one_blas_thread_unless_one_is_set(imports, preset, expecte
         assert threads == "1"
 
 
+def test_importing_the_package_loads_no_numpy():
+    # the BLAS pin of dsvac.cli holds only while numpy is not yet loaded, and
+    # `import dsvac` runs before it: the package loads sectors and rational
+    env = dict(os.environ, PYTHONPATH=str(Path(report.__file__).parents[1]))
+    code = "import sys, dsvac; print('numpy' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False"]
+
+
 def test_alpha_ids_do_not_depend_on_how_alpha_was_written(tmp_path, capsys):
     # alpha 1 from a config file and 1.0 from the flag name the same checks
     path = tmp_path / "cfg.json"

@@ -3,7 +3,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from dsvac.sectors import Family, SectorLabel, SectorSpace, enumerate_sectors, space
+from dsvac import rational as rl
+from dsvac.sectors import _TABLES, Family, SectorLabel, SectorSpace, enumerate_sectors, space
 from routes import eye, spatial_op, transpose
 
 Q = Fraction
@@ -63,6 +64,25 @@ def test_rank3_degeneracies():
     assert s3.basis[3] == ("dddY", "hdY")
 
 
+def test_reduction_keeps_an_independent_basis_and_rewrites_by_gram_null_combinations():
+    # for every sector to k = 24: the Gram of the kept generators is exactly
+    # nonsingular, and each generator's rewrite c over the kept ones is a
+    # vanishing combination, row g of the generator Gram = sum_p c_p row p
+    for sec in enumerate_sectors(24):
+        gens, gram, _, _ = _TABLES[sec.family](sec.k)
+        sp = space(sec)
+        for rank in range(4):
+            names = gens[rank]
+            assert rl.nullspace(sp.gram(rank), sp.dim(rank)) == []
+            assert list(sp._rewrite[rank]) == names
+            for g, combo in sp._rewrite[rank].items():
+                assert set(combo) <= set(sp.basis[rank])
+                row = gram[rank][names.index(g)]
+                rest = [row[j] - sum(c * gram[rank][names.index(p)][j] for p, c in combo.items())
+                        for j in range(len(names))]
+                assert rest == [0] * len(names), (sec, rank, g)
+
+
 def test_delta_d_scalar_eigen():
     # delta d on scalars is the Laplacian: 8 on Scalar(2)
     sec = SectorLabel(Family.SCALAR, 2)
@@ -73,13 +93,13 @@ def test_delta_d_scalar_eigen():
 
 
 def test_htrace_of_hY():
-    # (h| (Y h) = 6 Y in every scalar sector
+    # (h| (Y h) = 2 trace(Y h) = 6 Y in every scalar sector
     for k in (0, 1, 2, 5):
         sec = SectorLabel(Family.SCALAR, k)
-        ht = spatial_op("htrace", sec, 2)
+        tr = spatial_op("trace", sec, 2)
         names = space(sec).basis[2]
         col = names.index("hY")
-        assert ht.rows()[0][col] == 6
+        assert 2 * tr.rows()[0][col] == 6
 
 
 def test_delta_on_transverse_vector():
@@ -89,16 +109,16 @@ def test_delta_on_transverse_vector():
 
 
 def test_identities_exact():
-    # delta(hmul(u)) = -2 d u and htrace(d w) = -2 delta w, exactly
+    # delta(hmul(u)) = -2 d u and (h|(d w) = 2 trace(d w) = -2 delta w, exactly
     for k in (0, 1, 2, 3, 7):
         sec = SectorLabel(Family.SCALAR, k)
         lhs = spatial_op("delta", sec, 2) @ spatial_op("hmul", sec, 0)
         rhs = -2 * np.array(spatial_op("d", sec, 0).rows())
         assert np.array_equal(lhs.rows(), rhs)
         if k >= 1:
-            lhs2 = spatial_op("htrace", sec, 2) @ spatial_op("d", sec, 1)
+            lhs2 = spatial_op("trace", sec, 2) @ spatial_op("d", sec, 1)
             rhs2 = -2 * np.array(spatial_op("delta", sec, 1).rows())
-            assert np.array_equal(lhs2.rows(), rhs2)
+            assert np.array_equal(2 * np.array(lhs2.rows()), rhs2)
 
 
 def test_triple_d_identity():
@@ -219,7 +239,7 @@ def test_multiplicities_low_k():
 def test_operator_matrices_are_built_once_and_immutable(sector):
     sp = space(sector)
     for name, rank in (("d", 0), ("d", 1), ("d", 2), ("delta", 1),
-                       ("delta", 2), ("htrace", 2), ("hmul", 0), ("hsym", 1)):
+                       ("delta", 2), ("trace", 2), ("hmul", 0), ("hsym", 1)):
         mat, tr = sp.op(name, rank)
         assert sp.op(name, rank)[0] is mat
         assert isinstance(mat, tuple) and all(isinstance(r, tuple) for r in mat)
