@@ -187,24 +187,42 @@ def _builders():
     }
 
 
-def _build_pair_task(args):
-    """Worker entry for the sector pool (module level for pickling).  The
-    theory travels by name: a pickled ``Theory`` is a copy, not the one of
-    ``cauchy``."""
-    theory, operator_id, sec, tol = args
-    build = _builders()[theory][0]
-    return theory, operator_id, sec, build(sec, operator_id, tol=tol)
+# Pair tasks per future of the sector pool.  The executor hands its
+# workers one chunk more than there are workers ahead of time, and those can
+# no longer be cancelled, so the join may wait for them: small chunks keep
+# that wait short (0.01-0.08 s in five runs at k_max 24 with --jobs 2 on a
+# 2-vCPU VM), and several tasks still share one round trip to a worker.
+_CHUNK = 4
+
+
+def _pairs(chunk, builders):
+    """(cache key, Euclidean pair) of each (theory, operator_id, sector, tol)
+    task of ``chunk``."""
+    return [(("pair", theory, operator_id, sec),
+             builders[theory][0](sec, operator_id, tol=tol))
+            for theory, operator_id, sec, tol in chunk]
+
+
+def _build_pair_task(chunk):
+    """Worker entry for the sector pool (module level for pickling): the
+    pairs of one chunk of tasks.  The theory travels by name: a pickled
+    ``Theory`` is a copy, not the one of ``cauchy``."""
+    return _pairs(chunk, _builders())
 
 
 class _Artifacts:
     """Shared per-sector constructions of both theories, built lazily and
     cached, each at most once per run.
 
-    With ``jobs > 1`` the Euclidean projector constructions of both
-    theories that the enabled suites read (the dominant cost) are
-    dispatched up front to a process pool, one task per (theory, operator,
-    sector); the library objects are immutable, so results are simply
-    collected.
+    With ``jobs`` N > 1, N processes compute and this one is one of them.
+    The Euclidean projector pairs of both theories that the enabled suites
+    read (the dominant cost), one task per (theory, operator, sector), go in
+    chunks of ``_CHUNK`` to N - 1 forked workers at construction, which
+    returns at once.  ``run`` then executes the suites that read no pair
+    (``pair_free``) while the workers build, and joins the pool with
+    ``_prewarm``, which builds here the chunks no worker has started.  The
+    library objects are immutable, so results are simply collected.
+    ``close`` stops the pool, if the join has not.
     """
 
     def __init__(self, config):
@@ -212,30 +230,54 @@ class _Artifacts:
         self.sectors = enumerate_sectors(config.k_max)
         self._cache = {}
         self._builders = _builders()
-        if config.jobs > 1:
-            self._prewarm(config.jobs)
-
-    def _prewarm(self, jobs):
-        from concurrent.futures import ProcessPoolExecutor
-        cfg = self.config
         # (theory, operator) -> (the suites that read its pairs, sectors)
         wanted = {
             (GRAVITY.name, "D2"): (("calderon", "states", "gauge", "symmetry"),
                                    self.sectors),
             (GRAVITY.name, "D1"): (("calderon",), [
                 sec for sec in self.sectors if cy.DataLayout(sec, 1).size]),
-            (MAXWELL.name, "D1"): (("maxwell",), maxwell_sectors(cfg.k_max)),
+            (MAXWELL.name, "D1"): (("maxwell",), maxwell_sectors(config.k_max)),
             (MAXWELL.name, "D0"): (("maxwell",), [SCALAR0]),
         }
-        tasks = [(theory, op, sec, cfg.tol_ode)
+        self.pair_free = tuple(s for s in config.suites if not any(
+            s in readers for readers, _ in wanted.values()))
+        tasks = [(theory, op, sec, config.tol_ode)
                  for (theory, op), (readers, secs) in wanted.items()
-                 if set(readers) & set(cfg.suites) for sec in secs]
-        if not tasks:
+                 if set(readers) & set(config.suites) for sec in secs]
+        chunks = [tasks[i:i + _CHUNK] for i in range(0, len(tasks), _CHUNK)]
+        self._pool, self._chunks = None, []
+        if config.jobs > 1 and chunks:
+            from concurrent.futures import ProcessPoolExecutor
+            # with the fork start method every worker is launched up front
+            self._pool = ProcessPoolExecutor(
+                max_workers=min(config.jobs - 1, len(chunks)))
+            try:
+                self._chunks = [(self._pool.submit(_build_pair_task, chunk), chunk)
+                                for chunk in chunks]
+            except BaseException:
+                self.close()
+                raise
+
+    def _prewarm(self):
+        """Join the pool: build here, from the back, every chunk no worker
+        has started, while the workers take theirs from the front; then
+        collect the workers' pairs and stop the pool."""
+        if self._pool is None:
             return
-        # with the fork start method every worker is launched up front
-        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-            for theory, op, sec, pair in pool.map(_build_pair_task, tasks):
-                self._cache[("pair", theory, op, sec)] = pair
+        for future, chunk in reversed(self._chunks):
+            if future.cancel():
+                self._cache.update(_pairs(chunk, self._builders))
+        for future, _ in self._chunks:
+            if not future.cancelled():
+                self._cache.update(future.result())
+        self.close()
+
+    def close(self):
+        """Stop the pool, dropping the chunks no worker has started, and
+        wait for its workers to exit."""
+        if self._pool is not None:
+            self._pool.shutdown(cancel_futures=True)
+            self._pool = None
 
     def pair_euclid(self, sec, operator_id="D2", theory=GRAVITY):
         build = self._builders[theory.name][0]
@@ -667,17 +709,33 @@ _SUITE_FNS = {
 
 
 def run(config):
-    """Execute the enabled suites; returns the report dictionary."""
+    """Execute the enabled suites; returns the report dictionary.
+
+    The suites that read no projector pair run first, while the sector pool
+    (``jobs > 1``) builds the pairs; then the pool is joined and the others
+    run.  Records come out in one order whatever ``jobs`` is: maxwell first
+    (simpler system, earlier signal), then ``ALL_SUITES``.  No pool worker
+    outlives the call, also when a suite raises."""
     config.validate()
     t_start = time.perf_counter()
     art = _Artifacts(config)
-    col = _Collector()
-    # maxwell first: simpler system, earlier signal
     order = [s for s in ("maxwell",) if s in config.suites]
     order += [s for s in ALL_SUITES if s in config.suites and s != "maxwell"]
-    for suite in order:
-        _SUITE_FNS[suite](art, col, config)
-    records = [asdict(r) for r in col.records]
+    collected = {}
+
+    def execute(suites):
+        for suite in suites:
+            col = _Collector()
+            _SUITE_FNS[suite](art, col, config)
+            collected[suite] = col.records
+
+    try:
+        execute(s for s in order if s in art.pair_free)
+        art._prewarm()
+        execute(s for s in order if s not in art.pair_free)
+    finally:
+        art.close()
+    records = [asdict(r) for suite in order for r in collected[suite]]
     summary = {}
     for r in records:
         summary[r["verdict"]] = summary.get(r["verdict"], 0) + 1

@@ -90,13 +90,30 @@ def test_single_suite_runs(suite):
 def test_worker_pool_matches_serial():
     # a real fork of every suite: the Maxwell tasks must reach the Maxwell
     # builder by name, and the per-sector caches the parent fills must give
-    # what the workers build in their own processes
-    serial = run(RunConfig(k_max=3, jobs=1))
-    parallel = run(RunConfig(k_max=3, jobs=2))
-    c1, c2 = json.loads(_canon(serial)), json.loads(_canon(parallel))
-    c1["config"].pop("jobs")
-    c2["config"].pop("jobs")
-    assert c1 == c2
+    # what the workers build in their own processes; with one, two and
+    # three jobs every record is the same, in the same order
+    runs = [json.loads(_canon(run(RunConfig(k_max=3, jobs=jobs)))) for jobs in (1, 2, 3)]
+    for rep in runs:
+        rep["config"].pop("jobs")
+    assert runs[0]["records"]
+    assert runs[1] == runs[0] and runs[2] == runs[0]
+
+
+@pytest.mark.parametrize("suite", ["oracle", "calderon"])
+def test_no_worker_outlives_a_suite_that_raises(suite, tmp_path, monkeypatch, capsys):
+    # oracle reads no pair and raises while the pool builds; calderon
+    # raises after the join
+    import multiprocessing
+
+    def broken(art, col, cfg):
+        raise ZeroDivisionError("boom")
+
+    monkeypatch.setitem(report._SUITE_FNS, suite, broken)
+    out = tmp_path / "r.json"
+    assert main(["run", "--k-max", "3", "--suites", "oracle,calderon", "--jobs", "2",
+                 "--out", str(out)]) == 3
+    assert "internal error: ZeroDivisionError: boom" in capsys.readouterr().err
+    assert multiprocessing.active_children() == []
 
 
 def test_csv_projection(small_report):
@@ -700,34 +717,57 @@ def test_charge_conservation_records_the_levels_it_evolved():
 
 def _fake_pool(monkeypatch):
     """Replace the process pool by one that records the worker count it is
-    asked for and builds nothing."""
+    asked for and runs at submission the chunks a real pool hands its
+    workers ahead of time (one per worker, plus one); the rest stay pending
+    for the join to cancel.  The pair builders record the task they are
+    asked for, and in which role, and build nothing."""
     import concurrent.futures
 
-    seen = []
+    seen, built = [], []
+    role = ["parent"]
+
+    def fake_builder(name):
+        def build(sec, operator_id, tol):
+            built.append((role[0], name, operator_id, sec))
+        return build
+
+    gravity = fake_builder("gravity")
+    monkeypatch.setattr(report, "projector_pair",
+                        lambda theory, *args, **kw: gravity(*args, **kw))
+    monkeypatch.setattr(report, "maxwell_projector_pair", fake_builder("maxwell"))
 
     class FakePool:
         def __init__(self, max_workers):
             seen.append(max_workers)
+            self.ahead = max_workers + 1
 
-        def __enter__(self):
-            return self
+        def submit(self, fn, chunk):
+            future = concurrent.futures.Future()
+            if self.ahead:
+                self.ahead -= 1
+                future.set_running_or_notify_cancel()
+                role[0] = "worker"
+                future.set_result(fn(chunk))
+                role[0] = "parent"
+            return future
 
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks):
-            return [(*task[:3], None) for task in tasks]
+        def shutdown(self, wait=True, cancel_futures=False):
+            pass
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
-    return seen
+    return seen, built
 
 
 def test_pool_starts_no_more_workers_than_tasks(monkeypatch):
-    # with the fork start method every worker is launched up front
-    seen = _fake_pool(monkeypatch)
+    # with the fork start method every worker is launched up front; the
+    # parent is one of the jobs, and a worker gets at least a chunk
+    seen, built = _fake_pool(monkeypatch)
     art = report._Artifacts(RunConfig(k_max=1, jobs=64))
+    art._prewarm()
     tasks = sum(1 for key in art._cache if key[0] == "pair")
-    assert seen == [tasks] and 0 < tasks < 64
+    chunks = -(-tasks // report._CHUNK)
+    assert seen == [min(63, chunks)] and 0 < tasks < 64
+    assert art._pool is None
 
 
 @pytest.mark.parametrize("suites", [
@@ -738,8 +778,11 @@ def test_pool_builds_only_the_pairs_the_suites_read(suites, monkeypatch):
     from dsvac.maxwell import SCALAR0, maxwell_sectors
     from dsvac.sectors import enumerate_sectors
 
-    seen = _fake_pool(monkeypatch)
+    seen, built = _fake_pool(monkeypatch)
     art = report._Artifacts(RunConfig(k_max=3, suites=suites, jobs=2))
+    # nothing is built here before the join
+    assert all(who == "worker" for who, *_ in built)
+    art._prewarm()
     want = set()
     if {"calderon", "states", "gauge", "symmetry"} & set(suites):
         want |= {("gravity", "D2", sec) for sec in enumerate_sectors(3)}
@@ -750,5 +793,12 @@ def test_pool_builds_only_the_pairs_the_suites_read(suites, monkeypatch):
         want |= {("maxwell", "D1", sec) for sec in maxwell_sectors(3)}
         want.add(("maxwell", "D0", SCALAR0))
     assert {key[1:] for key in art._cache if key[0] == "pair"} == want
-    # no task, no pool
-    assert seen == ([min(2, len(want))] if want else [])
+    # each pair is built once, by the one worker or by the parent at the join
+    assert sorted(task[1:] for task in built) == sorted(want)
+    chunks = -(-len(want) // report._CHUNK)
+    assert sum(who == "worker" for who, *_ in built) == min(len(want), 2 * report._CHUNK)
+    assert art.pair_free == tuple(s for s in suites
+                                  if s in ("oracle", "identities", "phase_space"))
+    # no task, no pool; the parent is one of the two jobs
+    assert seen == ([min(1, chunks)] if want else [])
+    assert art._pool is None
