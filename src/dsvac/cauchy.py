@@ -226,12 +226,6 @@ def lorentz_gauge_blocks(sector, *names, maxwell=False):
     return out
 
 
-def trace_fix_block(sector):
-    """S0 on data: -(1/12) grad o neg_trace, rank-2 -> rank-1 (Lorentzian)."""
-    blocks = lorentz_gauge_blocks(sector, "grad", "neg_trace")
-    return (-1.0 / 12.0) * (blocks["grad"] @ blocks["neg_trace"])
-
-
 # -- the Killing sectors and the two theories ---------------------------------
 
 KILLING_SECTORS = (SCALAR1, VECTOR1)

@@ -12,6 +12,7 @@ acquire O(1) residuals.
 from math import pi
 
 import numpy as np
+from numpy.polynomial.chebyshev import chebder, chebpts2, chebvander
 
 NMODES = 56  # Chebyshev modes per slot
 NODES = 2 * NMODES  # collocation nodes
@@ -40,19 +41,9 @@ def _collocation_matrix(system, s_nodes, cheb):
 def _cheb_basis(nmodes, s_nodes, smax):
     """Chebyshev values/derivatives on [0, smax] at the given nodes."""
     y = 2.0 * s_nodes / smax - 1.0
-    t = np.zeros((len(s_nodes), nmodes))
-    dt = np.zeros((len(s_nodes), nmodes))
-    ddt = np.zeros((len(s_nodes), nmodes))
-    t[:, 0] = 1.0
-    if nmodes > 1:
-        t[:, 1] = y
-        dt[:, 1] = 1.0
-    for m in range(2, nmodes):
-        t[:, m] = 2 * y * t[:, m - 1] - t[:, m - 2]
-        dt[:, m] = 2 * t[:, m - 1] + 2 * y * dt[:, m - 1] - dt[:, m - 2]
-        ddt[:, m] = 4 * dt[:, m - 1] + 2 * y * ddt[:, m - 1] - ddt[:, m - 2]
-    scale = 2.0 / smax
-    return t, dt * scale, ddt * scale ** 2
+    # column m of chebder(I, d, 2 / smax) is the series of d^d T_m / ds^d
+    return tuple(chebvander(y, nmodes - 1 - d) @ chebder(np.eye(nmodes), d, 2.0 / smax)
+                 for d in range(3))
 
 
 def collocation_regular_basis(system):
@@ -66,10 +57,7 @@ def collocation_regular_basis(system):
                          "so no regular basis")
     smax = pi / 2
     # Chebyshev-Lobatto nodes on (0, pi/2], clustering at the pole
-    j = np.arange(1, NODES + 1)
-    y = np.cos(pi * (NODES - j) / NODES)  # -1..1 exclusive of left end
-    s_nodes = (y + 1.0) * smax / 2.0
-    s_nodes = s_nodes[s_nodes > 1e-9]
+    s_nodes = (chebpts2(NODES + 1)[1:] + 1.0) * smax / 2.0
     mat = _collocation_matrix(system, s_nodes, _cheb_basis(NMODES, s_nodes, smax))
     mat /= np.linalg.norm(mat, axis=1, keepdims=True).clip(1e-300)
     u, sv, vt = np.linalg.svd(mat, full_matrices=False)
@@ -77,12 +65,7 @@ def collocation_regular_basis(system):
     null = vt[-n:].T  # coefficients of the discrete regular solutions
     # evaluate data at s=0
     t0, dt0, _ = _cheb_basis(NMODES, np.array([0.0]), smax)
-    val = np.zeros((n, n))
-    der = np.zeros((n, n))
-    for col in range(n):
-        coeff = null[:, col].reshape(n, NMODES)
-        val[:, col] = coeff @ t0[0]
-        der[:, col] = coeff @ dt0[0]
-    data = np.vstack([val, -der])
+    coeff = null.reshape(n, NMODES, n)  # (slot, mode, null vector)
+    data = np.vstack([t0[0] @ coeff, -(dt0[0] @ coeff)])
     q, _ = np.linalg.qr(data)
     return q, gap

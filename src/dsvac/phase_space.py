@@ -87,9 +87,9 @@ def _data_column(sector, rank, *entries):
 def _build_phase_space(sector, theory, columns):
     """The phase space of ``sector`` spanned by the (role, exact Euclidean
     column) pairs ``columns``.  They must be as many as the dimension of the
-    exact joint null space of the theory's constraint blocks, and each must
-    lie in it; they are converted to Lorentzian data once and split by
-    role."""
+    exact joint null space of the theory's constraint blocks, each must lie
+    in it, and they must be independent, so that they span it; they are
+    converted to Lorentzian data once and split by role."""
     stacked = np.vstack([data_block(sector, name, theory.maxwell)
                          for name in theory.constraints])
     size = DataLayout(sector, theory.rank).size
@@ -100,6 +100,8 @@ def _build_phase_space(sector, theory, columns):
     for role, col in columns:
         if (stacked @ col).any():
             raise RuntimeError(f"{where}: a {role} column leaves E")
+    if columns and rl.nullspace(list(zip(*(col for _, col in columns)))):
+        raise RuntimeError(f"{where}: the columns are linearly dependent, so they do not span E")
     euclid = np.array([col for _, col in columns], dtype=complex).reshape(len(columns), size)
     data = lorentz_block(euclid.T, sector, theory.rank)
     roles = [role for role, _ in columns]

@@ -312,7 +312,6 @@ ROUNDOFF_BOUND = 1e-10      # float round-off of exact identities, of sum rules
                             # relative to the charge, and of principal angles
                             # between subspaces built exactly
 INTEGRATION_BOUND = 1e-8    # residuals that carry integration or quadrature error
-TRACE_FIXING_BOUND = 1e-8   # an absolute product of three float data blocks
 PAIRING_FLOOR = 1e-3        # a pairing per unit data norm this large is nonzero
 DTN_RATIO = (0.5, 2.0)      # envelope of the TT Dirichlet-to-Neumann entry
 
@@ -419,10 +418,13 @@ def _suite_identities(art, col, cfg):
                   art.sectors,
                   lambda sec: max_abs(block(sec, "neg_trace") @ block(sec, "sym_grad")
                                       + 2 * block(sec, "div")), 0.0)
-    # trace-fixing identity on harmonic-gauge data (Lorentzian floats)
+    # trace fixing: neg_trace o sym_grad o S0 = neg_trace, S0 = -(1/12) grad o
+    # neg_trace; exact, since the Lorentzian blocks' Wick phases cancel along it
     col.add_worst("identities", "trace-fixing", "trace-fixing-identity",
                   [sec for sec in art.sectors if cy.DataLayout(sec, 0).size],
-                  _trace_fixing_residual, TRACE_FIXING_BOUND)
+                  lambda sec: max_abs(block(sec, "neg_trace") @ block(sec, "sym_grad")
+                                      @ block(sec, "grad") @ block(sec, "neg_trace") / -12
+                                      - block(sec, "neg_trace")), 0.0)
     # charge conservation and evolution intertwining, all on one random stream
     rng = np.random.default_rng(cfg.seed)
     t_grid = np.linspace(-2.0, 2.0, 5)
@@ -447,12 +449,6 @@ def _suite_identities(art, col, cfg):
     col.add_worst("identities", "adjoint-evolution-intertwining",
                   "adjoint-evolution-compatibility", adjoint, adjoint.get,
                   INTEGRATION_BOUND)
-
-
-def _trace_fixing_residual(sector):
-    blocks = cy.lorentz_gauge_blocks(sector, "sym_grad", "neg_trace")
-    return max_abs(blocks["neg_trace"] @ blocks["sym_grad"] @ cy.trace_fix_block(sector)
-                   - blocks["neg_trace"])
 
 
 def _charge_drifts(systems, rng, t_grid, tol):
@@ -544,7 +540,9 @@ def _suite_calderon(art, col, cfg):
         pair = art.pair_euclid(sec)
         dtn = abs(pair.c_plus[1, 0])
         root = float(np.sqrt(float(sec.eigenvalue)))
-        ratio = 2 * dtn / root  # c+ = [[1, ...],[nu/2...]] structure
+        # c+ = [[1/2, 1/(2L)], [L/2, 1/2]] with L = k(k+2)/(k+1), so the
+        # ratio L / sqrt(eigenvalue) tends to 1
+        ratio = 2 * dtn / root
         col.add("calderon", "dtn-envelope", "sanity-envelope", sec,
                 abs(np.log(ratio)), DTN_RATIO[0] <= ratio <= DTN_RATIO[1],
                 {"ratio": ratio})
@@ -713,12 +711,13 @@ def run(config):
 
     The suites that read no projector pair run first, while the sector pool
     (``jobs > 1``) builds the pairs; then the pool is joined and the others
-    run.  Records come out in one order whatever ``jobs`` is: maxwell first
-    (simpler system, earlier signal), then ``ALL_SUITES``.  No pool worker
-    outlives the call, also when a suite raises."""
+    run.  Records are emitted in one order whatever ``jobs`` is, not in the
+    order of execution: maxwell's first, then those of ``ALL_SUITES``.  No
+    pool worker outlives the call, also when a suite raises."""
     config.validate()
     t_start = time.perf_counter()
     art = _Artifacts(config)
+    # the order records are emitted in; its pair-free suites execute first
     order = [s for s in ("maxwell",) if s in config.suites]
     order += [s for s in ALL_SUITES if s in config.suites and s != "maxwell"]
     collected = {}

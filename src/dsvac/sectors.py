@@ -127,10 +127,7 @@ def _scalar_table(k):
         "hmul": {"Y": {"hY": Q(1)}},
         "hsym": {"dY": {"hdY": Q(1)}},
     }
-    # reduction priority: keep the metric-attached generators first at
-    # degenerate levels (spec'd basis drops ddY at k<=1, dddY at k<=2)
-    priority = {0: ["Y"], 1: ["dY"], 2: ["hY", "ddY"], 3: ["hdY", "dddY"]}
-    return gens, gram, act, priority
+    return gens, gram, act
 
 
 def _vector_table(k):
@@ -157,8 +154,7 @@ def _vector_table(k):
         "hmul": {},
         "hsym": {"V": {"hV": Q(1)}},
     }
-    priority = {0: [], 1: ["V"], 2: ["dV"], 3: ["hV", "ddV"]}
-    return gens, gram, act, priority
+    return gens, gram, act
 
 
 def _tensor_table(k):
@@ -172,8 +168,7 @@ def _tensor_table(k):
         "hmul": {},
         "hsym": {},
     }
-    priority = {0: [], 1: [], 2: ["T"], 3: ["dT"]}
-    return gens, gram, act, priority
+    return gens, gram, act
 
 
 _TABLES = {
@@ -187,21 +182,23 @@ class SectorSpace:
 
     def __init__(self, sector):
         self.sector = sector
-        gens, gram, act, priority = _TABLES[sector.family](sector.k)
+        gens, gram, act = _TABLES[sector.family](sector.k)
         self._act = act
         self.basis = {}
         self._rewrite = {}  # rank -> dict gen_name -> coords over basis
         self._gram_basis = {}
         self._ops = {}  # (name, rank) -> (matrix, target_rank)
         for rank in range(4):
-            self._reduce_rank(rank, gens[rank], gram[rank], priority[rank])
+            self._reduce_rank(rank, gens[rank], gram[rank])
 
-    def _reduce_rank(self, rank, names, gram, priority):
-        # a null vector of the (positive semidefinite) Gram is a vanishing
-        # generator combination; in priority order, the one of a free column
-        # f is 1 at f and nonzero otherwise only at earlier kept generators,
-        # so it rewrites f over them
-        order = [names.index(n) for n in priority]
+    def _reduce_rank(self, rank, names, gram):
+        # priority: the metric-attached generators (h...) first.  A null
+        # vector of the (positive semidefinite) Gram is a vanishing generator
+        # combination; in priority order, the one of a free column f is 1 at
+        # f and nonzero otherwise only at earlier kept generators, so it
+        # rewrites f over them
+        order = sorted(range(len(names)), key=lambda i: not names[i].startswith("h"))
+        priority = [names[i] for i in order]
         null = rl.nullspace([[gram[i][j] for j in order] for i in order]) if names else []
         dropped = {}
         for v in null:

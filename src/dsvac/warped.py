@@ -21,6 +21,7 @@ exact vectors, updated in place by ``rational.accumulate``.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 
 import numpy as np
@@ -96,31 +97,23 @@ def cf_series_pole(t, order):
     a = sin^2 x, adot = -sin 2x.
 
     The series of each monomial a^i adot^j is computed once per order and
-    memoised in ``_POLE_CACHE``; a call only sums the scaled monomials."""
+    memoised by ``_pole_monomial``; a call only sums the scaled monomials."""
     out = LSeries(0, [])
     for (i, j), v in t.items():
         out = out + v * _pole_monomial(order, i, j)
     return out
 
 
-_POLE_CACHE = {}
-
-
+@lru_cache(maxsize=None)
 def _pole_monomial(order, i, j):
     """Series of a^i adot^j at the north pole (shared: do not mutate)."""
-    key = (order, i, j)
-    if key not in _POLE_CACHE:
-        if (i, j) == (1, 0):
-            s = sin_series(order + 4)
-            ser = s * s
-        elif (i, j) == (0, 1):
-            ser = -1 * scaled_arg(sin_series, 2, order + 4)
-        else:
-            ser = _pole_monomial(order, 1, 0).power(i)
-            if j:
-                ser = ser * _pole_monomial(order, 0, 1)
-        _POLE_CACHE[key] = ser
-    return _POLE_CACHE[key]
+    if (i, j) == (1, 0):
+        s = sin_series(order + 4)
+        return s * s
+    if (i, j) == (0, 1):
+        return -1 * scaled_arg(sin_series, 2, order + 4)
+    ser = _pole_monomial(order, 1, 0).power(i)
+    return ser * _pole_monomial(order, 0, 1) if j else ser
 
 
 # -- linear expressions in the unknown radial profiles -----------------------

@@ -238,8 +238,9 @@ def test_trace_fixing_identity(sector):
     lay0 = cy.DataLayout(sector, 0)
     if lay0.size == 0:
         return
-    blocks = cy.lorentz_gauge_blocks(sector, "sym_grad", "sym_div", "neg_trace")
-    s0 = cy.trace_fix_block(sector)
+    blocks = cy.lorentz_gauge_blocks(sector, "sym_grad", "sym_div", "neg_trace", "grad")
+    # S0 on data: -(1/12) grad o neg_trace, rank 2 -> rank 1 (Lorentzian)
+    s0 = (-1.0 / 12.0) * (blocks["grad"] @ blocks["neg_trace"])
     lhs = blocks["neg_trace"] @ blocks["sym_grad"] @ s0
     rhs = blocks["neg_trace"]
     assert np.max(np.abs(lhs - rhs)) < 1e-12

@@ -90,6 +90,19 @@ def test_a_column_count_off_the_null_space_names_theory_and_sector(
             build(sector)
 
 
+@pytest.mark.parametrize("sector", [SectorLabel(Family.TENSOR, 2),
+                                    SectorLabel(Family.SCALAR, 3)])
+def test_a_repeated_column_that_spans_less_than_e_is_refused(sector, monkeypatch):
+    # the first column in place of the second: as many columns as dim E, each
+    # inside E, yet they span a line
+    real = phase_space._param_columns
+    monkeypatch.setattr(phase_space, "_param_columns",
+                        lambda sec: [real(sec)[0]] * 2 + real(sec)[2:])
+    with pytest.raises(RuntimeError, match=_guard_message(cy.GRAVITY, sector)
+                       + ": the columns are linearly dependent"):
+        phase_space_sector(sector)
+
+
 def test_total_level4_dimension(spaces):
     total = sum(ps.e_bad.shape[1] * sec.multiplicity for sec, ps in spaces.items())
     assert total == 6

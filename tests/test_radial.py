@@ -318,6 +318,28 @@ def test_collocation_agreement(spec):
     assert gap > 1e4
 
 
+@pytest.mark.parametrize("smax", [pi / 2, 0.2])
+def test_cheb_basis_matches_closed_forms(smax):
+    # at interior points y = 2 s / smax - 1 = cos(theta): T_m = cos(m theta),
+    # dT_m/dy = m sin(m theta) / sin(theta) and (1 - y^2) T_m'' = y T_m' - m^2 T_m;
+    # each s-derivative carries a factor 2 / smax.  Errors are read against
+    # Markov's bound |d^d T_m / ds^d| <= (m^2 2 / smax)^d
+    nmodes = 56
+    s = np.linspace(0.02, 0.98, 41) * smax
+    y = 2 * s / smax - 1
+    theta = np.arccos(y)[:, None]
+    m = np.arange(nmodes)
+    t = np.cos(m * theta)
+    dt = m * np.sin(m * theta) / np.sin(theta)
+    ddt = (y[:, None] * dt - m ** 2 * t) / (1 - y ** 2)[:, None]
+    scale = 2 / smax
+    got = collocation._cheb_basis(nmodes, s, smax)
+    for d, (val, ref) in enumerate(zip(got, (t, dt, ddt))):
+        assert val.shape == (len(s), nmodes)
+        bound = (scale * np.maximum(m, 1) ** 2) ** d
+        assert np.all(np.abs(val - scale ** d * ref) <= 1e-12 * bound), d
+
+
 def test_collocation_matrix_matches_loop_assembly():
     # the vectorised assembly against the node-by-node loop, to rounding
     # relative to each row's norm (the scale the oracle normalises by)

@@ -69,7 +69,7 @@ def test_reduction_keeps_an_independent_basis_and_rewrites_by_gram_null_combinat
     # nonsingular, and each generator's rewrite c over the kept ones is a
     # vanishing combination, row g of the generator Gram = sum_p c_p row p
     for sec in enumerate_sectors(24):
-        gens, gram, _, _ = _TABLES[sec.family](sec.k)
+        gens, gram, _ = _TABLES[sec.family](sec.k)
         sp = space(sec)
         for rank in range(4):
             names = gens[rank]
