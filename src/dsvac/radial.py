@@ -20,13 +20,16 @@ pole coefficients that the recursion reads are floats: one contraction of a
 system's coefficients with the Laurent series of the five monomials they
 use, all read off the series of cot x and tabulated once per process.  The
 coefficient poles sit at x = pi/2 - s = 0, +-pi, so the regular Frobenius
-series converges on all of [0, pi/2], its terms falling like (x/pi)^m.  The
-pole tables and each exponent's L(rho + m) are built once to
-``ORDER_CAP``, and the recursion stops at the first order at which the
+series converges on all of [0, pi/2], its terms falling like (x/pi)^m.  A
+system runs one recursion, from its lowest regular exponent rho0: a higher
+exponent rho is a series in x^(rho0 + m) whose seeds enter at order
+rho - rho0, a resonance of rho0.  So the pole tables and L(rho0 + m) are
+built once per system to ``ORDER_CAP``, every order is one matrix product
+for all seeds, and each exponent stops at the first order at which its
 tail test holds where the series is summed.  A regular basis is the series
-summed to x0 = ``MATCH_RADIUS`` = 1.3 and marched the remaining pi/2 - x0 ~
-0.27 to the equator at the ODE tolerance (``regular_basis``); summed to the
-equator itself, the series is the energy oracle's profile
+summed to x0 = ``MATCH_RADIUS`` = 1.55 and marched the remaining pi/2 - x0
+~ 0.021 to the equator at the ODE tolerance (``regular_basis``); summed to
+the equator itself, the series is the energy oracle's profile
 (``solution_profile``), a route independent of the integrator.
 Lorentzian systems are globally smooth and are integrated directly for the
 dynamical checks; the metric's t -> -t symmetry maps backward evolution to
@@ -52,10 +55,11 @@ from .warped import EUCLIDEAN, LORENTZIAN, WarpedSector, cf_series_pole, kappa_s
 
 Q = Fraction
 
-MATCH_RADIUS = 1.3  # the series carries each regular basis to x0 = pi/2 - s
-ORDER_CAP = 400  # a Frobenius series not converged by this order raises
+MATCH_RADIUS = 1.55  # the series carries each regular basis to x0 = pi/2 - s
+ORDER_CAP = 400  # a recursion not converged by this order of rho0 raises
 INTEGRATOR_TOL = 1e-12
 TAIL_TOL = 1e-14
+TAIL_BLOCK = 16  # orders the recursion runs between two tail tests
 RTOL_FLOOR = 100 * np.finfo(float).eps  # scipy raises any smaller rtol to this
 
 
@@ -337,35 +341,37 @@ def frobenius_solutions(system, x0):
     """Values and s-derivatives at s = pi/2 - x0 of the regular basis, and
     its graded series (rho, slot shifts, coefficients), one per column.
 
-    The pole tables are built once, shared by the exponents; each
-    exponent's seeds recur as one block (``_frobenius_block``) on its
-    L(rho + m) up to the first order at which the tail test holds at x0 for
-    every seed."""
+    The system runs one recursion (``_frobenius_recursion``) from its lowest
+    regular exponent rho0, on one pole table and one L(rho0 + m) table: a
+    higher exponent rho is a series in x^(rho0 + m) whose seeds enter as its
+    own columns at order rho - rho0.  Each exponent's columns stop at the
+    first order at which the tail test holds at x0 for all of them, and
+    their coefficients are read from their seed order on."""
     if not system.n:
         raise ValueError(f"{system.operator_id} {system.sector} has no slots, "
                          "so no regular basis")
     reg, (p0, q0) = regular_exponents(system)
     p_f, q_f = pole_tables(system)
+    # physical components carry the grading x^(slot rank)
+    shifts = np.array([float(r) for r in system.slot_ranks])
+    rho0 = reg[0][0]
+    coeffs, stops, ratio = _frobenius_recursion(
+        reg, _indicial_at_shifts(p0, q0, rho0), p_f, q_f, x0 ** (rho0 + shifts), x0)
+    if ratio is not None:
+        raise RuntimeError(
+            f"Frobenius tail not converged for {system.operator_id} "
+            f"{system.sector} at x0={x0:.6g} within the order cap "
+            f"{ORDER_CAP}: tail/peak {ratio:.2e}")
     cols_val = []
     cols_der = []
     series_out = []
-    # physical components carry the grading x^(slot rank)
-    shifts = np.array([float(r) for r in system.slot_ranks])
-    for rho, seeds in reg:
-        resonances = {rho2 - rho for rho2, _ in reg if rho2 > rho}
-        block, ratio = _frobenius_block(rho, seeds, _indicial_at_shifts(p0, q0, rho),
-                                        p_f, q_f, resonances, x0 ** (rho + shifts), x0)
-        if ratio > TAIL_TOL:
-            raise RuntimeError(
-                f"Frobenius tail not converged for {system.operator_id} "
-                f"{system.sector} at x0={x0:.6g} within the order cap "
-                f"{ORDER_CAP}: tail/peak {ratio:.2e}")
-        for coeffs in np.moveaxis(block, 2, 0):
-            series = (float(rho), shifts, coeffs)
-            val, der = _series_at(series, x0)
-            cols_val.append(val)
-            cols_der.append(-der)  # d/ds = -d/dx
-            series_out.append(series)
+    columns = [(rho, stop) for (rho, seeds), stop in zip(reg, stops) for _ in seeds]
+    for col, (rho, stop) in enumerate(columns):
+        series = (float(rho), shifts, coeffs[rho - rho0:stop + 1, :, col])
+        val, der = _series_at(series, x0)
+        cols_val.append(val)
+        cols_der.append(-der)  # d/ds = -d/dx
+        series_out.append(series)
     return np.array(cols_val).T, np.array(cols_der).T, series_out
 
 
@@ -389,56 +395,88 @@ def _indicial_at_shifts(p0, q0, rho):
     return (x * (x - 1) * np.eye(len(p0), dtype=np.int64) - x * p0 - q0).astype(float)
 
 
-def _frobenius_block(rho, seeds, lms, p_f, q_f, resonances, scale, x0):
-    """Float Frobenius recursion with exactly-handled resonances for all
-    seeds of one exponent as one block, up to the first order at which the
-    tail test holds at x0 for every seed, or ``ORDER_CAP``.  Returns the
-    coefficients, (order + 1, n, seeds) with coefficient m in block[m], and
-    the largest tail/peak ratio of the last order.
+def _frobenius_recursion(reg, lms, p_f, q_f, scale, x0):
+    """Float Frobenius recursion with exactly-handled resonances for every
+    regular exponent (rho, seeds) of ``reg`` at once, each column a seed,
+    until each exponent's tail test holds at x0, or ``ORDER_CAP``.  Returns
+    the coefficients, (order + 1, n, seeds) with the coefficient of
+    x^(rho0 + m) in row m, each exponent's stop order, and None if every
+    exponent converged, else the largest tail/peak ratio at the last order
+    of a column of an exponent that did not.
 
-    L(rho + m) c_m = sum_(j<m) (P_(m-j) (rho + j) + Q_(m-j)) c_j, and the
-    sum is one contraction of the stacked tables [rho P + Q, P] with the
-    stacked coefficients [c_j, j c_j].  ``lms`` holds L(rho + m) and
-    ``p_f``, ``q_f`` the pole tables, each for m = 0..``ORDER_CAP``; away
-    from the resonances every L(rho + m) is inverted in one batched call.
+    The series of rho is one of x^(rho0 + m) whose coefficients vanish below
+    m = rho - rho0, where its seeds enter; that order is a resonance of
+    rho0, so everywhere else L(rho0 + m) is invertible and all columns take
+    one batched inverse.  L(rho0 + m) c_m = sum_(j<m) (P_(m-j) (rho0 + j) +
+    Q_(m-j)) c_j, one product of the reversed, flattened tables
+    [rho0 P + Q, P] with the stacked [c_j, j c_j].  ``lms`` holds
+    L(rho0 + m) and ``p_f``, ``q_f`` the pole tables, each for m =
+    0..``ORDER_CAP``.  At a resonance the columns already started are
+    solved by least squares, which must leave no residual (else log terms).
 
-    Term m of a seed is its graded coefficient at x0, c_m x0^m times
-    ``scale`` = x0^(rho + slot shift).  The tail test asks the largest of
-    the last three terms to be within ``TAIL_TOL`` of the largest term so
-    far, once those three are past the last resonance: there the
-    least-squares solve may leave c_m = 0 next to the terms that the
-    tables' parity makes 0, long before the series has converged."""
+    Term m of a column is its graded coefficient at x0, c_m x0^m times
+    ``scale`` = x0^(rho0 + slot shift).  The tail test of an exponent asks
+    the largest of the last three terms of each of its columns to be within
+    ``TAIL_TOL`` of that column's largest term so far, once those three are
+    past the last resonance: there the least-squares solve may leave c_m = 0
+    next to the terms that the tables' parity makes 0, long before the
+    series has converged.  It runs once per ``TAIL_BLOCK`` orders, on all
+    orders so far."""
+    rho0 = reg[0][0]
     n = len(scale)
-    c = np.zeros((ORDER_CAP + 1, 2 * n, len(seeds)))  # rows n.. hold m c_m
-    c[0, :n] = np.array([[float(x) for x in seed] for seed in seeds]).T
-    coef = np.concatenate([float(rho) * p_f + q_f, p_f], axis=2)
-    plain = [m for m in range(1, ORDER_CAP + 1) if m not in resonances]
+    starts = {rho - rho0: g for g, (rho, _) in enumerate(reg)}  # seed orders
+    edges = np.cumsum([0] + [len(seeds) for _, seeds in reg])  # columns per exponent
+    c = np.zeros((ORDER_CAP + 1, 2 * n, edges[-1]))  # rows n.. hold m c_m
+    flat = c.reshape(-1, edges[-1])
+    table = np.concatenate([rho0 * p_f + q_f, p_f], axis=2)[::-1]
+    table = table.transpose(1, 0, 2).reshape(n, -1)  # P_(m-j) meets c_j in one row
+    end = table.shape[1] - 2 * n  # where the table's order 0 starts
+    orders = np.arange(ORDER_CAP + 1)
+    plain = [m for m in range(1, ORDER_CAP + 1) if m not in starts]
     inv = np.zeros_like(lms)
     inv[plain] = np.linalg.inv(lms[plain])
-    weight = scale[:, None] * x0 ** np.arange(ORDER_CAP + 1)[:, None, None]
-    mags = [(np.abs(c[0, :n]) * weight[0]).max(axis=0).tolist()]  # term sizes
-    peak = mags[0]
-    first = max(resonances, default=0) + 3  # a resonance's c_m may be 0
+    inv = np.concatenate([inv, orders[:, None, None] * inv], axis=1)  # [c_m, m c_m]
+    weight = scale[:, None] * x0 ** orders[:, None, None]
+    first = max(starts) + 3  # a resonance's c_m may be 0
+    c[0, :n, :edges[1]] = _seed_columns(reg[0][1])
     for m in range(1, ORDER_CAP + 1):
-        rhs = np.einsum("jab,jbs->as", coef[m:0:-1], c[:m])
-        if m in resonances:
+        rhs = table[:, end - 2 * n * m:end] @ flat[:2 * n * m]
+        if m in starts:
+            g = starts[m]
             lm = lms[m]
+            rhs = rhs[:, :edges[g]]  # the later columns have not started
             sol = np.linalg.lstsq(lm, rhs, rcond=None)[0]
             check = np.linalg.norm(lm @ sol - rhs, axis=0)
             bound = np.maximum(np.linalg.norm(rhs, axis=0), 1.0)
             if np.any(check > 1e-9 * bound):
                 raise RuntimeError(
                     f"log terms required at resonance offset {m}")
+            c[m, :n, :edges[g]] = sol
+            c[m, :n, edges[g]:edges[g + 1]] = _seed_columns(reg[g][1])
+            c[m, n:] = m * c[m, :n]
         else:
-            sol = inv[m] @ rhs
-        c[m, :n] = sol
-        c[m, n:] = m * sol
-        mags.append((np.abs(sol) * weight[m]).max(axis=0).tolist())
-        peak = [max(p, t) for p, t in zip(peak, mags[-1])]
-        ratio = max(max(terms) / p for p, *terms in zip(peak, *mags[-3:]))
-        if m >= first and ratio <= TAIL_TOL:
+            np.matmul(inv[m], rhs, out=c[m])
+        if m % TAIL_BLOCK and m < ORDER_CAP:
+            continue
+        mags = (np.abs(c[:m + 1, :n]) * weight[:m + 1]).max(axis=1)  # term sizes
+        peak = np.maximum.accumulate(mags)
+        tail = np.maximum(np.maximum(mags[2:], mags[1:-1]), mags[:-2])  # orders 2..
+        holds = np.logical_and.reduceat(tail <= TAIL_TOL * peak[2:], edges[:-1], axis=1)
+        holds[:first - 2] = False
+        if holds.any(axis=0).all():
             break
-    return c[:m + 1, :n], ratio
+    converged = holds.any(axis=0)
+    stops = np.where(converged, holds.argmax(axis=0) + 2, m)
+    if converged.all():
+        return c[:m + 1, :n], stops, None
+    cols = np.repeat(~converged, np.diff(edges))  # those of the unconverged exponents
+    return c[:m + 1, :n], stops, (tail[-1, cols] / peak[-1, cols]).max()
+
+
+def _seed_columns(seeds):
+    """The exact seed vectors of an exponent as the float columns of an
+    (n, seeds) array."""
+    return np.array([[float(x) for x in seed] for seed in seeds]).T
 
 
 @dataclass(frozen=True)
@@ -449,9 +487,10 @@ class SolutionBasisAtEquator:
 def regular_basis(system, tol=INTEGRATOR_TOL):
     """Cauchy data at s=0 of the basis of solutions regular at the north
     pole (the south basis is its reflection, see ``calderon``): the
-    Frobenius series summed to x0 = ``MATCH_RADIUS``, at the order its tail
-    test picks there, then marched the remaining pi/2 - x0 to the equator
-    with tolerance ``tol``.  Built once per (system, tol); the array of the
+    Frobenius series summed to x0 = ``MATCH_RADIUS`` = 1.55, each exponent
+    at the order its tail test picks there, then marched the remaining
+    pi/2 - x0 ~ 0.021 to the equator with tolerance ``tol``, so that ``tol``
+    still reaches every basis.  Built once per (system, tol); the array of the
     shared result is read-only."""
     return _regular_basis(system, tol)
 

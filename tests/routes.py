@@ -9,12 +9,12 @@ matrix, the sphere quadrature of the scalar Gram matrices, the
 Killing data of the rank-1 kernel, Lorentzian evolution by direct
 integration in both time directions, the collocation matrix assembled node
 by node, the exact pole tables, the exact indicial matrix and its
-determinant, the Frobenius recursion one seed at a time, the exact action of
-the radial operators on concrete profiles, exact matrices of the coefficient
-field, composable spatial operators, the exact identity matrix, and the
-polynomial harmonic oracle in ``Fraction`` arithmetic (normalized
-symmetrization, rational sphere moments, a dense constraint matrix), the
-reference route of the library's integer oracle.
+determinant, the Frobenius recursion one exponent and one seed at a time,
+the exact action of the radial operators on concrete profiles, exact
+matrices of the coefficient field, composable spatial operators, the exact
+identity matrix, and the polynomial harmonic oracle in ``Fraction``
+arithmetic (normalized symmetrization, rational sphere moments, a dense
+constraint matrix), the reference route of the library's integer oracle.
 """
 
 import itertools
@@ -26,7 +26,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.linalg import block_diag
 
-from dsvac import harmonics
+from dsvac import harmonics, radial
 from dsvac import rational as rl
 from dsvac.calderon import _null, _rank
 from dsvac.cauchy import (
@@ -241,7 +241,7 @@ def series_float(mats, n, order):
 def frobenius_series(rho, seed, l_shift, p_f, q_f, n, order, resonances):
     """Float Frobenius recursion for one seed, with exactly-handled
     resonances; l_shift[m] is L(rho + m).  The per-seed route to
-    ``radial._frobenius_block``."""
+    ``frobenius_block``."""
     c = np.zeros((order + 1, n))
     c[0] = [float(x) for x in seed]
     rho_j = float(rho) + np.arange(order)
@@ -261,6 +261,75 @@ def frobenius_series(rho, seed, l_shift, p_f, q_f, n, order, resonances):
         else:
             c[m] = np.linalg.solve(lm, rhs)
     return c
+
+
+def frobenius_block(rho, seeds, lms, p_f, q_f, resonances, scale, x0):
+    """Float Frobenius recursion with exactly-handled resonances for all
+    seeds of one exponent as one block, up to the first order at which the
+    tail test holds at x0 for every seed, or ``radial.ORDER_CAP``: the
+    per-exponent route to ``radial._frobenius_recursion``.  Returns the
+    coefficients, (order + 1, n, seeds) with coefficient m in block[m], and
+    the largest tail/peak ratio of the last order.
+
+    L(rho + m) c_m = sum_(j<m) (P_(m-j) (rho + j) + Q_(m-j)) c_j, and the
+    sum is one contraction of the stacked tables [rho P + Q, P] with the
+    stacked coefficients [c_j, j c_j].  ``lms`` holds L(rho + m) and
+    ``p_f``, ``q_f`` the pole tables, each for m = 0..``ORDER_CAP``; away
+    from the resonances every L(rho + m) is inverted in one batched call.
+
+    Term m of a seed is its graded coefficient at x0, c_m x0^m times
+    ``scale`` = x0^(rho + slot shift).  The tail test asks the largest of
+    the last three terms to be within ``TAIL_TOL`` of the largest term so
+    far, once those three are past the last resonance."""
+    n = len(scale)
+    c = np.zeros((radial.ORDER_CAP + 1, 2 * n, len(seeds)))  # rows n.. hold m c_m
+    c[0, :n] = np.array([[float(x) for x in seed] for seed in seeds]).T
+    coef = np.concatenate([float(rho) * p_f + q_f, p_f], axis=2)
+    plain = [m for m in range(1, radial.ORDER_CAP + 1) if m not in resonances]
+    inv = np.zeros_like(lms)
+    inv[plain] = np.linalg.inv(lms[plain])
+    weight = scale[:, None] * x0 ** np.arange(radial.ORDER_CAP + 1)[:, None, None]
+    mags = [(np.abs(c[0, :n]) * weight[0]).max(axis=0).tolist()]  # term sizes
+    peak = mags[0]
+    first = max(resonances, default=0) + 3  # a resonance's c_m may be 0
+    for m in range(1, radial.ORDER_CAP + 1):
+        rhs = np.einsum("jab,jbs->as", coef[m:0:-1], c[:m])
+        if m in resonances:
+            lm = lms[m]
+            sol = np.linalg.lstsq(lm, rhs, rcond=None)[0]
+            check = np.linalg.norm(lm @ sol - rhs, axis=0)
+            bound = np.maximum(np.linalg.norm(rhs, axis=0), 1.0)
+            if np.any(check > 1e-9 * bound):
+                raise RuntimeError(
+                    f"log terms required at resonance offset {m}")
+        else:
+            sol = inv[m] @ rhs
+        c[m, :n] = sol
+        c[m, n:] = m * sol
+        mags.append((np.abs(sol) * weight[m]).max(axis=0).tolist())
+        peak = [max(p, t) for p, t in zip(peak, mags[-1])]
+        ratio = max(max(terms) / p for p, *terms in zip(peak, *mags[-3:]))
+        if m >= first and ratio <= radial.TAIL_TOL:
+            break
+    return c[:m + 1, :n], ratio
+
+
+def frobenius_per_exponent(system, x0):
+    """Each regular exponent's own recursion (``frobenius_block``) on the
+    system's pole tables and its own L(rho + m), as the library ran it
+    before one recursion per system: a list of (rho, coefficients, ratio),
+    coefficient m of x^(rho + m) in row m of an (order + 1, n, seeds)
+    array."""
+    reg, (p0, q0) = radial.regular_exponents(system)
+    p_f, q_f = radial.pole_tables(system)
+    shifts = np.array([float(r) for r in system.slot_ranks])
+    out = []
+    for rho, seeds in reg:
+        resonances = {rho2 - rho for rho2, _ in reg if rho2 > rho}
+        block, ratio = frobenius_block(rho, seeds, radial._indicial_at_shifts(p0, q0, rho),
+                                       p_f, q_f, resonances, x0 ** (rho + shifts), x0)
+        out.append((rho, block, ratio))
+    return out
 
 
 def evolve_lorentzian(system, data, t_grid):

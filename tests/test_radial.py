@@ -23,6 +23,7 @@ from routes import (
     det_exact,
     evolve_lorentzian,
     evolve_raw_direct,
+    frobenius_per_exponent,
     frobenius_series,
     indicial_exponents,
     indicial_floats,
@@ -228,11 +229,11 @@ def test_float_pole_tables_match_the_exact_series_to_k24(monkeypatch):
 
 
 def test_batched_recursion_matches_the_per_seed_one():
-    # all seeds of an exponent in one block against one seed at a time, on
-    # the same tables to the order the block picked at the equator: the
-    # einsum and the solves sum in another order, so the coefficients agree
-    # to rounding relative to the largest term of the series at the equator
-    # (measured worst 8.6e-16 over k <= 8)
+    # all seeds of a system in one recursion against one seed at a time, on
+    # the same tables to the order the recursion picked at the equator: the
+    # products and the solves sum in another order, so the coefficients
+    # agree to rounding relative to the largest term of the series at the
+    # equator (measured worst 1.4e-15 over k <= 8)
     blocks = 0
     for sysm in _euclidean_systems(8):
         reg, _ = radial.regular_exponents(sysm)
@@ -255,9 +256,53 @@ def test_batched_recursion_matches_the_per_seed_one():
     assert blocks == 8  # exponents with more than one seed
 
 
+def _exponent_blocks(series):
+    """The columns of ``frobenius_solutions``'s series grouped by exponent:
+    (rho, coefficients (order + 1, n, seeds)) in the order of the exponents."""
+    out = []
+    for rho, shifts, coeffs in series:
+        if out and out[-1][0] == rho:
+            out[-1][1].append(coeffs)
+        else:
+            out.append((rho, [coeffs]))
+    return [(rho, np.stack(cols, axis=2)) for rho, cols in out]
+
+
+def _recursion_vs_per_exponent(k_max):
+    # one recursion per system, from its lowest regular exponent, against
+    # each exponent's own recursion: the same stop order per exponent, and
+    # the coefficients to rounding relative to the largest term of the
+    # series where it is summed (the higher exponents' sums carry leading
+    # zeros and another summation order); measured worst 7.5 eps over
+    # k <= 48, at Scalar(11) D2 at MATCH_RADIUS
+    for x0 in (radial.MATCH_RADIUS, pi / 2):
+        for sysm in _euclidean_systems(k_max):
+            *_, series = radial.frobenius_solutions(sysm, x0)
+            got = _exponent_blocks(series)
+            ref = frobenius_per_exponent(sysm, x0)
+            assert [rho for rho, _ in got] == [float(rho) for rho, *_ in ref]
+            shifts = np.array(sysm.slot_ranks, dtype=float)
+            for (rho, block), (_, ref_block, ratio) in zip(got, ref):
+                where = (x0, sysm.operator_id, sysm.sector, rho)
+                assert ratio <= radial.TAIL_TOL
+                assert block.shape == ref_block.shape, where
+                terms = x0 ** (np.arange(len(block))[:, None, None] + shifts[:, None])
+                dev = np.max(np.abs(block - ref_block) * terms)
+                assert dev <= 16 * EPS * np.max(np.abs(ref_block) * terms), where
+
+
+def test_one_recursion_per_system_matches_the_per_exponent_route():
+    _recursion_vs_per_exponent(24)
+
+
+@pytest.mark.slow
+def test_one_recursion_per_system_matches_the_per_exponent_route_to_k48():
+    _recursion_vs_per_exponent(48)
+
+
 def _tail_test_holds(block, rho, shifts, x0, order):
-    """The tail test of ``radial._frobenius_block`` on the columns of one
-    exponent's coefficients truncated at ``order``."""
+    """The tail test of ``radial._frobenius_recursion`` on the columns of
+    one exponent's coefficients truncated at ``order``."""
     terms = np.abs(block[:order + 1]) * x0 ** (rho + np.arange(order + 1)[:, None, None]
                                               + shifts[:, None])
     mags = terms.max(axis=1)  # (order + 1, seeds)
@@ -265,13 +310,14 @@ def _tail_test_holds(block, rho, shifts, x0, order):
 
 
 def test_each_regular_basis_runs_its_recursion_once(monkeypatch):
-    # no coefficient, pole table or L(rho + m) is computed twice: the tables
-    # are built once per system and L(rho + m) once per exponent, each
-    # exponent recurs once on those, and the order it stops at is the first
-    # at which the tail test holds at MATCH_RADIUS for every seed (k <= 8
-    # has 8 exponents with two seeds)
-    blocks, tables, shifts = [], [], []
-    for name, log in (("_frobenius_block", blocks), ("pole_tables", tables),
+    # no coefficient, pole table or L(rho + m) is computed twice: each
+    # system builds one pole table and one L(rho0 + m) table at its lowest
+    # regular exponent rho0 and runs one recursion on them, and each
+    # exponent stops at the first order at which the tail test holds at
+    # MATCH_RADIUS for all its seeds (k <= 8 has 8 exponents with two seeds
+    # and 32 systems with more than one exponent)
+    recursions, tables, shifts = [], [], []
+    for name, log in (("_frobenius_recursion", recursions), ("pole_tables", tables),
                       ("_indicial_at_shifts", shifts)):
         def spy(*args, _real=getattr(radial, name), _log=log, **kwargs):
             out = _real(*args, **kwargs)
@@ -279,22 +325,27 @@ def test_each_regular_basis_runs_its_recursion_once(monkeypatch):
             return out
         monkeypatch.setattr(radial, name, spy)
     x0 = radial.MATCH_RADIUS
+    several = 0
     for sysm in _euclidean_systems(8):
-        del blocks[:], tables[:], shifts[:]
+        del recursions[:], tables[:], shifts[:]
         radial._regular_basis.__wrapped__(sysm, radial.INTEGRATOR_TOL)
         reg, _ = radial.regular_exponents(sysm)
-        assert len(tables) == 1
+        several += len(reg) > 1
         (_, (p_f, q_f)), = tables
-        assert [args[2] for args, _ in shifts] == [rho for rho, _ in reg]
-        assert [args[0] for args, _ in blocks] == [rho for rho, _ in reg]
-        for (rho, _), (args, (block, ratio)), (_, lms) in zip(reg, blocks, shifts):
-            assert args[2] is lms and args[3] is p_f and args[4] is q_f
-            order = len(block) - 1
-            assert ratio <= radial.TAIL_TOL
-            sh = np.array(sysm.slot_ranks, dtype=float)
+        (args, lms), = shifts
+        assert args[2] == reg[0][0]
+        (args, (coeffs, stops, ratio)), = recursions
+        assert args[1] is lms and args[2] is p_f and args[3] is q_f
+        assert ratio is None
+        *_, series = radial.frobenius_solutions(sysm, x0)
+        sh = np.array(sysm.slot_ranks, dtype=float)
+        for (rho, _), stop, (_, block) in zip(reg, stops, _exponent_blocks(series)):
+            order = stop - (rho - reg[0][0])
+            assert len(block) == order + 1
             assert _tail_test_holds(block, float(rho), sh, x0, order)
             assert not _tail_test_holds(block, float(rho), sh, x0, order - 1), \
                 (sysm.sector, rho, order)
+    assert several == 32
 
 
 def test_vector1_regular_datum():
@@ -400,8 +451,8 @@ def test_series_at_equator_matches_marched_basis():
 
 @pytest.mark.slow
 def test_series_at_equator_matches_marched_basis_to_k48():
-    # every Euclidean system with k <= 48; measured worst 1.4e-12, at
-    # Scalar(44) D2 (the march from 0.15 was 2.8e-8 off at TensorTT(47))
+    # every Euclidean system with k <= 48; measured worst 6.5e-13, at
+    # Scalar(48) D2 (the march from 0.15 was 2.8e-8 off at TensorTT(47))
     systems = _euclidean_systems(48)
     assert len(systems) == 338
     _series_vs_march(systems)
@@ -410,7 +461,7 @@ def test_series_at_equator_matches_marched_basis_to_k48():
 @pytest.mark.slow
 def test_marched_basis_matches_collocation_to_k48():
     # every method-independence candidate with k <= 48; measured worst
-    # 1.0e-12, at Scalar(44) D2
+    # 9.3e-13, at Scalar(47) D2
     systems = _regular_systems(48)
     assert len(systems) == 241
     for sysm in systems:

@@ -441,9 +441,9 @@ def test_gauge_intertwining_is_certified_to_k48(tmp_path):
 
 @pytest.mark.slow
 def test_every_suite_passes_to_k96(tmp_path):
-    # every regular basis is the series to MATCH_RADIUS plus a short march,
-    # so the k >= 43 sectors hold; the march from 0.15 failed 217 checks
-    # here, all at k >= 52
+    # every regular basis is the series to MATCH_RADIUS = 1.55 (one
+    # recursion per system) plus a 0.021 march, so the k >= 43 sectors
+    # hold; the march from 0.15 failed 217 checks here, all at k >= 52
     out = tmp_path / "r.json"
     done = subprocess.run(
         [sys.executable, "-m", "dsvac.cli", "run", "--k-max", "96", "--jobs", "2",
@@ -480,6 +480,34 @@ def test_oracle_at_k_max_zero(tmp_path):
                if r["check_id"].startswith("method-independence")]
     assert [r["sector"] for r in sampled] == ["Scalar(0)", "Scalar(0)"]
     assert not has_failures(rep)
+
+
+def test_spectral_gaps_beyond_the_cap_are_recorded_as_the_cap(monkeypatch):
+    # TensorTT(37) D2 has the largest collocation gap of the k <= 48
+    # candidates (6.6e15) and Scalar(0) D1 Maxwell the k_max = 0 one
+    # (6.8e12): beyond 1e12 the digits are round-off, so both read the cap;
+    # an infinite gap reads it too, so the report stays standard JSON
+    cfg = RunConfig(k_max=0, suites=("oracle",))
+    art = report._Artifacts(cfg)
+    art.sectors = [SectorLabel(Family.TENSOR, 37)]
+    real = report.collocation_regular_basis
+    for infinite in (False, True):
+        gaps = []
+
+        def spy(system):
+            basis, gap = real(system)
+            gaps.append(gap)
+            return basis, math.inf if infinite else gap
+
+        monkeypatch.setattr(report, "collocation_regular_basis", spy)
+        col = report._Collector()
+        report._suite_oracle(art, col, cfg)
+        recs = [r for r in col.records if r.check_id.startswith("method-independence")]
+        assert sorted(r.sector for r in recs) == ["Scalar(0)", "TensorTT(37)"]
+        assert min(gaps) > report.SPECTRAL_GAP_CAP
+        assert all(r.verdict == "pass" for r in recs)
+        assert [r.extra["spectral_gap"] for r in recs] == [report.SPECTRAL_GAP_CAP] * 2
+        json.loads(json.dumps([r.extra for r in recs], allow_nan=False))
 
 
 def _spy_integrators(monkeypatch):
