@@ -17,7 +17,10 @@ derivatives are eliminated with the input's radial system as
 gravity shift (D0 = D0L - 6) unless the Maxwell system is asked for.  The
 blocks and forms are built once per sector and are read-only arrays: the
 blocks exact (numpy object arrays of ``Fraction``), the forms (Gram,
-charges) exact inside and ``astype(float)`` of them outside.
+charges) exact inside and ``astype(float)`` of them outside.  A full
+sector's exact blocks, weights and physical charge are its family's, built
+once per process with the level x = k(k+2) formal (entries polynomial in x)
+and evaluated at its level; a sector with a reduced space builds its own.
 """
 
 from dataclasses import dataclass
@@ -27,7 +30,7 @@ from functools import lru_cache
 import numpy as np
 
 from .radial import build_system
-from .sectors import SCALAR0, SCALAR1, VECTOR1, space
+from .sectors import SCALAR0, SCALAR1, VECTOR1, at_level, generic_family, space
 from .warped import EUCLIDEAN, LORENTZIAN, WarpedSector, data_weight, kappa_signs
 
 Q = Fraction
@@ -99,16 +102,22 @@ def data_block(sector, name, maxwell=False):
     """Exact block ``name`` on Cauchy data at the equator: the jet block
     with the derivative halves in the data convention (u, -u'), built once
     per (sector, name, maxwell).  (The trace reversal does not mix the
-    halves, so the convention of its Lorentzian data leaves it unchanged.)"""
+    halves, so the convention of its Lorentzian data leaves it unchanged.)
+    A full sector's block is its family's, built once, evaluated at its
+    level."""
     key = (sector, name, bool(maxwell))
     if key not in _DATA_BLOCKS:
-        _, rank_in, rank_out, signature = BLOCK_JETS[name]
-        n_in = DataLayout(sector, rank_in).half
-        n_out = DataLayout(sector, rank_out).half
-        block = np.array(jet_block(sector, name, signature, maxwell=maxwell),
-                         dtype=object).reshape(2 * n_out, 2 * n_in)
-        block[:n_out, n_in:] *= -1
-        block[n_out:, :n_in] *= -1
+        family = generic_family(sector)
+        if family is not None:
+            block = at_level(data_block(family, name, maxwell), sector.x)
+        else:
+            _, rank_in, rank_out, signature = BLOCK_JETS[name]
+            n_in = DataLayout(sector, rank_in).half
+            n_out = DataLayout(sector, rank_out).half
+            block = np.array(jet_block(sector, name, signature, maxwell=maxwell),
+                             dtype=object).reshape(2 * n_out, 2 * n_in)
+            block[:n_out, n_in:] *= -1
+            block[n_out:, :n_in] *= -1
         _DATA_BLOCKS[key] = _read_only(block)
     return _DATA_BLOCKS[key]
 
@@ -183,6 +192,16 @@ def _exact_charge(sector, rank):
 
 
 @lru_cache(maxsize=None)
+def _exact_physical_charge(sector):
+    """q_{I,2} = q_2 o I_Sigma exactly; a full sector's is its family's
+    product, taken once, evaluated at its level."""
+    family = generic_family(sector)
+    if family is not None:
+        return _read_only(at_level(_exact_physical_charge(family), sector.x))
+    return _read_only(_exact_charge(sector, 2) @ data_block(sector, "trace_reversal"))
+
+
+@lru_cache(maxsize=None)
 def charge_form(sector, rank):
     """Lorentzian conserved charge q_k as a Hermitian form matrix."""
     return _read_only(_exact_charge(sector, rank).astype(float))
@@ -192,8 +211,7 @@ def charge_form(sector, rank):
 def physical_charge_form(sector):
     """q_{I,2} = q_2 o I_Sigma (trace-reversed charge on rank-2 data), the
     product taken exactly."""
-    exact = _exact_charge(sector, 2) @ data_block(sector, "trace_reversal")
-    return _read_only(exact.astype(float))
+    return _read_only(_exact_physical_charge(sector).astype(float))
 
 
 def charge_raw(system, u, du, v, dv, t):

@@ -57,8 +57,8 @@ class LSeries:
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return LSeries(self.off, [Q(other) * v for v in self.c])
+        if not isinstance(other, LSeries):  # an exact scalar
+            return LSeries(self.off, [other * v for v in self.c])
         if not self.c or not other.c:
             return LSeries(0, [])
         n = min(len(self.c), len(other.c))

@@ -1,8 +1,11 @@
 """Radial ODE systems at the equator: regular solution bases and evolution.
 
 Each (operator, sector, signature) triple reduces to a second-order system
--X'' + M1(s) X' + M0(s) X = 0 over the sector slot basis.  Each system is
-compiled once to its first-order matrix A(s) = [[0, I], [M0(s), M1(s)]]:
+-X'' + M1(s) X' + M0(s) X = 0 over the sector slot basis.  A full sector's
+M1 and M0 are its family's, reduced once with the level x = k(k+2) formal
+and evaluated at its level (``build_system``), and so are its order-0 pole
+coefficients; a sector with a reduced space is reduced on its own.  Each
+system is compiled once to its first-order matrix A(s) = [[0, I], [M0(s), M1(s)]]:
 the few distinct monomials a^i adot^j of its coefficients and one float
 row of A per monomial, so an evaluation of A(s) is one contraction of the
 monomial values with those rows, and the ODE right-hand side one matrix
@@ -24,9 +27,10 @@ series converges on all of [0, pi/2], its terms falling like (x/pi)^m.  A
 system runs one recursion, from its lowest regular exponent rho0: a higher
 exponent rho is a series in x^(rho0 + m) whose seeds enter at order
 rho - rho0, a resonance of rho0.  So the pole tables and L(rho0 + m) are
-built once per system to ``ORDER_CAP``, every order is one matrix product
-for all seeds, and each exponent stops at the first order at which its
-tail test holds where the series is summed.  A regular basis is the series
+built once per system, ``TABLE_BLOCK`` orders at a time as the recursion
+reaches them, every order is one matrix product for all seeds, and each
+exponent stops at the first order at which its tail test holds where the
+series is summed.  A regular basis is the series
 summed to x0 = ``MATCH_RADIUS`` = 1.55 and marched the remaining pi/2 - x0
 ~ 0.021 to the equator at the ODE tolerance (``regular_basis``); summed to
 the equator itself, the series is the energy oracle's profile
@@ -50,7 +54,7 @@ from scipy.special import zeta
 
 from . import rational as rl
 from .qseries import LSeries
-from .sectors import SectorLabel
+from .sectors import SectorLabel, at_level, generic_family
 from .warped import EUCLIDEAN, LORENTZIAN, WarpedSector, cf_series_pole, kappa_signs
 
 Q = Fraction
@@ -60,6 +64,7 @@ ORDER_CAP = 400  # a recursion not converged by this order of rho0 raises
 INTEGRATOR_TOL = 1e-12
 TAIL_TOL = 1e-14
 TAIL_BLOCK = 16  # orders the recursion runs between two tail tests
+TABLE_BLOCK = 8 * TAIL_BLOCK  # orders of pole and L tables the recursion builds at a time
 RTOL_FLOOR = 100 * np.finfo(float).eps  # scipy raises any smaller rtol to this
 
 
@@ -75,6 +80,7 @@ class RadialSystem:
     slot_ranks: list
     m1: list  # exact coefficient-dict matrices
     m0: list
+    family: object = None  # the family system m1 and m0 are evaluated from
 
     @property
     def n(self):
@@ -143,7 +149,22 @@ def _check_reflection_parity(operator_id, sector, rank, slot_ranks, m1, m0):
 
 @lru_cache(maxsize=None)
 def build_system(operator_id, sector, signature, maxwell=False):
+    """The radial system of ``operator_id`` on ``sector``, or on a family at
+    the formal level (``sector`` a ``Family``: coefficients polynomial in
+    x).  A full sector's M1 and M0 are its family's, built once, evaluated
+    at its level entry by entry in the family's term order (a term that
+    vanishes there dropped), which is the order its own reduction gives
+    (the tests hold both to k = 96); a reduced sector runs the reduction
+    itself."""
     rank = OPERATOR_RANK[operator_id]
+    family = generic_family(sector)
+    if family is not None:
+        formal = build_system(operator_id, family, signature, maxwell=maxwell)
+        x = sector.x
+        m1, m0 = ([[{key: v for key, c in entry.items() if (v := at_level(c, x))}
+                    for entry in row] for row in mat] for mat in (formal.m1, formal.m0))
+        return RadialSystem(sector, operator_id, signature, maxwell, rank,
+                            list(formal.slot_ranks), m1, m0, formal)
     ws = WarpedSector(sector, signature)
     slot_ranks, m1, m0 = ws.radial_matrices(rank, maxwell=maxwell)
     _check_reflection_parity(operator_id, sector, rank, slot_ranks, m1, m0)
@@ -207,11 +228,21 @@ def pole_series_matrices(system, order):
 def pole_leading_terms(system):
     """The exact order-0 coefficients P0, Q0 of the pole series: those of
     ``pole_series_matrices`` at order 0, which fixes coefficient 0 and runs
-    its pole-order guards."""
+    its pole-order guards.  A system evaluated from a family system reads
+    the family's, built once, at its level."""
+    if system.family is not None:
+        x = system.sector.x
+        return tuple([[at_level(c, x) for c in row] for row in mat]
+                     for mat in _family_leading_terms(system.family))
     n = system.n
     p_mats, q_mats = pole_series_matrices(system, 0)
     return ([[p_mats[i][j].coeff(0) for j in range(n)] for i in range(n)],
             [[q_mats[i][j].coeff(0) for j in range(n)] for i in range(n)])
+
+
+@lru_cache(maxsize=None)
+def _family_leading_terms(family):
+    return pole_leading_terms(family)
 
 
 def indicial_data(system):
@@ -305,17 +336,19 @@ def _pole_table(top):
     return rows
 
 
-def pole_tables(system):
-    """Float tables p_f[m] = P_m, q_f[m] = Q_m for m = 0..``ORDER_CAP`` of
-    the pole series of ``pole_series_matrices``: one contraction of the
-    system's coefficient rows over ``POLE_MONOMIALS`` with the monomial
-    table, read at the graded shifts d_ij = r_j - r_i (the slot ranks differ
-    by at most 2, so every column read is in the table):
+def pole_tables(system, orders=None):
+    """Float tables p_f[m] = P_m, q_f[m] = Q_m of the pole series of
+    ``pole_series_matrices``, one row for each order m of ``orders`` (default
+    0..``ORDER_CAP``): one contraction of the system's coefficient rows over
+    ``POLE_MONOMIALS`` with the monomial table, read at the graded shifts
+    d_ij = r_j - r_i (the slot ranks differ by at most 2, so every column
+    read is in the table):
 
         P = x^(1+d) M1_hat - 2 r_j delta_ij,
         Q = x^(2+d) M0_hat + r_j x^(1+d) M1_hat - r_j (r_j - 1) delta_ij,
 
-    with M1_hat = -M1 and M0_hat = M0 as series in x."""
+    with M1_hat = -M1 and M0_hat = M0 as series in x.  A row does not depend
+    on which other orders are asked for."""
     n = system.n
     index = {mono: p for p, mono in enumerate(POLE_MONOMIALS)}
     coef = np.zeros((2, len(POLE_MONOMIALS), n, n))
@@ -327,13 +360,15 @@ def pole_tables(system):
                         raise ValueError(f"coefficient monomial a^{ia} adot^{jd} "
                                          "has no tabulated pole series")
                     coef[t, index[ia, jd], i, j] = sign * float(v)
+    orders = np.arange(ORDER_CAP + 1) if orders is None else np.asarray(orders)
     table = _pole_table(ORDER_CAP + 1)
     ranks = np.array(system.slot_ranks)
-    col = np.arange(ORDER_CAP + 1)[:, None, None] + 4 - (ranks[None, :] - ranks[:, None])
+    col = orders[:, None, None] + 4 - (ranks[None, :] - ranks[:, None])
     p_f = np.einsum("pij,pmij->mij", coef[0], table[:, col - 1])  # x^(1+d) M1_hat
     q_f = np.einsum("pij,pmij->mij", coef[1], table[:, col - 2]) + ranks * p_f
-    p_f[0] -= np.diag(2.0 * ranks)
-    q_f[0] -= np.diag(ranks * (ranks - 1.0))
+    at0 = orders == 0
+    p_f[at0] -= np.diag(2.0 * ranks)
+    q_f[at0] -= np.diag(ranks * (ranks - 1.0))
     return p_f, q_f
 
 
@@ -351,12 +386,14 @@ def frobenius_solutions(system, x0):
         raise ValueError(f"{system.operator_id} {system.sector} has no slots, "
                          "so no regular basis")
     reg, (p0, q0) = regular_exponents(system)
-    p_f, q_f = pole_tables(system)
     # physical components carry the grading x^(slot rank)
     shifts = np.array([float(r) for r in system.slot_ranks])
     rho0 = reg[0][0]
-    coeffs, stops, ratio = _frobenius_recursion(
-        reg, _indicial_at_shifts(p0, q0, rho0), p_f, q_f, x0 ** (rho0 + shifts), x0)
+
+    def tables(orders):
+        return (_indicial_at_shifts(p0, q0, rho0, orders), *pole_tables(system, orders))
+
+    coeffs, stops, ratio = _frobenius_recursion(reg, tables, x0 ** (rho0 + shifts), x0)
     if ratio is not None:
         raise RuntimeError(
             f"Frobenius tail not converged for {system.operator_id} "
@@ -385,17 +422,20 @@ def _series_at(series, x):
     return np.add.accumulate(terms)[-1], np.add.accumulate(dterms)[-1]
 
 
-def _indicial_at_shifts(p0, q0, rho):
-    """L(rho + m) = x(x-1) I - x P0 - Q0 at x = rho + m for every m =
-    0..``ORDER_CAP``, (ORDER_CAP + 1, n, n) floats, from the integer P0, Q0
-    of ``indicial_data`` and an integer exponent rho: one int64 expression,
-    whose entries stay far below 2^53 (at most 239 596 over the 868
-    Euclidean systems with k <= 96), so every float is the exact integer."""
-    x = (rho + np.arange(ORDER_CAP + 1, dtype=np.int64))[:, None, None]
+def _indicial_at_shifts(p0, q0, rho, orders=None):
+    """L(rho + m) = x(x-1) I - x P0 - Q0 at x = rho + m for every m of
+    ``orders`` (default 0..``ORDER_CAP``), (len(orders), n, n) floats, from
+    the integer P0, Q0 of ``indicial_data`` and an integer exponent rho: one
+    int64 expression, whose entries stay far below 2^53 (at most 239 596
+    over the 868 Euclidean systems with k <= 96), so every float is the
+    exact integer."""
+    if orders is None:
+        orders = range(ORDER_CAP + 1)
+    x = (rho + np.asarray(orders, dtype=np.int64))[:, None, None]
     return (x * (x - 1) * np.eye(len(p0), dtype=np.int64) - x * p0 - q0).astype(float)
 
 
-def _frobenius_recursion(reg, lms, p_f, q_f, scale, x0):
+def _frobenius_recursion(reg, tables, scale, x0):
     """Float Frobenius recursion with exactly-handled resonances for every
     regular exponent (rho, seeds) of ``reg`` at once, each column a seed,
     until each exponent's tail test holds at x0, or ``ORDER_CAP``.  Returns
@@ -409,10 +449,16 @@ def _frobenius_recursion(reg, lms, p_f, q_f, scale, x0):
     rho0, so everywhere else L(rho0 + m) is invertible and all columns take
     one batched inverse.  L(rho0 + m) c_m = sum_(j<m) (P_(m-j) (rho0 + j) +
     Q_(m-j)) c_j, one product of the reversed, flattened tables
-    [rho0 P + Q, P] with the stacked [c_j, j c_j].  ``lms`` holds
-    L(rho0 + m) and ``p_f``, ``q_f`` the pole tables, each for m =
-    0..``ORDER_CAP``.  At a resonance the columns already started are
-    solved by least squares, which must leave no residual (else log terms).
+    [rho0 P + Q, P] with the stacked [c_j, j c_j].  ``tables(orders)``
+    gives L(rho0 + m), P_m and Q_m for the orders asked; they are built, and
+    L inverted, one block of ``TABLE_BLOCK`` orders at a time as the
+    recursion reaches it, so no order past the block of the last stop is
+    built.  (On a 2-vCPU VM a block cost about 60 us of calls beside 0.6 us
+    per order: blocks of 16 orders made the 170 systems with k <= 24 slower
+    than building all 401 orders, blocks of 128 faster; at x0 =
+    ``MATCH_RADIUS`` most of them stop between orders 64 and 112.)  At a resonance the
+    columns already started are solved by least squares, which must leave
+    no residual (else log terms).
 
     Term m of a column is its graded coefficient at x0, c_m x0^m times
     ``scale`` = x0^(rho0 + slot shift).  The tail test of an exponent asks
@@ -428,19 +474,29 @@ def _frobenius_recursion(reg, lms, p_f, q_f, scale, x0):
     edges = np.cumsum([0] + [len(seeds) for _, seeds in reg])  # columns per exponent
     c = np.zeros((ORDER_CAP + 1, 2 * n, edges[-1]))  # rows n.. hold m c_m
     flat = c.reshape(-1, edges[-1])
-    table = np.concatenate([rho0 * p_f + q_f, p_f], axis=2)[::-1]
-    table = table.transpose(1, 0, 2).reshape(n, -1)  # P_(m-j) meets c_j in one row
-    end = table.shape[1] - 2 * n  # where the table's order 0 starts
-    orders = np.arange(ORDER_CAP + 1)
-    plain = [m for m in range(1, ORDER_CAP + 1) if m not in starts]
-    inv = np.zeros_like(lms)
-    inv[plain] = np.linalg.inv(lms[plain])
-    inv = np.concatenate([inv, orders[:, None, None] * inv], axis=1)  # [c_m, m c_m]
-    weight = scale[:, None] * x0 ** orders[:, None, None]
+    # [rho0 P + Q, P] with order m at position ORDER_CAP - m, so that
+    # P_(m-j) meets c_j in one row
+    table = np.zeros((n, ORDER_CAP + 1, 2 * n))
+    flat_table = table.reshape(n, -1)
+    end = ORDER_CAP * 2 * n  # where the table's order 0 starts
+    lms = np.empty((ORDER_CAP + 1, n, n))
+    inv = np.empty((ORDER_CAP + 1, 2 * n, n))  # [L^-1, m L^-1]: [c_m, m c_m]
+    built = -1
+    weight = scale[:, None] * x0 ** np.arange(ORDER_CAP + 1)[:, None, None]
     first = max(starts) + 3  # a resonance's c_m may be 0
     c[0, :n, :edges[1]] = _seed_columns(reg[0][1])
     for m in range(1, ORDER_CAP + 1):
-        rhs = table[:, end - 2 * n * m:end] @ flat[:2 * n * m]
+        if m > built:
+            top = min(-(-m // TABLE_BLOCK) * TABLE_BLOCK, ORDER_CAP)
+            orders = np.arange(built + 1, top + 1)
+            lms[orders], p_f, q_f = tables(orders)
+            table[:, ORDER_CAP - orders] = np.concatenate(
+                [rho0 * p_f + q_f, p_f], axis=2).transpose(1, 0, 2)
+            plain = orders[[o > 0 and o not in starts for o in orders]]
+            inv[plain, :n] = np.linalg.inv(lms[plain])
+            inv[plain, n:] = plain[:, None, None] * inv[plain, :n]
+            built = top
+        rhs = flat_table[:, end - 2 * n * m:end] @ flat[:2 * n * m]
         if m in starts:
             g = starts[m]
             lm = lms[m]

@@ -37,7 +37,15 @@ from .maxwell import (
 )
 from .phase_space import charge_kernel_check, phase_space_sector
 from .radial import RTOL_FLOOR, build_system, evolve_raw, regular_basis
-from .sectors import SCALAR0, SCALAR1, VECTOR1, Family, SectorLabel, enumerate_sectors
+from .sectors import (
+    SCALAR0,
+    SCALAR1,
+    VECTOR1,
+    Family,
+    SectorLabel,
+    enumerate_sectors,
+    reduced_levels,
+)
 from .states import (
     alpha_unitarity_residual,
     build_covariances,
@@ -411,15 +419,28 @@ def _suite_oracle(art, col, cfg):
                 {"spectral_gap": min(float(gap), SPECTRAL_GAP_CAP)})
 
 
+def _at_every_level(identity):
+    """Whether the exact identity ``identity(sector) = 0`` on data blocks
+    holds at every level: on each family's formal blocks, as a polynomial
+    identity in x (a full sector's blocks are these evaluated at its
+    level), and on each reduced level's own blocks."""
+    sectors = [*Family, *(SectorLabel(f, k) for f in Family for k in reduced_levels(f))]
+    return not any(v for sec in sectors for v in identity(sec).flat)
+
+
 def _suite_identities(art, col, cfg):
-    # exact operator identities (already rational-exact; assert and record)
+    # exact operator identities (already rational-exact; assert and record),
+    # each also checked at every level
     block = cy.data_block
-    col.add_worst("identities", "gauge-complex", "gauge-complex-exactness", art.sectors,
-                  lambda sec: max_abs(block(sec, "sym_div") @ block(sec, "sym_grad")), 0.0)
-    col.add_worst("identities", "trace-gauge-composition", "trace-gauge-relation",
-                  art.sectors,
-                  lambda sec: max_abs(block(sec, "neg_trace") @ block(sec, "sym_grad")
-                                      + 2 * block(sec, "div")), 0.0)
+    for check_id, claim, identity in (
+            ("gauge-complex", "gauge-complex-exactness",
+             lambda sec: block(sec, "sym_div") @ block(sec, "sym_grad")),
+            ("trace-gauge-composition", "trace-gauge-relation",
+             lambda sec: block(sec, "neg_trace") @ block(sec, "sym_grad")
+             + 2 * block(sec, "div"))):
+        col.add_worst("identities", check_id, claim, art.sectors,
+                      lambda sec, identity=identity: max_abs(identity(sec)), 0.0,
+                      extra={"every_level": _at_every_level(identity)})
     # trace fixing: neg_trace o sym_grad o S0 = neg_trace, S0 = -(1/12) grad o
     # neg_trace; exact, since the Lorentzian blocks' Wick phases cancel along it
     col.add_worst("identities", "trace-fixing", "trace-fixing-identity",

@@ -18,6 +18,13 @@ one per-rank table and, for linearized gravity, the mass term.  They are
 reduced to radial ODE systems and evaluated on Cauchy data by jets, all
 without floating point.  Coefficients and linear expressions are sparse
 exact vectors, updated in place by ``rational.accumulate``.
+
+The calculus runs on the space of a sector, or of a family at the formal
+level (``sectors.space(family)``), whose operator entries are polynomials
+in x = k(k+2) (``sectors.XPoly``); nothing in it tells the two apart.  On a
+family it builds the radial systems, jets and weights once with
+coefficients polynomial in x, and a full sector's are these evaluated at its
+level (``radial.build_system``, ``cauchy.data_block``, ``data_weight``).
 """
 
 from fractions import Fraction
@@ -25,11 +32,10 @@ from functools import lru_cache
 from math import comb
 
 import numpy as np
-from scipy.linalg import block_diag
 
 from . import rational as rl
 from .qseries import LSeries, scaled_arg, sin_series
-from .sectors import space
+from .sectors import at_level, generic_family, space
 
 Q = Fraction
 
@@ -52,8 +58,7 @@ CF_ONE = cf()
 
 
 def cf_scale(t, c):
-    c = Q(c)
-    if c == 0:
+    if not c:
         return {}
     return {k: c * v for k, v in t.items()}
 
@@ -120,11 +125,11 @@ def _pole_monomial(order, i, j):
 # LinExpr = dict[(unknown_index, derivative_order)] -> coefficient dict
 
 def _le_add_to(acc, e, c, sig):
-    """acc += c * e in place (c rational or a coefficient); an entry that
+    """acc += c * e in place (c exact or a coefficient); an entry that
     cancels is dropped, so a later term of it is appended anew."""
     for k, v in e.items():
         if c != 1:
-            v = cf_scale(v, c) if isinstance(c, (int, Fraction)) else cf_mul(v, c, sig)
+            v = cf_mul(v, c, sig) if isinstance(c, dict) else cf_scale(v, c)
         if k in acc:
             if not rl.accumulate(acc[k], v.items()):
                 del acc[k]
@@ -163,16 +168,26 @@ def kappa_signs(rank):
     return [Q((-1) ** (rank - r)) for r in range(rank + 1)]
 
 
+@lru_cache(maxsize=None)
 def data_weight(sector, rank, lorentz_signs=False):
-    """Weight of one half of rank-``rank`` Cauchy data, an exact object
-    array: the block diagonal of the slot Gram matrices times the fiber
-    weights, and times the reflection signs for the Lorentzian charge."""
-    sp = space(sector)
-    wts = fiber_weights(rank)
-    if lorentz_signs:
-        wts = [w * k for w, k in zip(wts, kappa_signs(rank))]
-    return block_diag(*(np.array(sp.gram(r), dtype=object).reshape(sp.dim(r), sp.dim(r))
-                        * wts[r] for r in range(rank + 1)))
+    """Weight of one half of rank-``rank`` Cauchy data, a read-only exact
+    object array: the block diagonal of the slot Gram matrices times the
+    fiber weights, and times the reflection signs for the Lorentzian charge.
+    A full sector's is its family's, built once, evaluated at its level."""
+    family = generic_family(sector)
+    if family is not None:
+        out = at_level(data_weight(family, rank, lorentz_signs), sector.x)
+    else:
+        sp = space(sector)
+        wts = fiber_weights(rank)
+        if lorentz_signs:
+            wts = [w * k for w, k in zip(wts, kappa_signs(rank))]
+        dims = [sp.dim(r) for r in range(rank + 1)]
+        out = np.block([[np.array(sp.gram(r), dtype=object).reshape(dims[r], dims[r]) * wts[r]
+                         if r == c else np.zeros((dims[r], dims[c]), dtype=object)
+                         for c in range(rank + 1)] for r in range(rank + 1)])
+    out.setflags(write=False)
+    return out
 
 
 class WarpedSector:
@@ -208,8 +223,8 @@ class WarpedSector:
 
     def _add(self, slot, c, exprs, op=None, rank=None):
         """slot[i] += c * exprs[i], or c * (op exprs)[i] for the sector
-        operator ``op`` at ``rank``; c is a rational or a coefficient."""
-        rational = isinstance(c, (int, Fraction))
+        operator ``op`` at ``rank``; c is exact or a coefficient."""
+        rational = not isinstance(c, dict)
         if rational and c == 0:
             return
         if op is None:
@@ -332,7 +347,8 @@ class WarpedSector:
         """Jet-evaluate a first-order operator on Cauchy data.
 
         Returns the raw block mapping (u(pt), u'(pt)) -> (Op u (pt),
-        d/ds Op u (pt)) as an exact rational matrix when ``at`` is rational.
+        d/ds Op u (pt)) as an exact matrix when ``at`` is rational (of
+        polynomials in x on a family).
         Second derivatives are eliminated with the radial system of the
         input's field operator: ``elim`` is a function returning
         (slot_ranks, M1, M0), called only if a second derivative occurs.

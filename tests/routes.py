@@ -10,6 +10,8 @@ Killing data of the rank-1 kernel, Lorentzian evolution by direct
 integration in both time directions, the collocation matrix assembled node
 by node, the exact pole tables, the exact indicial matrix and its
 determinant, the Frobenius recursion one exponent and one seed at a time,
+each full sector's radial systems, data blocks and exact forms built at its
+own level (the library evaluates its family's at the level),
 the exact action of the radial operators on concrete profiles, exact
 matrices of the coefficient field, composable spatial operators, the exact
 identity matrix, and the polynomial harmonic oracle in ``Fraction``
@@ -30,6 +32,7 @@ from dsvac import harmonics, radial
 from dsvac import rational as rl
 from dsvac.calderon import _null, _rank
 from dsvac.cauchy import (
+    BLOCK_JETS,
     DataLayout,
     charge_form,
     data_block,
@@ -51,7 +54,16 @@ from dsvac.harmonics import (
 from dsvac.phase_space import _param_columns
 from dsvac.radial import INTEGRATOR_TOL, evolve_raw, indicial_data
 from dsvac.sectors import SCALAR0, SCALAR1, VECTOR1, Family, space
-from dsvac.warped import cf_diff, cf_eval, cf_mul, cf_scale, data_weight, kappa_signs
+from dsvac.warped import (
+    WarpedSector,
+    cf_diff,
+    cf_eval,
+    cf_mul,
+    cf_scale,
+    data_weight,
+    fiber_weights,
+    kappa_signs,
+)
 
 Q = Fraction
 
@@ -409,6 +421,60 @@ def collocation_matrix_loop(system, s_nodes, cheb):
                 row[jslot * nmodes:(jslot + 1) * nmodes] = block
             rows.append(row)
     return np.array(rows)
+
+
+# -- each sector's exact tables built at its own level -------------------------
+# The library builds a full sector's systems, blocks and forms once per family
+# with the level variable formal and evaluates them at the sector's level;
+# these build them from the sector's own space, as a reduced sector is built.
+
+def per_level_system(operator_id, sector, signature, maxwell=False):
+    """The radial system reduced from the sector's own space: the per-level
+    route to ``radial.build_system``."""
+    rank = radial.OPERATOR_RANK[operator_id]
+    slot_ranks, m1, m0 = WarpedSector(sector, signature).radial_matrices(rank,
+                                                                         maxwell=maxwell)
+    return radial.RadialSystem(sector, operator_id, signature, maxwell, rank,
+                               slot_ranks, m1, m0)
+
+
+def per_level_data_block(sector, name, maxwell=False):
+    """Block ``name`` jet-evaluated at the equator by the sector's own
+    calculus, eliminating with its own system: the per-level route to
+    ``cauchy.data_block``."""
+    jet, rank_in, rank_out, signature = BLOCK_JETS[name]
+    ws = WarpedSector(sector, signature)
+    rows = ws.cauchy_block(lambda z: jet(ws, z), rank_in, rank_out,
+                           elim=lambda: ws.radial_matrices(rank_in, maxwell=maxwell))
+    n_in, n_out = DataLayout(sector, rank_in).half, DataLayout(sector, rank_out).half
+    block = np.array(rows, dtype=object).reshape(2 * n_out, 2 * n_in)
+    block[:n_out, n_in:] *= -1
+    block[n_out:, :n_in] *= -1
+    return block
+
+
+def per_level_data_weight(sector, rank, lorentz_signs=False):
+    """The block diagonal of the sector's slot Grams times the fiber weights
+    (and the reflection signs): the per-level route to
+    ``warped.data_weight``."""
+    sp = space(sector)
+    wts = fiber_weights(rank)
+    if lorentz_signs:
+        wts = [w * k for w, k in zip(wts, kappa_signs(rank))]
+    return block_diag(*(np.array(sp.gram(r), dtype=object).reshape(sp.dim(r), sp.dim(r))
+                        * wts[r] for r in range(rank + 1)))
+
+
+def per_level_exact_charge(sector, rank):
+    """q_k exactly from ``per_level_data_weight``."""
+    d = per_level_data_weight(sector, rank, lorentz_signs=True)
+    z = np.zeros_like(d)
+    return np.block([[z, d], [d, z]])
+
+
+def per_level_physical_charge(sector):
+    """q_{I,2} = q_2 o I_Sigma exactly, both factors built per level."""
+    return per_level_exact_charge(sector, 2) @ per_level_data_block(sector, "trace_reversal")
 
 
 # -- hand-tabulated Euclidean data blocks ------------------------------------

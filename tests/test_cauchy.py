@@ -117,14 +117,20 @@ def test_elimination_only_for_second_derivatives():
 
 
 def test_blocks_eliminate_with_the_cached_system(monkeypatch):
+    # Vector(30) is full, so its block is its family's evaluated; the
+    # family's block is built anew here, and its second derivatives are
+    # eliminated with the family system that building Vector(30)'s cached
     sec = SectorLabel(Family.VECTOR, 30)  # built by no other test
     build_system("D2", sec, EUCLIDEAN, maxwell=False)
+    family_key = (Family.VECTOR, "sym_div", False)
+    monkeypatch.delitem(cy._DATA_BLOCKS, family_key, raising=False)
     reductions = []
     reduce = WarpedSector.radial_matrices
     monkeypatch.setattr(WarpedSector, "radial_matrices",
                         lambda self, *a, **k: reductions.append(a) or reduce(self, *a, **k))
     cy.data_block(sec, "sym_div")
     assert reductions == []
+    assert family_key in cy._DATA_BLOCKS
 
 
 def test_sym_div_examples():

@@ -310,12 +310,15 @@ def _tail_test_holds(block, rho, shifts, x0, order):
 
 
 def test_each_regular_basis_runs_its_recursion_once(monkeypatch):
-    # no coefficient, pole table or L(rho + m) is computed twice: each
-    # system builds one pole table and one L(rho0 + m) table at its lowest
-    # regular exponent rho0 and runs one recursion on them, and each
-    # exponent stops at the first order at which the tail test holds at
-    # MATCH_RADIUS for all its seeds (k <= 8 has 8 exponents with two seeds
-    # and 32 systems with more than one exponent)
+    # no coefficient, pole table or L(rho + m) is computed twice, and none
+    # past the block of the last stop: each system runs one recursion, whose
+    # tables (the pole tables and L(rho0 + m) at its lowest regular
+    # exponent rho0) are built
+    # in consecutive blocks of TABLE_BLOCK orders from order 0, the last one
+    # holding the last stop order; and each exponent stops at the first
+    # order at which the tail test holds at MATCH_RADIUS for all its seeds
+    # (k <= 8 has 8 exponents with two seeds and 32 systems with more than
+    # one exponent)
     recursions, tables, shifts = [], [], []
     for name, log in (("_frobenius_recursion", recursions), ("pole_tables", tables),
                       ("_indicial_at_shifts", shifts)):
@@ -325,27 +328,51 @@ def test_each_regular_basis_runs_its_recursion_once(monkeypatch):
             return out
         monkeypatch.setattr(radial, name, spy)
     x0 = radial.MATCH_RADIUS
+    block = radial.TABLE_BLOCK
     several = 0
     for sysm in _euclidean_systems(8):
         del recursions[:], tables[:], shifts[:]
         radial._regular_basis.__wrapped__(sysm, radial.INTEGRATOR_TOL)
         reg, _ = radial.regular_exponents(sysm)
         several += len(reg) > 1
-        (_, (p_f, q_f)), = tables
-        (args, lms), = shifts
-        assert args[2] == reg[0][0]
         (args, (coeffs, stops, ratio)), = recursions
-        assert args[1] is lms and args[2] is p_f and args[3] is q_f
         assert ratio is None
+        assert all(args[0] is sysm for args, _ in tables)
+        assert all(args[2] == reg[0][0] for args, _ in shifts)
+        orders = [list(args[1]) for args, _ in tables]
+        assert orders == [list(args[3]) for args, _ in shifts]
+        assert sum(orders, []) == list(range(len(sum(orders, []))))
+        assert [o[-1] for o in orders] == [min(block * (b + 1), radial.ORDER_CAP)
+                                           for b in range(len(orders))]
+        assert orders[-1][0] <= max(stops) <= orders[-1][-1], (sysm.sector, stops)
         *_, series = radial.frobenius_solutions(sysm, x0)
         sh = np.array(sysm.slot_ranks, dtype=float)
-        for (rho, _), stop, (_, block) in zip(reg, stops, _exponent_blocks(series)):
+        for (rho, _), stop, (_, block_c) in zip(reg, stops, _exponent_blocks(series)):
             order = stop - (rho - reg[0][0])
-            assert len(block) == order + 1
-            assert _tail_test_holds(block, float(rho), sh, x0, order)
-            assert not _tail_test_holds(block, float(rho), sh, x0, order - 1), \
+            assert len(block_c) == order + 1
+            assert _tail_test_holds(block_c, float(rho), sh, x0, order)
+            assert not _tail_test_holds(block_c, float(rho), sh, x0, order - 1), \
                 (sysm.sector, rho, order)
     assert several == 32
+
+
+def test_tables_built_in_blocks_give_the_coefficients_of_whole_tables(monkeypatch):
+    # Scalar(48) D2 summed to the equator stops past the first block of
+    # tables: block by block, its series is bit for bit the one the whole
+    # tables to ORDER_CAP give
+    sysm = build_system("D2", SectorLabel(Family.SCALAR, 48), EUCLIDEAN)
+    blocks = []
+    tables = radial.pole_tables
+    monkeypatch.setattr(radial, "pole_tables",
+                        lambda system, orders: blocks.append(list(orders))
+                        or tables(system, orders))
+    val, der, series = radial.frobenius_solutions(sysm, pi / 2)
+    assert len(blocks) == 2 and blocks[1][0] == radial.TABLE_BLOCK + 1
+    monkeypatch.setattr(radial, "TABLE_BLOCK", radial.ORDER_CAP)
+    val1, der1, series1 = radial.frobenius_solutions(sysm, pi / 2)
+    assert len(blocks) == 3 and blocks[2] == list(range(radial.ORDER_CAP + 1))
+    assert val.tobytes() == val1.tobytes() and der.tobytes() == der1.tobytes()
+    assert all(c.tobytes() == c1.tobytes() for (*_, c), (*_, c1) in zip(series, series1))
 
 
 def test_vector1_regular_datum():
